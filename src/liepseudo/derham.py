@@ -202,13 +202,18 @@ def _d_generator_images(hopf: Hopf, n: int) -> list[ModuleVector]:
 
 
 def d_images(hopf: Hopf, n: int, pi: RepData | None = None) -> list[ModuleVector]:
-    """Generator images of the (twisted) differential T(Pi,Omega^n) -> T(Pi,Omega^{n+1})."""
-    base = _d_generator_images(hopf, n)
-    if pi is None:
-        return base
-    src = omega_module(hopf, n)
-    tgt = omega_module(hopf, n + 1)
-    return twist_map(pi, src, tgt, base)
+    """Generator images of the (twisted) differential T(Pi,Omega^n) -> T(Pi,Omega^{n+1}).
+
+    Built once per (hopf, n, pi) and memoized on the Hopf instance.
+    """
+    key = (n, pi)
+    imgs = hopf._d_images_memo.get(key)
+    if imgs is None:
+        imgs = _d_generator_images(hopf, n)
+        if pi is not None:
+            imgs = twist_map(pi, omega_module(hopf, n), omega_module(hopf, n + 1), imgs)
+        hopf._d_images_memo[key] = imgs
+    return list(imgs)
 
 
 def pseudo_d(hopf: Hopf, n: int, gammav: ModuleVector, pi: RepData | None = None) -> ModuleVector:

@@ -2,8 +2,10 @@
 
 Basis monomials are b^(I) = b_1^{i_1} ... b_N^{i_N} / i_1! ... i_N! indexed by
 multi-indices I.  Products are straightened recursively through the
-commutation relations; the per-instance straightening memo is the only cache
-in the package and its results are scheduling-independent.
+commutation relations.  The per-instance memos (straightening, products,
+antipodes, and the de Rham generator images that derham keys on the
+algebra) are the only caches in the package, and their results are
+scheduling-independent.
 """
 
 from __future__ import annotations
@@ -92,6 +94,9 @@ class Hopf:
         self._word_memo: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
         self._mul_memo: dict[tuple[MultiIndex, MultiIndex], dict[MultiIndex, Fraction]] = {}
         self._antipode_memo: dict[MultiIndex, dict[MultiIndex, Fraction]] = {}
+        # de Rham generator images per (degree, twist), filled by derham.d_images;
+        # RepData hashes by identity, so a key keeps its twist alive
+        self._d_images_memo: dict = {}
 
     # -- element constructors ------------------------------------------
     def zero(self) -> "HElement":
