@@ -106,42 +106,34 @@ class XElement:
 
     def act_left(self, h: HElement) -> "XElement":
         """h . x with <h x, f> = <x, S(h) f>; validity drops by deg h."""
-        d = h.degree()
-        if d < 0:
-            return XElement(self.hopf, {}, self.validity)
-        validity = self.validity - d
-        if validity < -1:
-            raise TruncationExceeded("left action exhausts validity")
-        sh = h.antipode()
-        out: dict[MultiIndex, Fraction] = {}
-        for J in mi_below(self.hopf.n, max(validity, 0)) if validity >= 0 else []:
-            val = ZERO
-            for K, c in (sh * self.hopf.mono(J)).coeffs.items():
-                v = self.coeffs.get(K)
-                if v:
-                    val += c * v
-            if val:
-                out[J] = val
-        return XElement(self.hopf, out, validity)
+        return self._act(h, "left")
 
     def act_right(self, h: HElement) -> "XElement":
         """x . h with <x h, f> = <x, f S(h)>; validity drops by deg h."""
+        return self._act(h, "right")
+
+    def _act(self, h: HElement, side: str) -> "XElement":
+        """Both H-actions as a sparse matvec over the support of x: the
+        coefficient at x_J is sum_M S(h)_M sum_K c^K_{M,J} x_K, where c^K_{M,J}
+        is the coefficient of b^(K) in b^(M) b^(J) (left) or b^(J) b^(M) (right)."""
         d = h.degree()
         if d < 0:
             return XElement(self.hopf, {}, self.validity)
         validity = self.validity - d
         if validity < -1:
-            raise TruncationExceeded("right action exhausts validity")
-        sh = h.antipode()
-        out: dict[MultiIndex, Fraction] = {}
-        for J in mi_below(self.hopf.n, max(validity, 0)) if validity >= 0 else []:
-            val = ZERO
-            for K, c in (self.hopf.mono(J) * sh).coeffs.items():
-                v = self.coeffs.get(K)
-                if v:
-                    val += c * v
-            if val:
-                out[J] = val
+            raise TruncationExceeded(f"{side} action exhausts validity")
+        acc: dict[MultiIndex, Fraction] = {}
+        for M, s in h.antipode().coeffs.items():
+            table = _action_table(self.hopf, M, validity, side)
+            for K, v in self.coeffs.items():
+                entries = table.get(K)
+                if not entries:
+                    continue
+                sv = s * v
+                for J, c in entries:
+                    acc[J] = acc.get(J, ZERO) + sv * c
+        # emit in the (|J|, J) order of mi_below
+        out = {J: acc[J] for J in sorted(acc, key=lambda J: (mi_deg(J), J)) if acc[J]}
         return XElement(self.hopf, out, validity)
 
     # -- filtration ----------------------------------------------------------
@@ -191,3 +183,19 @@ class XElement:
             "terms": [[list(I), str(c)] for I, c in sorted(self.coeffs.items())],
             "validity": self.validity,
         }
+
+
+def _action_table(hopf: Hopf, M: MultiIndex, validity: int, side: str):
+    """K -> [(J, c)] over |J| <= validity, where c is the coefficient of b^(K)
+    in b^(M) b^(J) (side "left") or b^(J) b^(M) (side "right").  Memoized
+    on the Hopf instance per (M, validity, side)."""
+    key = (M, validity, side)
+    table = hopf._x_action_memo.get(key)
+    if table is None:
+        table = {}
+        for J in mi_below(hopf.n, validity):
+            prod = hopf.mono_mul(M, J) if side == "left" else hopf.mono_mul(J, M)
+            for K, c in prod.items():
+                table.setdefault(K, []).append((J, c))
+        hopf._x_action_memo[key] = table
+    return table

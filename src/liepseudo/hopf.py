@@ -3,9 +3,8 @@
 Basis monomials are b^(I) = b_1^{i_1} ... b_N^{i_N} / i_1! ... i_N! indexed by
 multi-indices I.  Products are straightened recursively through the
 commutation relations.  The per-instance memos (straightening, products,
-antipodes, and the de Rham generator images that derham keys on the
-algebra) are the only caches in the package, and their results are
-scheduling-independent.
+antipodes, and the tables that dualx and derham key on the algebra) are the
+only caches in the package, and their results are scheduling-independent.
 """
 
 from __future__ import annotations
@@ -97,6 +96,8 @@ class Hopf:
         # de Rham generator images per (degree, twist), filled by derham.d_images;
         # RepData hashes by identity, so a key keeps its twist alive
         self._d_images_memo: dict = {}
+        # sparse tables of the dual H-actions, filled by dualx._action_table
+        self._x_action_memo: dict = {}
 
     # -- element constructors ------------------------------------------
     def zero(self) -> "HElement":
