@@ -535,8 +535,16 @@ def sing_solve_oracle(V: ModuleSpec, fil_bound: int, mode: str = "W",
     rows: dict[tuple, Row] = {}
     for col, (I, k) in enumerate(cols):
         vec = V.unit(k, I)
+        # every spanning element contracts the same (1 (x) b_a) * vec
+        acted: dict[int, PseudoValue] = {}
+
+        def action_pv(a: int, v: ModuleVector) -> PseudoValue:
+            if a not in acted:
+                acted[a] = V.action_pv(a, v)
+            return acted[a]
+
         for label, el in spanning:
-            out = ann_action(el, vec, V.action_pv)
+            out = ann_action(el, vec, action_pv)
             if out is None or out.is_zero():
                 continue
             for J, rowc in out.terms.items():
