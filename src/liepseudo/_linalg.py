@@ -129,25 +129,3 @@ def solve_min_support(rows: list[Row], rhs: list[Fraction], ncols: int) -> Row |
         if b:
             sol[j] = b
     return sol
-
-
-def intersect_span(basis_a: list[Row], basis_b: list[Row], ncols: int) -> list[Row]:
-    """Basis of span(A) ∩ span(B) via the kernel of the stacked system."""
-    # unknowns: coefficients on A then on B; constraint A c - B d = 0
-    rows_by_col: dict[int, Row] = {}
-    na = len(basis_a)
-    for i, v in enumerate(basis_a):
-        for j, val in v.items():
-            rows_by_col.setdefault(j, {})[i] = val
-    for i, v in enumerate(basis_b):
-        for j, val in v.items():
-            rows_by_col.setdefault(j, {})[na + i] = -val
-    ker = nullspace(list(rows_by_col.values()), na + len(basis_b))
-    out = RowReducer()
-    for k in ker:
-        vec: Row = {}
-        for i, c in k.items():
-            if i < na:
-                row_addmul(vec, basis_a[i], c)
-        out.add(vec)
-    return out.basis()

@@ -384,6 +384,11 @@ def cmd_derham(args) -> int:
     )
     pi_arg = None if (pi.dim == 1 and trivial) else pi
     p_max = args.fil if args.fil is not None else min(4, args.trunc - 2)
+    if p_max < 0:
+        raise ConfigError(
+            f"filtration bound p_max = {p_max} leaves the exactness check without "
+            "cases; pass --fil >= 0 or --trunc >= 2"
+        )
     suite = Suite("derham", {"alg": lie.name, "pi_dim": pi.dim, "p_max": p_max,
                              "trunc": args.trunc})
     from .liecore import wedge_basis
@@ -442,11 +447,21 @@ def cmd_report_merge(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, reps: bool = True) -> None:
+def _env_truncation() -> int:
+    raw = os.environ.get("PSA_TRUNC")
+    if raw is None:
+        return DEFAULT_TRUNCATION
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"PSA_TRUNC must be an integer, got {raw!r}") from None
+
+
+def _add_common(p: argparse.ArgumentParser, reps: bool = True, trunc: bool = True) -> None:
     p.add_argument("--alg", required=True, help="preset name or algebra JSON path")
-    p.add_argument("--trunc", type=int,
-                   default=int(os.environ.get("PSA_TRUNC", DEFAULT_TRUNCATION)),
-                   help="dual truncation degree (default 6, env PSA_TRUNC)")
+    if trunc:
+        p.add_argument("--trunc", type=int, default=_env_truncation(),
+                       help="dual truncation degree (default 6, env PSA_TRUNC)")
     p.add_argument("--fil", type=int, default=None, help="filtration bound")
     p.add_argument("--out", help="write the JSON report to this path")
     p.add_argument("--json", action="store_true", help="print the JSON report")
@@ -460,6 +475,18 @@ def _add_common(p: argparse.ArgumentParser, reps: bool = True) -> None:
 
 
 def main(argv=None) -> int:
+    try:
+        args = _parser().parse_args(argv)
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except LiePseudoError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liepseudo",
         description="exact verification suites for Lie pseudoalgebras of type W and S",
@@ -475,23 +502,14 @@ def main(argv=None) -> int:
     _add_common(p)
     p.set_defaults(func=cmd_derham)
     p = sub.add_parser("classify", help="irreducibility verdict for a tensor module")
-    _add_common(p)
+    _add_common(p, trunc=False)
     p.set_defaults(func=cmd_classify)
     p = sub.add_parser("report-merge", help="merge JSON reports")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--out", help="write the merged report to this path")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_report_merge)
-
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except LiePseudoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return parser
 
 
 if __name__ == "__main__":

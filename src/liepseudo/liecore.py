@@ -200,9 +200,6 @@ class TraceForm:
     def __call__(self, i: int) -> Fraction:
         return self.values[i]
 
-    def of_vec(self, v: Sequence[Fraction]) -> Fraction:
-        return sum((c * x for c, x in zip(self.values, v)), Fraction(0))
-
 
 class RepData:
     """Matrices of a finite-dimensional representation.

@@ -116,3 +116,39 @@ def test_entry_point_runs():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    # p_max = trunc - 2 < 0 would leave the exactness check with zero cases
+    (["derham", "--alg", "abelian2", "--trunc", "1"], None, "config error: filtration bound p_max = -1"),
+    (["derham", "--alg", "abelian2", "--fil", "-1"], None, "config error: filtration bound p_max = -1"),
+    # classify reads no truncation, so the flag is refused, not ignored
+    (["classify", "--alg", "abelian2", "--mode", "W", "--u", "sym2", "--trunc", "1"], None,
+     "error: unrecognized arguments: --trunc 1"),
+    (["verify", "--alg", "abelian1", "--trunc", "4"], "abc",
+     "config error: PSA_TRUNC must be an integer, got 'abc'"),
+    (["report-merge", "a.json"], "4.5", "config error: PSA_TRUNC must be an integer, got '4.5'"),
+])
+def test_bad_input_exits_2_with_a_message(monkeypatch, capsys, argv, env, message):
+    if env is None:
+        monkeypatch.delenv("PSA_TRUNC", raising=False)
+    else:
+        monkeypatch.setenv("PSA_TRUNC", env)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err.splitlines()[-1]
+    if message.startswith("config error"):
+        assert captured.err.count("\n") == 1
+
+
+def test_derham_smallest_valid_truncation_checks_filtration_zero(capsys):
+    code, out = run_cli(["derham", "--alg", "abelian2", "--trunc", "2", "--json"], capsys)
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["exactness"]["p_max"] == 0
+    assert blob["exactness"]["checks"]

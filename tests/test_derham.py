@@ -446,3 +446,30 @@ def test_fingerprints_distinguish_modules():
     f1 = sing_fingerprint(T_sym, sing_solve(T_sym, 2, "W"))
     f2 = sing_fingerprint(T_om, sing_solve(T_om, 2, "W"))
     assert f1 != f2
+
+
+def test_d_images_build_each_omega_module_once(monkeypatch):
+    # a fresh Hopf, so no generator images are memoized yet
+    from liepseudo import derham
+    from liepseudo.hopf import Hopf
+
+    H = Hopf(preset("heis3"))
+    # x -> E_12, y -> identity, z -> 0 represents [x, y] = z
+    pi = RepData.d_rep(H.lie, [
+        mat([[0, 1], [0, 0]]), mat([[1, 0], [0, 1]]), mat([[0, 0], [0, 0]]),
+    ])
+    built = []
+    real = derham.tensor_module
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("name"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(derham, "tensor_module", counting)
+    assert exactness_report(H, pi, 2)["ok"]
+    for k in range(pi.dim):
+        v = ModuleVector.unit(H, pi.dim, k).hmul(H.gen(0) * H.gen(1))
+        assert pseudo_d(H, 1, pseudo_d(H, 0, v, pi), pi).is_zero()
+    # two Omega modules per degree 0..N-1, independent of p_max and of the
+    # number of pseudo_d calls
+    assert len(built) == 2 * H.n

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liepseudo.dualx import XElement
 from liepseudo.errors import TruncationExceeded
 from liepseudo.hopf import mi_below, mi_deg
+from liepseudo.liecore import PRESET_NAMES
 
 from conftest import hopf_for
 
@@ -169,3 +172,53 @@ def test_serialize_roundtrip_fields():
     blob = x.serialize()
     assert blob["validity"] == 4
     assert blob["terms"] == [[[1, 1], "3/7"]]
+
+
+# -- the table-driven actions against the defining products ------------------
+
+
+def _reference_action(x, h, side):
+    """The defining formula: the coefficient at x_J is <x, S(h) b^(J)> (left)
+    or <x, b^(J) S(h)> (right), through the generic product of H."""
+    H = x.hopf
+    validity = x.validity - h.degree()
+    sh = h.antipode()
+    out = {}
+    for J in mi_below(H.n, validity):
+        prod = sh * H.mono(J) if side == "left" else H.mono(J) * sh
+        val = sum((c * x.coeffs.get(K, 0) for K, c in prod.coeffs.items()), Fraction(0))
+        if val:
+            out[J] = val
+    return out, validity
+
+
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _action_case(draw):
+    H = hopf_for(draw(st.sampled_from(sorted(PRESET_NAMES))))
+    validity = draw(st.integers(0, 4))
+    x_support = draw(st.lists(st.sampled_from(mi_below(H.n, validity)), max_size=4))
+    x = XElement(H, {K: draw(_SMALL) for K in x_support}, validity)
+    h_support = draw(st.lists(st.sampled_from(mi_below(H.n, 2)), min_size=1, max_size=3))
+    h = H.element({M: draw(_SMALL) for M in h_support})
+    return x, h
+
+
+@settings(max_examples=60, deadline=None)
+@given(_action_case(), st.sampled_from(["left", "right"]))
+def test_actions_match_defining_products(case, side):
+    x, h = case
+    if h.degree() > x.validity + 1:
+        with pytest.raises(TruncationExceeded):
+            getattr(x, f"act_{side}")(h)
+        return
+    got = getattr(x, f"act_{side}")(h)
+    if h.is_zero():
+        assert not got.coeffs and got.validity == x.validity
+        return
+    expect, validity = _reference_action(x, h, side)
+    assert got.validity == validity
+    assert got.coeffs == expect
+    assert list(got.coeffs) == list(expect)  # same (|J|, J) key order

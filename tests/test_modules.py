@@ -557,3 +557,24 @@ def test_s_mode_psi_exists_and_is_invertible():
     # pick a solution with invertible generator image (degree-0 coefficient)
     good = [s for s in sols if s[0].coefficient(mi_zero(3))[0] != 0]
     assert good, "no invertible intertwiner found"
+
+
+@pytest.mark.parametrize("name, mode, fil", [("abelian2", "W", 2), ("heis3", "S", 2)])
+def test_oracle_applies_each_pseudoaction_once_per_column(monkeypatch, name, mode, fil):
+    from liepseudo.modules import ModuleSpec
+
+    H = hopf_for(name)
+    T = tensor_module(H, trivial_pi(H), omega_rep(H.lie, 1))
+    chi = H.lie.zero_trace_form() if mode == "S" else None
+    expect = sing_solve(T, fil, mode, chi).basis
+    calls = []
+    real = ModuleSpec.action_pv
+
+    def counting(self, i, v):
+        calls.append(i)
+        return real(self, i, v)
+
+    monkeypatch.setattr(ModuleSpec, "action_pv", counting)
+    res = sing_solve_oracle(T, fil, mode, chi)
+    assert 0 < len(calls) <= H.n * len(T.basis_upto(fil))
+    assert [v.serialize() for v in res.basis] == [v.serialize() for v in expect]
