@@ -21,6 +21,7 @@ import itertools
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -59,10 +60,34 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"cannot read JSON from {path}: {exc}")
 
 
+def _spec_int(spec: str, least: int) -> int:
+    """The integer m of a `kind:m` spec; it must be at least `least`."""
+    tail = spec.split(":", 1)[1]
+    try:
+        m = int(tail)
+    except ValueError:
+        raise ConfigError(f"{spec!r}: {tail!r} is not an integer") from None
+    if m < least:
+        raise ConfigError(f"{spec!r}: needs an integer >= {least}")
+    return m
+
+
+def _spec_rats(values, what: str) -> tuple[Fraction, ...]:
+    try:
+        return tuple(rat(str(v).strip()) for v in values)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+    except ZeroDivisionError:
+        raise ConfigError(f"{what}: zero denominator") from None
+
+
 def load_algebra(source: str) -> tuple[LieData, dict]:
     """Preset name or JSON path; returns (algebra, raw blob for rep defaults)."""
-    if source in PRESET_NAMES or source.startswith("abelian"):
-        return preset(source), {}
+    if source in PRESET_NAMES or re.fullmatch(r"abelian\d+", source):
+        try:
+            return preset(source), {}
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     blob = _load_json(source)
     try:
         dim = int(blob["dim"])
@@ -84,7 +109,7 @@ def load_chi(lie: LieData, spec: str | None, blob: dict) -> TraceForm:
     if len(values) != lie.dim:
         raise ConfigError(f"chi needs {lie.dim} entries")
     try:
-        return TraceForm(lie, tuple(rat(str(v).strip()) for v in values))
+        return TraceForm(lie, _spec_rats(values, "chi"))
     except LiePseudoError as exc:
         raise ConfigError(str(exc))
 
@@ -111,13 +136,13 @@ def load_pi(lie: LieData, spec: str | None, blob: dict) -> RepData:
     if spec is None or spec == "trivial" or spec == "trivial:1":
         return RepData.trivial(lie, 1, "d")
     if spec.startswith("trivial:"):
-        return RepData.trivial(lie, int(spec.split(":", 1)[1]), "d")
+        return RepData.trivial(lie, _spec_int(spec, 1), "d")
     if spec.startswith("line:"):
-        values = [rat(v.strip()) for v in spec.split(":", 1)[1].split(",")]
+        values = _spec_rats(spec.split(":", 1)[1].split(","), "pi")
         if len(values) != lie.dim:
             raise ConfigError(f"pi line needs {lie.dim} entries")
         try:
-            return RepData.line(TraceForm(lie, tuple(values)))
+            return RepData.line(TraceForm(lie, values))
         except LiePseudoError as exc:
             raise ConfigError(str(exc))
     sub = _load_json(spec)
@@ -135,9 +160,9 @@ def load_u(lie: LieData, spec: str | None, blob: dict) -> RepData:
     elif spec is None or spec in ("trivial", "trivial:1"):
         return RepData.trivial(lie, 1, "gl")
     elif spec.startswith("trivial:"):
-        return RepData.trivial(lie, int(spec.split(":", 1)[1]), "gl")
+        return RepData.trivial(lie, _spec_int(spec, 1), "gl")
     elif spec.startswith("omega:"):
-        return omega_rep(lie, int(spec.split(":", 1)[1]))
+        return omega_rep(lie, _spec_int(spec, 0))
     elif spec == "sym2":
         return sym2_dual_rep(lie)
     else:

@@ -128,6 +128,17 @@ def test_entry_point_runs():
     (["verify", "--alg", "abelian1", "--trunc", "4"], "abc",
      "config error: PSA_TRUNC must be an integer, got 'abc'"),
     (["report-merge", "a.json"], "4.5", "config error: PSA_TRUNC must be an integer, got '4.5'"),
+    # malformed specs are configuration errors, never tracebacks
+    (["verify", "--alg", "abelianx"], None, "config error: cannot read JSON from abelianx"),
+    (["verify", "--alg", "abelian0"], None, "config error: abelian dimension must be >= 1"),
+    (["singular", "--alg", "abelian2", "--u", "trivial:0"], None,
+     "config error: 'trivial:0': needs an integer >= 1"),
+    (["derham", "--alg", "abelian2", "--pi", "trivial:0"], None,
+     "config error: 'trivial:0': needs an integer >= 1"),
+    (["singular", "--alg", "abelian2", "--u", "omega:x"], None,
+     "config error: 'omega:x': 'x' is not an integer"),
+    (["singular", "--alg", "abelian2", "--pi", "line:1,x"], None, "config error: pi: "),
+    (["singular", "--alg", "abelian2", "--chi", "1/0,0"], None, "config error: chi: zero denominator"),
 ])
 def test_bad_input_exits_2_with_a_message(monkeypatch, capsys, argv, env, message):
     if env is None:
