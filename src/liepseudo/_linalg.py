@@ -129,3 +129,20 @@ def solve_min_support(rows: list[Row], rhs: list[Fraction], ncols: int) -> Row |
         if b:
             sol[j] = b
     return sol
+
+
+def span_coords(vectors: list[dict], target: dict) -> list[Fraction] | None:
+    """Coefficients c with sum_m c[m] * vectors[m] == target, or None if
+    target lies outside the span.
+
+    Vectors are sparse maps from any hashable coordinate to a nonzero
+    Fraction; dependent vectors get the `solve_min_support` representative.
+    """
+    eqs: dict = {}
+    for m, vec in enumerate(vectors):
+        for j, c in vec.items():
+            eqs.setdefault(j, {})[m] = c
+    if any(j not in eqs for j in target):
+        return None
+    sol = solve_min_support(list(eqs.values()), [target.get(j, ZERO) for j in eqs], len(vectors))
+    return None if sol is None else [sol.get(m, ZERO) for m in range(len(vectors))]

@@ -41,7 +41,7 @@ from .liecore import (
     rat,
     sym2_dual_rep,
 )
-from .modules import sing_solve, sing_solve_oracle, tensor_module
+from .modules import PAPER_BOUND, sing_solve, sing_solve_oracle, tensor_module
 from .pseudoalg import WAlgebra, check_jacobi, check_s_closure, check_skew
 from .twosided import module_defect
 
@@ -381,18 +381,24 @@ def cmd_singular(args) -> int:
     u = load_u(lie, args.u, blob)
     mode = args.mode.upper()
     fil = args.fil if args.fil is not None else (2 if mode == "W" else 3)
+    if fil < 0:
+        raise ConfigError(f"filtration bound --fil {fil} is negative")
     suite = Suite("singular", {
         "alg": lie.name, "mode": mode, "fil": fil, "trunc": args.trunc,
         "pi_dim": pi.dim, "u_dim": u.dim,
     })
     T = tensor_module(hopf, pi, u)
     res = sing_solve(T, fil, mode, chi)
-    oracle = sing_solve_oracle(T, min(fil, 2 if mode == "W" else 2), mode, chi,
-                               validity=args.trunc)
+    low = min(fil, 2)
+    oracle = sing_solve_oracle(T, low, mode, chi, validity=args.trunc)
     suite.record("solver-within-paper-bound", res.ok,
                  {"profile": {str(k): v for k, v in res.degree_profile().items()}})
-    suite.record("oracle-dimension-agrees", oracle.dim == res.dim,
-                 {"solver": res.dim, "oracle": oracle.dim})
+    # both bases are reduced column-echelon over the same column order (|I|,
+    # I, k), so the solver's vectors of degree <= low are the canonical basis
+    # at the oracle's bound
+    agrees = [v.serialize() for v in oracle.basis] == [
+        v.serialize() for v in res.basis if v.degree() <= low]
+    suite.record("oracle-dimension-agrees", agrees, {"solver": res.dim, "oracle": oracle.dim})
     report = suite.report()
     report["sing_dim"] = res.dim
     report["basis"] = [v.serialize() for v in res.basis]
@@ -453,6 +459,11 @@ def cmd_classify(args) -> int:
     pi = load_pi(lie, args.pi, blob)
     u = load_u(lie, args.u, blob)
     mode = args.mode.upper()
+    if args.fil is not None and args.fil < PAPER_BOUND[mode]:
+        raise ConfigError(
+            f"filtration bound --fil {args.fil} is below the paper bound {PAPER_BOUND[mode]} "
+            f"of mode {mode}, where singular vectors would be missed"
+        )
     report = drh.classify_report(hopf, pi, u, mode, chi, args.fil)
     report["command"] = "classify"
     report["config"] = {"alg": lie.name, "mode": mode, "pi_dim": pi.dim, "u_dim": u.dim}

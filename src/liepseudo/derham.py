@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from ._linalg import RowReducer, rank
+from ._linalg import rank
 from .annih import AnnElement, ann_action, gamma
 from .dualx import XElement
 from .errors import DegreeOutOfRange
@@ -27,6 +27,8 @@ from .liecore import LieData, RepData, TraceForm, insert_sign, rat, wedge_basis
 from .modules import (
     ModuleSpec,
     ModuleVector,
+    _row_from_vector,
+    express_in_span,
     sing_blocks_by_id_symbol,
     sing_in_subspace,
     sing_solve,
@@ -419,13 +421,7 @@ def _d_matrix_rank(hopf: Hopf, n: int, pi: RepData | None, p: int) -> tuple[int,
         mono = hopf.mono(I)
         for k in range(len(imgs)):
             dom += 1
-            img = imgs[k].hmul(mono)
-            row = {}
-            for J, coords in img.terms.items():
-                for r, c in enumerate(coords):
-                    if c:
-                        row[tgt_cols[(J, r)]] = c
-            rows.append(row)
+            rows.append(_row_from_vector(imgs[k].hmul(mono), tgt_cols))
     return dom, rank(rows)
 
 
@@ -580,57 +576,6 @@ def sing_fingerprint(V: ModuleSpec, res, chi: TraceForm | None = None) -> dict:
     basis = res.basis
     if not basis:
         return {"dim": 0}
-    index = {}
-    for v in basis:
-        for I, coords in v.terms.items():
-            for k, c in enumerate(coords):
-                index.setdefault((I, k), len(index))
-    red = RowReducer()
-    rows = []
-    for v in basis:
-        row = {}
-        for I, coords in v.terms.items():
-            for k, c in enumerate(coords):
-                if c:
-                    row[index[(I, k)]] = c
-        rows.append(row)
-        red.add(row)
-
-    by_coord: dict[int, dict[int, Fraction]] = {}
-    for m, row in enumerate(rows):
-        for j, c in row.items():
-            by_coord.setdefault(j, {})[m] = c
-
-    def coords_of(v: ModuleVector):
-        # exact expansion in the sing basis, None if v leaves the span
-        from ._linalg import solve_min_support
-
-        target = {}
-        for I, coords in v.terms.items():
-            for k, c in enumerate(coords):
-                if c:
-                    j = index.get((I, k))
-                    if j is None:
-                        return None
-                    target[j] = c
-        eq_rows = [dict(row) for j, row in sorted(by_coord.items())]
-        rhs = [target.get(j, ZERO) for j in sorted(by_coord)]
-        sol = solve_min_support(eq_rows, rhs, len(basis))
-        if sol is None:
-            return None
-        # verify (solve_min_support zeroes free unknowns; residual must vanish)
-        residual = dict(target)
-        for m, c in sol.items():
-            for j, w in rows[m].items():
-                r = residual.get(j, ZERO) - c * w
-                if r:
-                    residual[j] = r
-                else:
-                    residual.pop(j, None)
-        if residual:
-            return None
-        return [sol.get(m, ZERO) for m in range(len(basis))]
-
     gl_traces = []
     validity = max(6, res.fil_bound + 3)
     id_trace = ZERO
@@ -643,7 +588,7 @@ def sing_fingerprint(V: ModuleSpec, res, chi: TraceForm | None = None) -> dict:
             for m, v in enumerate(basis):
                 out = ann_action(el, v, V.action_pv)
                 out = out.scale(-1) if out is not None else V.zero_vector()
-                coords = coords_of(out)
+                coords = express_in_span(basis, out)
                 if coords is None:
                     okrow = False
                     break

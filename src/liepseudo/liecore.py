@@ -177,10 +177,6 @@ class LieData:
         return TraceForm(self, (Fraction(0),) * self.dim)
 
 
-def validate_lie(data: LieData) -> None:
-    data.validate()
-
-
 @dataclass(frozen=True)
 class TraceForm:
     """A linear functional chi on d vanishing on [d, d]."""

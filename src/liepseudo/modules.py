@@ -7,14 +7,22 @@ tensor modules attached to a (d + gl d)-module, their duals and twists, and
 the shifted modules whose generator line consists of singular vectors.
 
 Module vectors are sparse maps multi-index -> coordinate tuple over R.
+
+Every solver (singular vectors, submodule closures, intertwiners) follows
+one path: `_act` applies an actor of `_sing_actors` (1 (x) b_i, or s_ab in
+S mode) to a module vector; `_add_rows` turns the normal-form coefficients
+of the resulting PseudoValue into equation rows; `nullspace` solves them
+exactly; `_vector_from_row` reads a solution back as a module vector.
+`sing_solve` is `sing_in_subspace` over the unit vectors, and span
+coordinates go through `_linalg.span_coords`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import Row, RowReducer, nullspace, rank, row_addmul
+from ._linalg import Row, RowReducer, nullspace, span_coords
 from .annih import AnnElement, ann_action, iota
 from .dualx import XElement
 from .errors import DimensionMismatch, DimensionTooSmall, NotFree, RepInvalid
@@ -421,6 +429,10 @@ def twist_map(pi: RepData, V: ModuleSpec, W: ModuleSpec,
 # Singular vectors
 # ---------------------------------------------------------------------------
 
+# filtration degree that contains every singular vector, by mode (the paper's bound)
+PAPER_BOUND = {"W": 1, "S": 2}
+
+
 @dataclass
 class SingResult:
     module: ModuleSpec
@@ -466,41 +478,55 @@ def _sing_actors(V: ModuleSpec, mode: str, chi: TraceForm | None):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _unknown_order(V: ModuleSpec, fil_bound: int):
-    cols = V.basis_upto(fil_bound)
-    index = {slot: c for c, slot in enumerate(cols)}
-    return cols, index
+def _act(V: ModuleSpec, actor, v: ModuleVector) -> PseudoValue:
+    """a * v for an actor (label, i, w) of `_sing_actors`: 1 (x) b_i, or w."""
+    _label, i, w = actor
+    return V.action_pv(i, v) if w is None else V.w_star(w, v)
+
+
+def _add_entry(rows: dict[tuple, Row], key: tuple, col: int, c: Fraction) -> None:
+    """Equation `key` gains c at unknown `col` (cancellations are dropped)."""
+    row = rows.setdefault(key, {})
+    v = row.get(col, ZERO) + c
+    if v:
+        row[col] = v
+    else:
+        row.pop(col, None)
+
+
+def _add_rows(rows: dict[tuple, Row], prefix: tuple, col: int, v: ModuleVector,
+              c: Fraction = ONE) -> None:
+    """One equation prefix + (J, r) per coordinate of v, gaining c * v_J[r] at `col`."""
+    for J, coords in v.terms.items():
+        for r, x in enumerate(coords):
+            if x:
+                _add_entry(rows, prefix + (J, r), col, c * x)
+
+
+def _vector_from_row(V: ModuleSpec, vectors: list[ModuleVector], row: Row) -> ModuleVector:
+    """sum_m row[m] * vectors[m]: a solution row read back as a module vector."""
+    terms: dict[MultiIndex, list[Fraction]] = {}
+    for m, c in row.items():
+        for I, coords in vectors[m].terms.items():
+            cur = terms.setdefault(I, [ZERO] * V.dim)
+            for k, x in enumerate(coords):
+                if x:
+                    cur[k] += c * x
+    return ModuleVector(V.hopf, V.dim, {I: tuple(r) for I, r in terms.items()})
+
+
+def _units(V: ModuleSpec, slots) -> list[ModuleVector]:
+    return [V.unit(k, I) for I, k in slots]
 
 
 def sing_solve(V: ModuleSpec, fil_bound: int, mode: str = "W",
                chi: TraceForm | None = None) -> SingResult:
-    """Exact basis of the singular vectors inside fil^bound.
-
-    W mode: the right-normal coefficients of (1 (x) b_i) * v at |K| >= 2 must
-    vanish.  S mode: the coefficients of s_ij * v at |K| >= 3 must vanish.
-    The basis is the canonical reduced one for the unknown order (|I|, I, k).
+    """Exact basis of the singular vectors inside fil^bound: `sing_in_subspace`
+    over the unit vectors b^(I) (x) u_k, so the basis is the canonical reduced
+    one for the unknown order (|I|, I, k).
     """
-    actors, threshold = _sing_actors(V, mode, chi)
-    cols, index = _unknown_order(V, fil_bound)
-    rows: dict[tuple, Row] = {}
-    for label, i, w in actors:
-        for col, (I, k) in enumerate(cols):
-            vec = V.unit(k, I)
-            val = V.action_pv(i, vec) if w is None else V.w_star(w, vec)
-            for K, mv in val.to_right().terms.items():
-                if mi_deg(K) < threshold:
-                    continue
-                for J, rowc in mv.terms.items():
-                    for r, c in enumerate(rowc):
-                        if not c:
-                            continue
-                        key = (label, K, J, r)
-                        row = rows.setdefault(key, {})
-                        row[col] = row.get(col, ZERO) + c
-    ker = nullspace([rows[k] for k in sorted(rows)], len(cols))
-    basis = [_vector_from_row(V, cols, vec) for vec in ker]
-    paper_bound = 1 if mode == "W" else 2
-    return SingResult(V, basis, fil_bound, paper_bound, mode)
+    basis = sing_in_subspace(V, _units(V, V.basis_upto(fil_bound)), mode, chi)
+    return SingResult(V, basis, fil_bound, PAPER_BOUND[mode], mode)
 
 
 def sing_solve_oracle(V: ModuleSpec, fil_bound: int, mode: str = "W",
@@ -510,7 +536,7 @@ def sing_solve_oracle(V: ModuleSpec, fil_bound: int, mode: str = "W",
     elements of W_1 (resp. S_1) kill it under the contraction action."""
     hopf = V.hopf
     validity = validity if validity is not None else fil_bound + 4
-    cols, index = _unknown_order(V, fil_bound)
+    units = _units(V, V.basis_upto(fil_bound))
     spanning: list[tuple[str, AnnElement]] = []
     if mode == "W":
         for K in mi_below(hopf.n, fil_bound + 2):
@@ -533,8 +559,7 @@ def sing_solve_oracle(V: ModuleSpec, fil_bound: int, mode: str = "W",
                 if not el.is_zero():
                     spanning.append((f"x_{K}.s_{a+1}{b+1}", el))
     rows: dict[tuple, Row] = {}
-    for col, (I, k) in enumerate(cols):
-        vec = V.unit(k, I)
+    for col, vec in enumerate(units):
         # every spanning element contracts the same (1 (x) b_a) * vec
         acted: dict[int, PseudoValue] = {}
 
@@ -545,37 +570,20 @@ def sing_solve_oracle(V: ModuleSpec, fil_bound: int, mode: str = "W",
 
         for label, el in spanning:
             out = ann_action(el, vec, action_pv)
-            if out is None or out.is_zero():
-                continue
-            for J, rowc in out.terms.items():
-                for r, c in enumerate(rowc):
-                    if not c:
-                        continue
-                    key = (label, J, r)
-                    row = rows.setdefault(key, {})
-                    row[col] = row.get(col, ZERO) + c
-    ker = nullspace([rows[k] for k in sorted(rows)], len(cols))
-    basis = [_vector_from_row(V, cols, vec) for vec in ker]
-    paper_bound = 1 if mode == "W" else 2
-    return SingResult(V, basis, fil_bound, paper_bound, mode)
+            if out is not None:
+                _add_rows(rows, (label,), col, out)
+    ker = nullspace([rows[k] for k in sorted(rows)], len(units))
+    basis = [_vector_from_row(V, units, vec) for vec in ker]
+    return SingResult(V, basis, fil_bound, PAPER_BOUND[mode], mode)
 
 
-def _vector_from_row(V: ModuleSpec, cols, row: Row) -> ModuleVector:
-    terms: dict[MultiIndex, list[Fraction]] = {}
-    for col, c in row.items():
-        I, k = cols[col]
-        cur = terms.setdefault(I, [ZERO] * V.dim)
-        cur[k] += c
-    return ModuleVector(V.hopf, V.dim, {I: tuple(r) for I, r in terms.items()})
+def _coords(v: ModuleVector) -> Row:
+    """The nonzero coordinates of v keyed by slot (I, k)."""
+    return {(I, k): c for I, coords in v.terms.items() for k, c in enumerate(coords) if c}
 
 
 def _row_from_vector(v: ModuleVector, index) -> Row:
-    row: Row = {}
-    for I, coords in v.terms.items():
-        for k, c in enumerate(coords):
-            if c:
-                row[index[(I, k)]] = c
-    return row
+    return {index[(I, k)]: c for I, coords in v.terms.items() for k, c in enumerate(coords) if c}
 
 
 def s_of(V: ModuleSpec, l: int, coords) -> ModuleVector:
@@ -641,9 +649,10 @@ class Closure:
         return red.contains(_row_from_vector(v, index))
 
     def same_space(self, other: "Closure") -> bool:
-        if self.fil_bound != other.fil_bound or self.dim != other.dim:
-            return False
-        return all(self.contains(v) for v in other.basis)
+        # a closure basis is the reduced-echelon basis of its span in the
+        # closure order, so equal spans have equal bases
+        return (self.fil_bound == other.fil_bound
+                and [v.terms for v in self.basis] == [v.terms for v in other.basis])
 
 
 def _closure_order(V: ModuleSpec, bound: int):
@@ -683,81 +692,34 @@ def submodule_closure(V: ModuleSpec, gens: list[ModuleVector], fil_bound: int,
         for i in range(V.hopf.n):
             if v.degree() + 1 <= work:
                 push(v.hmul(V.hopf.gen(i)))
-        for label, i, w in actors:
-            val = V.action_pv(i, v) if w is None else V.w_star(w, v)
-            for I, comp in val.to_left().terms.items():
+        for actor in actors:
+            for comp in _act(V, actor, v).to_left().terms.values():
                 push(comp)
     # restrict to fil^bound: echelon rows whose pivot (highest-degree
     # coordinate) already lies inside fil^bound have all coordinates there
     basis = []
     coef = RowReducer()
+    units = _units(V, cols)
     for j in sorted(red.pivots):
         I, k = cols[j]
         if mi_deg(I) > fil_bound:
             continue
-        v = _vector_from_row_cols(V, cols, red.pivots[j])
+        v = _vector_from_row(V, units, red.pivots[j])
         basis.append(v)
         for J, coords in v.terms.items():
             coef.add({c: val for c, val in enumerate(coords) if val})
     return Closure(V, fil_bound, basis, coef.rank)
 
 
-def _vector_from_row_cols(V: ModuleSpec, cols, row: Row) -> ModuleVector:
-    terms: dict[MultiIndex, list[Fraction]] = {}
-    for col, c in row.items():
-        I, k = cols[col]
-        cur = terms.setdefault(I, [ZERO] * V.dim)
-        cur[k] += c
-    return ModuleVector(V.hopf, V.dim, {I: tuple(r) for I, r in terms.items()})
-
-
 def express_in_span(vectors: list[ModuleVector], target: ModuleVector):
     """Coefficients of target in span(vectors), or None if outside."""
-    from ._linalg import solve_min_support
-
-    index: dict = {}
-    for v in vectors:
-        for I, coords in v.terms.items():
-            for k, c in enumerate(coords):
-                index.setdefault((I, k), len(index))
-    rhs_map: dict[int, Fraction] = {}
-    for I, coords in target.terms.items():
-        for k, c in enumerate(coords):
-            if c:
-                slot = index.get((I, k))
-                if slot is None:
-                    return None
-                rhs_map[slot] = c
-    rows = []
-    rhs = []
-    for (slot_key, slot) in sorted(index.items(), key=lambda kv: kv[1]):
-        row = {}
-        for m, v in enumerate(vectors):
-            I, k = slot_key
-            c = v.terms.get(I, None)
-            c = c[k] if c is not None else ZERO
-            if c:
-                row[m] = c
-        rows.append(row)
-        rhs.append(rhs_map.get(slot, ZERO))
-    sol = solve_min_support(rows, rhs, len(vectors))
-    if sol is None:
-        return None
-    out = [sol.get(m, ZERO) for m in range(len(vectors))]
-    diff = target
-    for m, c in enumerate(out):
-        if c:
-            diff = diff - vectors[m].scale(c)
-    return out if diff.is_zero() else None
+    return span_coords([_coords(v) for v in vectors], _coords(target))
 
 
 def id_symbol_matrix(V: ModuleSpec, vectors: list[ModuleVector],
                      validity: int = 8):
     """Matrix of the identity gl(d) symbol acting through the annihilation
     algebra on the span of `vectors` (None if the span is not invariant)."""
-    from .annih import AnnElement, ann_action
-    from .dualx import XElement
-
     hopf = V.hopf
     cols = []
     for v in vectors:
@@ -793,8 +755,6 @@ def sing_blocks_by_id_symbol(V: ModuleSpec, basis: list[ModuleVector]):
     # grows by one per filtration degree of the block
     idx0 = basis.index(ground[0])
     mu = mat_rows[idx0][idx0]
-    from ._linalg import nullspace as _nullspace
-
     out: dict[Fraction, list[ModuleVector]] = {}
     for d in sorted({v.degree() for v in basis}):
         lam = mu + d
@@ -806,13 +766,8 @@ def sing_blocks_by_id_symbol(V: ModuleSpec, basis: list[ModuleVector]):
                 if val:
                     row[c] = val
             rows.append(row)
-        vecs = []
-        for coeff in _nullspace(rows, m):
-            acc = V.zero_vector()
-            for c, val in coeff.items():
-                acc = acc + basis[c].scale(val)
-            if not acc.is_zero():
-                vecs.append(acc)
+        vecs = [v for v in (_vector_from_row(V, basis, coeff) for coeff in nullspace(rows, m))
+                if not v.is_zero()]
         if vecs:
             out[lam] = vecs
     return out
@@ -820,31 +775,21 @@ def sing_blocks_by_id_symbol(V: ModuleSpec, basis: list[ModuleVector]):
 
 def sing_in_subspace(V: ModuleSpec, vectors: list[ModuleVector], mode: str = "W",
                      chi: TraceForm | None = None) -> list[ModuleVector]:
-    """Singular vectors inside the span of `vectors` (solved in coefficients)."""
+    """Singular vectors inside the span of `vectors`, solved in coefficients.
+
+    W mode: the right-normal coefficients of (1 (x) b_i) * v at |K| >= 2 must
+    vanish.  S mode: the coefficients of s_ij * v at |K| >= 3 must vanish.
+    The kernel basis is the canonical reduced one for the order of `vectors`.
+    """
     actors, threshold = _sing_actors(V, mode, chi)
     rows: dict[tuple, Row] = {}
     for m, v in enumerate(vectors):
-        for label, i, w in actors:
-            val = V.action_pv(i, v) if w is None else V.w_star(w, v)
-            for K, mv in val.to_right().terms.items():
-                if mi_deg(K) < threshold:
-                    continue
-                for J, rowc in mv.terms.items():
-                    for r, c in enumerate(rowc):
-                        if not c:
-                            continue
-                        key = (label, K, J, r)
-                        row = rows.setdefault(key, {})
-                        row[m] = row.get(m, ZERO) + c
+        for actor in actors:
+            for K, mv in _act(V, actor, v).to_right().terms.items():
+                if mi_deg(K) >= threshold:
+                    _add_rows(rows, (actor[0], K), m, mv)
     ker = nullspace([rows[k] for k in sorted(rows)], len(vectors))
-    out = []
-    for vec in ker:
-        acc = V.zero_vector()
-        for m, c in vec.items():
-            acc = acc + vectors[m].scale(c)
-        if not acc.is_zero():
-            out.append(acc)
-    return out
+    return [v for v in (_vector_from_row(V, vectors, vec) for vec in ker) if not v.is_zero()]
 
 
 def solve_intertwiner(V: ModuleSpec, W: ModuleSpec, fil_bound: int,
@@ -860,60 +805,37 @@ def solve_intertwiner(V: ModuleSpec, W: ModuleSpec, fil_bound: int,
     if hopf is not W.hopf:
         raise DimensionMismatch("modules over different algebras")
     actors, _ = _sing_actors(V, mode, chi)
-    slots = [(g, J, r) for g in range(V.dim)
-             for J in mi_below(hopf.n, fil_bound) for r in range(W.dim)]
+    below = mi_below(hopf.n, fil_bound)
+    slots = [(g, J, r) for g in range(V.dim) for J in below for r in range(W.dim)]
     index = {s: c for c, s in enumerate(slots)}
     rows: dict[tuple, Row] = {}
-
-    def add_entry(key, col, c):
-        row = rows.setdefault(key, {})
-        v = row.get(col, ZERO) + c
-        if v:
-            row[col] = v
-        else:
-            row.pop(col, None)
-
-    for label, i, w in actors:
+    for actor in actors:
+        label = actor[0]
         for g in range(V.dim):
-            src = V.unit(g)
-            lhs = V.action_pv(i, src) if w is None else V.w_star(w, src)
             # beta applied to the third slot: beta(b^(J) (x) v_r) = b^(J) beta(v_r)
-            for I, mv in lhs.to_left().terms.items():
+            for I, mv in _act(V, actor, V.unit(g)).to_left().terms.items():
                 for J, rowc in mv.terms.items():
                     for r, c in enumerate(rowc):
                         if not c:
                             continue
-                        for Jp in mi_below(hopf.n, fil_bound):
+                        for Jp in below:
                             for rp in range(W.dim):
                                 col = index[(r, Jp, rp)]
                                 for K, c2 in hopf.mono_mul(J, Jp).items():
-                                    add_entry((label, g, I, K, rp), col, c * c2)
+                                    _add_entry(rows, (label, g, I, K, rp), col, c * c2)
             # minus the action on the image: a * (b^(Jp) (x) w_rp)
-            for Jp in mi_below(hopf.n, fil_bound):
+            for Jp in below:
                 for rp in range(W.dim):
                     col = index[(g, Jp, rp)]
-                    tgt = W.unit(rp, Jp)
-                    rhs = W.action_pv(i, tgt) if w is None else W.w_star(w, tgt)
-                    for I, mv in rhs.to_left().terms.items():
-                        for K, rowc in mv.terms.items():
-                            for r2, c in enumerate(rowc):
-                                if c:
-                                    add_entry((label, g, I, K, r2), col, -c)
+                    for I, mv in _act(W, actor, W.unit(rp, Jp)).to_left().terms.items():
+                        _add_rows(rows, (label, g, I), col, mv, -ONE)
     ker = nullspace([rows[k] for k in sorted(rows)], len(slots))
-    out = []
-    for vec in ker:
-        images = []
-        for g in range(V.dim):
-            terms: dict[MultiIndex, list[Fraction]] = {}
-            for col, c in vec.items():
-                gg, J, r = slots[col]
-                if gg != g:
-                    continue
-                cur = terms.setdefault(J, [ZERO] * W.dim)
-                cur[r] += c
-            images.append(ModuleVector(hopf, W.dim, {J: tuple(r) for J, r in terms.items()}))
-        out.append(images)
-    return out
+    units = [W.unit(r, J) for _g, J, r in slots]
+    return [
+        [_vector_from_row(W, units, {col: c for col, c in vec.items() if slots[col][0] == g})
+         for g in range(V.dim)]
+        for vec in ker
+    ]
 
 
 def apply_map(W: ModuleSpec, images: list[ModuleVector], v: ModuleVector) -> ModuleVector:

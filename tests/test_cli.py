@@ -51,6 +51,25 @@ def test_singular_w_mode_basis_serialized(tmp_path, capsys):
     assert len(blob["basis"]) == 3
 
 
+def test_singular_cross_check_compares_bases(monkeypatch, capsys):
+    # an oracle basis of the solver's dimension but not canonical must fail
+    import liepseudo.cli as cli
+
+    real = cli.sing_solve_oracle
+
+    def rescaled(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.basis[-1] = res.basis[-1].scale(2)
+        return res
+
+    monkeypatch.setattr(cli, "sing_solve_oracle", rescaled)
+    code, out = run_cli(["singular", "--alg", "abelian2", "--u", "omega:1", "--json"], capsys)
+    assert code == 1
+    check = next(c for c in json.loads(out)["checks"] if c["check"] == "oracle-dimension-agrees")
+    assert not check["ok"]
+    assert check["detail"] == {"solver": 3, "oracle": 3}
+
+
 def test_classify_reducible(capsys):
     code, out = run_cli(
         ["classify", "--alg", "abelian2", "--u", "omega:1", "--mode", "W", "--json"], capsys
@@ -58,6 +77,16 @@ def test_classify_reducible(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["verdict"] == "reducible with unique submodule I^n"
+
+
+def test_classify_accepts_the_paper_bound(capsys):
+    # --fil 1 is the paper bound of mode W, the lowest bound classify accepts
+    code, out = run_cli(
+        ["classify", "--alg", "abelian2", "--u", "omega:1", "--mode", "W", "--fil", "1",
+         "--json"], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["verdict"] == "reducible with unique submodule I^n"
 
 
 def test_derham_solv2_twisted(capsys):
@@ -139,6 +168,16 @@ def test_entry_point_runs():
      "config error: 'omega:x': 'x' is not an integer"),
     (["singular", "--alg", "abelian2", "--pi", "line:1,x"], None, "config error: pi: "),
     (["singular", "--alg", "abelian2", "--chi", "1/0,0"], None, "config error: chi: zero denominator"),
+    # below the paper's filtration bound (1 for W, 2 for S) the verdict would
+    # read missing singular vectors as irreducibility
+    (["classify", "--alg", "abelian2", "--u", "omega:1", "--fil", "0"], None,
+     "config error: filtration bound --fil 0 is below the paper bound 1 of mode W"),
+    (["classify", "--alg", "abelian2", "--u", "omega:1", "--fil", "-1"], None,
+     "config error: filtration bound --fil -1 is below the paper bound 1 of mode W"),
+    (["classify", "--alg", "abelian3", "--mode", "S", "--u", "omega:1", "--fil", "1"], None,
+     "config error: filtration bound --fil 1 is below the paper bound 2 of mode S"),
+    (["singular", "--alg", "abelian2", "--fil", "-1"], None,
+     "config error: filtration bound --fil -1 is negative"),
 ])
 def test_bad_input_exits_2_with_a_message(monkeypatch, capsys, argv, env, message):
     if env is None:

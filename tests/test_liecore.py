@@ -12,22 +12,21 @@ from liepseudo.liecore import (
     omega_rep,
     preset,
     sym2_dual_rep,
-    validate_lie,
     wedge_basis,
 )
 
 
 def test_abelian_validates():
-    validate_lie(preset("abelian2"))
+    preset("abelian2").validate()
 
 
 def test_sl2_validates():
-    validate_lie(preset("sl2"))
+    preset("sl2").validate()
 
 
 def test_heis3_solv2_validate():
-    validate_lie(preset("heis3"))
-    validate_lie(preset("solv2"))
+    preset("heis3").validate()
+    preset("solv2").validate()
 
 
 def test_antisymmetry_conflict_rejected():

@@ -2,11 +2,15 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from liepseudo.annih import AnnElement, ann_action
 from liepseudo.dualx import XElement
-from liepseudo.hopf import mi_below, mi_deg, mi_unit, mi_zero
-from liepseudo.liecore import RepData, TraceForm, mat, omega_rep, preset, sym2_dual_rep
+from liepseudo.hopf import Hopf, mi_below, mi_deg, mi_unit, mi_zero
+from liepseudo.liecore import (
+    LieData, RepData, TraceForm, mat, omega_rep, preset, sym2_dual_rep,
+)
 from liepseudo.modules import (
     ModuleVector,
     apply_map,
@@ -578,3 +582,24 @@ def test_oracle_applies_each_pseudoaction_once_per_column(monkeypatch, name, mod
     res = sing_solve_oracle(T, fil, mode, chi)
     assert 0 < len(calls) <= H.n * len(T.basis_upto(fil))
     assert [v.serialize() for v in res.basis] == [v.serialize() for v in expect]
+
+
+_SMALL_RATIONALS = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+# no shrinking: each example takes a fraction of a second, and a failing one
+# names its matrix and U already
+@settings(max_examples=6, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+@given(st.lists(_SMALL_RATIONALS, min_size=4, max_size=4), st.integers(0, 2))
+def test_solver_matches_oracle_on_semidirect_k_k2(entries, omega):
+    # k b1 (semidirect) k^2 with [b1, b_{j+2}] = sum_i M[i][j] b_{i+2} and
+    # [b2, b3] = 0: the Jacobi identity holds for every 2x2 matrix M
+    M = [entries[0:2], entries[2:4]]
+    brackets = [(0, j + 1, i + 1, M[i][j]) for j in range(2) for i in range(2) if M[i][j]]
+    H = Hopf(LieData.from_entries(3, brackets, name="k|x k^2"))
+    T = tensor_module(H, trivial_pi(H), omega_rep(H.lie, omega))
+    res = sing_solve(T, 2, "W")
+    oracle = sing_solve_oracle(T, 2, "W")
+    assert res.degree_profile()[0] == T.dim  # the ground level is always singular
+    assert [v.serialize() for v in oracle.basis] == [v.serialize() for v in res.basis]
