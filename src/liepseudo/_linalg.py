@@ -22,6 +22,15 @@ def row_scale(row: Row, c: Fraction) -> Row:
     return {j: c * v for j, v in row.items()}
 
 
+def add_entry(store: dict, key, c: Fraction) -> None:
+    """In-place store[key] += c, dropping a cancellation."""
+    v = store.get(key, ZERO) + c
+    if v:
+        store[key] = v
+    else:
+        store.pop(key, None)
+
+
 def row_addmul(acc: Row, row: Row, c: Fraction) -> None:
     """In-place acc += c * row, dropping cancellations."""
     if c == 0:

@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import Row, nullspace, solve_min_support
+from ._linalg import Row, solve_min_support
 from .dualx import XElement
 from .errors import DimensionMismatch, NotInW0, SolveFailed, TruncationExceeded
-from .hopf import HElement, Hopf, MultiIndex, mi_below, mi_deg, mi_unit, mi_zero
-from .liecore import Matrix, TraceForm, mat, rat
+from .hopf import Hopf, MultiIndex, mi_below, mi_deg, mi_unit
+from .liecore import Matrix, TraceForm, mat
 from .pseudoalg import WElement
 from .twosided import LEFT, PseudoValue
 
@@ -71,10 +71,7 @@ class AnnElement:
 
     def order(self) -> int | None:
         """Largest p with the element in W_p (None for zero)."""
-        orders = [x.order() for x in self.comps if not x.is_zero()]
-        if not orders:
-            return None
-        return min(orders)
+        return min((x.order() for x in self.comps if not x.is_zero()), default=None)
 
     def truncate(self, validity: int) -> "AnnElement":
         return AnnElement(self.hopf, (x.truncate(validity) for x in self.comps))
@@ -276,16 +273,33 @@ def _from_solution(hopf: Hopf, slots, sol: Row, validity: int) -> AnnElement:
     return AnnElement(hopf, (XElement(hopf, comp, validity) for comp in comps))
 
 
+def _solve_once(hopf: Hopf, memo_key: tuple, slots, rows: dict, rhs: dict,
+                validity: int) -> AnnElement:
+    """Solve the system rows = rhs for the slot coefficients and memoize the
+    element on the Hopf instance under memo_key = (name, ...)."""
+    keys = sorted(set(rows) | set(rhs))
+    sol = solve_min_support([rows.get(k, {}) for k in keys],
+                            [rhs.get(k, ZERO) for k in keys], len(slots))
+    if sol is None:
+        raise SolveFailed(f"{memo_key[0]} system inconsistent at this truncation")
+    hopf._ann_memo[memo_key] = _from_solution(hopf, slots, sol, validity)
+    return hopf._ann_memo[memo_key]
+
+
 def euler_element(hopf: Hopf, truncation: int) -> AnnElement:
     """The canonical degree-grading element of W_0, modulo W_{D-2}.
 
     It is pinned by its action on the module X: on every x_I it acts as
     -|I| x_I (up to the truncation order), which makes its symbol in
     W_0/W_1 the identity matrix of gl(d).  For an abelian d it equals
-    -sum_i x^i (x) b_i exactly.
+    -sum_i x^i (x) b_i exactly.  Solved once per truncation and memoized on
+    the Hopf instance.
     """
     if truncation < 2:
         raise SolveFailed("truncation too small for the Euler element")
+    memo_key = ("Euler", truncation)
+    if memo_key in hopf._ann_memo:
+        return hopf._ann_memo[memo_key]
     cap = truncation - 2
     slots = _unknown_slots(hopf, 1, cap)
     index = {s: c for c, s in enumerate(slots)}
@@ -303,12 +317,7 @@ def euler_element(hopf: Hopf, truncation: int) -> AnnElement:
                 row = rows.setdefault((I, K), {})
                 row[col] = row.get(col, ZERO) + c
         rhs[(I, I)] = rhs.get((I, I), ZERO) + Fraction(-mi_deg(I))
-    keys = sorted(set(rows) | set(rhs))
-    sol = solve_min_support([rows.get(k, {}) for k in keys],
-                            [rhs.get(k, ZERO) for k in keys], len(slots))
-    if sol is None:
-        raise SolveFailed("Euler system inconsistent at this truncation")
-    return _from_solution(hopf, slots, sol, cap)
+    return _solve_once(hopf, memo_key, slots, rows, rhs, cap)
 
 
 def gamma(hopf: Hopf, l: int, truncation: int) -> AnnElement:
@@ -316,10 +325,14 @@ def gamma(hopf: Hopf, l: int, truncation: int) -> AnnElement:
 
     Solved modulo the truncation on a spanning probe set; the returned
     representative has support degree <= D - 2 and gamma(b_l) + 1 (x) b_l
-    lies in W_0 with gl(d) symbol ad b_l.
+    lies in W_0 with gl(d) symbol ad b_l.  Solved once per (l, truncation)
+    and memoized on the Hopf instance.
     """
     if truncation < 3:
         raise SolveFailed("truncation too small for gamma")
+    memo_key = ("gamma", l, truncation)
+    if memo_key in hopf._ann_memo:
+        return hopf._ann_memo[memo_key]
     cap = truncation - 2
     slots = _unknown_slots(hopf, 0, cap)
     index = {s: c for c, s in enumerate(slots)}
@@ -346,9 +359,4 @@ def gamma(hopf: Hopf, l: int, truncation: int) -> AnnElement:
                     if mi_deg(Kc) > eq_cap:
                         continue
                     rhs[(K, b, comp_idx, Kc)] = rhs.get((K, b, comp_idx, Kc), ZERO) + c
-    keys = sorted(set(rows) | set(rhs))
-    sol = solve_min_support([rows.get(k, {}) for k in keys],
-                            [rhs.get(k, ZERO) for k in keys], len(slots))
-    if sol is None:
-        raise SolveFailed("gamma system inconsistent at this truncation")
-    return _from_solution(hopf, slots, sol, cap)
+    return _solve_once(hopf, memo_key, slots, rows, rhs, cap)

@@ -17,24 +17,21 @@ JSON algebra schema (rationals are "p/q" strings, indices 1-based):
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
-import random
 import re
 import sys
 from fractions import Fraction
 
+from . import checks
 from . import derham as drh
-from .annih import ann_div, euler_element, gamma, gr_iso_gl, iota, reconstruct_pseudoaction
-from .dualx import DEFAULT_TRUNCATION, XElement
+from .dualx import DEFAULT_TRUNCATION
 from .errors import ConfigError, LiePseudoError
-from .hopf import Hopf, mi_below, mi_deg
+from .hopf import Hopf
 from .liecore import (
     LieData,
     RepData,
     TraceForm,
-    identity_matrix,
     omega_rep,
     preset,
     PRESET_NAMES,
@@ -42,8 +39,7 @@ from .liecore import (
     sym2_dual_rep,
 )
 from .modules import PAPER_BOUND, sing_solve, sing_solve_oracle, tensor_module
-from .pseudoalg import WAlgebra, check_jacobi, check_s_closure, check_skew
-from .twosided import module_defect
+from .pseudoalg import CheckReport
 
 ZERO = Fraction(0)
 
@@ -130,14 +126,11 @@ def _mats_from_blob(blob: dict, count: int, what: str) -> list:
 def load_pi(lie: LieData, spec: str | None, blob: dict) -> RepData:
     if spec is None and "pi" in blob:
         sub = blob["pi"]
-        rep = RepData.d_rep(lie, _mats_from_blob(sub, lie.dim, "pi"))
-        rep.validate()
-        return rep
-    if spec is None or spec == "trivial" or spec == "trivial:1":
+    elif spec is None or spec in ("trivial", "trivial:1"):
         return RepData.trivial(lie, 1, "d")
-    if spec.startswith("trivial:"):
+    elif spec.startswith("trivial:"):
         return RepData.trivial(lie, _spec_int(spec, 1), "d")
-    if spec.startswith("line:"):
+    elif spec.startswith("line:"):
         values = _spec_rats(spec.split(":", 1)[1].split(","), "pi")
         if len(values) != lie.dim:
             raise ConfigError(f"pi line needs {lie.dim} entries")
@@ -145,7 +138,8 @@ def load_pi(lie: LieData, spec: str | None, blob: dict) -> RepData:
             return RepData.line(TraceForm(lie, values))
         except LiePseudoError as exc:
             raise ConfigError(str(exc))
-    sub = _load_json(spec)
+    else:
+        sub = _load_json(spec)
     rep = RepData.d_rep(lie, _mats_from_blob(sub, lie.dim, "pi"))
     try:
         rep.validate()
@@ -191,8 +185,12 @@ class Suite:
         self.config = config
         self.checks: list[dict] = []
 
-    def record(self, name: str, ok: bool, detail=None) -> None:
-        entry = {"check": name, "ok": bool(ok)}
+    def record(self, name: str, report: CheckReport, detail=None) -> None:
+        """Add a report entry; a failing one without `detail` names its first
+        failing case."""
+        entry = {"check": name, "ok": report.ok}
+        if detail is None and not report.ok:
+            detail = {"first_failure": report.first_failure}
         if detail is not None:
             entry["detail"] = detail
         self.checks.append(entry)
@@ -239,137 +237,11 @@ def _summary(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    lie, blob = load_algebra(args.alg)
-    trunc = args.trunc
-    suite = Suite("verify", {"alg": lie.name, "trunc": trunc})
+    lie, _ = load_algebra(args.alg)
+    suite = Suite("verify", {"alg": lie.name, "trunc": args.trunc})
     hopf = Hopf(lie)
-    n = lie.dim
-    rng = random.Random(0)
-    monos = [I for I in mi_below(n, 4) if mi_deg(I) > 0]
-
-    # Hopf suite
-    ok = True
-    for _ in range(10):
-        a, b, c = (hopf.mono(rng.choice(monos)) for _ in range(3))
-        ok = ok and (a * b) * c == a * (b * c)
-    suite.record("hopf.associativity(sampled, deg<=4)", ok)
-    ok = True
-    for I in mi_below(n, 4):
-        h = hopf.mono(I)
-        cp = h.coproduct()
-        ok = ok and cp == {(K, J): v for (J, K), v in cp.items()}
-        acc = hopf.zero()
-        for (J, K), v in cp.items():
-            acc = acc + (hopf.element(hopf.antipode_mono(J)) * hopf.mono(K)).scale(v)
-        ok = ok and acc == hopf.one().scale(h.counit())
-    suite.record("hopf.antipode-axiom(deg<=4)", ok)
-    from .hopf import coproduct_power
-
-    ok = True
-    z = (0,) * n
-    for I in mi_below(n, 4):
-        acc = {}
-        for (A, B, C), v in coproduct_power(hopf.mono(I), 3).items():
-            prod = hopf.element(hopf.antipode_mono(A)) * hopf.mono(B)
-            for K, v2 in prod.coeffs.items():
-                key = (K, C)
-                s = acc.get(key, ZERO) + v * v2
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        ok = ok and acc == {(z, I): Fraction(1)}
-    suite.record("hopf.relation-cou2(deg<=4)", ok)
-
-    # dual suite
-    ok = True
-    one_x = XElement.unit(hopf, trunc)
-    for i in range(n):
-        for j in range(n):
-            xj = XElement.coord(hopf, j, trunc)
-            left = xj.act_left(hopf.gen(i))
-            expect = one_x.scale(-1 if i == j else 0)
-            for k in range(i):
-                c = lie.bracket(i, k).get(j)
-                if c:
-                    expect = expect - XElement.coord(hopf, k, trunc).scale(c)
-            ok = ok and left.eq_upto(expect, degree=1)
-            right = xj.act_right(hopf.gen(i))
-            expect_r = one_x.scale(-1 if i == j else 0)
-            for k in range(i + 1, n):
-                c = lie.bracket(i, k).get(j)
-                if c:
-                    expect_r = expect_r + XElement.coord(hopf, k, trunc).scale(c)
-            ok = ok and right.eq_upto(expect_r, degree=1)
-    suite.record("dual.coordinate-actions", ok)
-
-    # pseudoalgebra axioms
-    walg = WAlgebra(hopf)
-    gens = walg.gens()
-    suite.record("w.skew-symmetry", check_skew(walg.bracket, gens).ok)
-    suite.record("w.jacobi", check_jacobi(walg.bracket, gens).ok)
-    ok = True
-    for a, b in itertools.product(gens, repeat=2):
-        ok = ok and module_defect(a, b, hopf.one(), walg.bracket, walg.action_on_h).is_zero()
-    suite.record("w.module-H-axiom", ok)
-    for label, chi in (("zero", lie.zero_trace_form()), ("tr_ad", lie.tr_ad())):
-        if n >= 3:
-            ok = all(walg.div(s, chi).is_zero() for _, s in walg.s_generators(chi))
-            suite.record(f"s.divergence-free[chi={label}]", ok)
-
-    # annihilation suite
-    from .annih import AnnElement, ann_bracket, d_act
-
-    def coordel(j, a):
-        return AnnElement.term(hopf, XElement.coord(hopf, j, trunc), a)
-
-    def unitel(a):
-        return AnnElement.term(hopf, XElement.unit(hopf, trunc), a)
-
-    ok = True
-    for i, j, k in itertools.product(range(n), repeat=3):
-        br = ann_bracket(coordel(j, i), unitel(k))
-        expect = unitel(i).scale(-1 if j == k else 0)
-        diff = br - expect.truncate(br.validity)
-        order = diff.order()
-        ok = ok and (order is None or order >= 0)
-    suite.record("ann.lwbra-line1", ok)
-    ok = True
-    for i, j, k, l in itertools.product(range(n), repeat=4):
-        br = ann_bracket(coordel(j, i), coordel(l, k))
-        expect = AnnElement.zero(hopf, br.validity)
-        if i == l:
-            expect = expect.add(coordel(j, k).truncate(br.validity))
-        if j == k:
-            expect = expect.add(coordel(l, i).truncate(br.validity).scale(-1))
-        order = (br - expect).order()
-        ok = ok and (order is None or order >= 1)
-    suite.record("ann.lwbra-line2", ok)
-    E = euler_element(hopf, trunc)
-    suite.record("ann.euler-symbol-is-identity", gr_iso_gl(E) == identity_matrix(n))
-    ad = lie.adjoint()
-    ok = True
-    for l in range(n):
-        g = gamma(hopf, l, trunc)
-        shifted = g.add(AnnElement.term(hopf, XElement.unit(hopf, g.validity), l))
-        order = shifted.order()
-        if order is None:
-            ok = ok and all(v == 0 for row in ad.d_matrix(l) for v in row)
-        else:
-            ok = ok and order >= 0 and gr_iso_gl(shifted) == ad.d_matrix(l)
-    suite.record("ann.gamma-symbol-is-adjoint", ok)
-    # reconstruction round-trip on T(Pi, k) and Omega^1(d)
-    ok = True
-    for umod in (RepData.trivial(lie, 1, "gl"), omega_rep(lie, 1)):
-        T = tensor_module(hopf, RepData.trivial(lie, 1, "d"), umod)
-        for a in range(n):
-            for k in range(T.dim):
-                got = reconstruct_pseudoaction(
-                    hopf, walg.gen(a), T.unit(k), T.action_pv, 3, trunc
-                )
-                ok = ok and got.eq(T.table[a][k])
-    suite.record("ann.reconstruction-round-trip", ok)
-
+    for name, check in checks.verify_checks(lie.dim):
+        suite.record(name, check(hopf, args.trunc))
     return _emit(suite.report(), args)
 
 
@@ -391,14 +263,17 @@ def cmd_singular(args) -> int:
     res = sing_solve(T, fil, mode, chi)
     low = min(fil, 2)
     oracle = sing_solve_oracle(T, low, mode, chi, validity=args.trunc)
-    suite.record("solver-within-paper-bound", res.ok,
+    suite.record("solver-within-paper-bound",
+                 CheckReport.one_case("solver basis", res.ok),
                  {"profile": {str(k): v for k, v in res.degree_profile().items()}})
     # both bases are reduced column-echelon over the same column order (|I|,
     # I, k), so the solver's vectors of degree <= low are the canonical basis
     # at the oracle's bound
     agrees = [v.serialize() for v in oracle.basis] == [
         v.serialize() for v in res.basis if v.degree() <= low]
-    suite.record("oracle-dimension-agrees", agrees, {"solver": res.dim, "oracle": oracle.dim})
+    suite.record("oracle-dimension-agrees",
+                 CheckReport.one_case("oracle basis", agrees),
+                 {"solver": res.dim, "oracle": oracle.dim})
     report = suite.report()
     report["sing_dim"] = res.dim
     report["basis"] = [v.serialize() for v in res.basis]
@@ -407,6 +282,8 @@ def cmd_singular(args) -> int:
 
 def cmd_derham(args) -> int:
     lie, blob = load_algebra(args.alg)
+    if lie.dim < 2:
+        raise ConfigError(f"derham needs dim d >= 2, got {lie.dim}: d-squared-zero has no cases")
     hopf = Hopf(lie)
     pi = load_pi(lie, args.pi, blob)
     trivial = all(
@@ -422,30 +299,13 @@ def cmd_derham(args) -> int:
         )
     suite = Suite("derham", {"alg": lie.name, "pi_dim": pi.dim, "p_max": p_max,
                              "trunc": args.trunc})
-    from .liecore import wedge_basis
-    from .modules import ModuleVector
-
-    n_dim = lie.dim
-    ok = True
     h = hopf.one()
     for i in range(min(4, args.trunc - 2)):
-        h = h * hopf.gen(i % n_dim)
-    for n in range(n_dim - 1):
-        width = (pi_arg.dim if pi_arg else 1) * len(wedge_basis(n_dim, n))
-        for k in range(width):
-            v = ModuleVector.unit(hopf, width, k).hmul(h)
-            dd = drh.pseudo_d(hopf, n + 1, drh.pseudo_d(hopf, n, v, pi_arg), pi_arg)
-            ok = ok and dd.is_zero()
-    suite.record("d-squared-zero", ok)
-    ok = True
-    for n in range(1, n_dim + 1):
-        for S in wedge_basis(n_dim, n):
-            for i in range(n_dim):
-                for lhs, rhs in drh.dw2_lhs_rhs(hopf, i, S, pi_arg):
-                    ok = ok and lhs.eq(rhs)
-    suite.record("contracted-differential-identity", ok)
+        h = h * hopf.gen(i % lie.dim)
+    for name, check in checks.derham_checks([h]):
+        suite.record(name, check(hopf, pi_arg))
     rep = drh.exactness_report(hopf, pi_arg, p_max)
-    suite.record("exactness", rep["ok"],
+    suite.record("exactness", CheckReport.one_case("exactness report", rep["ok"]),
                  {"failures": [c for c in rep["checks"] if not c["ok"]]})
     report = suite.report()
     report["exactness"] = rep

@@ -14,19 +14,19 @@ under the twisting functor.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
 from ._linalg import rank
-from .annih import AnnElement, ann_action, gamma
+from .annih import AnnElement, ann_action
 from .dualx import XElement
 from .errors import DegreeOutOfRange
-from .hopf import HElement, Hopf, mi_below, mi_deg, mi_unit, mi_zero
-from .liecore import LieData, RepData, TraceForm, insert_sign, rat, wedge_basis
+from .hopf import HElement, Hopf, mi_below, mi_splits, mi_unit, mi_zero
+from .liecore import LieData, RepData, TraceForm, rat, wedge_basis
 from .modules import (
     ModuleSpec,
     ModuleVector,
+    _rep_h_matrix,
     _row_from_vector,
     express_in_span,
     sing_blocks_by_id_symbol,
@@ -37,7 +37,7 @@ from .modules import (
     twist_map,
     r0_test,
 )
-from .pseudoalg import WAlgebra, WElement
+from .pseudoalg import WElement
 from .twosided import LEFT, PseudoValue
 
 ZERO = Fraction(0)
@@ -74,11 +74,7 @@ class Form:
     def add(self, other: "Form") -> "Form":
         out = dict(self.coeffs)
         for S, c in other.coeffs.items():
-            v = out.get(S, ZERO) + c
-            if v:
-                out[S] = v
-            else:
-                out.pop(S, None)
+            out[S] = out.get(S, ZERO) + c
         return Form(self.lie, self.degree, out)
 
     def scale(self, c) -> "Form":
@@ -95,14 +91,8 @@ class Form:
 
 
 def _sort_sign(vectors: tuple[int, ...]) -> tuple[Fraction, tuple[int, ...]]:
-    vs = list(vectors)
-    sign = 1
-    for i in range(len(vs)):
-        for j in range(len(vs) - 1 - i):
-            if vs[j] > vs[j + 1]:
-                vs[j], vs[j + 1] = vs[j + 1], vs[j]
-                sign = -sign
-    return Fraction(sign), tuple(vs)
+    inversions = sum(1 for a, b in itertools.combinations(vectors, 2) if a > b)
+    return Fraction((-1) ** inversions), tuple(sorted(vectors))
 
 
 def d0(alpha: Form) -> Form:
@@ -110,7 +100,7 @@ def d0(alpha: Form) -> Form:
     lie = alpha.lie
     n = alpha.degree
     if n >= lie.dim:
-        return Form(lie, min(n + 1, lie.dim), {}) if n < lie.dim else Form(lie, lie.dim, {})
+        return Form(lie, lie.dim, {})
     out: dict[tuple[int, ...], Fraction] = {}
     for T in wedge_basis(lie.dim, n + 1):
         val = ZERO
@@ -182,16 +172,11 @@ def _d_generator_images(hopf: Hopf, n: int) -> list[ModuleVector]:
     for S in src:
         alpha = Form.basis_form(lie, S)
         terms: dict = {}
+        # scalar part: the Lie-algebra differential d0 alpha
+        scalar = d0(alpha).coeffs
+        if scalar:
+            terms[mi_zero(N)] = [scalar.get(T, ZERO) for T in tgt]
         for T in tgt:
-            # scalar part: sum_{r<s} (-1)^{r+s} alpha([b_r, b_s] ^ rest)
-            const = ZERO
-            for r, s in itertools.combinations(range(len(T)), 2):
-                rest = tuple(T[t] for t in range(len(T)) if t not in (r, s))
-                for k, c in lie.bracket(T[r], T[s]).items():
-                    const += Fraction((-1) ** (r + s)) * c * alpha.evaluate((k,) + rest)
-            if const:
-                row = terms.setdefault(mi_zero(N), [ZERO] * len(tgt))
-                row[tgt_index[T]] += const
             # H part: sum_r (-1)^r alpha(...hat r...) b_{T_r}
             for r in range(len(T)):
                 rest = T[:r] + T[r + 1:]
@@ -365,11 +350,7 @@ def twist_conjugation_check(hopf: Hopf, pi: RepData, p_max: int = 3) -> bool:
 
     def F(I, p):
         out = ModuleVector.zero(hopf, mp)
-        from .hopf import mi_splits
-
         for A, B in mi_splits(I):
-            from .modules import _rep_h_matrix
-
             act = _rep_h_matrix(pi, hopf.antipode_mono(B), mp)
             for r in range(mp):
                 if act[r][p]:
@@ -506,55 +487,43 @@ def classify_report(hopf: Hopf, pi: RepData, u: RepData, mode: str = "W",
         and u.dim == comb(N, int(n_candidate))
         and r0
     )
-    verdict: str
     submodules = []
-    if mode == "W":
-        reducible = bool(higher)
-        if not reducible:
-            verdict = "irreducible tensor module"
+    if not higher:
+        verdict = "irreducible tensor module"
+    elif mode == "W":
+        n = int(n_candidate)
+        evidence["wedge_degree"] = n
+        # separate the submodule block from the ground level through the
+        # identity-symbol eigenvalue (the echelon basis may mix them)
+        blocks = sing_blocks_by_id_symbol(T, res.basis)
+        seeds = blocks[max(blocks)]
+        clo = submodule_closure(T, seeds, fil_bound + 1, mode, chi)
+        submodules.append({"dim": clo.dim, "seed": "sing block"})
+        if n >= N:
+            verdict = "top-degree case"
         else:
-            n = int(n_candidate)
-            evidence["wedge_degree"] = n
-            # separate the submodule block from the ground level through the
-            # identity-symbol eigenvalue (the echelon basis may mix them)
-            blocks = sing_blocks_by_id_symbol(T, res.basis)
-            top_eig = max(blocks)
-            seeds = blocks[top_eig]
-            if n >= N:
-                verdict = "top-degree case"
-                clo = submodule_closure(T, seeds, fil_bound + 1, mode, chi)
-                submodules.append({"dim": clo.dim, "seed": "sing block"})
-            else:
-                verdict = "reducible with unique submodule I^n"
-                clo = submodule_closure(T, seeds, fil_bound + 1, mode, chi)
-                submodules.append({"dim": clo.dim, "seed": "sing block"})
-                unique = all(
-                    submodule_closure(T, [s], fil_bound + 1, mode, chi).same_space(clo)
-                    for s in seeds
-                )
-                evidence["seed_closures_agree"] = unique
-                sing_m = sing_in_subspace(T, clo.basis, mode, chi)
-                evidence["submodule_sing_dim"] = len(sing_m)
+            verdict = "reducible with unique submodule I^n"
+            evidence["seed_closures_agree"] = all(
+                submodule_closure(T, [s], fil_bound + 1, mode, chi).same_space(clo)
+                for s in seeds
+            )
+            evidence["submodule_sing_dim"] = len(sing_in_subspace(T, clo.basis, mode, chi))
     else:
-        reducible = bool(higher)
-        if not reducible:
-            verdict = "irreducible tensor module"
+        n = int(n_candidate) if is_wedge else None
+        evidence["wedge_degree"] = n
+        if n == N:
+            verdict = "top-degree case"
+        elif n == 1:
+            verdict = "reducible with two nested submodules"
         else:
-            n = int(n_candidate) if is_wedge else None
-            evidence["wedge_degree"] = n
-            if n == N:
-                verdict = "top-degree case"
-            elif n == 1:
-                verdict = "reducible with two nested submodules"
-            else:
-                verdict = "reducible with unique submodule I^n"
-            by_degree: dict[int, list[ModuleVector]] = {}
-            for v in higher:
-                by_degree.setdefault(v.degree(), []).append(v)
-            for degv in sorted(by_degree):
-                seed = [w for dd in sorted(by_degree) if dd >= degv for w in by_degree[dd]]
-                clo = submodule_closure(T, seed, fil_bound + 1, mode, chi)
-                submodules.append({"dim": clo.dim, "seed": f"sing blocks at degree >= {degv}"})
+            verdict = "reducible with unique submodule I^n"
+        by_degree: dict[int, list[ModuleVector]] = {}
+        for v in higher:
+            by_degree.setdefault(v.degree(), []).append(v)
+        for degv in sorted(by_degree):
+            seed = [w for dd in sorted(by_degree) if dd >= degv for w in by_degree[dd]]
+            clo = submodule_closure(T, seed, fil_bound + 1, mode, chi)
+            submodules.append({"dim": clo.dim, "seed": f"sing blocks at degree >= {degv}"})
     fingerprint = sing_fingerprint(T, res, chi if mode == "S" else None)
     return {
         "report": "classification",
@@ -584,18 +553,17 @@ def sing_fingerprint(V: ModuleSpec, res, chi: TraceForm | None = None) -> dict:
         for j in range(n):
             el = AnnElement.term(hopf, XElement.coord(hopf, j, validity), i)
             tr = ZERO
-            okrow = True
             for m, v in enumerate(basis):
                 out = ann_action(el, v, V.action_pv)
-                out = out.scale(-1) if out is not None else V.zero_vector()
-                coords = express_in_span(basis, out)
+                coords = express_in_span(basis, out.scale(-1) if out is not None else V.zero_vector())
                 if coords is None:
-                    okrow = False
+                    row_tr.append("outside")
                     break
                 tr += coords[m]
-            row_tr.append(str(tr) if okrow else "outside")
-            if i == j and okrow:
-                id_trace += tr
+            else:
+                row_tr.append(str(tr))
+                if i == j:
+                    id_trace += tr
         gl_traces.append(row_tr)
     return {
         "dim": len(basis),

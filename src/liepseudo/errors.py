@@ -44,10 +44,6 @@ class RepInvalid(LiePseudoError):
     pass
 
 
-class NotFree(LiePseudoError):
-    pass
-
-
 class InvalidTraceForm(LiePseudoError):
     pass
 

@@ -13,6 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from ._linalg import add_entry
 from .errors import DimensionMismatch
 from .liecore import LieData, rat
 
@@ -98,6 +99,8 @@ class Hopf:
         self._d_images_memo: dict = {}
         # sparse tables of the dual H-actions, filled by dualx._action_table
         self._x_action_memo: dict = {}
+        # Euler element and gamma(b_l) per truncation, filled by annih
+        self._ann_memo: dict = {}
 
     # -- element constructors ------------------------------------------
     def zero(self) -> "HElement":
@@ -142,11 +145,7 @@ class Hopf:
             for k, c in self.lie.bracket(b, a).items():
                 contracted = word[:p] + (k,) + word[p + 2:]
                 for w2, c2 in self._straighten(contracted).items():
-                    v = out.get(w2, ZERO) + c * c2
-                    if v:
-                        out[w2] = v
-                    else:
-                        out.pop(w2, None)
+                    add_entry(out, w2, c * c2)
         memo[word] = out
         return out
 
@@ -161,11 +160,7 @@ class Hopf:
         out: dict[MultiIndex, Fraction] = {}
         for w, c in self._straighten(word).items():
             K = _index_of_word(w, self.n)
-            v = out.get(K, ZERO) + c * Fraction(mi_factorial(K), denom)
-            if v:
-                out[K] = v
-            else:
-                out.pop(K, None)
+            add_entry(out, K, c * Fraction(mi_factorial(K), denom))
         self._mul_memo[key] = out
         return out
 
@@ -180,11 +175,7 @@ class Hopf:
         out: dict[MultiIndex, Fraction] = {}
         for w, c in self._straighten(word).items():
             K = _index_of_word(w, self.n)
-            v = out.get(K, ZERO) + sign * c * Fraction(mi_factorial(K), denom)
-            if v:
-                out[K] = v
-            else:
-                out.pop(K, None)
+            add_entry(out, K, sign * c * Fraction(mi_factorial(K), denom))
         self._antipode_memo[I] = out
         return out
 
@@ -258,11 +249,7 @@ class HElement:
         out: dict[MultiIndex, Fraction] = {}
         for I, c in self.coeffs.items():
             for K, v in self.hopf.antipode_mono(I).items():
-                w = out.get(K, ZERO) + c * v
-                if w:
-                    out[K] = w
-                else:
-                    out.pop(K, None)
+                add_entry(out, K, c * v)
         return HElement(self.hopf, out)
 
     def coproduct(self) -> dict[tuple[MultiIndex, MultiIndex], Fraction]:
@@ -271,19 +258,13 @@ class HElement:
         out: dict[tuple[MultiIndex, MultiIndex], Fraction] = {}
         for I, c in self.coeffs.items():
             for J, K in mi_splits(I):
-                v = out.get((J, K), ZERO) + c
-                if v:
-                    out[(J, K)] = v
-                else:
-                    out.pop((J, K), None)
+                add_entry(out, (J, K), c)
         return out
 
     # -- inspection ----------------------------------------------------------
     def degree(self) -> int:
         """Filtration degree: max |I| over the support, -1 for zero."""
-        if not self.coeffs:
-            return -1
-        return max(mi_deg(I) for I in self.coeffs)
+        return max((mi_deg(I) for I in self.coeffs), default=-1)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, HElement) and self.hopf is other.hopf and self.coeffs == other.coeffs
@@ -292,12 +273,8 @@ class HElement:
         raise TypeError("HElement is not hashable")
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for I in sorted(self.coeffs, key=lambda J: (mi_deg(J), J)):
-            bits.append(f"{self.coeffs[I]}*b^{I}")
-        return " + ".join(bits)
+        order = sorted(self.coeffs, key=lambda J: (mi_deg(J), J))
+        return " + ".join(f"{self.coeffs[I]}*b^{I}" for I in order) or "0"
 
     def serialize(self) -> list:
         return [[list(I), str(c)] for I, c in sorted(self.coeffs.items())]
@@ -305,15 +282,10 @@ class HElement:
 
 def coproduct_power(h: HElement, slots: int) -> dict[tuple[MultiIndex, ...], Fraction]:
     """Iterated coproduct of h spread over `slots` tensor factors."""
-    n = h.hopf.n
     out: dict[tuple[MultiIndex, ...], Fraction] = {}
     for I, c in h.coeffs.items():
         for split in _multi_splits(I, slots):
-            v = out.get(split, ZERO) + c
-            if v:
-                out[split] = v
-            else:
-                out.pop(split, None)
+            add_entry(out, split, c)
     return out
 
 

@@ -30,9 +30,7 @@ def rat(x) -> Fraction:
     """Coerce ints, 'p/q' strings and Fractions to Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not a rational: {x!r}")
 
@@ -274,18 +272,7 @@ class RepData:
 
     def with_id_scalar(self, c) -> "RepData":
         """Same traceless action, with Id shifted to act as the scalar c."""
-        c = rat(c)
-        c0 = self.id_scalar()
-        n = self.lie.dim
-        shift = (c - c0) / n
-        mats = {}
-        for i in range(n):
-            for j in range(n):
-                m = self.gl_matrix(i, j)
-                if i == j and shift:
-                    m = mat_add(m, mat_scale(shift, identity_matrix(self.dim)))
-                mats[(i, j)] = m
-        return RepData.gl_rep(self.lie, mats)
+        return self.gl_shift_id((rat(c) - self.id_scalar()) / self.lie.dim)
 
     def twist_by(self, form: TraceForm) -> "RepData":
         """Tensor a d-representation with the one-dimensional module k_chi."""
@@ -343,29 +330,20 @@ def box_tensor(pi: RepData, u: RepData) -> tuple[RepData, RepData]:
     mp, mu = pi.dim, u.dim
     m = mp * mu
 
-    def emb_pi(a: Matrix) -> Matrix:
+    def embed(a: Matrix, index) -> Matrix:
+        """a acting on one factor; index(r, s) is the tensor-basis position of
+        the factor's vector r next to vector s of the other factor."""
         out = [[Fraction(0)] * m for _ in range(m)]
-        for r in range(mp):
-            for c in range(mp):
-                if a[r][c]:
-                    for s in range(mu):
-                        out[r * mu + s][c * mu + s] += a[r][c]
+        for r, c in itertools.product(range(len(a)), repeat=2):
+            if a[r][c]:
+                for s in range(m // len(a)):
+                    out[index(r, s)][index(c, s)] += a[r][c]
         return mat(out)
 
-    def emb_u(a: Matrix) -> Matrix:
-        out = [[Fraction(0)] * m for _ in range(m)]
-        for r in range(mu):
-            for c in range(mu):
-                if a[r][c]:
-                    for s in range(mp):
-                        out[s * mu + r][s * mu + c] += a[r][c]
-        return mat(out)
-
-    d_part = RepData.d_rep(lie, tuple(emb_pi(pi.d_matrix(i)) for i in range(lie.dim)))
-    gl_part = RepData.gl_rep(
-        lie,
-        {(i, j): emb_u(u.gl_matrix(i, j)) for i in range(lie.dim) for j in range(lie.dim)},
-    )
+    d_part = RepData.d_rep(lie, tuple(embed(pi.d_matrix(i), lambda r, s: r * mu + s)
+                                      for i in range(lie.dim)))
+    gl_part = RepData.gl_rep(lie, {(i, j): embed(u.gl_matrix(i, j), lambda r, s: s * mu + r)
+                                   for i in range(lie.dim) for j in range(lie.dim)})
     return d_part, gl_part
 
 

@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import Row, RowReducer, nullspace, span_coords
+from ._linalg import Row, RowReducer, add_entry, nullspace, span_coords
 from .annih import AnnElement, ann_action, iota
 from .dualx import XElement
-from .errors import DimensionMismatch, DimensionTooSmall, NotFree, RepInvalid
+from .errors import DimensionMismatch, DimensionTooSmall, RepInvalid
 from .hopf import HElement, Hopf, MultiIndex, mi_below, mi_deg, mi_splits, mi_zero
 from .liecore import (
     Matrix,
@@ -35,7 +35,6 @@ from .liecore import (
     identity_matrix,
     mat_apply,
     mat_mul,
-    mat_scale,
     rat,
     zero_matrix,
 )
@@ -105,9 +104,7 @@ class ModuleVector:
         return not self.terms
 
     def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(mi_deg(I) for I in self.terms)
+        return max((mi_deg(I) for I in self.terms), default=-1)
 
     def coefficient(self, I: MultiIndex) -> tuple[Fraction, ...]:
         return self.terms.get(tuple(I), (ZERO,) * self.width)
@@ -116,12 +113,8 @@ class ModuleVector:
         return (self - other).is_zero()
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for I in sorted(self.terms, key=lambda J: (mi_deg(J), J)):
-            bits.append(f"b^{I}(x){self.terms[I]}")
-        return " + ".join(bits)
+        order = sorted(self.terms, key=lambda J: (mi_deg(J), J))
+        return " + ".join(f"b^{I}(x){self.terms[I]}" for I in order) or "0"
 
     def serialize(self) -> list:
         return [
@@ -199,14 +192,8 @@ class ModuleSpec:
                 for A, B in mi_splits(J):
                     for F, c in self.hopf.mono_mul(I, A).items():
                         for k, v in enumerate(row):
-                            if not v:
-                                continue
-                            key = (F, B, k)
-                            w = out.get(key, ZERO) + c * v
-                            if w:
-                                out[key] = w
-                            else:
-                                out.pop(key, None)
+                            if v:
+                                add_entry(out, (F, B, k), c * v)
         return [(F, G, k, c) for (F, G, k), c in sorted(out.items())]
 
     def __repr__(self) -> str:
@@ -360,15 +347,10 @@ def twist_module(pi: RepData, V: ModuleSpec, name: str = "") -> ModuleSpec:
                         col = tuple(act[r][p] for r in range(mp))
                         if not any(col):
                             continue
-                        terms = {}
+                        coords = [ZERO] * width
                         for r, v in enumerate(col):
-                            if v:
-                                row_t = [ZERO] * width
-                                row_t[r * m + tgt] = v * c
-                                terms[r] = tuple(row_t)
-                        vec = ModuleVector(hopf, width, {mi_zero(n): tuple(
-                            sum(t[idx] for t in terms.values()) for idx in range(width)
-                        )})
+                            coords[r * m + tgt] = v * c
+                        vec = ModuleVector(hopf, width, {mi_zero(n): tuple(coords)})
                         val = val.add(
                             PseudoValue.from_tensor(hopf.mono(F), hopf.mono(G1), vec)
                         )
@@ -486,12 +468,7 @@ def _act(V: ModuleSpec, actor, v: ModuleVector) -> PseudoValue:
 
 def _add_entry(rows: dict[tuple, Row], key: tuple, col: int, c: Fraction) -> None:
     """Equation `key` gains c at unknown `col` (cancellations are dropped)."""
-    row = rows.setdefault(key, {})
-    v = row.get(col, ZERO) + c
-    if v:
-        row[col] = v
-    else:
-        row.pop(col, None)
+    add_entry(rows.setdefault(key, {}), col, c)
 
 
 def _add_rows(rows: dict[tuple, Row], prefix: tuple, col: int, v: ModuleVector,

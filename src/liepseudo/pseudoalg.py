@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DimensionMismatch, DimensionTooSmall
-from .hopf import HElement, Hopf
+from .hopf import HElement, Hopf, mi_below
 from .liecore import LieData, TraceForm, rat
 from .twosided import PseudoValue, jacobi_defect, skew_defect
 
@@ -201,12 +201,29 @@ class CheckReport:
     total: int = 0
     failures: list = field(default_factory=list)
 
+    @classmethod
+    def one_case(cls, label: str, ok: bool) -> "CheckReport":
+        report = cls(label)
+        report.case(label, ok)
+        return report
+
     @property
     def ok(self) -> bool:
-        return not self.failures
+        """True when at least one case ran and none failed."""
+        return self.total > 0 and not self.failures
 
-    def record(self, label: str, defect_support) -> None:
-        self.failures.append({"case": label, "defect_support": defect_support})
+    @property
+    def first_failure(self) -> str | None:
+        """The label of the first failing case ("no cases" when none ran)."""
+        if self.failures:
+            return self.failures[0]["case"]
+        return None if self.total else "no cases"
+
+    def case(self, label: str, ok: bool, defect_support=None) -> None:
+        """Count one case and record it when it fails."""
+        self.total += 1
+        if not ok:
+            self.failures.append({"case": label, "defect_support": defect_support})
 
     def as_dict(self) -> dict:
         return {
@@ -220,27 +237,18 @@ class CheckReport:
 def check_skew(bracket, elems, name: str = "skew-symmetry") -> CheckReport:
     """Zero defect of [b*a] = -(sigma (x)_H id)[a*b] on all ordered pairs."""
     report = CheckReport(name)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            report.total += 1
-            d = skew_defect(a, b, bracket)
-            if not d.is_zero():
-                report.record(f"pair ({i+1}, {j+1})", [list(map(list, [I])) for I in d.support()])
+    for (i, a), (j, b) in itertools.product(enumerate(elems), repeat=2):
+        d = skew_defect(a, b, bracket)
+        report.case(f"pair ({i+1}, {j+1})", d.is_zero(), [[list(I)] for I in d.support()])
     return report
 
 
 def check_jacobi(bracket, elems, name: str = "Jacobi") -> CheckReport:
     report = CheckReport(name)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            for k, c in enumerate(elems):
-                report.total += 1
-                d = jacobi_defect(a, b, c, bracket)
-                if not d.is_zero():
-                    report.record(
-                        f"triple ({i+1}, {j+1}, {k+1})",
-                        [[list(I), list(J)] for I, J in d.support()],
-                    )
+    for (i, a), (j, b), (k, c) in itertools.product(enumerate(elems), repeat=3):
+        d = jacobi_defect(a, b, c, bracket)
+        report.case(f"triple ({i+1}, {j+1}, {k+1})", d.is_zero(),
+                    [[list(I), list(J)] for I, J in d.support()])
     return report
 
 
@@ -248,20 +256,12 @@ def check_s_closure(walg: WAlgebra, chi: TraceForm, degree: int = 2) -> CheckRep
     """Div^chi vanishes on every normal-form coefficient of brackets of
     H-multiples of the s_ab, exercising closure of S(d, chi) inside W(d)."""
     report = CheckReport("S(d,chi) closure under the pseudobracket")
-    from .hopf import mi_below
-
     gens = walg.s_generators(chi)
     monos = mi_below(walg.n, degree)
     for (pa, u), (pb, v) in itertools.product(gens, gens):
         for I in monos:
-            hu = u.hmul(walg.hopf.mono(I))
-            report.total += 1
-            val = walg.bracket(hu, v)
-            bad = []
-            for K, w in val.to_left().terms.items():
-                dv = walg.div(w, chi)
-                if not dv.is_zero():
-                    bad.append(list(K))
-            if bad:
-                report.record(f"s_{pa} (deg {sum(I)}) with s_{pb}", bad)
+            val = walg.bracket(u.hmul(walg.hopf.mono(I)), v)
+            bad = [list(K) for K, w in val.to_left().terms.items()
+                   if not walg.div(w, chi).is_zero()]
+            report.case(f"s_{pa} (deg {sum(I)}) with s_{pb}", not bad, bad)
     return report

@@ -11,8 +11,6 @@ factors across (x)_H with the antipode, e.g.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .hopf import HElement, Hopf, MultiIndex, mi_deg, mi_splits
 from .liecore import rat
 
@@ -140,9 +138,7 @@ class PseudoValue:
 
     def degree(self) -> int:
         """Max |I| over the normal-form support (-1 for zero)."""
-        if not self.terms:
-            return -1
-        return max(mi_deg(I) for I in self.terms)
+        return max((mi_deg(I) for I in self.terms), default=-1)
 
     def support(self) -> list[MultiIndex]:
         return sorted(self.terms, key=lambda I: (mi_deg(I), I))
@@ -250,11 +246,9 @@ def compose_right(a, p: PseudoValue, product) -> PseudoValue3:
 
 
 def jacobi_defect(a, b, c, product) -> PseudoValue3:
-    """[[a*b]*c] - [a*[b*c]] + ((sigma (x) id) (x)_H id)[b*[a*c]]."""
-    t1 = compose_left(product(a, b), c, product)
-    t2 = compose_right(a, product(b, c), product)
-    t3 = compose_right(b, product(a, c), product).swap12()
-    return t1.sub(t2).add(t3)
+    """[[a*b]*c] - [a*[b*c]] + ((sigma (x) id) (x)_H id)[b*[a*c]]: the
+    module defect of the adjoint action."""
+    return module_defect(a, b, c, product, product)
 
 
 def skew_defect(a, b, product) -> PseudoValue:

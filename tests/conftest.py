@@ -4,34 +4,14 @@ from liepseudo.hopf import Hopf
 from liepseudo.liecore import preset
 
 _CACHE: dict[str, Hopf] = {}
-_GAMMA: dict[tuple[int, int, int], object] = {}
-_EULER: dict[tuple[int, int], object] = {}
 
 
 def hopf_for(name: str) -> Hopf:
-    # one Hopf instance per algebra per worker, so straightening memos are shared
+    # one Hopf instance per algebra per worker, so its memos (straightening,
+    # dual actions, Euler element, gamma) are shared
     if name not in _CACHE:
         _CACHE[name] = Hopf(preset(name))
     return _CACHE[name]
-
-
-def gamma_for(hopf: Hopf, l: int, truncation: int):
-    # solves are pure; share them across tests within a worker
-    from liepseudo.annih import gamma
-
-    key = (id(hopf), l, truncation)
-    if key not in _GAMMA:
-        _GAMMA[key] = gamma(hopf, l, truncation)
-    return _GAMMA[key]
-
-
-def euler_for(hopf: Hopf, truncation: int):
-    from liepseudo.annih import euler_element
-
-    key = (id(hopf), truncation)
-    if key not in _EULER:
-        _EULER[key] = euler_element(hopf, truncation)
-    return _EULER[key]
 
 
 @pytest.fixture(params=["abelian1", "abelian2", "abelian3", "heis3", "sl2", "solv2"])

@@ -6,38 +6,29 @@ to see them as they complete.
 """
 
 import itertools
+import json
 import random
+import re
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from liepseudo.annih import (
-    AnnElement,
-    ann_action,
-    ann_bracket,
-    euler_element,
-    gamma,
-    gr_iso_gl,
-    iota as ann_iota,
-    reconstruct_pseudoaction,
-)
+from liepseudo import checks
+from liepseudo.annih import AnnElement, ann_bracket, euler_element, gr_iso_gl
 from liepseudo.dualx import XElement
-from liepseudo.derham import d_images, dw2_lhs_rhs, exactness_report, pseudo_d
-from liepseudo.hopf import coproduct_power, mi_below, mi_deg, mi_splits, mi_unit, mi_zero
+from liepseudo.derham import d_images, exactness_report
+from liepseudo.hopf import coproduct_power, mi_below, mi_deg, mi_splits, mi_zero
 from liepseudo.liecore import (
     RepData,
     TraceForm,
-    identity_matrix,
     mat,
     mat_comm,
     omega_rep,
     preset,
     sym2_dual_rep,
-    wedge_basis,
 )
 from liepseudo.modules import (
-    ModuleVector,
     sing_blocks_by_id_symbol,
     sing_in_subspace,
     sing_solve,
@@ -47,6 +38,7 @@ from liepseudo.modules import (
     tensor_module,
 )
 from liepseudo.pseudoalg import (
+    CheckReport,
     WAlgebra,
     WElement,
     check_jacobi,
@@ -54,9 +46,9 @@ from liepseudo.pseudoalg import (
     check_skew,
     cur_algebra_bracket,
 )
-from liepseudo.twosided import PseudoValue, module_defect
+from liepseudo.twosided import PseudoValue
 
-from conftest import euler_for, gamma_for, hopf_for
+from conftest import hopf_for
 
 D = 6
 HOPF_PRESETS = ["abelian1", "abelian2", "abelian3", "heis3", "sl2", "solv2"]
@@ -64,11 +56,24 @@ HOPF_PRESETS = ["abelian1", "abelian2", "abelian3", "heis3", "sl2", "solv2"]
 _results = []
 
 
-def conclude(number: int, title: str, ok: bool):
+def conclude(number: int, title: str, ok: bool, failure=None):
     line = f"criterion {number:2d} [{'PASS' if ok else 'FAIL'}] {title}"
     _results.append(line)
     print(line)
-    assert ok, line
+    assert ok, line if failure is None else f"{line}: first failure {failure}"
+
+
+def conclude_checks(number: int, title: str, reports):
+    """Conclude from (check name, CheckReport) pairs, naming the first
+    failing (check, case) pair."""
+    failure = next(((name, r.first_failure) for name, r in reports if not r.ok), None)
+    conclude(number, title, failure is None, failure)
+
+
+def registry_checks(H, prefix: str):
+    """The `liepseudo verify` checks named prefix* on H at truncation D."""
+    return [(f"{H.lie.name} {name}", check(H, D))
+            for name, check in checks.verify_checks(H.n) if name.startswith(prefix)]
 
 
 def trivial_pi(H, m=1):
@@ -100,54 +105,39 @@ def dim2_pi(H):
 def test_criterion_01_hopf_suite():
     """Associativity, coassociativity, the coproduct homomorphism law, the
     antipode axiom and the h_(-1)h_(2)(x)h_(3) = 1(x)h relation, exactly on
-    PBW monomials of degree <= 4 for every preset."""
-    ok = True
+    PBW monomials of degree <= 4 for every preset.  The `hopf.` checks of
+    `liepseudo verify` cover associativity, cocommutativity, the first
+    antipode contraction and (cou2)."""
+    reports = []
     for name in HOPF_PRESETS:
         H = hopf_for(name)
         n = H.n
-        monos = mi_below(n, 4)
-        z = mi_zero(n)
-        # unary identities on every monomial of degree <= 4
-        for I in monos:
+        reports += registry_checks(H, "hopf.")
+        coassoc = CheckReport("coassociativity")
+        antipode2 = CheckReport("antipode axiom, second contraction")
+        for I in mi_below(n, 4):
             h = H.mono(I)
             cp = h.coproduct()
-            # coassociativity and cocommutativity
             lhs = {}
             for (J, K), c in cp.items():
                 for A, B in mi_splits(J):
                     lhs[(A, B, K)] = lhs.get((A, B, K), 0) + c
             lhs = {k: v for k, v in lhs.items() if v}
-            ok = ok and lhs == coproduct_power(h, 3)
-            ok = ok and cp == {(K, J): c for (J, K), c in cp.items()}
-            # antipode axiom, both contractions
+            coassoc.case(f"monomial {I}", lhs == coproduct_power(h, 3))
             acc = H.zero()
-            acc2 = H.zero()
             for (J, K), c in cp.items():
-                acc = acc + (H.element(H.antipode_mono(J)) * H.mono(K)).scale(c)
-                acc2 = acc2 + (H.mono(J) * H.element(H.antipode_mono(K))).scale(c)
-            expect = H.one().scale(h.counit())
-            ok = ok and acc == expect and acc2 == expect
-            # relation (cou2)
-            acc3 = {}
-            for (A, B, C), c in coproduct_power(h, 3).items():
-                for K, c2 in (H.element(H.antipode_mono(A)) * H.mono(B)).coeffs.items():
-                    key = (K, C)
-                    v = acc3.get(key, 0) + c * c2
-                    if v:
-                        acc3[key] = v
-                    else:
-                        acc3.pop(key, None)
-            ok = ok and acc3 == {(z, I): Fraction(1)}
+                acc = acc + (H.mono(J) * H.element(H.antipode_mono(K))).scale(c)
+            antipode2.case(f"monomial {I}", acc == H.one().scale(h.counit()))
         # homomorphism law on all pairs of monomials of degree <= 2 and a
         # seeded sample of degree <= 4 pairs
+        hom = CheckReport("homomorphism law")
         rng = random.Random(1)
         low = mi_below(n, 2)
         pairs = list(itertools.product(low, low))
-        pool = [I for I in monos if mi_deg(I) > 2]
+        pool = [I for I in mi_below(n, 4) if mi_deg(I) > 2]
         pairs += [(rng.choice(pool), rng.choice(pool)) for _ in range(10)] if pool else []
         for I, J in pairs:
             f, g = H.mono(I), H.mono(J)
-            lhs = (f * g).coproduct()
             rhs = {}
             for (A, B), c in f.coproduct().items():
                 for (C, E), e in g.coproduct().items():
@@ -159,41 +149,21 @@ def test_criterion_01_hopf_suite():
                                 rhs[key] = v
                             else:
                                 rhs.pop(key, None)
-            ok = ok and lhs == rhs
-        # associativity on seeded triples of degree <= 4
-        rng = random.Random(2)
-        nz = [I for I in monos if mi_deg(I) > 0]
-        for _ in range(15):
-            a, b, c = (H.mono(rng.choice(nz)) for _ in range(3))
-            ok = ok and (a * b) * c == a * (b * c)
-    conclude(1, "Hopf suite on all presets", ok)
+            hom.case(f"pair {I}, {J}", (f * g).coproduct() == rhs)
+        reports += [(f"{name} {r.name}", r) for r in (coassoc, antipode2, hom)]
+    conclude_checks(1, "Hopf suite on all presets", reports)
 
 
 def test_criterion_02_dual_suite():
-    """Both coordinate-action congruences, the Leibniz law and the bimodule
-    law, within validity at truncation 6, on every preset."""
-    ok = True
+    """Both coordinate-action congruences (the `dual.` checks of
+    `liepseudo verify`), the Leibniz law and the bimodule law, within
+    validity at truncation 6, on every preset."""
+    reports = []
     for name in HOPF_PRESETS:
         H = hopf_for(name)
-        lie, n = H.lie, H.n
-        one = XElement.unit(H, D)
-        for i in range(n):
-            for j in range(n):
-                xj = XElement.coord(H, j, D)
-                left = xj.act_left(H.gen(i))
-                expect = one.scale(-1 if i == j else 0)
-                for k in range(i):
-                    c = lie.bracket(i, k).get(j)
-                    if c:
-                        expect = expect - XElement.coord(H, k, D).scale(c)
-                ok = ok and left.eq_upto(expect, degree=1)
-                right = xj.act_right(H.gen(i))
-                expect_r = one.scale(-1 if i == j else 0)
-                for k in range(i + 1, n):
-                    c = lie.bracket(i, k).get(j)
-                    if c:
-                        expect_r = expect_r + XElement.coord(H, k, D).scale(c)
-                ok = ok and right.eq_upto(expect_r, degree=1)
+        n = H.n
+        reports += registry_checks(H, "dual.")
+        laws = CheckReport("Leibniz and bimodule laws")
         rng = random.Random(3)
         monos = mi_below(n, 2)
         hs = [H.gen(0), H.gen(n - 1) * H.gen(0), H.mono(monos[-1])]
@@ -206,144 +176,128 @@ def test_criterion_02_dual_suite():
                 for (J, K), c in h.coproduct().items():
                     term = (x.act_left(H.mono(J)) * y.act_left(H.mono(K))).scale(c)
                     rhs = term if rhs is None else rhs + term
-                ok = ok and lhs.eq_upto(rhs)
+                laws.case(f"Leibniz, h = {h!r}, x = {x!r}, y = {y!r}", lhs.eq_upto(rhs))
                 bl = x.act_right(H.gen(n - 1)).act_left(H.gen(0))
                 br = x.act_left(H.gen(0)).act_right(H.gen(n - 1))
-                ok = ok and bl.eq_upto(br)
-    conclude(2, "dual-space suite at truncation 6", ok)
+                laws.case(f"bimodule, x = {x!r}", bl.eq_upto(br))
+        reports.append((f"{name} {laws.name}", laws))
+    conclude_checks(2, "dual-space suite at truncation 6", reports)
 
 
 def test_criterion_03_pseudoalgebra_axioms():
     """Skew-symmetry and Jacobi defects vanish for W(d) on every preset and
-    for Cur sl2; the rank-one specialization reproduces the Virasoro bracket."""
-    ok = True
+    for Cur sl2, and H is a W(d)-module (the `w.` checks of `liepseudo
+    verify`); the rank-one specialization reproduces the Virasoro bracket."""
+    reports = []
     for name in HOPF_PRESETS:
-        H = hopf_for(name)
-        walg = WAlgebra(H)
-        gens = walg.gens()
-        ok = ok and check_skew(walg.bracket, gens).ok
-        ok = ok and check_jacobi(walg.bracket, gens).ok
+        reports += registry_checks(hopf_for(name), "w.")
     H = hopf_for("abelian2")
-    g = preset("sl2")
-    bracket = cur_algebra_bracket(H, g)
+    bracket = cur_algebra_bracket(H, preset("sl2"))
     cur_gens = [WElement.unit(H, 3, a) for a in range(3)]
-    ok = ok and check_skew(bracket, cur_gens).ok
-    ok = ok and check_jacobi(bracket, cur_gens).ok
+    reports.append(("Cur sl2 skew-symmetry", check_skew(bracket, cur_gens)))
+    reports.append(("Cur sl2 Jacobi", check_jacobi(bracket, cur_gens)))
     H1 = hopf_for("abelian1")
     walg1 = WAlgebra(H1)
     ell = walg1.gen(0).scale(-1)
     virasoro = PseudoValue.from_tensor(H1.one(), H1.gen(0), ell).add(
         PseudoValue.from_tensor(H1.gen(0), H1.one(), ell).neg()
     )
-    ok = ok and walg1.bracket(ell, ell).eq(virasoro)
-    conclude(3, "pseudoalgebra axioms for W(d) and Cur sl2 + Virasoro", ok)
+    reports.append(("Virasoro", CheckReport.one_case("[ell * ell]",
+                                                     walg1.bracket(ell, ell).eq(virasoro))))
+    conclude_checks(3, "pseudoalgebra axioms for W(d) and Cur sl2 + Virasoro", reports)
 
 
 def test_criterion_04_s_divergence():
     """Div^chi kills every s_ab for chi in {0, tr ad} on the dimension-3
-    presets, and brackets of H-multiples of the s_ab have divergence-free
-    normal-form components."""
-    ok = True
+    presets (the `s.` checks of `liepseudo verify`), and brackets of
+    H-multiples of the s_ab have divergence-free normal-form components."""
+    reports = []
     for name in ("abelian3", "heis3", "sl2"):
         H = hopf_for(name)
+        reports += registry_checks(H, "s.")
         walg = WAlgebra(H)
-        for chi in (H.lie.zero_trace_form(), H.lie.tr_ad()):
-            ok = ok and all(walg.div(s, chi).is_zero() for _, s in walg.s_generators(chi))
-            ok = ok and check_s_closure(walg, chi, degree=2).ok
-    conclude(4, "S(d,chi) divergence and closure", ok)
+        for label, chi in (("zero", H.lie.zero_trace_form()), ("tr_ad", H.lie.tr_ad())):
+            reports.append((f"{name} S closure, chi = {label}",
+                            check_s_closure(walg, chi, degree=2)))
+    conclude_checks(4, "S(d,chi) divergence and closure", reports)
 
 
 def test_criterion_05_annihilation_suite():
-    """Bracket congruences mod W_0 and W_1, the gl(d) symbol homomorphism,
-    the Euler element's identity symbol, the gamma symbols, and the
-    pseudoaction reconstruction round-trip."""
-    ok = True
+    """Bracket congruences mod W_0 and W_1, the Euler element's identity
+    symbol, the gamma symbols and the pseudoaction reconstruction round-trip
+    (the `ann.` checks of `liepseudo verify`), plus the gl(d) symbol
+    homomorphism and the abelian Euler element."""
+    reports = []
     for name in HOPF_PRESETS:
         H = hopf_for(name)
         n = H.n
+        reports += registry_checks(H, "ann.")
 
         def coordel(j, a):
             return AnnElement.term(H, XElement.coord(H, j, D), a)
 
-        def unitel(a):
-            return AnnElement.term(H, XElement.unit(H, D), a)
-
-        for i, j, k in itertools.product(range(n), repeat=3):
-            br = ann_bracket(coordel(j, i), unitel(k))
-            expect = unitel(i).scale(-1 if j == k else 0).truncate(br.validity)
-            order = (br - expect).order()
-            ok = ok and (order is None or order >= 0)
+        symbol = CheckReport("symbol homomorphism on degree-0 parts")
         for i, j, k, l in itertools.product(range(n), repeat=4):
             br = ann_bracket(coordel(j, i), coordel(l, k))
-            expect = AnnElement.zero(H, br.validity)
-            if i == l:
-                expect = expect.add(coordel(j, k).truncate(br.validity))
-            if j == k:
-                expect = expect.add(coordel(l, i).truncate(br.validity).scale(-1))
-            order = (br - expect).order()
-            ok = ok and (order is None or order >= 1)
-            # symbol homomorphism on degree-0 parts
             left = gr_iso_gl(br.drop_below_order(0))
             right = mat_comm(gr_iso_gl(coordel(j, i)), gr_iso_gl(coordel(l, k)))
-            ok = ok and left == right
-        E = euler_for(H, D)
-        ok = ok and gr_iso_gl(E) == identity_matrix(n)
+            symbol.case(f"(i, j, k, l) = {(i + 1, j + 1, k + 1, l + 1)}", left == right)
+        reports.append((f"{name} {symbol.name}", symbol))
         if name.startswith("abelian"):
+            E = euler_element(H, D)
             expect = AnnElement(
                 H, tuple(XElement.coord(H, a, E.validity).scale(-1) for a in range(n))
             )
-            ok = ok and E.eq_upto(expect)
-        ad = H.lie.adjoint()
-        for l in range(n):
-            g = gamma_for(H, l, D)
-            shifted = g.add(AnnElement.term(H, XElement.unit(H, g.validity), l))
-            order = shifted.order()
-            if order is None:
-                ok = ok and all(v == 0 for row in ad.d_matrix(l) for v in row)
-            else:
-                ok = ok and order >= 0 and gr_iso_gl(shifted) == ad.d_matrix(l)
-        walg = WAlgebra(H)
-        for umod in (trivial_u(H), omega_rep(H.lie, 1)):
-            T = tensor_module(H, trivial_pi(H), umod)
-            for a in range(n):
-                for k in range(T.dim):
-                    got = reconstruct_pseudoaction(H, walg.gen(a), T.unit(k),
-                                                   T.action_pv, 3, D)
-                    ok = ok and got.eq(T.table[a][k])
-    conclude(5, "annihilation algebra suite", ok)
+            reports.append((f"{name} abelian Euler element",
+                            CheckReport.one_case("E = -sum x^i (x) b_i", E.eq_upto(expect))))
+    conclude_checks(5, "annihilation algebra suite", reports)
 
 
 def test_criterion_06_derham_suite():
-    """d^2 = 0 through filtration degree 5, the contracted-differential
-    identities, filtration-local middle exactness for p <= 4 and top-degree
-    cokernel of dimension dim Pi, untwisted and twisted."""
-    ok = True
+    """d^2 = 0 through filtration degree 5 and the contracted-differential
+    identities (the checks of `liepseudo derham`), filtration-local middle
+    exactness for p <= 4 and top-degree cokernel of dimension dim Pi,
+    untwisted and twisted."""
+    reports = []
     for name in ("abelian2", "abelian3", "solv2", "heis3"):
         H = hopf_for(name)
-        N = H.n
         pis = [None, dim2_pi(H)]
         if name == "solv2":
             pis.append(RepData.line(TraceForm(H.lie, (Fraction(1), Fraction(0)))))
-        for pi in pis:
-            mp = pi.dim if pi is not None else 1
-            # d^2 = 0 on generators times monomials of degree <= 4
-            for n in range(N - 1):
-                width = mp * comb(N, n)
-                for I in mi_below(N, 4):
-                    mono = H.mono(I)
-                    for k in range(width):
-                        v = ModuleVector.unit(H, width, k).hmul(mono)
-                        dd = pseudo_d(H, n + 1, pseudo_d(H, n, v, pi), pi)
-                        ok = ok and dd.is_zero()
-            # contracted-differential identities, all i and all wedge forms
-            for n in range(1, N + 1):
-                for S in wedge_basis(N, n):
-                    for i in range(N):
-                        for lhs, rhs in dw2_lhs_rhs(H, i, S, pi):
-                            ok = ok and lhs.eq(rhs)
+        # d^2 = 0 on generators times monomials of degree <= 4
+        registry = checks.derham_checks([H.mono(I) for I in mi_below(H.n, 4)])
+        for m, pi in enumerate(pis):
+            reports += [(f"{name} pi #{m} {check_name}", check(H, pi))
+                        for check_name, check in registry]
             rep = exactness_report(H, pi, 4)
-            ok = ok and rep["ok"]
-    conclude(6, "pseudo de Rham suite (exactness at p <= 4, dim Pi in {1,2})", ok)
+            reports.append((f"{name} pi #{m} exactness",
+                            CheckReport.one_case("exactness report", rep["ok"])))
+    conclude_checks(6, "pseudo de Rham suite (exactness at p <= 4, dim Pi in {1,2})", reports)
+
+
+def test_a_failing_case_is_named_by_verify_and_by_its_criterion(monkeypatch, capsys):
+    """Break relation (cou2) at b^(1) on abelian1 only: `liepseudo verify`
+    exits 1 naming that case, and criterion 01 fails naming the same pair."""
+    from liepseudo.cli import main
+
+    real = checks.coproduct_power
+
+    def broken(h, slots):
+        out = dict(real(h, slots))
+        if set(h.coeffs) == {(1,)}:
+            key = ((0,),) * (slots - 1) + ((1,),)
+            out[key] = out.get(key, 0) + 1
+        return out
+
+    monkeypatch.setattr(checks, "coproduct_power", broken)
+    assert main(["verify", "--alg", "abelian1", "--trunc", "4", "--json"]) == 1
+    failing = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["ok"]]
+    assert failing == [{"check": "hopf.relation-cou2(deg<=4)", "ok": False,
+                        "detail": {"first_failure": "monomial (1,)"}}]
+    pair = "('abelian1 hopf.relation-cou2(deg<=4)', 'monomial (1,)')"
+    with pytest.raises(AssertionError, match=re.escape(f"first failure {pair}")):
+        test_criterion_01_hopf_suite()
+    _results.pop()  # the FAIL line of the deliberately broken run
 
 
 def test_criterion_07_singular_w():

@@ -24,7 +24,7 @@ from liepseudo.hopf import mi_below, mi_deg, mi_unit
 from liepseudo.liecore import identity_matrix, mat_comm, zero_matrix
 from liepseudo.pseudoalg import WAlgebra
 
-from conftest import euler_for, gamma_for, hopf_for
+from conftest import hopf_for
 
 D = 6
 
@@ -163,20 +163,20 @@ def test_wonx_module_action():
 
 def test_euler_element_abelian_exact():
     H = hopf_for("abelian2")
-    E = euler_for(H, D)
+    E = euler_element(H, D)
     expect = coord(H, 0, 0, E.validity).add(coord(H, 1, 1, E.validity)).scale(-1)
     assert E.eq_upto(expect)
 
 
 def test_euler_class_is_identity(any_preset):
     H = any_preset
-    E = euler_for(H, D)
+    E = euler_element(H, D)
     assert gr_iso_gl(E) == identity_matrix(H.n)
 
 
 def test_euler_acts_as_minus_degree(any_preset):
     H = any_preset
-    E = euler_for(H, D)
+    E = euler_element(H, D)
     for I in mi_below(H.n, 2):
         if mi_deg(I) == 0:
             continue
@@ -187,7 +187,7 @@ def test_euler_acts_as_minus_degree(any_preset):
 
 def test_gamma_abelian():
     H = hopf_for("abelian2")
-    g = gamma_for(H, 0, D)
+    g = gamma(H, 0, D)
     expect = unit(H, 0, g.validity).scale(-1)
     assert g.eq_upto(expect)
 
@@ -196,7 +196,7 @@ def test_gamma_defining_equation(any_preset):
     H = any_preset
     rng = random.Random(31)
     for l in range(H.n):
-        g = gamma_for(H, l, D)
+        g = gamma(H, l, D)
         for _ in range(4):
             I = rng.choice(mi_below(H.n, 2))
             B = AnnElement.term(H, XElement.mono(H, I, 1, D), rng.randrange(H.n))
@@ -210,7 +210,7 @@ def test_gamma_class_is_adjoint(any_preset):
     H = any_preset
     ad = H.lie.adjoint()
     for l in range(H.n):
-        g = gamma_for(H, l, D)
+        g = gamma(H, l, D)
         shifted = g.add(unit(H, l, g.validity))
         order = shifted.order()
         assert order is None or order >= 0
@@ -222,7 +222,7 @@ def test_gamma_class_is_adjoint(any_preset):
 
 def test_solv2_gamma_class_explicit():
     H = hopf_for("solv2")
-    g = gamma_for(H, 0, D)
+    g = gamma(H, 0, D)
     shifted = g.add(unit(H, 0, g.validity))
     M = gr_iso_gl(shifted)
     # ad b_1 maps b_2 to b_2: the matrix e_2^2
@@ -318,3 +318,11 @@ def test_reconstruct_on_module_h(any_preset):
             expect = walg.action_on_h(walg.gen(a), v)
             got = reconstruct_pseudoaction(H, walg.gen(a), v, action_pv, 3, D)
             assert got.eq(expect)
+
+
+def test_euler_and_gamma_are_solved_once_per_truncation():
+    H = hopf_for("abelian2")
+    assert euler_element(H, D) is euler_element(H, D)
+    assert gamma(H, 1, D) is gamma(H, 1, D)
+    assert gamma(H, 0, D) is not gamma(H, 1, D)
+    assert gamma(H, 0, D - 1) is not gamma(H, 0, D)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from liepseudo.checks import verify_checks
 from liepseudo.cli import main
 
 pytestmark = pytest.mark.cli
@@ -178,6 +179,8 @@ def test_entry_point_runs():
      "config error: filtration bound --fil 1 is below the paper bound 2 of mode S"),
     (["singular", "--alg", "abelian2", "--fil", "-1"], None,
      "config error: filtration bound --fil -1 is negative"),
+    # on a 1-dimensional algebra d-squared-zero would pass with zero cases
+    (["derham", "--alg", "abelian1"], None, "config error: derham needs dim d >= 2, got 1"),
 ])
 def test_bad_input_exits_2_with_a_message(monkeypatch, capsys, argv, env, message):
     if env is None:
@@ -202,3 +205,12 @@ def test_derham_smallest_valid_truncation_checks_filtration_zero(capsys):
     blob = json.loads(out)
     assert blob["exactness"]["p_max"] == 0
     assert blob["exactness"]["checks"]
+
+
+def test_verify_registry_order():
+    names = [name for name, _ in verify_checks(2)]
+    assert len(names) == 12 and not any(name.startswith("s.") for name in names)
+    names3 = [name for name, _ in verify_checks(3)]
+    at = names.index("w.module-H-axiom") + 1
+    assert names3 == names[:at] + ["s.divergence-free[chi=zero]",
+                                   "s.divergence-free[chi=tr_ad]"] + names[at:]

@@ -1,0 +1,40 @@
+"""Source hygiene: every name a module of the package imports is used."""
+
+import ast
+from pathlib import Path
+
+import liepseudo
+
+SRC = Path(liepseudo.__file__).parent
+
+
+def unused_imports(tree: ast.Module, exempt=frozenset()) -> list[str]:
+    """Names bound by an import anywhere in `tree` and never read."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.value.id for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(imported.items())
+            if name not in used and name not in exempt]
+
+
+def test_no_unused_imports_in_the_package():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        exempt = frozenset(liepseudo.__all__) if path.name == "__init__.py" else frozenset()
+        names = unused_imports(ast.parse(path.read_text()), exempt)
+        if names:
+            found[path.name] = names
+    assert not found, f"unused imports: {found}"
+
+
+def test_the_scan_sees_an_unused_import():
+    tree = ast.parse("import os\nfrom fractions import Fraction as F\nimport sys\nsys.exit(F(1))\n")
+    assert unused_imports(tree) == ["os (line 1)"]

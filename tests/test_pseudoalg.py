@@ -173,3 +173,11 @@ def test_skew_report_counts(any_preset):
     rep = check_skew(walg.bracket, walg.gens())
     assert rep.total == walg.n ** 2
     assert rep.as_dict()["ok"]
+
+
+def test_a_check_without_cases_fails():
+    walg = WAlgebra(hopf_for("abelian2"))
+    rep = check_skew(walg.bracket, [])
+    assert rep.total == 0
+    assert not rep.ok and not rep.as_dict()["ok"]
+    assert rep.first_failure == "no cases"
