@@ -5,6 +5,7 @@ Each check returns a `CheckReport` that counts its cases and labels every
 failing one.  `verify_checks(n)` lists the verify checks for dim d = n in
 report order, each called as check(hopf, trunc); `derham_checks(multipliers)`
 lists the de Rham identities, each called as check(hopf, pi).
+`twist_conjugation` checks the twisting functor on H (x) Pi.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from .annih import AnnElement, ann_bracket, euler_element, gamma, gr_iso_gl, rec
 from .derham import dw2_lhs_rhs, pseudo_d
 from .dualx import XElement
 from .hopf import Hopf, coproduct_power, mi_below, mi_deg, mi_zero
-from .liecore import RepData, identity_matrix, omega_rep, wedge_basis
-from .modules import ModuleVector, tensor_module
+from .liecore import RepData, identity_matrix, mat_apply, omega_rep, wedge_basis
+from .modules import ModuleVector, tensor_module, twist_vector
 from .pseudoalg import CheckReport, WAlgebra, check_jacobi, check_skew
 from .twosided import module_defect
 
@@ -230,3 +231,26 @@ def derham_checks(multipliers) -> list:
     times each of `multipliers`."""
     return [("d-squared-zero", lambda hopf, pi: d_squared_zero(hopf, pi, multipliers)),
             ("contracted-differential-identity", contracted_differential)]
+
+
+def twist_conjugation(hopf: Hopf, pi: RepData, p_max: int = 3) -> CheckReport:
+    """T_Pi(h (x) u) = h_(1) (x) h_(-2) u conjugates the plain d-action
+    a.(h (x) u) = -ha (x) u to the twisted one -ha (x) u + h (x) au, on
+    b^(I) (x) u_p for |I| <= p_max."""
+    report = CheckReport("twist conjugation")
+
+    def plain(v: ModuleVector, a: int) -> ModuleVector:
+        out = ModuleVector.zero(hopf, v.width)
+        for J, row in v.terms.items():
+            for K, c in (hopf.mono(J) * hopf.gen(a)).coeffs.items():
+                out = out + ModuleVector(hopf, v.width, {K: tuple(-c * x for x in row)})
+        return out
+
+    for I, p, a in itertools.product(mi_below(hopf.n, p_max), range(pi.dim), range(hopf.n)):
+        u = ModuleVector.unit(hopf, 1, 0, I)
+        image = twist_vector(pi, u, p)
+        twisted = plain(image, a) + ModuleVector(
+            hopf, pi.dim, {J: mat_apply(pi.d_matrix(a), row) for J, row in image.terms.items()})
+        report.case(f"I = {I}, p = {p+1}, b_{a+1}",
+                    twist_vector(pi, plain(u, a), p).eq(twisted))
+    return report

@@ -238,6 +238,8 @@ def _summary(report: dict) -> str:
 
 def cmd_verify(args) -> int:
     lie, _ = load_algebra(args.alg)
+    if args.trunc < 3:
+        raise ConfigError(f"truncation --trunc {args.trunc} is below 3, the least that gamma needs")
     suite = Suite("verify", {"alg": lie.name, "trunc": args.trunc})
     hopf = Hopf(lie)
     for name, check in checks.verify_checks(lie.dim):

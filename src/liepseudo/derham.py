@@ -18,21 +18,21 @@ from fractions import Fraction
 from math import comb
 
 from ._linalg import rank
-from .annih import AnnElement, ann_action
+from .annih import AnnElement
 from .dualx import XElement
 from .errors import DegreeOutOfRange
-from .hopf import HElement, Hopf, mi_below, mi_splits, mi_unit, mi_zero
-from .liecore import LieData, RepData, TraceForm, rat, wedge_basis
+from .hopf import HElement, Hopf, mi_below, mi_unit, mi_zero
+from .liecore import LieData, RepData, TraceForm, omega_rep, rat, wedge_basis
 from .modules import (
     ModuleSpec,
     ModuleVector,
-    _rep_h_matrix,
     _row_from_vector,
-    express_in_span,
+    apply_map,
     sing_blocks_by_id_symbol,
     sing_in_subspace,
     sing_solve,
     submodule_closure,
+    symbol_matrix,
     tensor_module,
     twist_map,
     r0_test,
@@ -151,8 +151,6 @@ def gl_action(A_rows, alpha: Form) -> Form:
 
 def omega_module(hopf: Hopf, n: int, pi: RepData | None = None) -> ModuleSpec:
     """The tensor module carrying pseudoforms of degree n (twisted by pi)."""
-    from .liecore import omega_rep
-
     u = omega_rep(hopf.lie, n)
     if pi is None:
         pi = RepData.trivial(hopf.lie, 1, "d")
@@ -205,15 +203,7 @@ def d_images(hopf: Hopf, n: int, pi: RepData | None = None) -> list[ModuleVector
 
 def pseudo_d(hopf: Hopf, n: int, gammav: ModuleVector, pi: RepData | None = None) -> ModuleVector:
     """Apply the (twisted) de Rham differential to a degree-n pseudoform."""
-    imgs = d_images(hopf, n, pi)
-    width = imgs[0].width if imgs else 0
-    out = ModuleVector.zero(hopf, width)
-    for I, coords in gammav.terms.items():
-        mono = hopf.mono(I)
-        for k, c in enumerate(coords):
-            if c:
-                out = out + imgs[k].hmul(mono).scale(c)
-    return out
+    return apply_map(d_images(hopf, n, pi), gammav)
 
 
 def star_action(hopf: Hopf, w: WElement, n: int, gammav: ModuleVector) -> PseudoValue:
@@ -340,47 +330,6 @@ def dw2_lhs_rhs(hopf: Hopf, i: int, S, pi: RepData | None = None):
                         rhs = rhs + embed(form3, p, zero_I).scale(-ckkl)
         pairs.append((lhs, rhs))
     return pairs
-
-
-def twist_conjugation_check(hopf: Hopf, pi: RepData, p_max: int = 3) -> bool:
-    """F(h (x) u) = h_(1) (x) h_(-2) u conjugates the twisted d-action
-    a.(h (x) u) = -ha (x) u + h (x) au to the plain action -ha (x) u."""
-    n = hopf.n
-    mp = pi.dim
-
-    def F(I, p):
-        out = ModuleVector.zero(hopf, mp)
-        for A, B in mi_splits(I):
-            act = _rep_h_matrix(pi, hopf.antipode_mono(B), mp)
-            for r in range(mp):
-                if act[r][p]:
-                    out = out + ModuleVector.unit(hopf, mp, r, A).scale(act[r][p])
-        return out
-
-    for I in mi_below(n, p_max):
-        for p in range(mp):
-            for a in range(n):
-                # F applied to the plain action -ha (x) u
-                ha = hopf.mono(I) * hopf.gen(a)
-                lhs = ModuleVector.zero(hopf, mp)
-                for K, c in ha.coeffs.items():
-                    lhs = lhs + F(K, p).scale(-c)
-                # twisted action a.(h (x) u) = -ha (x) u + h (x) au after F
-                rhs = ModuleVector.zero(hopf, mp)
-                for J, coords in F(I, p).terms.items():
-                    prod = hopf.mono(J) * hopf.gen(a)
-                    for q, c in enumerate(coords):
-                        if not c:
-                            continue
-                        for K, c2 in prod.coeffs.items():
-                            rhs = rhs + ModuleVector.unit(hopf, mp, q, K).scale(-c * c2)
-                        col = tuple(pi.d_matrix(a)[r][q] for r in range(mp))
-                        for r, v in enumerate(col):
-                            if v:
-                                rhs = rhs + ModuleVector.unit(hopf, mp, r, J).scale(c * v)
-                if not lhs.eq(rhs):
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -552,18 +501,14 @@ def sing_fingerprint(V: ModuleSpec, res, chi: TraceForm | None = None) -> dict:
         row_tr = []
         for j in range(n):
             el = AnnElement.term(hopf, XElement.coord(hopf, j, validity), i)
-            tr = ZERO
-            for m, v in enumerate(basis):
-                out = ann_action(el, v, V.action_pv)
-                coords = express_in_span(basis, out.scale(-1) if out is not None else V.zero_vector())
-                if coords is None:
-                    row_tr.append("outside")
-                    break
-                tr += coords[m]
-            else:
-                row_tr.append(str(tr))
-                if i == j:
-                    id_trace += tr
+            cols = symbol_matrix(V, basis, el)
+            if cols is None:
+                row_tr.append("outside")
+                continue
+            tr = sum((cols[m][m] for m in range(len(basis))), ZERO)
+            row_tr.append(str(tr))
+            if i == j:
+                id_trace += tr
         gl_traces.append(row_tr)
     return {
         "dim": len(basis),

@@ -15,6 +15,12 @@ of the resulting PseudoValue into equation rows; `nullspace` solves them
 exactly; `_vector_from_row` reads a solution back as a module vector.
 `sing_solve` is `sing_in_subspace` over the unit vectors, and span
 coordinates go through `_linalg.span_coords`.
+
+Module maps have one kernel each: `twist_vector` is the twisting functor
+T_Pi on a vector (behind `twist_module`, `twist_map` and the twist
+conjugation check), `apply_map` the H-linear extension of generator images
+(behind `pseudo_d`), and `symbol_matrix` the matrix of an annihilation
+element on a span (behind `id_symbol_matrix` and `sing_fingerprint`).
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from ._linalg import Row, RowReducer, add_entry, nullspace, span_coords
 from .annih import AnnElement, ann_action, iota
 from .dualx import XElement
 from .errors import DimensionMismatch, DimensionTooSmall, RepInvalid
-from .hopf import HElement, Hopf, MultiIndex, mi_below, mi_deg, mi_splits, mi_zero
+from .hopf import HElement, Hopf, MultiIndex, mi_below, mi_deg, mi_factorial, mi_splits, mi_unit, mi_zero
 from .liecore import (
     Matrix,
     RepData,
@@ -314,26 +320,40 @@ def _rep_h_matrix(rep: RepData, coeffs: dict[MultiIndex, Fraction], dim: int) ->
     out = zero_matrix(dim)
     for I, c in coeffs.items():
         m = identity_matrix(dim)
-        denom = 1
         for gen_idx, power in enumerate(I):
-            for t in range(power):
+            for _ in range(power):
                 m = mat_mul(m, rep.d_matrix(gen_idx))
-                denom *= t + 1
-        out = tuple(
-            tuple(out[r][s] + c * Fraction(1, denom) * m[r][s] for s in range(dim))
-            for r in range(dim)
-        )
+        c = c / mi_factorial(I)
+        out = tuple(tuple(out[r][s] + c * m[r][s] for s in range(dim)) for r in range(dim))
     return out
 
 
+def twist_vector(pi: RepData, v: ModuleVector, p: int) -> ModuleVector:
+    """T_Pi on one vector: sum_J b^(J) (x) w_J goes to
+    sum_{A+B=J} b^(A) (x) S(b^(B)) pi_p (x) w_J, with the Pi index outermost
+    (coordinate r * width + j)."""
+    hopf, m, mp = v.hopf, v.width, pi.dim
+    out: dict[MultiIndex, list[Fraction]] = {}
+    for J, row in v.terms.items():
+        for A, B in mi_splits(J):
+            act = _rep_h_matrix(pi, hopf.antipode_mono(B), mp)
+            for r in range(mp):
+                if act[r][p]:
+                    cur = out.setdefault(A, [ZERO] * (mp * m))
+                    for j, c in enumerate(row):
+                        cur[r * m + j] += act[r][p] * c
+    return ModuleVector(hopf, mp * m, {A: tuple(r) for A, r in out.items()})
+
+
 def twist_module(pi: RepData, V: ModuleSpec, name: str = "") -> ModuleSpec:
-    """T_Pi(V) on H (x) (Pi (x) V0); generators ordered (p, k) with the
-    Pi index outermost."""
+    """T_Pi(V) on H (x) (Pi (x) V0): each pure tensor
+    (b^(F) (x) b^(G)) (x)_H (1 (x) u_k) of the table of V goes to the sum of
+    (b^(F) (x) b^(A)) (x)_H (1 (x) x) over the terms b^(A) (x) x of
+    T_Pi(b^(G) (x) u_k)."""
     hopf = V.hopf
     if not pi.is_d_rep:
         raise RepInvalid("twist needs a d-representation")
     n, m, mp = hopf.n, V.dim, pi.dim
-    width = mp * m
     table = []
     for i in range(n):
         expanded = [V.full_tensor(V.table[i][k]) for k in range(m)]
@@ -342,21 +362,13 @@ def twist_module(pi: RepData, V: ModuleSpec, name: str = "") -> ModuleSpec:
             for k in range(m):
                 val = PseudoValue.zero(hopf, LEFT)
                 for (F, G, tgt, c) in expanded[k]:
-                    for G1, G2 in mi_splits(G):
-                        act = _rep_h_matrix(pi, hopf.antipode_mono(G2), mp)
-                        col = tuple(act[r][p] for r in range(mp))
-                        if not any(col):
-                            continue
-                        coords = [ZERO] * width
-                        for r, v in enumerate(col):
-                            coords[r * m + tgt] = v * c
-                        vec = ModuleVector(hopf, width, {mi_zero(n): tuple(coords)})
-                        val = val.add(
-                            PseudoValue.from_tensor(hopf.mono(F), hopf.mono(G1), vec)
-                        )
+                    image = twist_vector(pi, ModuleVector.unit(hopf, m, tgt, G).scale(c), p)
+                    for G1, coords in image.terms.items():
+                        vec = ModuleVector(hopf, mp * m, {mi_zero(n): coords})
+                        val = val.add(PseudoValue.from_tensor(hopf.mono(F), hopf.mono(G1), vec))
                 row.append(val)
         table.append(tuple(row))
-    return ModuleSpec(hopf, width, tuple(table), name=name or f"T_Pi({V.name})",
+    return ModuleSpec(hopf, mp * m, tuple(table), name=name or f"T_Pi({V.name})",
                       tags=V.tags + ("twist",))
 
 
@@ -381,30 +393,9 @@ def dual_map(V: ModuleSpec, W: ModuleSpec, images: list[ModuleVector]) -> list[M
 
 def twist_map(pi: RepData, V: ModuleSpec, W: ModuleSpec,
               images: list[ModuleVector]) -> list[ModuleVector]:
-    """T_Pi(beta): generator images of T_Pi(V) -> T_Pi(W):
-    (1 (x) u (x) v_i) -> sum h_(1) (x) h_(-2) u (x) w_j."""
-    hopf = V.hopf
-    mp = pi.dim
-    out = []
-    for p in range(mp):
-        for i in range(V.dim):
-            acc = ModuleVector.zero(hopf, mp * W.dim)
-            img = images[i]
-            for J, row in img.terms.items():
-                for j, c in enumerate(row):
-                    if not c:
-                        continue
-                    for A, B in mi_splits(J):
-                        act = _rep_h_matrix(pi, hopf.antipode_mono(B), mp)
-                        for r in range(mp):
-                            v = act[r][p]
-                            if not v:
-                                continue
-                            acc = acc + ModuleVector.unit(
-                                hopf, mp * W.dim, r * W.dim + j
-                            ).hmul(hopf.mono(A)).scale(c * v)
-            out.append(acc)
-    return out
+    """T_Pi(beta): generator images of T_Pi(V) -> T_Pi(W), generator
+    u_p (x) v_i going to T_Pi(beta(v_i)) at u_p (W fixes only the width)."""
+    return [twist_vector(pi, images[i], p) for p in range(pi.dim) for i in range(V.dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +564,6 @@ def s_of(V: ModuleSpec, l: int, coords) -> ModuleVector:
     for j in range(hopf.n):
         img = mat_apply(V.rep_gl.gl_matrix(l, j), coords)
         if any(img):
-            from .hopf import mi_unit
-
             out = out + ModuleVector(hopf, V.dim, {mi_unit(hopf.n, j): tuple(img)})
     return out
 
@@ -688,28 +677,30 @@ def submodule_closure(V: ModuleSpec, gens: list[ModuleVector], fil_bound: int,
     return Closure(V, fil_bound, basis, coef.rank)
 
 
-def express_in_span(vectors: list[ModuleVector], target: ModuleVector):
-    """Coefficients of target in span(vectors), or None if outside."""
-    return span_coords([_coords(v) for v in vectors], _coords(target))
+def symbol_matrix(V: ModuleSpec, vectors: list[ModuleVector], el: AnnElement):
+    """Coordinate columns of -el . v in span(vectors) for each v of `vectors`,
+    el acting through the annihilation algebra (None if the span is not
+    invariant)."""
+    span = [_coords(v) for v in vectors]
+    cols = []
+    for v in vectors:
+        out = ann_action(el, v, V.action_pv)
+        coords = span_coords(span, _coords(out.scale(-1)) if out is not None else {})
+        if coords is None:
+            return None
+        cols.append(coords)
+    return cols
 
 
 def id_symbol_matrix(V: ModuleSpec, vectors: list[ModuleVector],
                      validity: int = 8):
-    """Matrix of the identity gl(d) symbol acting through the annihilation
-    algebra on the span of `vectors` (None if the span is not invariant)."""
+    """Matrix of the identity gl(d) symbol sum_i x^i (x) b_i on the span of
+    `vectors` (None if the span is not invariant)."""
     hopf = V.hopf
-    cols = []
-    for v in vectors:
-        img = V.zero_vector()
-        for i in range(hopf.n):
-            el = AnnElement.term(hopf, XElement.coord(hopf, i, validity), i)
-            out = ann_action(el, v, V.action_pv)
-            if out is not None:
-                img = img - out
-        coords = express_in_span(vectors, img)
-        if coords is None:
-            return None
-        cols.append(coords)
+    el = AnnElement(hopf, (XElement.coord(hopf, i, validity) for i in range(hopf.n)))
+    cols = symbol_matrix(V, vectors, el)
+    if cols is None:
+        return None
     return [[cols[c][r] for c in range(len(vectors))] for r in range(len(vectors))]
 
 
@@ -815,11 +806,11 @@ def solve_intertwiner(V: ModuleSpec, W: ModuleSpec, fil_bound: int,
     ]
 
 
-def apply_map(W: ModuleSpec, images: list[ModuleVector], v: ModuleVector) -> ModuleVector:
-    """Extend generator images H-linearly and apply to v."""
-    out = ModuleVector.zero(W.hopf, W.dim)
+def apply_map(images: list[ModuleVector], v: ModuleVector) -> ModuleVector:
+    """The H-linear map sending generator k to images[k], applied to v."""
+    out = ModuleVector.zero(v.hopf, images[0].width)
     for I, coords in v.terms.items():
-        mono = W.hopf.mono(I)
+        mono = v.hopf.mono(I)
         for k, c in enumerate(coords):
             if c:
                 out = out + images[k].hmul(mono).scale(c)

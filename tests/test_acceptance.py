@@ -257,7 +257,8 @@ def test_criterion_06_derham_suite():
     """d^2 = 0 through filtration degree 5 and the contracted-differential
     identities (the checks of `liepseudo derham`), filtration-local middle
     exactness for p <= 4 and top-degree cokernel of dimension dim Pi,
-    untwisted and twisted."""
+    untwisted and twisted; the twisting functor conjugates the plain action
+    to the twisted one on every twisted Pi (|I| <= 3)."""
     reports = []
     for name in ("abelian2", "abelian3", "solv2", "heis3"):
         H = hopf_for(name)
@@ -272,6 +273,9 @@ def test_criterion_06_derham_suite():
             rep = exactness_report(H, pi, 4)
             reports.append((f"{name} pi #{m} exactness",
                             CheckReport.one_case("exactness report", rep["ok"])))
+            if pi is not None:
+                reports.append((f"{name} pi #{m} twist conjugation",
+                                checks.twist_conjugation(H, pi, 3)))
     conclude_checks(6, "pseudo de Rham suite (exactness at p <= 4, dim Pi in {1,2})", reports)
 
 

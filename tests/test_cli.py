@@ -181,6 +181,11 @@ def test_entry_point_runs():
      "config error: filtration bound --fil -1 is negative"),
     # on a 1-dimensional algebra d-squared-zero would pass with zero cases
     (["derham", "--alg", "abelian1"], None, "config error: derham needs dim d >= 2, got 1"),
+    # gamma and the Euler element need truncation >= 3: refused before any check runs
+    (["verify", "--alg", "abelian2", "--trunc", "2"], None,
+     "config error: truncation --trunc 2 is below 3"),
+    (["verify", "--alg", "abelian2", "--trunc", "0"], None,
+     "config error: truncation --trunc 0 is below 3"),
 ])
 def test_bad_input_exits_2_with_a_message(monkeypatch, capsys, argv, env, message):
     if env is None:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from liepseudo import checks
 from liepseudo.derham import (
     Form,
     classify_report,
@@ -16,9 +17,8 @@ from liepseudo.derham import (
     pseudo_d,
     sing_fingerprint,
     star_action,
-    twist_conjugation_check,
 )
-from liepseudo.hopf import mi_below, mi_zero
+from liepseudo.hopf import Hopf, mi_below, mi_zero
 from liepseudo.liecore import (
     RepData,
     TraceForm,
@@ -329,7 +329,21 @@ def test_twist_conjugation(any_preset2):
     pi = pi_for(H)
     if pi is None:
         pytest.skip("no preset twist")
-    assert twist_conjugation_check(H, pi, 3)
+    report = checks.twist_conjugation(H, pi, 3)
+    assert report.ok, report.first_failure
+
+
+def test_twist_conjugation_counts_and_names_its_cases(monkeypatch):
+    H = Hopf(preset("solv2"))
+    pi = pi_for(H)
+    assert checks.twist_conjugation(H, pi, 2).total == 6 * pi.dim * H.n
+    assert checks.twist_conjugation(H, pi, -1).first_failure == "no cases"
+    # a twist that drops the antipode (S(b^(B)) read as b^(B)) already fails
+    # at I = 0, where b_1 acts on the line Pi by 1
+    monkeypatch.setattr(H, "antipode_mono", lambda B: {B: Fraction(1)})
+    report = checks.twist_conjugation(H, pi, 2)
+    assert not report.ok
+    assert report.first_failure == "I = (0, 0), p = 1, b_1"
 
 
 # ---------------------------------------------------------------------------

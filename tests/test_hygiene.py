@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module of the package imports is used."""
+"""Source hygiene: every name a module of the package imports is used, and
+every import sits at module level."""
 
 import ast
 from pathlib import Path
@@ -25,6 +26,17 @@ def unused_imports(tree: ast.Module, exempt=frozenset()) -> list[str]:
             if name not in used and name not in exempt]
 
 
+def imports_in_functions(tree: ast.Module) -> list[str]:
+    """Imports inside a function body, as "innermost function (line n)"."""
+    owner = {}
+    for func in ast.walk(tree):  # breadth first, so inner functions come later
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    owner[node.lineno] = func.name
+    return [f"{name} (line {line})" for line, name in sorted(owner.items())]
+
+
 def test_no_unused_imports_in_the_package():
     found = {}
     for path in sorted(SRC.glob("*.py")):
@@ -38,3 +50,14 @@ def test_no_unused_imports_in_the_package():
 def test_the_scan_sees_an_unused_import():
     tree = ast.parse("import os\nfrom fractions import Fraction as F\nimport sys\nsys.exit(F(1))\n")
     assert unused_imports(tree) == ["os (line 1)"]
+
+
+def test_no_imports_inside_functions_in_the_package():
+    found = {path.name: names for path in sorted(SRC.glob("*.py"))
+             if (names := imports_in_functions(ast.parse(path.read_text())))}
+    assert not found, f"imports inside functions: {found}"
+
+
+def test_the_scan_sees_an_import_inside_a_function():
+    tree = ast.parse("import os\n\ndef f():\n    def g():\n        import sys\n    return os\n")
+    assert imports_in_functions(tree) == ["g (line 5)"]

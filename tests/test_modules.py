@@ -5,6 +5,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from liepseudo import checks
 from liepseudo.annih import AnnElement, ann_action
 from liepseudo.dualx import XElement
 from liepseudo.hopf import Hopf, mi_below, mi_deg, mi_unit, mi_zero
@@ -213,12 +214,12 @@ def test_dual_functoriality_roundtrip():
     V = tensor_module(H, trivial_pi(H), omega_rep(H.lie, 1))
     b1 = [V.unit(1).hmul(H.gen(0)), V.unit(0)]           # beta: V -> V
     b2 = [V.unit(0).hmul(H.gen(1)), V.unit(1).scale(2)]  # beta': V -> V
-    composed = [apply_map(V, b1, v) for v in b2]         # beta after beta'
+    composed = [apply_map(b1, v) for v in b2]            # beta after beta'
     lhs = dual_map(V, V, composed)
     rhs_inner = dual_map(V, V, b1)
-    rhs = [apply_map(V, rhs_inner, v) for v in dual_map(V, V, b2)]
+    rhs = [apply_map(rhs_inner, v) for v in dual_map(V, V, b2)]
     # D reverses composition: D(beta beta') = D(beta') D(beta)
-    lhs2 = [apply_map(V, dual_map(V, V, b2), v) for v in dual_map(V, V, b1)]
+    lhs2 = [apply_map(dual_map(V, V, b2), v) for v in dual_map(V, V, b1)]
     for a, b in zip(lhs, lhs2):
         assert a.eq(b)
 
@@ -603,3 +604,23 @@ def test_solver_matches_oracle_on_semidirect_k_k2(entries, omega):
     oracle = sing_solve_oracle(T, 2, "W")
     assert res.degree_profile()[0] == T.dim  # the ground level is always singular
     assert [v.serialize() for v in oracle.basis] == [v.serialize() for v in res.basis]
+
+
+@settings(max_examples=6, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+@given(st.lists(_SMALL_RATIONALS, min_size=8, max_size=8))
+def test_twist_identities_on_semidirect_k_k2(entries):
+    # k b1 (semidirect) k^2 as above; b1 -> any 2x2 matrix A, b2, b3 -> 0 is
+    # a d-representation, since [d, d] lies in span(b2, b3)
+    M = [entries[0:2], entries[2:4]]
+    brackets = [(0, j + 1, i + 1, M[i][j]) for j in range(2) for i in range(2) if M[i][j]]
+    H = Hopf(LieData.from_entries(3, brackets, name="k|x k^2"))
+    zero = mat([[0, 0], [0, 0]])
+    pi = RepData.d_rep(H.lie, (mat([entries[4:6], entries[6:8]]), zero, zero))
+    u = omega_rep(H.lie, 1)
+    direct = tensor_module(H, pi, u)
+    twisted = twist_module(pi, tensor_module(H, trivial_pi(H), u))
+    assert all(direct.table[i][k].eq(twisted.table[i][k])
+               for i in range(H.n) for k in range(direct.dim))
+    report = checks.twist_conjugation(H, pi, 2)
+    assert report.ok, report.first_failure
