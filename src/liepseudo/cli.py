@@ -254,7 +254,7 @@ def cmd_singular(args) -> int:
     pi = load_pi(lie, args.pi, blob)
     u = load_u(lie, args.u, blob)
     mode = args.mode.upper()
-    fil = args.fil if args.fil is not None else (2 if mode == "W" else 3)
+    fil = args.fil if args.fil is not None else PAPER_BOUND[mode] + 1
     if fil < 0:
         raise ConfigError(f"filtration bound --fil {fil} is negative")
     suite = Suite("singular", {
@@ -355,21 +355,28 @@ def _env_truncation() -> int:
         raise ConfigError(f"PSA_TRUNC must be an integer, got {raw!r}") from None
 
 
-def _add_common(p: argparse.ArgumentParser, reps: bool = True, trunc: bool = True) -> None:
+# a subcommand registers only the optional flags it reads, so argparse
+# refuses the others instead of ignoring them
+_FLAGS = {
+    "fil": {"type": int, "help": "filtration bound"},
+    "chi": {"help": "zero | tr_ad | comma-separated rationals"},
+    "pi": {"help": "trivial[:m] | line:<csv> | JSON path (d-representation)"},
+    "u": {"help": "trivial[:m] | omega:n | sym2 | JSON path (gl-representation)"},
+    "mode": {"default": "W", "choices": ["W", "S", "w", "s"]},
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
+    """--alg, --out, --json and `flags`: "trunc" or keys of _FLAGS."""
     p.add_argument("--alg", required=True, help="preset name or algebra JSON path")
-    if trunc:
-        p.add_argument("--trunc", type=int, default=_env_truncation(),
-                       help="dual truncation degree (default 6, env PSA_TRUNC)")
-    p.add_argument("--fil", type=int, default=None, help="filtration bound")
     p.add_argument("--out", help="write the JSON report to this path")
     p.add_argument("--json", action="store_true", help="print the JSON report")
-    if reps:
-        p.add_argument("--chi", default=None, help="zero | tr_ad | comma-separated rationals")
-        p.add_argument("--pi", default=None,
-                       help="trivial[:m] | line:<csv> | JSON path (d-representation)")
-        p.add_argument("--u", default=None,
-                       help="trivial[:m] | omega:n | sym2 | JSON path (gl-representation)")
-        p.add_argument("--mode", default="W", choices=["W", "S", "w", "s"])
+    for flag in flags:
+        if flag == "trunc":
+            p.add_argument("--trunc", type=int, default=_env_truncation(),
+                           help="dual truncation degree (default 6, env PSA_TRUNC)")
+        else:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
 
 
 def main(argv=None) -> int:
@@ -391,16 +398,16 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("verify", help="Hopf/dual/pseudoalgebra/annihilation invariants")
-    _add_common(p, reps=False)
+    _add_common(p, "trunc")
     p.set_defaults(func=cmd_verify)
     p = sub.add_parser("singular", help="singular-vector solver with oracle cross-check")
-    _add_common(p)
+    _add_common(p, "trunc", "fil", "chi", "pi", "u", "mode")
     p.set_defaults(func=cmd_singular)
     p = sub.add_parser("derham", help="de Rham complex identities and exactness")
-    _add_common(p)
+    _add_common(p, "trunc", "fil", "pi")
     p.set_defaults(func=cmd_derham)
     p = sub.add_parser("classify", help="irreducibility verdict for a tensor module")
-    _add_common(p, trunc=False)
+    _add_common(p, "fil", "chi", "pi", "u", "mode")
     p.set_defaults(func=cmd_classify)
     p = sub.add_parser("report-merge", help="merge JSON reports")
     p.add_argument("inputs", nargs="+")

@@ -17,16 +17,17 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from ._linalg import rank
+from ._linalg import RowReducer
 from .annih import AnnElement
 from .dualx import XElement
 from .errors import DegreeOutOfRange
-from .hopf import HElement, Hopf, mi_below, mi_unit, mi_zero
+from .hopf import HElement, Hopf, mi_below, mi_deg, mi_unit, mi_zero
 from .liecore import LieData, RepData, TraceForm, omega_rep, rat, wedge_basis
 from .modules import (
+    PAPER_BOUND,
     ModuleSpec,
     ModuleVector,
-    _row_from_vector,
+    _coords,
     apply_map,
     sing_blocks_by_id_symbol,
     sing_in_subspace,
@@ -336,23 +337,24 @@ def dw2_lhs_rhs(hopf: Hopf, i: int, S, pi: RepData | None = None):
 # Reports
 # ---------------------------------------------------------------------------
 
-def _d_matrix_rank(hopf: Hopf, n: int, pi: RepData | None, p: int) -> tuple[int, int]:
-    """(domain dimension, rank) of d restricted to fil^p of degree n."""
+def filtration_ranks(hopf: Hopf, n: int, pi: RepData | None, p_max: int) -> list[tuple[int, int]]:
+    """(dim fil^p, rank of d on fil^p) of degree n for p = 0..p_max.
+
+    The domain basis b^(I) (x) e_k in `mi_below` order lists fil^p before
+    fil^{p+1}, so one RowReducer fed the image of each basis vector, read at
+    every degree boundary, ranks all filtration steps in one pass.
+    """
     imgs = d_images(hopf, n, pi)
-    if not imgs:
-        return 0, 0
-    width = imgs[0].width
-    tgt_cols = {(I, k): c for c, (I, k) in enumerate(
-        (I, k) for I in mi_below(hopf.n, p + 1) for k in range(width)
-    )}
-    rows = []
+    red = RowReducer()
     dom = 0
-    for I in mi_below(hopf.n, p):
-        mono = hopf.mono(I)
-        for k in range(len(imgs)):
-            dom += 1
-            rows.append(_row_from_vector(imgs[k].hmul(mono), tgt_cols))
-    return dom, rank(rows)
+    out = []
+    for _p, level in itertools.groupby(mi_below(hopf.n, p_max), key=mi_deg):
+        for I in level:
+            for k in range(len(imgs)):
+                red.add(_coords(apply_map(imgs, ModuleVector.unit(hopf, len(imgs), k, I))))
+                dom += 1
+        out.append((dom, red.rank))
+    return out
 
 
 def exactness_report(hopf: Hopf, pi: RepData | None, p_max: int) -> dict:
@@ -365,20 +367,17 @@ def exactness_report(hopf: Hopf, pi: RepData | None, p_max: int) -> dict:
     N = hopf.n
     mp = pi.dim if pi is not None else 1
     checks = []
-    ranks: dict[tuple[int, int], tuple[int, int]] = {}
-    for n in range(N):
-        for p in range(p_max + 1):
-            ranks[(n, p)] = _d_matrix_rank(hopf, n, pi, p)
+    ranks = [filtration_ranks(hopf, n, pi, p_max) for n in range(N)]
     for p in range(p_max + 1):
-        dom0, rank0 = ranks[(0, p)]
+        dom0, rank0 = ranks[0][p]
         checks.append({
             "degree": 0, "fil": p, "kind": "injective",
             "kernel": dom0 - rank0, "ok": dom0 == rank0,
         })
     for n in range(1, N):
         for p in range(p_max + 1):
-            dom, rk = ranks[(n, p)]
-            image_below = ranks[(n - 1, p - 1)][1] if p >= 1 else 0
+            dom, rk = ranks[n][p]
+            image_below = ranks[n - 1][p - 1][1] if p >= 1 else 0
             kernel = dom - rk
             checks.append({
                 "degree": n, "fil": p, "kind": "exact",
@@ -386,7 +385,7 @@ def exactness_report(hopf: Hopf, pi: RepData | None, p_max: int) -> dict:
             })
     for p in range(1, p_max + 1):
         total = comb(N + p, N) * mp * comb(N, N)
-        image = ranks[(N - 1, p - 1)][1]
+        image = ranks[N - 1][p - 1][1]
         checks.append({
             "degree": N, "fil": p, "kind": "cokernel",
             "cokernel": total - image, "expected": mp,
@@ -414,7 +413,7 @@ def classify_report(hopf: Hopf, pi: RepData, u: RepData, mode: str = "W",
     mode = mode.upper()
     if mode == "S" and chi is None:
         chi = hopf.lie.zero_trace_form()
-    fil_bound = fil_bound if fil_bound is not None else (2 if mode == "W" else 3)
+    fil_bound = fil_bound if fil_bound is not None else PAPER_BOUND[mode] + 1
     T = tensor_module(hopf, pi, u)
     res = sing_solve(T, fil_bound, mode, chi)
     r0 = r0_test(u)
@@ -473,7 +472,7 @@ def classify_report(hopf: Hopf, pi: RepData, u: RepData, mode: str = "W",
             seed = [w for dd in sorted(by_degree) if dd >= degv for w in by_degree[dd]]
             clo = submodule_closure(T, seed, fil_bound + 1, mode, chi)
             submodules.append({"dim": clo.dim, "seed": f"sing blocks at degree >= {degv}"})
-    fingerprint = sing_fingerprint(T, res, chi if mode == "S" else None)
+    fingerprint = sing_fingerprint(T, res)
     return {
         "report": "classification",
         "algebra": hopf.lie.name,
@@ -486,22 +485,24 @@ def classify_report(hopf: Hopf, pi: RepData, u: RepData, mode: str = "W",
     }
 
 
-def sing_fingerprint(V: ModuleSpec, res, chi: TraceForm | None = None) -> dict:
+def sing_fingerprint(V: ModuleSpec, res) -> dict:
     """Isomorphism-type data of the singular-vector module: dimension and the
-    traces of the gl(d) symbols acting through the annihilation algebra."""
+    traces of the gl(d) symbols x^j (x) b_i acting through the annihilation
+    algebra."""
     hopf = V.hopf
     n = hopf.n
     basis = res.basis
     if not basis:
         return {"dim": 0}
-    gl_traces = []
     validity = max(6, res.fil_bound + 3)
+    mats = symbol_matrix(V, basis, [AnnElement.term(hopf, XElement.coord(hopf, j, validity), i)
+                                    for i in range(n) for j in range(n)])
+    gl_traces = []
     id_trace = ZERO
     for i in range(n):
         row_tr = []
         for j in range(n):
-            el = AnnElement.term(hopf, XElement.coord(hopf, j, validity), i)
-            cols = symbol_matrix(V, basis, el)
+            cols = mats[i * n + j]
             if cols is None:
                 row_tr.append("outside")
                 continue

@@ -19,8 +19,11 @@ coordinates go through `_linalg.span_coords`.
 Module maps have one kernel each: `twist_vector` is the twisting functor
 T_Pi on a vector (behind `twist_module`, `twist_map` and the twist
 conjugation check), `apply_map` the H-linear extension of generator images
-(behind `pseudo_d`), and `symbol_matrix` the matrix of an annihilation
-element on a span (behind `id_symbol_matrix` and `sing_fingerprint`).
+(behind `pseudo_d` and the exactness ranks), and `symbol_matrix` the
+matrices of a list of annihilation elements on a span (behind
+`id_symbol_matrix`, one element, and `sing_fingerprint`, all x^j (x) b_i).
+`symbol_matrix` and the oracle act on a vector through `_action_once`,
+which computes each (1 (x) b_a) * v once for all elements.
 """
 
 from __future__ import annotations
@@ -143,8 +146,6 @@ class ModuleSpec:
     name: str = ""
     rep_d: RepData | None = None
     rep_gl: RepData | None = None
-    tags: tuple[str, ...] = ()
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         if len(self.table) != self.hopf.n:
@@ -152,8 +153,6 @@ class ModuleSpec:
         for row in self.table:
             if len(row) != self.dim:
                 raise RepInvalid("table width disagrees with the generator count")
-        if not self.labels:
-            self.labels = tuple(f"u{k+1}" for k in range(self.dim))
 
     # -- vectors ---------------------------------------------------------
     def zero_vector(self) -> ModuleVector:
@@ -210,8 +209,7 @@ class ModuleSpec:
 # Builders
 # ---------------------------------------------------------------------------
 
-def tensor_module(hopf: Hopf, pi: RepData, u: RepData, name: str = "", tags=(),
-                  validate: bool = True) -> ModuleSpec:
+def tensor_module(hopf: Hopf, pi: RepData, u: RepData, name: str = "") -> ModuleSpec:
     """Tensor module for the (d + gl d)-module R = Pi (x) U:
 
     (1 (x) b_i) * (1 (x) w) = (1 (x) 1) (x)_H (1 (x) (ad b_i) w)
@@ -221,9 +219,8 @@ def tensor_module(hopf: Hopf, pi: RepData, u: RepData, name: str = "", tags=(),
     pi is a d-representation, u a gl(d)-representation (enter an sl(d)-module
     as gl(d) data with its declared identity scalar).
     """
-    if validate:
-        pi.validate()
-        u.validate()
+    pi.validate()
+    u.validate()
     d_part, gl_part = box_tensor(pi, u)
     n = hopf.n
     dim = d_part.dim
@@ -250,19 +247,15 @@ def tensor_module(hopf: Hopf, pi: RepData, u: RepData, name: str = "", tags=(),
             val = val.add(PseudoValue.from_tensor(one, hopf.gen(i), base).neg())
             row.append(val)
         table.append(row)
-    return ModuleSpec(
-        hopf, dim, tuple(tuple(r) for r in table), name=name,
-        rep_d=d_part, rep_gl=gl_part, tags=tuple(tags),
-    )
+    return ModuleSpec(hopf, dim, tuple(tuple(r) for r in table), name=name,
+                      rep_d=d_part, rep_gl=gl_part)
 
 
-def shifted_module(hopf: Hopf, pi: RepData, u: RepData, name: str = "", tags=()) -> ModuleSpec:
+def shifted_module(hopf: Hopf, pi: RepData, u: RepData, name: str = "") -> ModuleSpec:
     """The module whose generator line is singular: the tensor module of
     (Pi (x) k_{tr ad}) (x) (U (x) k_{-tr})."""
-    tr_ad = hopf.lie.tr_ad()
-    spec = tensor_module(hopf, pi.twist_by(tr_ad), u.gl_shift_id(-1),
-                         name=name or "V(R)", tags=tuple(tags) + ("shifted",))
-    return spec
+    return tensor_module(hopf, pi.twist_by(hopf.lie.tr_ad()), u.gl_shift_id(-1),
+                         name=name or "V(R)")
 
 
 def unshift_module(hopf: Hopf, pi: RepData, u: RepData, name: str = "") -> ModuleSpec:
@@ -278,11 +271,7 @@ def s_tensor_module(hopf: Hopf, pi: RepData, u: RepData, chi: TraceForm,
     the restriction of the shifted module of (Pi (x) k_chi) (x) U."""
     if hopf.n <= 2:
         raise DimensionTooSmall("S(d, chi) requires dim d >= 3")
-    u0 = u.with_id_scalar(0)
-    spec = shifted_module(hopf, pi.twist_by(chi), u0, name=name or "V_S(R)")
-    return ModuleSpec(hopf, spec.dim, spec.table, name=spec.name,
-                      rep_d=spec.rep_d, rep_gl=spec.rep_gl,
-                      tags=spec.tags + ("s-type",))
+    return shifted_module(hopf, pi.twist_by(chi), u.with_id_scalar(0), name=name or "V_S(R)")
 
 
 def dual_module(V: ModuleSpec, name: str = "") -> ModuleSpec:
@@ -310,8 +299,7 @@ def dual_module(V: ModuleSpec, name: str = "") -> ModuleSpec:
                         )
             row.append(val)
         table.append(tuple(row))
-    return ModuleSpec(hopf, m, tuple(table), name=name or f"D({V.name})",
-                      tags=V.tags + ("dual",))
+    return ModuleSpec(hopf, m, tuple(table), name=name or f"D({V.name})")
 
 
 def _rep_h_matrix(rep: RepData, coeffs: dict[MultiIndex, Fraction], dim: int) -> Matrix:
@@ -368,8 +356,7 @@ def twist_module(pi: RepData, V: ModuleSpec, name: str = "") -> ModuleSpec:
                         val = val.add(PseudoValue.from_tensor(hopf.mono(F), hopf.mono(G1), vec))
                 row.append(val)
         table.append(tuple(row))
-    return ModuleSpec(hopf, mp * m, tuple(table), name=name or f"T_Pi({V.name})",
-                      tags=V.tags + ("twist",))
+    return ModuleSpec(hopf, mp * m, tuple(table), name=name or f"T_Pi({V.name})")
 
 
 def dual_map(V: ModuleSpec, W: ModuleSpec, images: list[ModuleVector]) -> list[ModuleVector]:
@@ -528,14 +515,7 @@ def sing_solve_oracle(V: ModuleSpec, fil_bound: int, mode: str = "W",
                     spanning.append((f"x_{K}.s_{a+1}{b+1}", el))
     rows: dict[tuple, Row] = {}
     for col, vec in enumerate(units):
-        # every spanning element contracts the same (1 (x) b_a) * vec
-        acted: dict[int, PseudoValue] = {}
-
-        def action_pv(a: int, v: ModuleVector) -> PseudoValue:
-            if a not in acted:
-                acted[a] = V.action_pv(a, v)
-            return acted[a]
-
+        action_pv = _action_once(V)
         for label, el in spanning:
             out = ann_action(el, vec, action_pv)
             if out is not None:
@@ -548,10 +528,6 @@ def sing_solve_oracle(V: ModuleSpec, fil_bound: int, mode: str = "W",
 def _coords(v: ModuleVector) -> Row:
     """The nonzero coordinates of v keyed by slot (I, k)."""
     return {(I, k): c for I, coords in v.terms.items() for k, c in enumerate(coords) if c}
-
-
-def _row_from_vector(v: ModuleVector, index) -> Row:
-    return {index[(I, k)]: c for I, coords in v.terms.items() for k, c in enumerate(coords) if c}
 
 
 def s_of(V: ModuleSpec, l: int, coords) -> ModuleVector:
@@ -608,11 +584,7 @@ class Closure:
         return len(self.basis)
 
     def contains(self, v: ModuleVector) -> bool:
-        cols, index = _closure_order(self.module, self.fil_bound)
-        red = RowReducer()
-        for b in self.basis:
-            red.add(_row_from_vector(b, index))
-        return red.contains(_row_from_vector(v, index))
+        return span_coords([_coords(b) for b in self.basis], _coords(v)) is not None
 
     def same_space(self, other: "Closure") -> bool:
         # a closure basis is the reduced-echelon basis of its span in the
@@ -621,34 +593,28 @@ class Closure:
                 and [v.terms for v in self.basis] == [v.terms for v in other.basis])
 
 
-def _closure_order(V: ModuleSpec, bound: int):
-    # columns by decreasing degree so echelon pivots isolate fil^p slices
-    cols = sorted(V.basis_upto(bound), key=lambda slot: (-mi_deg(slot[0]), slot[0], slot[1]))
-    index = {slot: c for c, slot in enumerate(cols)}
-    return cols, index
-
-
 def submodule_closure(V: ModuleSpec, gens: list[ModuleVector], fil_bound: int,
-                      mode: str = "W", chi: TraceForm | None = None,
-                      slack: int = 1) -> Closure:
+                      mode: str = "W", chi: TraceForm | None = None) -> Closure:
     """H-submodule generated by `gens`, intersected with fil^bound.
 
     Iterates normal-form coefficient extraction of the acting generators
     (each coefficient of a * v lies in the submodule) together with
-    H-multiplication, inside fil^{bound+slack}; the returned basis spans the
+    H-multiplication, inside fil^{bound+1}; the returned basis spans the
     intersection with fil^bound exactly when the submodule is generated in
     degrees <= bound - 1.
     """
-    work = fil_bound + slack
+    work = fil_bound + 1
     actors, _threshold = _sing_actors(V, mode, chi)
-    cols, index = _closure_order(V, work)
+    # columns by decreasing degree so echelon pivots isolate fil^p slices
+    cols = sorted(V.basis_upto(work), key=lambda slot: (-mi_deg(slot[0]), slot[0], slot[1]))
+    index = {slot: c for c, slot in enumerate(cols)}
     red = RowReducer()
     queue: list[ModuleVector] = []
 
     def push(v: ModuleVector) -> None:
         if v.is_zero() or v.degree() > work:
             return
-        if red.add(_row_from_vector(v, index)):
+        if red.add({index[slot]: c for slot, c in _coords(v).items()}):
             queue.append(v)
 
     for g in gens:
@@ -677,31 +643,38 @@ def submodule_closure(V: ModuleSpec, gens: list[ModuleVector], fil_bound: int,
     return Closure(V, fil_bound, basis, coef.rank)
 
 
-def symbol_matrix(V: ModuleSpec, vectors: list[ModuleVector], el: AnnElement):
-    """Coordinate columns of -el . v in span(vectors) for each v of `vectors`,
-    el acting through the annihilation algebra (None if the span is not
-    invariant)."""
+def _action_once(V: ModuleSpec):
+    """An `action_pv` for `ann_action` on one vector v: each (1 (x) b_a) * v
+    is computed on first use and shared by every annihilation element."""
+    acted: dict[int, PseudoValue] = {}
+    return lambda a, v: acted[a] if a in acted else acted.setdefault(a, V.action_pv(a, v))
+
+
+def symbol_matrix(V: ModuleSpec, vectors: list[ModuleVector], els: list[AnnElement]):
+    """For each annihilation element el of `els`, the coordinate columns of
+    -el . v in span(vectors) for each v of `vectors` (None for an el under
+    which the span is not invariant).  Each (1 (x) b_a) * v is computed once
+    per vector, whatever the number of elements."""
     span = [_coords(v) for v in vectors]
-    cols = []
+    mats: list[list | None] = [[] for _ in els]
     for v in vectors:
-        out = ann_action(el, v, V.action_pv)
-        coords = span_coords(span, _coords(out.scale(-1)) if out is not None else {})
-        if coords is None:
-            return None
-        cols.append(coords)
-    return cols
+        action_pv = _action_once(V)
+        for m, el in enumerate(els):
+            if mats[m] is not None:
+                out = ann_action(el, v, action_pv)
+                coords = span_coords(span, _coords(out.scale(-1)) if out is not None else {})
+                mats[m] = None if coords is None else [*mats[m], coords]
+    return mats
 
 
-def id_symbol_matrix(V: ModuleSpec, vectors: list[ModuleVector],
-                     validity: int = 8):
-    """Matrix of the identity gl(d) symbol sum_i x^i (x) b_i on the span of
-    `vectors` (None if the span is not invariant)."""
+def id_symbol_matrix(V: ModuleSpec, vectors: list[ModuleVector]):
+    """Matrix of the identity gl(d) symbol sum_i x^i (x) b_i (coordinates
+    valid to degree 8) on the span of `vectors` (None if the span is not
+    invariant)."""
     hopf = V.hopf
-    el = AnnElement(hopf, (XElement.coord(hopf, i, validity) for i in range(hopf.n)))
-    cols = symbol_matrix(V, vectors, el)
-    if cols is None:
-        return None
-    return [[cols[c][r] for c in range(len(vectors))] for r in range(len(vectors))]
+    el = AnnElement(hopf, (XElement.coord(hopf, i, 8) for i in range(hopf.n)))
+    cols = symbol_matrix(V, vectors, [el])[0]
+    return None if cols is None else [list(row) for row in zip(*cols)]
 
 
 def sing_blocks_by_id_symbol(V: ModuleSpec, basis: list[ModuleVector]):

@@ -151,9 +151,9 @@ class WAlgebra:
             out = out + h * self.hopf.gen(a) + h.scale(chi(a))
         return out
 
-    def s_generator(self, a: int, b: int, chi: TraceForm, require_rank: bool = True) -> WElement:
+    def s_generator(self, a: int, b: int, chi: TraceForm) -> WElement:
         """s_ab = (a + chi(a)) (x) b - (b + chi(b)) (x) a - 1 (x) [a, b]."""
-        if require_rank and self.n <= 2:
+        if self.n <= 2:
             raise DimensionTooSmall("S(d, chi) requires dim d >= 3")
         hopf = self.hopf
         comps = [hopf.zero() for _ in range(self.n)]

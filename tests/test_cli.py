@@ -186,6 +186,15 @@ def test_entry_point_runs():
      "config error: truncation --trunc 2 is below 3"),
     (["verify", "--alg", "abelian2", "--trunc", "0"], None,
      "config error: truncation --trunc 0 is below 3"),
+    # flags a command never reads are refused, not ignored
+    (["verify", "--alg", "abelian2", "--trunc", "3", "--fil", "99"], None,
+     "error: unrecognized arguments: --fil 99"),
+    (["derham", "--alg", "heis3", "--chi", "1,2,3"], None,
+     "error: unrecognized arguments: --chi 1,2,3"),
+    (["derham", "--alg", "abelian2", "--u", "omega:1"], None,
+     "error: unrecognized arguments: --u omega:1"),
+    (["derham", "--alg", "abelian2", "--mode", "S"], None,
+     "error: unrecognized arguments: --mode S"),
 ])
 def test_bad_input_exits_2_with_a_message(monkeypatch, capsys, argv, env, message):
     if env is None:

@@ -11,6 +11,7 @@ from liepseudo.derham import (
     d_images,
     dw2_lhs_rhs,
     exactness_report,
+    filtration_ranks,
     gl_action,
     iota,
     omega_module,
@@ -18,6 +19,7 @@ from liepseudo.derham import (
     sing_fingerprint,
     star_action,
 )
+from liepseudo._linalg import rank
 from liepseudo.hopf import Hopf, mi_below, mi_zero
 from liepseudo.liecore import (
     RepData,
@@ -29,6 +31,7 @@ from liepseudo.liecore import (
     wedge_basis,
 )
 from liepseudo.modules import (
+    ModuleSpec,
     ModuleVector,
     sing_in_subspace,
     sing_solve,
@@ -299,13 +302,27 @@ def koszul_expected(N, n, p, mp):
 def test_exactness_koszul_oracle_abelian():
     # independent combinatorial oracle for abelian d
     H = hopf_for("abelian2")
-    from liepseudo.derham import _d_matrix_rank
-
     oracle = koszul_expected(2, None, 4, 1)
     for n in range(2):
+        ranks = filtration_ranks(H, n, None, 3)
         for p in range(4):
-            dom, rk = _d_matrix_rank(H, n, None, p)
+            dom, rk = ranks[p]
             assert rk == oracle[(n, p)], (n, p)
+
+
+@pytest.mark.parametrize("name", ["heis3", "solv2"])
+def test_filtration_ranks_match_fresh_matrices(name):
+    # the one-pass ranks read at each degree boundary equal the ranks of
+    # fil^p matrices built from scratch: fil^p rows are a prefix of fil^{p+1}
+    H = hopf_for(name)
+    pi = pi_for(H)
+    for n in range(H.n):
+        imgs = d_images(H, n, pi)
+        for p, pair in enumerate(filtration_ranks(H, n, pi, 3)):
+            rows = [{(J, r): c for J, coords in imgs[k].hmul(H.mono(I)).terms.items()
+                     for r, c in enumerate(coords) if c}
+                    for I in mi_below(H.n, p) for k in range(len(imgs))]
+            assert pair == (len(rows), rank(rows)), (n, p)
 
 
 @pytest.mark.parametrize("name", ["abelian2", "abelian3", "solv2", "heis3"])
@@ -460,6 +477,27 @@ def test_fingerprints_distinguish_modules():
     f1 = sing_fingerprint(T_sym, sing_solve(T_sym, 2, "W"))
     f2 = sing_fingerprint(T_om, sing_solve(T_om, 2, "W"))
     assert f1 != f2
+
+
+def test_sing_fingerprint_acts_once_per_vector(monkeypatch):
+    # the n^2 symbols x^j (x) b_i share each (1 (x) b_i) * v: n * |basis| actions
+    H = hopf_for("heis3")
+    T = tensor_module(H, trivial_pi(H), omega_rep(H.lie, 1))
+    res = sing_solve(T, 2, "W")
+    calls = []
+    real = ModuleSpec.action_pv
+
+    def counting(self, i, v):
+        calls.append(i)
+        return real(self, i, v)
+
+    monkeypatch.setattr(ModuleSpec, "action_pv", counting)
+    assert sing_fingerprint(T, res) == {
+        "dim": 4,
+        "gl_symbol_traces": [["3", "0", "0"], ["0", "3", "0"], ["0", "0", "3"]],
+        "id_trace": "9",
+    }
+    assert len(calls) == H.n * len(res.basis) == 12
 
 
 def test_d_images_build_each_omega_module_once(monkeypatch):

@@ -1,10 +1,14 @@
-"""Source hygiene: every name a module of the package imports is used, and
-every import sits at module level."""
+"""Source hygiene: every name a module of the package imports is used,
+every import sits at module level, and every CLI option is read."""
 
+import argparse
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import liepseudo
+from liepseudo import cli
 
 SRC = Path(liepseudo.__file__).parent
 
@@ -61,3 +65,38 @@ def test_no_imports_inside_functions_in_the_package():
 def test_the_scan_sees_an_import_inside_a_function():
     tree = ast.parse("import os\n\ndef f():\n    def g():\n        import sys\n    return os\n")
     assert imports_in_functions(tree) == ["g (line 5)"]
+
+
+def ignored_options(parser: argparse.ArgumentParser, shared=()) -> dict[str, list[str]]:
+    """Per subcommand, the options whose `args.<dest>` neither the command's
+    `func` nor any of the `shared` functions reads."""
+    found = {}
+    for action in parser._actions:
+        if not isinstance(action, argparse._SubParsersAction):
+            continue
+        for name, sub in action.choices.items():
+            source = "".join(inspect.getsource(f) for f in (sub.get_default("func"), *shared))
+            unread = [a.dest for a in sub._actions
+                      if not isinstance(a, argparse._HelpAction)
+                      and not re.search(rf"\bargs\.{a.dest}\b", source)]
+            if unread:
+                found[name] = unread
+    return found
+
+
+def test_every_cli_option_is_read():
+    assert ignored_options(cli._parser(), shared=(cli._emit,)) == {}
+
+
+def _toy_command(args):
+    return args.used
+
+
+def test_the_scan_sees_an_ignored_option():
+    parser = argparse.ArgumentParser()
+    toy = parser.add_subparsers().add_parser("toy")
+    toy.add_argument("--used")
+    toy.add_argument("--unused")
+    toy.add_argument("--unused-too", dest="unused_too")
+    toy.set_defaults(func=_toy_command)
+    assert ignored_options(parser) == {"toy": ["unused", "unused_too"]}
