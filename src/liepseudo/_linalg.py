@@ -83,9 +83,6 @@ class RowReducer:
     def contains(self, row: Row) -> bool:
         return not self.reduce(row)
 
-    def basis(self) -> list[Row]:
-        return [dict(self.pivots[j]) for j in sorted(self.pivots)]
-
 
 def rank(rows: Iterable[Row]) -> int:
     red = RowReducer()
@@ -117,41 +114,30 @@ def nullspace(rows: Iterable[Row], ncols: int) -> list[Row]:
     return basis
 
 
-def solve_min_support(rows: list[Row], rhs: list[Fraction], ncols: int) -> Row | None:
-    """One exact solution of A x = b, or None if inconsistent.
-
-    Free unknowns are set to zero, so with columns ordered by preference the
-    result is the deterministic minimal-support representative.
-    """
-    red = RowReducer()
-    for r, b in zip(rows, rhs):
-        row = dict(r)
-        if b:
-            row[ncols] = -b
-        red.add(row)
-    if ncols in red.pivots:
-        return None  # pivot in the augmented column: inconsistent
-    sol: Row = {}
-    for j, piv in red.pivots.items():
-        # reduced row: x_j + sum_{k free} c_k x_k + c_aug = 0, free x_k := 0
-        b = -piv.get(ncols, ZERO)
-        if b:
-            sol[j] = b
-    return sol
-
-
-def span_coords(vectors: list[dict], target: dict) -> list[Fraction] | None:
-    """Coefficients c with sum_m c[m] * vectors[m] == target, or None if
-    target lies outside the span.
+def span_coords(vectors: list[dict], targets: list[dict]) -> list[list[Fraction] | None]:
+    """For each target, the coefficients c with sum_m c[m] * vectors[m] == target,
+    or None if the target lies outside the span.
 
     Vectors are sparse maps from any hashable coordinate to a nonzero
-    Fraction; dependent vectors get the `solve_min_support` representative.
+    Fraction.  The span is reduced once, each vector tagged by a column of
+    its own.  A vector in the span of the earlier ones is left out, so it gets
+    coefficient 0: with vectors ordered by preference this is the
+    deterministic minimal-support representative (free unknowns zero).
     """
-    eqs: dict = {}
+    index: dict = {}
+    for vec in vectors:
+        for j in vec:
+            index.setdefault(j, len(index))
+    tag = len(index)
+    red = RowReducer()
     for m, vec in enumerate(vectors):
-        for j, c in vec.items():
-            eqs.setdefault(j, {})[m] = c
-    if any(j not in eqs for j in target):
-        return None
-    sol = solve_min_support(list(eqs.values()), [target.get(j, ZERO) for j in eqs], len(vectors))
-    return None if sol is None else [sol.get(m, ZERO) for m in range(len(vectors))]
+        row = red.reduce({**{index[j]: c for j, c in vec.items()}, tag + m: ONE})
+        if min(row) < tag:
+            red.add(row)
+    out: list[list[Fraction] | None] = []
+    for target in targets:
+        row = red.reduce({index[j]: c for j, c in target.items()}) \
+            if target.keys() <= index.keys() else None
+        out.append(None if row is None or (row and min(row) < tag)
+                   else [-row.get(tag + m, ZERO) for m in range(len(vectors))])
+    return out

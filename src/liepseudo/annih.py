@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import Row, solve_min_support
+from ._linalg import Row, span_coords
 from .dualx import XElement
 from .errors import DimensionMismatch, NotInW0, SolveFailed, TruncationExceeded
 from .hopf import Hopf, MultiIndex, mi_below, mi_deg, mi_unit
@@ -277,9 +277,14 @@ def _solve_once(hopf: Hopf, memo_key: tuple, slots, rows: dict, rhs: dict,
                 validity: int) -> AnnElement:
     """Solve the system rows = rhs for the slot coefficients and memoize the
     element on the Hopf instance under memo_key = (name, ...)."""
-    keys = sorted(set(rows) | set(rhs))
-    sol = solve_min_support([rows.get(k, {}) for k in keys],
-                            [rhs.get(k, ZERO) for k in keys], len(slots))
+    # unknowns as vectors over the equations: rhs must lie in their span
+    cols: list[dict] = [{} for _ in slots]
+    for k, row in rows.items():
+        for col, c in row.items():
+            if c:
+                cols[col][k] = c
+    coeffs = span_coords(cols, [{k: c for k, c in rhs.items() if c}])[0]
+    sol = None if coeffs is None else {col: c for col, c in enumerate(coeffs) if c}
     if sol is None:
         raise SolveFailed(f"{memo_key[0]} system inconsistent at this truncation")
     hopf._ann_memo[memo_key] = _from_solution(hopf, slots, sol, validity)

@@ -3,8 +3,8 @@
 Basis monomials are b^(I) = b_1^{i_1} ... b_N^{i_N} / i_1! ... i_N! indexed by
 multi-indices I.  Products are straightened recursively through the
 commutation relations.  The per-instance memos (straightening, products,
-antipodes, and the tables that dualx and derham key on the algebra) are the
-only caches in the package, and their results are scheduling-independent.
+antipodes, the tables dualx and derham key on the algebra) and the action
+tables of a ModuleSpec are the only caches, all scheduling-independent.
 """
 
 from __future__ import annotations

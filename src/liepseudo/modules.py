@@ -5,16 +5,18 @@ pseudoaction stored as one left-normal PseudoValue per (basis vector of d,
 generator).  Everything else extends H-bilinearly.  Builders cover the
 tensor modules attached to a (d + gl d)-module, their duals and twists, and
 the shifted modules whose generator line consists of singular vectors.
-
 Module vectors are sparse maps multi-index -> coordinate tuple over R.
 
-Every solver (singular vectors, submodule closures, intertwiners) follows
-one path: `_act` applies an actor of `_sing_actors` (1 (x) b_i, or s_ab in
-S mode) to a module vector; `_add_rows` turns the normal-form coefficients
-of the resulting PseudoValue into equation rows; `nullspace` solves them
-exactly; `_vector_from_row` reads a solution back as a module vector.
-`sing_solve` is `sing_in_subspace` over the unit vectors, and span
-coordinates go through `_linalg.span_coords`.
+One sparse kernel, `ModuleSpec.action_pv` (with `w_star` on top), applies
+the pseudoaction to a vector and builds its value directly in the normal
+form the consumer reads, from the table stored once in that form:
+right-normal for `sing_in_subspace`, left-normal for `submodule_closure`,
+`solve_intertwiner` and the oracle's `ann_action`.  Every solver follows one
+path: `_act` applies an actor of `_sing_actors` (1 (x) b_i, or s_ab in S
+mode); `_add_rows` turns the coefficients into equation rows; `nullspace`
+solves them exactly; `_vector_from_row` reads a solution back.  `sing_solve`
+is `sing_in_subspace` over the unit vectors; span coordinates go through
+`_linalg.span_coords`, which reduces each span once.
 
 Module maps have one kernel each: `twist_vector` is the twisting functor
 T_Pi on a vector (behind `twist_module`, `twist_map` and the twist
@@ -28,7 +30,7 @@ which computes each (1 (x) b_a) * v once for all elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._linalg import Row, RowReducer, add_entry, nullspace, span_coords
@@ -48,7 +50,7 @@ from .liecore import (
     zero_matrix,
 )
 from .pseudoalg import WAlgebra, WElement
-from .twosided import LEFT, PseudoValue
+from .twosided import LEFT, RIGHT, PseudoValue
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -146,6 +148,7 @@ class ModuleSpec:
     name: str = ""
     rep_d: RepData | None = None
     rep_gl: RepData | None = None
+    _flat: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.table) != self.hopf.n:
@@ -161,31 +164,60 @@ class ModuleSpec:
     def unit(self, k: int, I: MultiIndex | None = None) -> ModuleVector:
         return ModuleVector.unit(self.hopf, self.dim, k, I)
 
-    def vector(self, terms: dict) -> ModuleVector:
-        return ModuleVector(self.hopf, self.dim, {tuple(I): tuple(map(rat, row)) for I, row in terms.items()})
-
     def basis_upto(self, p: int) -> list[tuple[MultiIndex, int]]:
         return [(I, k) for I in mi_below(self.hopf.n, p) for k in range(self.dim)]
 
     # -- the pseudoaction --------------------------------------------------
-    def action_pv(self, i: int, v: ModuleVector) -> PseudoValue:
-        """(1 (x) b_i) * v by H-bilinearity in the module argument."""
-        out = PseudoValue.zero(self.hopf, LEFT)
-        for I, row in v.terms.items():
-            mono = self.hopf.mono(I)
-            for k, c in enumerate(row):
-                if not c:
-                    continue
-                out = out.add(self.table[i][k].mul_second(mono).scale(c))
-        return out
+    def action_pv(self, i: int, v: ModuleVector, orient: str = LEFT) -> PseudoValue:
+        """(1 (x) b_i) * v in normal form `orient`.
 
-    def w_star(self, w: WElement, v: ModuleVector) -> PseudoValue:
-        """(sum_a h_a (x) b_a) * v = sum_a ((h_a (x) 1) (x)_H 1)((1 (x) b_a) * v)."""
-        out = PseudoValue.zero(self.hopf, LEFT)
+        By H-bilinearity b^(I) (x) u_k contributes table[i][k] with b^(I) in
+        its second slot.  On a right-normal table term (1 (x) b^(K)) (x)_H w
+        that is (1 (x) b^(I) b^(K)) (x)_H w; on a left-normal one
+        (b^(K) (x) 1) (x)_H w it is sum_{A+B=I} (b^(K) S(b^(A)) (x) 1) (x)_H b^(B) w.
+        """
+        hopf, dim = self.hopf, self.dim
+        table = self._flat_table(orient)[i]
+        acc: dict[MultiIndex, dict[MultiIndex, list[Fraction]]] = {}  # M -> J -> coordinates
+        for I, row in v.terms.items():
+            splits = [(hopf.antipode_mono(A), B) for A, B in mi_splits(I)] if orient == LEFT else ()
+            for k, c in enumerate(row):
+                for K, J, coords in table[k] if c else ():
+                    if orient == RIGHT:
+                        terms = [(M, J, x) for M, x in hopf.mono_mul(I, K).items()]
+                    else:
+                        terms = [(M, N, s * x * y) for SA, B in splits for A, s in SA.items()
+                                 for M, x in hopf.mono_mul(K, A).items()
+                                 for N, y in hopf.mono_mul(B, J).items()]
+                    for M, N, x in terms:
+                        at_m = acc.get(M) or acc.setdefault(M, {})
+                        cur = at_m.get(N) or at_m.setdefault(N, [ZERO] * dim)
+                        cx = c * x
+                        for r, y in coords:
+                            cur[r] += cx * y
+        return PseudoValue(hopf, orient, {
+            M: ModuleVector(hopf, dim, {N: tuple(cur) for N, cur in at_m.items()})
+            for M, at_m in acc.items()})
+
+    def _flat_table(self, orient: str) -> list:
+        """table[i][k] in normal form `orient` as flat terms (K, J, [(r, c)]):
+        b^(K) in the normal-form slot and w = b^(J) (x) sum c u_r over the
+        nonzero c.  Built once per form; n * dim entries."""
+        flat = self._flat.get(orient)
+        if flat is None:
+            flat = self._flat[orient] = [
+                [[(K, J, [(r, c) for r, c in enumerate(coords) if c])
+                  for K, w in val.convert(orient).terms.items() for J, coords in w.terms.items()]
+                 for val in row] for row in self.table]
+        return flat
+
+    def w_star(self, w: WElement, v: ModuleVector, orient: str = LEFT) -> PseudoValue:
+        """(sum_a h_a (x) b_a) * v = sum_a ((h_a (x) 1) (x)_H 1)((1 (x) b_a) * v),
+        each (1 (x) b_a) * v taken in normal form `orient`."""
+        out = PseudoValue.zero(self.hopf, orient)
         for a, h in enumerate(w.comps):
-            if h.is_zero():
-                continue
-            out = out.add(self.action_pv(a, v).mul_first(h))
+            if not h.is_zero():
+                out = out.add(self.action_pv(a, v, orient).mul_first(h))
         return out
 
     def full_tensor(self, p: PseudoValue) -> list[tuple[MultiIndex, MultiIndex, int, Fraction]]:
@@ -222,33 +254,25 @@ def tensor_module(hopf: Hopf, pi: RepData, u: RepData, name: str = "") -> Module
     pi.validate()
     u.validate()
     d_part, gl_part = box_tensor(pi, u)
-    n = hopf.n
-    dim = d_part.dim
-    one = hopf.one()
+    n, dim, zero = hopf.n, d_part.dim, mi_zero(hopf.n)
     ad = hopf.lie.adjoint()
     table = []
     for i in range(n):
-        row = []
         ad_on_R = gl_part.gl_of(ad.d_matrix(i))
+        row = []
         for k in range(dim):
-            base = ModuleVector.unit(hopf, dim, k)
+            # left-normal, with -(1 (x) b_i) (x)_H w = (b_i (x) 1) (x)_H w - (1 (x) 1) (x)_H b_i w
+            unit = [ONE if r == k else ZERO for r in range(dim)]
             head = tuple(ad_on_R[r][k] + d_part.d_matrix(i)[r][k] for r in range(dim))
-            val = PseudoValue.from_tensor(
-                one, one, ModuleVector(hopf, dim, {mi_zero(n): head})
-            )
+            terms = {zero: ModuleVector(hopf, dim, {zero: head,
+                                                     mi_unit(n, i): tuple(-x for x in unit)})}
             for j in range(n):
-                col = tuple(gl_part.gl_matrix(i, j)[r][k] for r in range(dim))
-                if any(col):
-                    val = val.add(
-                        PseudoValue.from_tensor(
-                            hopf.gen(j), one, ModuleVector(hopf, dim, {mi_zero(n): col})
-                        )
-                    )
-            val = val.add(PseudoValue.from_tensor(one, hopf.gen(i), base).neg())
-            row.append(val)
-        table.append(row)
-    return ModuleSpec(hopf, dim, tuple(tuple(r) for r in table), name=name,
-                      rep_d=d_part, rep_gl=gl_part)
+                col = [gl_part.gl_matrix(i, j)[r][k] + (unit[r] if j == i else ZERO)
+                       for r in range(dim)]
+                terms[mi_unit(n, j)] = ModuleVector(hopf, dim, {zero: tuple(col)})
+            row.append(PseudoValue(hopf, LEFT, terms))
+        table.append(tuple(row))
+    return ModuleSpec(hopf, dim, tuple(table), name=name, rep_d=d_part, rep_gl=gl_part)
 
 
 def shifted_module(hopf: Hopf, pi: RepData, u: RepData, name: str = "") -> ModuleSpec:
@@ -438,10 +462,10 @@ def _sing_actors(V: ModuleSpec, mode: str, chi: TraceForm | None):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _act(V: ModuleSpec, actor, v: ModuleVector) -> PseudoValue:
-    """a * v for an actor (label, i, w) of `_sing_actors`: 1 (x) b_i, or w."""
+def _act(V: ModuleSpec, actor, v: ModuleVector, orient: str) -> PseudoValue:
+    """a * v in normal form `orient` for an actor (label, i, w): 1 (x) b_i, or w."""
     _label, i, w = actor
-    return V.action_pv(i, v) if w is None else V.w_star(w, v)
+    return V.action_pv(i, v, orient) if w is None else V.w_star(w, v, orient)
 
 
 def _add_entry(rows: dict[tuple, Row], key: tuple, col: int, c: Fraction) -> None:
@@ -584,7 +608,7 @@ class Closure:
         return len(self.basis)
 
     def contains(self, v: ModuleVector) -> bool:
-        return span_coords([_coords(b) for b in self.basis], _coords(v)) is not None
+        return span_coords([_coords(b) for b in self.basis], [_coords(v)])[0] is not None
 
     def same_space(self, other: "Closure") -> bool:
         # a closure basis is the reduced-echelon basis of its span in the
@@ -625,7 +649,7 @@ def submodule_closure(V: ModuleSpec, gens: list[ModuleVector], fil_bound: int,
             if v.degree() + 1 <= work:
                 push(v.hmul(V.hopf.gen(i)))
         for actor in actors:
-            for comp in _act(V, actor, v).to_left().terms.values():
+            for comp in _act(V, actor, v, LEFT).terms.values():
                 push(comp)
     # restrict to fil^bound: echelon rows whose pivot (highest-degree
     # coordinate) already lies inside fil^bound have all coordinates there
@@ -654,17 +678,16 @@ def symbol_matrix(V: ModuleSpec, vectors: list[ModuleVector], els: list[AnnEleme
     """For each annihilation element el of `els`, the coordinate columns of
     -el . v in span(vectors) for each v of `vectors` (None for an el under
     which the span is not invariant).  Each (1 (x) b_a) * v is computed once
-    per vector, whatever the number of elements."""
-    span = [_coords(v) for v in vectors]
-    mats: list[list | None] = [[] for _ in els]
+    per vector, whatever the number of elements, and the span is reduced once."""
+    images: list[list[Row]] = [[] for _ in els]
     for v in vectors:
         action_pv = _action_once(V)
         for m, el in enumerate(els):
-            if mats[m] is not None:
-                out = ann_action(el, v, action_pv)
-                coords = span_coords(span, _coords(out.scale(-1)) if out is not None else {})
-                mats[m] = None if coords is None else [*mats[m], coords]
-    return mats
+            out = ann_action(el, v, action_pv)
+            images[m].append(_coords(out.scale(-1)) if out is not None else {})
+    cols = span_coords([_coords(v) for v in vectors], [t for ts in images for t in ts])
+    per_el = [cols[m * len(vectors):(m + 1) * len(vectors)] for m in range(len(els))]
+    return [None if None in c else c for c in per_el]
 
 
 def id_symbol_matrix(V: ModuleSpec, vectors: list[ModuleVector]):
@@ -726,7 +749,7 @@ def sing_in_subspace(V: ModuleSpec, vectors: list[ModuleVector], mode: str = "W"
     rows: dict[tuple, Row] = {}
     for m, v in enumerate(vectors):
         for actor in actors:
-            for K, mv in _act(V, actor, v).to_right().terms.items():
+            for K, mv in _act(V, actor, v, RIGHT).terms.items():
                 if mi_deg(K) >= threshold:
                     _add_rows(rows, (actor[0], K), m, mv)
     ker = nullspace([rows[k] for k in sorted(rows)], len(vectors))
@@ -754,7 +777,7 @@ def solve_intertwiner(V: ModuleSpec, W: ModuleSpec, fil_bound: int,
         label = actor[0]
         for g in range(V.dim):
             # beta applied to the third slot: beta(b^(J) (x) v_r) = b^(J) beta(v_r)
-            for I, mv in _act(V, actor, V.unit(g)).to_left().terms.items():
+            for I, mv in _act(V, actor, V.unit(g), LEFT).terms.items():
                 for J, rowc in mv.terms.items():
                     for r, c in enumerate(rowc):
                         if not c:
@@ -768,7 +791,7 @@ def solve_intertwiner(V: ModuleSpec, W: ModuleSpec, fil_bound: int,
             for Jp in below:
                 for rp in range(W.dim):
                     col = index[(g, Jp, rp)]
-                    for I, mv in _act(W, actor, W.unit(rp, Jp)).to_left().terms.items():
+                    for I, mv in _act(W, actor, W.unit(rp, Jp), LEFT).terms.items():
                         _add_rows(rows, (label, g, I), col, mv, -ONE)
     ker = nullspace([rows[k] for k in sorted(rows)], len(slots))
     units = [W.unit(r, J) for _g, J, r in slots]

@@ -33,7 +33,8 @@ class PseudoValue:
 
     @classmethod
     def from_tensor(cls, f: HElement, g: HElement, vec, orient: str = LEFT) -> "PseudoValue":
-        """Normal form of (f (x) g) (x)_H vec."""
+        """Normal form of (f (x) g) (x)_H vec: sum (f S(g_(1)) (x) 1) (x)_H g_(2) vec,
+        or sum (1 (x) g S(f_(1))) (x)_H f_(2) vec, the outer factor on the left."""
         hopf = f.hopf
         terms: dict[MultiIndex, object] = {}
         if orient == LEFT:
@@ -43,11 +44,11 @@ class PseudoValue:
         for J, c in inner.coeffs.items():
             for A, B in mi_splits(J):
                 sA = hopf.element(hopf.antipode_mono(A))
-                left = (outer * sA) if orient == LEFT else (sA * outer)
+                factor = outer * sA
                 moved = vec.hmul(hopf.mono(B)).scale(c)
                 if moved.is_zero():
                     continue
-                for I, c2 in left.coeffs.items():
+                for I, c2 in factor.coeffs.items():
                     _acc(terms, I, moved.scale(c2))
         return cls(hopf, orient, terms)
 

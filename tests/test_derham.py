@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -275,7 +276,6 @@ def test_d_intertwines_twisted(any_preset2):
 
 def koszul_expected(N, n, p, mp):
     """Oracle for the abelian case: ranks of the Koszul differential."""
-    from math import comb
 
     # dim fil^p of degree n
     def dim_fil(n_, p_):
@@ -285,17 +285,11 @@ def koszul_expected(N, n, p, mp):
 
     # rank by exactness of the Koszul complex: rank(d^n|fil^p) =
     # dim fil^p - ker, with ker = image one degree down + (n = 0: 0)
-    rank_ = 0
     ranks = {}
     for nn in range(N):
         for pp in range(p + 2):
-            dom = dim_fil(nn, pp)
-            if nn == 0:
-                ker = 0 if pp >= 0 else 0
-                ker = 0
-            else:
-                ker = ranks.get((nn - 1, pp - 1), 0)
-            ranks[(nn, pp)] = dom - ker
+            ker = 0 if nn == 0 else ranks.get((nn - 1, pp - 1), 0)
+            ranks[(nn, pp)] = dim_fil(nn, pp) - ker
     return ranks
 
 
@@ -498,6 +492,25 @@ def test_sing_fingerprint_acts_once_per_vector(monkeypatch):
         "id_trace": "9",
     }
     assert len(calls) == H.n * len(res.basis) == 12
+
+
+def test_sing_fingerprint_reduces_its_span_once(monkeypatch):
+    # all n^2 symbols on all singular vectors are read off one reduced span
+    from liepseudo import modules
+
+    H = hopf_for("heis3")
+    T = tensor_module(H, trivial_pi(H), omega_rep(H.lie, 1))
+    res = sing_solve(T, 2, "W")
+    calls = []
+    real = modules.span_coords
+
+    def counting(vectors, targets):
+        calls.append((len(vectors), len(targets)))
+        return real(vectors, targets)
+
+    monkeypatch.setattr(modules, "span_coords", counting)
+    assert sing_fingerprint(T, res)["id_trace"] == "9"
+    assert calls == [(4, H.n ** 2 * 4)]
 
 
 def test_d_images_build_each_omega_module_once(monkeypatch):

@@ -1,0 +1,54 @@
+from fractions import Fraction
+
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from liepseudo._linalg import RowReducer, span_coords
+
+ZERO = Fraction(0)
+
+_COEFFS = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+_SPARSE = st.dictionaries(st.sampled_from("abcde"), _COEFFS.filter(bool), max_size=4)
+
+
+def _span_coords_one_solve(vectors, target):
+    """The reference: one reduced augmented system per target, the equations
+    sum_m x_m vectors[m][j] = target[j] for each coordinate j of the span,
+    with every free unknown set to zero."""
+    eqs: dict = {}
+    for m, vec in enumerate(vectors):
+        for j, c in vec.items():
+            eqs.setdefault(j, {})[m] = c
+    if any(j not in eqs for j in target):
+        return None
+    aug = len(vectors)
+    red = RowReducer()
+    for j, row in eqs.items():
+        red.add({**row, aug: -target[j]} if target.get(j) else row)
+    if aug in red.pivots:
+        return None  # a pivot in the augmented column: inconsistent
+    return [-red.pivots[m].get(aug, ZERO) if m in red.pivots else ZERO for m in range(aug)]
+
+
+def _combine(vectors, coeffs):
+    out: dict = {}
+    for vec, c in zip(vectors, coeffs):
+        for j, x in vec.items():
+            out[j] = out.get(j, ZERO) + c * x
+    return {j: x for j, x in out.items() if x}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+@given(st.lists(_SPARSE, max_size=5), st.lists(st.lists(_COEFFS, min_size=6, max_size=6), max_size=3),
+       st.lists(_SPARSE, max_size=2))
+def test_span_coords_matches_one_solve_per_target(vectors, combos, strays):
+    # a combination of the first two vectors makes the span dependent, so the
+    # representative of a target in the span is not unique
+    vectors = vectors + [_combine(vectors[:2], [Fraction(1), Fraction(-2)])]
+    targets = [_combine(vectors, c) for c in combos] + strays + [{}]
+    got = span_coords(vectors, targets)
+    assert got == [_span_coords_one_solve(vectors, t) for t in targets]
+    for t, coords in zip(targets, got):
+        if coords is not None:
+            assert _combine(vectors, coords) == t

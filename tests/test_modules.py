@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from liepseudo.hopf import Hopf, mi_below, mi_deg, mi_unit, mi_zero
 from liepseudo.liecore import (
     LieData, RepData, TraceForm, mat, omega_rep, preset, sym2_dual_rep,
 )
+from liepseudo import modules
 from liepseudo.modules import (
     ModuleVector,
     apply_map,
@@ -32,7 +34,7 @@ from liepseudo.modules import (
     unshift_module,
 )
 from liepseudo.pseudoalg import WAlgebra
-from liepseudo.twosided import PseudoValue, module_defect
+from liepseudo.twosided import LEFT, RIGHT, PseudoValue, module_defect
 
 from conftest import hopf_for
 
@@ -624,3 +626,111 @@ def test_twist_identities_on_semidirect_k_k2(entries):
                for i in range(H.n) for k in range(direct.dim))
     report = checks.twist_conjugation(H, pi, 2)
     assert report.ok, report.first_failure
+
+
+def _action_by_mul_second(V, i, v, orient):
+    """The reference formula sum c * table[i][k].mul_second(b^(I)) over the
+    terms c b^(I) (x) u_k of v, on the table converted to `orient`, with the
+    terms of one b^(I) summed first."""
+    out = PseudoValue.zero(V.hopf, orient)
+    for I, row in v.terms.items():
+        at_I = PseudoValue.zero(V.hopf, orient)
+        for k, c in enumerate(row):
+            at_I = at_I.add(V.table[i][k].convert(orient).scale(c))
+        out = out.add(at_I.mul_second(V.hopf.mono(I)))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_module(name, kind):
+    H = hopf_for(name)
+    if kind == "tensor":
+        return tensor_module(H, trivial_pi(H), omega_rep(H.lie, 1))
+    if kind == "dual":
+        return dual_module(tensor_module(H, trivial_pi(H), omega_rep(H.lie, 1)))
+    if kind == "twist":
+        return twist_module(H.lie.adjoint(), tensor_module(H, trivial_pi(H), trivial_u(H)))
+    return shifted_module(H, trivial_pi(H), omega_rep(H.lie, 1))
+
+
+_NONZERO_COEFFS = st.sampled_from([Fraction(c) for c in ("-2", "-1", "-1/2", "1/3", "1", "3/2")])
+
+
+# no shrinking: a failing example names its algebra, module, actor and vector
+@settings(max_examples=10, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+@given(st.sampled_from(list(itertools.product(["abelian3", "heis3", "sl2", "solv3"],
+                                              ["tensor", "dual", "twist", "shifted"]))),
+       st.integers(0, 2), st.integers(0, 2), st.integers(1, 3), st.data())
+def test_action_kernel_matches_the_mul_second_formula(module, i, s_index, deg, data):
+    V = _kernel_module(*module)
+    H = V.hopf
+    slots = mi_below(H.n, deg)
+    coeffs = data.draw(st.lists(_NONZERO_COEFFS, min_size=V.dim * len(slots),
+                                max_size=V.dim * len(slots)))
+    v = ModuleVector(H, V.dim, {I: tuple(coeffs[V.dim * m:V.dim * (m + 1)])
+                                for m, I in enumerate(slots)})
+    for orient in (LEFT, RIGHT):
+        got = V.action_pv(i, v, orient)
+        assert got.orient == orient, orient
+        assert got.eq(_action_by_mul_second(V, i, v, orient)), (module, i, orient)
+    # w_star in either form is sum_a ((h_a (x) 1) (x)_H 1)((1 (x) b_a) * v)
+    _ab, s = WAlgebra(H).s_generators(H.lie.zero_trace_form())[s_index]
+    expect = PseudoValue.zero(H)
+    for a, h in enumerate(s.comps):
+        expect = expect.add(V.action_pv(a, v, LEFT).mul_first(h))
+    for orient in (LEFT, RIGHT):
+        got = V.w_star(s, v, orient)
+        assert got.orient == orient and got.eq(expect), (module, s_index, orient)
+
+
+def _count_calls(monkeypatch, counts):
+    real_convert, real_from_tensor = PseudoValue.convert, PseudoValue.from_tensor
+
+    def convert(self, orient):
+        counts["convert"] += 1
+        return real_convert(self, orient)
+
+    def from_tensor(cls, *args, **kwargs):
+        counts["from_tensor"] += 1
+        return real_from_tensor(*args, **kwargs)
+
+    monkeypatch.setattr(PseudoValue, "convert", convert)
+    monkeypatch.setattr(PseudoValue, "from_tensor", classmethod(from_tensor))
+
+
+def test_w_mode_solve_reads_the_right_normal_table(monkeypatch):
+    # the right-normal table is converted once, one convert per entry; after
+    # that a W-mode solve does no renormalisation at all
+    H = hopf_for("heis3")
+    T = tensor_module(H, trivial_pi(H), omega_rep(H.lie, 1))
+    counts = {"convert": 0, "from_tensor": 0}
+    _count_calls(monkeypatch, counts)
+    first = sing_solve(T, 2, "W")
+    assert counts == {"convert": H.n * T.dim, "from_tensor": 0}
+    counts.update(convert=0)
+    second = sing_solve(T, 2, "W")
+    assert counts == {"convert": 0, "from_tensor": 0}
+    assert [v.serialize() for v in first.basis] == [v.serialize() for v in second.basis]
+    assert first.degree_profile() == {0: 3, 1: 1}
+
+
+@pytest.mark.parametrize("name, mode", [("heis3", "W"), ("abelian3", "S")])
+def test_closure_converts_at_most_once_per_action(monkeypatch, name, mode):
+    H = hopf_for(name)
+    T = tensor_module(H, trivial_pi(H), omega_rep(H.lie, 1))
+    chi = H.lie.zero_trace_form() if mode == "S" else None
+    gens = [v for v in sing_solve(T, 2, mode, chi).basis if v.degree() > 0]
+    counts = {"convert": 0, "from_tensor": 0}
+    _count_calls(monkeypatch, counts)
+    acts = []
+    real_act = modules._act
+
+    def act(V, actor, v, orient):
+        acts.append(orient)
+        return real_act(V, actor, v, orient)
+
+    monkeypatch.setattr(modules, "_act", act)
+    clo = submodule_closure(T, gens, 2, mode, chi)
+    assert gens and clo.dim > 0
+    assert set(acts) == {LEFT} and 0 < counts["convert"] <= len(acts)

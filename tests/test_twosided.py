@@ -97,3 +97,17 @@ def test_mul_slots_against_tensor_builder(any_preset):
     built_l = PseudoValue.from_tensor(f * h, H.one(), v)
     stepped_l = PseudoValue.from_tensor(h, H.one(), v).mul_first(f)
     assert built_l.eq(stepped_l)
+
+
+def test_from_tensor_normal_forms_agree(any_preset):
+    # (f (x) g) (x)_H v = (1 (x) g S(f_(1))) (x)_H f_(2) v: the right-normal
+    # form must multiply g by S(f_(1)) on the right, which matters once f and
+    # g do not commute (sl2, heis3, solv2)
+    H = any_preset
+    v = WAlgebra(H).gen(0)
+    for I in mi_below(H.n, 2):
+        for J in mi_below(H.n, 2):
+            f, g = H.mono(I), H.mono(J)
+            right = PseudoValue.from_tensor(f, g, v, RIGHT)
+            assert right.orient == RIGHT
+            assert right.eq(PseudoValue.from_tensor(f, g, v, LEFT)), (H.lie.name, I, J)
