@@ -51,9 +51,12 @@ ZERO = Fraction(0)
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            blob = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read JSON from {path}: {exc}")
+    if not isinstance(blob, dict):
+        raise ConfigError(f"{path} holds a JSON {type(blob).__name__}, not an object")
+    return blob
 
 
 def _spec_int(spec: str, least: int) -> int:
@@ -89,7 +92,7 @@ def load_algebra(source: str) -> tuple[LieData, dict]:
         dim = int(blob["dim"])
         entries = [(i - 1, j - 1, k - 1, rat(c)) for i, j, k, c in blob.get("brackets", [])]
         lie = LieData.from_entries(dim, entries, name=os.path.basename(source))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad algebra schema in {source}: {exc}")
     return lie, blob
 
@@ -102,7 +105,7 @@ def load_chi(lie: LieData, spec: str | None, blob: dict) -> TraceForm:
     if isinstance(spec, str) and spec == "tr_ad":
         return lie.tr_ad()
     values = spec.split(",") if isinstance(spec, str) else spec
-    if len(values) != lie.dim:
+    if not isinstance(values, list) or len(values) != lie.dim:
         raise ConfigError(f"chi needs {lie.dim} entries")
     try:
         return TraceForm(lie, _spec_rats(values, "chi"))
@@ -111,15 +114,18 @@ def load_chi(lie: LieData, spec: str | None, blob: dict) -> TraceForm:
 
 
 def _mats_from_blob(blob: dict, count: int, what: str) -> list:
-    mats = blob.get("mats")
+    mats = blob.get("mats") if isinstance(blob, dict) else None
     if not isinstance(mats, list) or len(mats) != count:
         raise ConfigError(f"{what}: need {count} matrices")
-    dim = int(blob["dim"])
-    out = []
-    for m in mats:
-        if len(m) != dim or any(len(row) != dim for row in m):
-            raise ConfigError(f"{what}: matrices must be {dim}x{dim}")
-        out.append(tuple(tuple(rat(str(v)) for v in row) for row in m))
+    try:
+        dim = int(blob["dim"])
+        out = []
+        for m in mats:
+            if len(m) != dim or any(len(row) != dim for row in m):
+                raise ConfigError(f"{what}: matrices must be {dim}x{dim}")
+            out.append(tuple(tuple(rat(str(v)) for v in row) for row in m))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{what}: bad matrix data: {exc}") from None
     return out
 
 
@@ -171,7 +177,7 @@ def load_u(lie: LieData, spec: str | None, blob: dict) -> RepData:
     except LiePseudoError as exc:
         raise ConfigError(f"u: {exc}")
     if "id_scalar" in spec_blob:
-        rep = rep.with_id_scalar(rat(str(spec_blob["id_scalar"])))
+        rep = rep.with_id_scalar(_spec_rats([spec_blob["id_scalar"]], "u id_scalar")[0])
     return rep
 
 

@@ -405,9 +405,9 @@ def classify_report(hopf: Hopf, pi: RepData, u: RepData, mode: str = "W",
                     chi: TraceForm | None = None, fil_bound: int | None = None) -> dict:
     """Irreducibility verdict for the tensor module of (pi, u) with evidence.
 
-    Runs the quadratic coefficient test, the singular-vector solver, and,
-    when the gl(d)-part is a wedge power of the coordinate forms, the
-    submodule closures of the differential images.
+    Runs the quadratic coefficient test, the singular-vector solver, and the
+    submodule closures seeded from the singular blocks above degree 0: the
+    top identity-symbol block in W mode, each degree and above in S mode.
     """
     N = hopf.n
     mode = mode.upper()

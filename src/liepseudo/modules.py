@@ -7,16 +7,20 @@ tensor modules attached to a (d + gl d)-module, their duals and twists, and
 the shifted modules whose generator line consists of singular vectors.
 Module vectors are sparse maps multi-index -> coordinate tuple over R.
 
-One sparse kernel, `ModuleSpec.action_pv` (with `w_star` on top), applies
-the pseudoaction to a vector and builds its value directly in the normal
-form the consumer reads, from the table stored once in that form:
-right-normal for `sing_in_subspace`, left-normal for `submodule_closure`,
-`solve_intertwiner` and the oracle's `ann_action`.  Every solver follows one
-path: `_act` applies an actor of `_sing_actors` (1 (x) b_i, or s_ab in S
-mode); `_add_rows` turns the coefficients into equation rows; `nullspace`
-solves them exactly; `_vector_from_row` reads a solution back.  `sing_solve`
-is `sing_in_subspace` over the unit vectors; span coordinates go through
-`_linalg.span_coords`, which reduces each span once.
+One pseudoaction operator, `ModuleSpec.action_pv(i, v, orient)`, computes
+(1 (x) b_i) * v directly in the normal form its consumer reads, from the
+table stored once in that form: right-normal for `sing_in_subspace`,
+left-normal for everything else.  It keeps the at most n values of the last
+(vector, form) until another replaces them, so all readers of one vector
+share its actions.  Every actor is a W(d) element w (1 (x) b_i in W mode,
+s_ab in S mode), applied by `w_star` as sum_a (h_a (x) 1)((1 (x) b_a) * v),
+which is (1 (x) b_a) * v itself for w = 1 (x) b_a.  Every solver loops over
+vectors outermost and follows one path: `_sing_actors` gives the actors
+(label, w); `_add_rows` turns the coefficients of w * v into equation rows;
+`nullspace` solves them; `_vector_from_row` reads a solution back.
+`sing_solve` is `sing_in_subspace` over the unit vectors; the oracle spans
+its annihilation elements as iota(x_K, w) over the same actors.  Span
+coordinates go through `_linalg.span_coords`, which reduces each span once.
 
 Module maps have one kernel each: `twist_vector` is the twisting functor
 T_Pi on a vector (behind `twist_module`, `twist_map` and the twist
@@ -24,8 +28,6 @@ conjugation check), `apply_map` the H-linear extension of generator images
 (behind `pseudo_d` and the exactness ranks), and `symbol_matrix` the
 matrices of a list of annihilation elements on a span (behind
 `id_symbol_matrix`, one element, and `sing_fingerprint`, all x^j (x) b_i).
-`symbol_matrix` and the oracle act on a vector through `_action_once`,
-which computes each (1 (x) b_a) * v once for all elements.
 """
 
 from __future__ import annotations
@@ -149,6 +151,7 @@ class ModuleSpec:
     rep_d: RepData | None = None
     rep_gl: RepData | None = None
     _flat: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _last: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.table) != self.hopf.n:
@@ -176,6 +179,16 @@ class ModuleSpec:
         that is (1 (x) b^(I) b^(K)) (x)_H w; on a left-normal one
         (b^(K) (x) 1) (x)_H w it is sum_{A+B=I} (b^(K) S(b^(A)) (x) 1) (x)_H b^(B) w.
         """
+        # The values of the last (vector, form) are kept, at most n.  Module
+        # vectors are never mutated after construction (nothing assigns to
+        # .terms), so they stay right while `v` is that object; holding it
+        # keeps its id from being reused.
+        last, last_orient, acted = self._last
+        if last is not v or last_orient != orient:
+            acted = {}
+            self._last = (v, orient, acted)
+        if i in acted:
+            return acted[i]
         hopf, dim = self.hopf, self.dim
         table = self._flat_table(orient)[i]
         acc: dict[MultiIndex, dict[MultiIndex, list[Fraction]]] = {}  # M -> J -> coordinates
@@ -195,9 +208,10 @@ class ModuleSpec:
                         cx = c * x
                         for r, y in coords:
                             cur[r] += cx * y
-        return PseudoValue(hopf, orient, {
+        acted[i] = PseudoValue(hopf, orient, {
             M: ModuleVector(hopf, dim, {N: tuple(cur) for N, cur in at_m.items()})
             for M, at_m in acc.items()})
+        return acted[i]
 
     def _flat_table(self, orient: str) -> list:
         """table[i][k] in normal form `orient` as flat terms (K, J, [(r, c)]):
@@ -213,11 +227,14 @@ class ModuleSpec:
 
     def w_star(self, w: WElement, v: ModuleVector, orient: str = LEFT) -> PseudoValue:
         """(sum_a h_a (x) b_a) * v = sum_a ((h_a (x) 1) (x)_H 1)((1 (x) b_a) * v),
-        each (1 (x) b_a) * v taken in normal form `orient`."""
+        each (1 (x) b_a) * v taken in normal form `orient`; for w = 1 (x) b_a
+        that is (1 (x) b_a) * v itself."""
+        terms = [(a, h) for a, h in enumerate(w.comps) if not h.is_zero()]
+        if len(terms) == 1 and terms[0][1] == self.hopf.one():
+            return self.action_pv(terms[0][0], v, orient)
         out = PseudoValue.zero(self.hopf, orient)
-        for a, h in enumerate(w.comps):
-            if not h.is_zero():
-                out = out.add(self.action_pv(a, v, orient).mul_first(h))
+        for a, h in terms:
+            out = out.add(self.action_pv(a, v, orient).mul_first(h))
         return out
 
     def full_tensor(self, p: PseudoValue) -> list[tuple[MultiIndex, MultiIndex, int, Fraction]]:
@@ -446,26 +463,18 @@ class SingResult:
 
 
 def _sing_actors(V: ModuleSpec, mode: str, chi: TraceForm | None):
+    """The actors (label, w), 1 (x) b_i or s_ab, and the least degree |K| of
+    the coefficients of w * v that vanish on a singular v."""
     walg = WAlgebra(V.hopf)
     if mode == "W":
-        return [(f"b_{i+1}", i, None) for i in range(V.hopf.n)], 2
+        return [(f"b_{i+1}", walg.gen(i)) for i in range(V.hopf.n)], 2
     if mode == "S":
         if V.hopf.n <= 2:
             raise DimensionTooSmall("S mode requires dim d >= 3")
         if chi is None:
             raise RepInvalid("S mode needs the trace form chi")
-        actors = [
-            (f"s_{a+1}{b+1}", None, s)
-            for (a, b), s in walg.s_generators(chi)
-        ]
-        return actors, 3
+        return [(f"s_{a+1}{b+1}", s) for (a, b), s in walg.s_generators(chi)], 3
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _act(V: ModuleSpec, actor, v: ModuleVector, orient: str) -> PseudoValue:
-    """a * v in normal form `orient` for an actor (label, i, w): 1 (x) b_i, or w."""
-    _label, i, w = actor
-    return V.action_pv(i, v, orient) if w is None else V.w_star(w, v, orient)
 
 
 def _add_entry(rows: dict[tuple, Row], key: tuple, col: int, c: Fraction) -> None:
@@ -511,37 +520,26 @@ def sing_solve(V: ModuleSpec, fil_bound: int, mode: str = "W",
 def sing_solve_oracle(V: ModuleSpec, fil_bound: int, mode: str = "W",
                       chi: TraceForm | None = None,
                       validity: int | None = None) -> SingResult:
-    """Independent route: v is singular iff the spanning annihilation
-    elements of W_1 (resp. S_1) kill it under the contraction action."""
+    """Independent route: v is singular iff the annihilation elements
+    iota(x_K (x)_H w) over the actors w, threshold <= |K| <= fil + threshold,
+    which span W_1 (resp. S_1), kill it under the contraction action."""
     hopf = V.hopf
     validity = validity if validity is not None else fil_bound + 4
+    actors, threshold = _sing_actors(V, mode, chi)
     units = _units(V, V.basis_upto(fil_bound))
     spanning: list[tuple[str, AnnElement]] = []
-    if mode == "W":
-        for K in mi_below(hopf.n, fil_bound + 2):
-            if mi_deg(K) < 2:
-                continue
-            for a in range(hopf.n):
-                spanning.append(
-                    (f"x_{K}(x)b_{a+1}",
-                     AnnElement.term(hopf, XElement.mono(hopf, K, 1, validity), a))
-                )
-    else:
-        walg = WAlgebra(hopf)
-        if chi is None:
-            raise RepInvalid("S mode needs the trace form chi")
-        for K in mi_below(hopf.n, fil_bound + 3):
-            if mi_deg(K) < 3:
-                continue
-            for (a, b), s in walg.s_generators(chi):
-                el = iota(XElement.mono(hopf, K, 1, validity), s)
-                if not el.is_zero():
-                    spanning.append((f"x_{K}.s_{a+1}{b+1}", el))
+    for K in mi_below(hopf.n, fil_bound + threshold):
+        if mi_deg(K) < threshold:
+            continue
+        x = XElement.mono(hopf, K, 1, validity)
+        for label, w in actors:
+            el = iota(x, w)
+            if not el.is_zero():
+                spanning.append((f"x_{K}.{label}", el))
     rows: dict[tuple, Row] = {}
     for col, vec in enumerate(units):
-        action_pv = _action_once(V)
         for label, el in spanning:
-            out = ann_action(el, vec, action_pv)
+            out = ann_action(el, vec, V.action_pv)
             if out is not None:
                 _add_rows(rows, (label,), col, out)
     ker = nullspace([rows[k] for k in sorted(rows)], len(units))
@@ -648,8 +646,8 @@ def submodule_closure(V: ModuleSpec, gens: list[ModuleVector], fil_bound: int,
         for i in range(V.hopf.n):
             if v.degree() + 1 <= work:
                 push(v.hmul(V.hopf.gen(i)))
-        for actor in actors:
-            for comp in _act(V, actor, v, LEFT).terms.values():
+        for _label, w in actors:
+            for comp in V.w_star(w, v, LEFT).terms.values():
                 push(comp)
     # restrict to fil^bound: echelon rows whose pivot (highest-degree
     # coordinate) already lies inside fil^bound have all coordinates there
@@ -667,13 +665,6 @@ def submodule_closure(V: ModuleSpec, gens: list[ModuleVector], fil_bound: int,
     return Closure(V, fil_bound, basis, coef.rank)
 
 
-def _action_once(V: ModuleSpec):
-    """An `action_pv` for `ann_action` on one vector v: each (1 (x) b_a) * v
-    is computed on first use and shared by every annihilation element."""
-    acted: dict[int, PseudoValue] = {}
-    return lambda a, v: acted[a] if a in acted else acted.setdefault(a, V.action_pv(a, v))
-
-
 def symbol_matrix(V: ModuleSpec, vectors: list[ModuleVector], els: list[AnnElement]):
     """For each annihilation element el of `els`, the coordinate columns of
     -el . v in span(vectors) for each v of `vectors` (None for an el under
@@ -681,9 +672,8 @@ def symbol_matrix(V: ModuleSpec, vectors: list[ModuleVector], els: list[AnnEleme
     per vector, whatever the number of elements, and the span is reduced once."""
     images: list[list[Row]] = [[] for _ in els]
     for v in vectors:
-        action_pv = _action_once(V)
         for m, el in enumerate(els):
-            out = ann_action(el, v, action_pv)
+            out = ann_action(el, v, V.action_pv)
             images[m].append(_coords(out.scale(-1)) if out is not None else {})
     cols = span_coords([_coords(v) for v in vectors], [t for ts in images for t in ts])
     per_el = [cols[m * len(vectors):(m + 1) * len(vectors)] for m in range(len(els))]
@@ -748,10 +738,10 @@ def sing_in_subspace(V: ModuleSpec, vectors: list[ModuleVector], mode: str = "W"
     actors, threshold = _sing_actors(V, mode, chi)
     rows: dict[tuple, Row] = {}
     for m, v in enumerate(vectors):
-        for actor in actors:
-            for K, mv in _act(V, actor, v, RIGHT).terms.items():
+        for label, w in actors:
+            for K, mv in V.w_star(w, v, RIGHT).terms.items():
                 if mi_deg(K) >= threshold:
-                    _add_rows(rows, (actor[0], K), m, mv)
+                    _add_rows(rows, (label, K), m, mv)
     ker = nullspace([rows[k] for k in sorted(rows)], len(vectors))
     return [v for v in (_vector_from_row(V, vectors, vec) for vec in ker) if not v.is_zero()]
 
@@ -773,11 +763,11 @@ def solve_intertwiner(V: ModuleSpec, W: ModuleSpec, fil_bound: int,
     slots = [(g, J, r) for g in range(V.dim) for J in below for r in range(W.dim)]
     index = {s: c for c, s in enumerate(slots)}
     rows: dict[tuple, Row] = {}
-    for actor in actors:
-        label = actor[0]
-        for g in range(V.dim):
+    for g in range(V.dim):
+        unit = V.unit(g)
+        for label, w in actors:
             # beta applied to the third slot: beta(b^(J) (x) v_r) = b^(J) beta(v_r)
-            for I, mv in _act(V, actor, V.unit(g), LEFT).terms.items():
+            for I, mv in V.w_star(w, unit, LEFT).terms.items():
                 for J, rowc in mv.terms.items():
                     for r, c in enumerate(rowc):
                         if not c:
@@ -787,12 +777,15 @@ def solve_intertwiner(V: ModuleSpec, W: ModuleSpec, fil_bound: int,
                                 col = index[(r, Jp, rp)]
                                 for K, c2 in hopf.mono_mul(J, Jp).items():
                                     _add_entry(rows, (label, g, I, K, rp), col, c * c2)
-            # minus the action on the image: a * (b^(Jp) (x) w_rp)
-            for Jp in below:
-                for rp in range(W.dim):
-                    col = index[(g, Jp, rp)]
-                    for I, mv in _act(W, actor, W.unit(rp, Jp), LEFT).terms.items():
-                        _add_rows(rows, (label, g, I), col, mv, -ONE)
+    # minus the action on the image: a * (b^(Jp) (x) w_rp), the same for every g
+    for Jp in below:
+        for rp in range(W.dim):
+            unit = W.unit(rp, Jp)
+            for label, w in actors:
+                acted = W.w_star(w, unit, LEFT).terms
+                for g in range(V.dim):
+                    for I, mv in acted.items():
+                        _add_rows(rows, (label, g, I), index[(g, Jp, rp)], mv, -ONE)
     ker = nullspace([rows[k] for k in sorted(rows)], len(slots))
     units = [W.unit(r, J) for _g, J, r in slots]
     return [

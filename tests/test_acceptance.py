@@ -16,6 +16,7 @@ import pytest
 
 from liepseudo import checks
 from liepseudo.annih import AnnElement, ann_bracket, euler_element, gr_iso_gl
+from liepseudo.cli import main
 from liepseudo.dualx import XElement
 from liepseudo.derham import d_images, exactness_report
 from liepseudo.hopf import coproduct_power, mi_below, mi_deg, mi_splits, mi_zero
@@ -282,8 +283,6 @@ def test_criterion_06_derham_suite():
 def test_a_failing_case_is_named_by_verify_and_by_its_criterion(monkeypatch, capsys):
     """Break relation (cou2) at b^(1) on abelian1 only: `liepseudo verify`
     exits 1 naming that case, and criterion 01 fails naming the same pair."""
-    from liepseudo.cli import main
-
     real = checks.coproduct_power
 
     def broken(h, slots):

@@ -20,7 +20,7 @@ from liepseudo.annih import (
 )
 from liepseudo.dualx import XElement
 from liepseudo.errors import NotInW0
-from liepseudo.hopf import mi_below, mi_deg, mi_unit
+from liepseudo.hopf import mi_below, mi_deg
 from liepseudo.liecore import identity_matrix, mat_comm, zero_matrix
 from liepseudo.pseudoalg import WAlgebra
 

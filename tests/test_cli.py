@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import liepseudo.cli as cli
 from liepseudo.checks import verify_checks
 from liepseudo.cli import main
 
@@ -54,8 +55,6 @@ def test_singular_w_mode_basis_serialized(tmp_path, capsys):
 
 def test_singular_cross_check_compares_bases(monkeypatch, capsys):
     # an oracle basis of the solver's dimension but not canonical must fail
-    import liepseudo.cli as cli
-
     real = cli.sing_solve_oracle
 
     def rescaled(*args, **kwargs):
@@ -148,6 +147,16 @@ def test_entry_point_runs():
     assert proc.returncode == 0
 
 
+class JsonFile:
+    """An argv slot that the test fills with the path of a file holding `blob`."""
+
+    def __init__(self, blob):
+        self.blob = blob
+
+
+_ZERO_MATS_1 = [[["0"]]] * 4  # the four 1x1 gl(2) matrices of a trivial U
+
+
 @pytest.mark.parametrize("argv, env, message", [
     # p_max = trunc - 2 < 0 would leave the exactness check with zero cases
     (["derham", "--alg", "abelian2", "--trunc", "1"], None, "config error: filtration bound p_max = -1"),
@@ -195,8 +204,35 @@ def test_entry_point_runs():
      "error: unrecognized arguments: --u omega:1"),
     (["derham", "--alg", "abelian2", "--mode", "S"], None,
      "error: unrecognized arguments: --mode S"),
+    # malformed JSON input is a configuration error too, never a traceback
+    (["report-merge", JsonFile([1, 2])], None, "holds a JSON list, not an object"),
+    (["derham", "--alg", "abelian3", "--pi", JsonFile({"dim": 1, "mats": [1, 2, 3]})], None,
+     "config error: pi: bad matrix data: object of type 'int' has no len()"),
+    (["derham", "--alg", "abelian3", "--pi", JsonFile({"dim": "x", "mats": [[["0"]]] * 3})],
+     None, "config error: pi: bad matrix data: invalid literal for int()"),
+    (["derham", "--alg", "abelian3", "--pi",
+      JsonFile({"dim": 1, "mats": [[["a"]], [["0"]], [["0"]]]})], None,
+     "config error: pi: bad matrix data: Invalid literal for Fraction: 'a'"),
+    (["singular", "--alg", "abelian2", "--u",
+      JsonFile({"dim": 1, "mats": _ZERO_MATS_1, "id_scalar": "1/0"})], None,
+     "config error: u id_scalar: zero denominator"),
+    (["singular", "--alg", "abelian2", "--u",
+      JsonFile({"dim": 1, "mats": _ZERO_MATS_1, "id_scalar": "a"})], None,
+     "config error: u id_scalar: Invalid literal for Fraction: 'a'"),
+    (["singular", "--alg", JsonFile({"dim": 2, "u": {"mats": _ZERO_MATS_1}})], None,
+     "config error: u: bad matrix data: 'dim'"),
+    (["singular", "--alg", JsonFile({"dim": 2, "pi": [1]})], None,
+     "config error: pi: need 2 matrices"),
+    (["singular", "--alg", JsonFile({"dim": 3, "chi": 5}), "--mode", "S"], None,
+     "config error: chi needs 3 entries"),
+    (["verify", "--alg", JsonFile({"dim": 2, "brackets": [[1, 2, 1, "1/0"]]})], None,
+     "config error: bad algebra schema in"),
 ])
-def test_bad_input_exits_2_with_a_message(monkeypatch, capsys, argv, env, message):
+def test_bad_input_exits_2_with_a_message(monkeypatch, capsys, tmp_path, argv, env, message):
+    files = {m: tmp_path / f"input{m}.json" for m, arg in enumerate(argv) if isinstance(arg, JsonFile)}
+    for m, path in files.items():
+        path.write_text(json.dumps(argv[m].blob))
+    argv = [str(files[m]) if m in files else arg for m, arg in enumerate(argv)]
     if env is None:
         monkeypatch.delenv("PSA_TRUNC", raising=False)
     else:

@@ -1,10 +1,9 @@
-import itertools
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from liepseudo import checks
+from liepseudo import checks, derham, modules
 from liepseudo.derham import (
     Form,
     classify_report,
@@ -15,13 +14,12 @@ from liepseudo.derham import (
     filtration_ranks,
     gl_action,
     iota,
-    omega_module,
     pseudo_d,
     sing_fingerprint,
     star_action,
 )
-from liepseudo._linalg import rank
-from liepseudo.hopf import Hopf, mi_below, mi_zero
+from liepseudo._linalg import RowReducer, rank
+from liepseudo.hopf import Hopf, mi_below
 from liepseudo.liecore import (
     RepData,
     TraceForm,
@@ -32,7 +30,6 @@ from liepseudo.liecore import (
     wedge_basis,
 )
 from liepseudo.modules import (
-    ModuleSpec,
     ModuleVector,
     sing_in_subspace,
     sing_solve,
@@ -41,7 +38,7 @@ from liepseudo.modules import (
 )
 from liepseudo.pseudoalg import WAlgebra
 
-from conftest import hopf_for
+from conftest import count_kernel_runs, hopf_for
 
 
 def trivial_pi(H, m=1):
@@ -377,7 +374,6 @@ def test_image_submodule_and_its_singular_vectors():
     sing_m = sing_in_subspace(T1, clo_from_d.basis, "W")
     assert len(sing_m) == 1
     # ... and the singular vector of the submodule is the d-image line
-    from liepseudo._linalg import RowReducer
     cols = {}
     red = RowReducer()
     for v in d_img:
@@ -478,26 +474,17 @@ def test_sing_fingerprint_acts_once_per_vector(monkeypatch):
     H = hopf_for("heis3")
     T = tensor_module(H, trivial_pi(H), omega_rep(H.lie, 1))
     res = sing_solve(T, 2, "W")
-    calls = []
-    real = ModuleSpec.action_pv
-
-    def counting(self, i, v):
-        calls.append(i)
-        return real(self, i, v)
-
-    monkeypatch.setattr(ModuleSpec, "action_pv", counting)
+    runs = count_kernel_runs(monkeypatch)
     assert sing_fingerprint(T, res) == {
         "dim": 4,
         "gl_symbol_traces": [["3", "0", "0"], ["0", "3", "0"], ["0", "0", "3"]],
         "id_trace": "9",
     }
-    assert len(calls) == H.n * len(res.basis) == 12
+    assert len(runs) == H.n * len(res.basis) == 12
 
 
 def test_sing_fingerprint_reduces_its_span_once(monkeypatch):
     # all n^2 symbols on all singular vectors are read off one reduced span
-    from liepseudo import modules
-
     H = hopf_for("heis3")
     T = tensor_module(H, trivial_pi(H), omega_rep(H.lie, 1))
     res = sing_solve(T, 2, "W")
@@ -515,9 +502,6 @@ def test_sing_fingerprint_reduces_its_span_once(monkeypatch):
 
 def test_d_images_build_each_omega_module_once(monkeypatch):
     # a fresh Hopf, so no generator images are memoized yet
-    from liepseudo import derham
-    from liepseudo.hopf import Hopf
-
     H = Hopf(preset("heis3"))
     # x -> E_12, y -> identity, z -> 0 represents [x, y] = z
     pi = RepData.d_rep(H.lie, [

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from liepseudo.dualx import XElement
 from liepseudo.errors import TruncationExceeded
-from liepseudo.hopf import mi_below, mi_deg
+from liepseudo.hopf import mi_below
 from liepseudo.liecore import PRESET_NAMES
 
 from conftest import hopf_for

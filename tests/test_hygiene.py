@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module of the package imports is used,
-every import sits at module level, and every CLI option is read."""
+"""Source hygiene: every name a module of the package or of its tests
+imports is used, every import sits at module level, and every CLI option
+is read."""
 
 import argparse
 import ast
@@ -11,6 +12,8 @@ import liepseudo
 from liepseudo import cli
 
 SRC = Path(liepseudo.__file__).parent
+# the package's modules and the test modules, scanned alike
+SOURCES = sorted(SRC.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(tree: ast.Module, exempt=frozenset()) -> list[str]:
@@ -43,11 +46,11 @@ def imports_in_functions(tree: ast.Module) -> list[str]:
 
 def test_no_unused_imports_in_the_package():
     found = {}
-    for path in sorted(SRC.glob("*.py")):
-        exempt = frozenset(liepseudo.__all__) if path.name == "__init__.py" else frozenset()
+    for path in SOURCES:
+        exempt = frozenset(liepseudo.__all__) if path == SRC / "__init__.py" else frozenset()
         names = unused_imports(ast.parse(path.read_text()), exempt)
         if names:
-            found[path.name] = names
+            found[f"{path.parent.name}/{path.name}"] = names
     assert not found, f"unused imports: {found}"
 
 
@@ -57,7 +60,7 @@ def test_the_scan_sees_an_unused_import():
 
 
 def test_no_imports_inside_functions_in_the_package():
-    found = {path.name: names for path in sorted(SRC.glob("*.py"))
+    found = {f"{path.parent.name}/{path.name}": names for path in SOURCES
              if (names := imports_in_functions(ast.parse(path.read_text())))}
     assert not found, f"imports inside functions: {found}"
 

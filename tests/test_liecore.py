@@ -8,7 +8,6 @@ from liepseudo.liecore import (
     RepData,
     box_tensor,
     mat_is_zero,
-    mat_trace,
     omega_rep,
     preset,
     sym2_dual_rep,

@@ -1,6 +1,7 @@
 import functools
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -11,10 +12,11 @@ from liepseudo.annih import AnnElement, ann_action
 from liepseudo.dualx import XElement
 from liepseudo.hopf import Hopf, mi_below, mi_deg, mi_unit, mi_zero
 from liepseudo.liecore import (
-    LieData, RepData, TraceForm, mat, omega_rep, preset, sym2_dual_rep,
+    LieData, RepData, TraceForm, mat, omega_rep, sym2_dual_rep,
 )
-from liepseudo import modules
+from liepseudo._linalg import RowReducer
 from liepseudo.modules import (
+    ModuleSpec,
     ModuleVector,
     apply_map,
     dual_module,
@@ -36,7 +38,7 @@ from liepseudo.modules import (
 from liepseudo.pseudoalg import WAlgebra
 from liepseudo.twosided import LEFT, RIGHT, PseudoValue, module_defect
 
-from conftest import hopf_for
+from conftest import count_kernel_runs, hopf_for
 
 D = 6
 
@@ -114,8 +116,6 @@ def test_module_axiom_negative_control():
     bad_table[0][0] = bad_table[0][0].add(
         PseudoValue.from_tensor(H.one(), H.one(), T.unit(1))
     )
-    from liepseudo.modules import ModuleSpec
-
     bad = ModuleSpec(H, T.dim, tuple(tuple(r) for r in bad_table))
     defects = []
     for i, j in itertools.product(range(H.n), repeat=2):
@@ -253,8 +253,6 @@ def test_s_of_omega1_abelian2():
             else:
                 assert got.is_zero()
     # the span of all s(b_l, u) is one-dimensional
-    from liepseudo._linalg import RowReducer
-
     red = RowReducer()
     cols = {(I, k): c for c, (I, k) in enumerate(T.basis_upto(1))}
     for l in range(2):
@@ -341,8 +339,6 @@ def test_sing_omega_dimensions(name, n):
         pytest.skip("degree exceeds dimension")
     T = tensor_module(H, trivial_pi(H), omega_rep(H.lie, n))
     res = sing_solve(T, 2, "W")
-    from math import comb
-
     assert res.dim == comb(H.n, n) + comb(H.n, n - 1)
     assert res.ok
     oracle = sing_solve_oracle(T, 2, "W")
@@ -568,22 +564,13 @@ def test_s_mode_psi_exists_and_is_invertible():
 
 @pytest.mark.parametrize("name, mode, fil", [("abelian2", "W", 2), ("heis3", "S", 2)])
 def test_oracle_applies_each_pseudoaction_once_per_column(monkeypatch, name, mode, fil):
-    from liepseudo.modules import ModuleSpec
-
     H = hopf_for(name)
     T = tensor_module(H, trivial_pi(H), omega_rep(H.lie, 1))
     chi = H.lie.zero_trace_form() if mode == "S" else None
     expect = sing_solve(T, fil, mode, chi).basis
-    calls = []
-    real = ModuleSpec.action_pv
-
-    def counting(self, i, v):
-        calls.append(i)
-        return real(self, i, v)
-
-    monkeypatch.setattr(ModuleSpec, "action_pv", counting)
+    runs = count_kernel_runs(monkeypatch)
     res = sing_solve_oracle(T, fil, mode, chi)
-    assert 0 < len(calls) <= H.n * len(T.basis_upto(fil))
+    assert 0 < len(runs) <= H.n * len(T.basis_upto(fil))
     assert [v.serialize() for v in res.basis] == [v.serialize() for v in expect]
 
 
@@ -724,13 +711,41 @@ def test_closure_converts_at_most_once_per_action(monkeypatch, name, mode):
     counts = {"convert": 0, "from_tensor": 0}
     _count_calls(monkeypatch, counts)
     acts = []
-    real_act = modules._act
+    real_w_star = ModuleSpec.w_star
 
-    def act(V, actor, v, orient):
+    def w_star(self, w, v, orient):
         acts.append(orient)
-        return real_act(V, actor, v, orient)
+        return real_w_star(self, w, v, orient)
 
-    monkeypatch.setattr(modules, "_act", act)
+    monkeypatch.setattr(ModuleSpec, "w_star", w_star)
     clo = submodule_closure(T, gens, 2, mode, chi)
     assert gens and clo.dim > 0
     assert set(acts) == {LEFT} and 0 < counts["convert"] <= len(acts)
+
+
+def test_closure_acts_once_per_queued_vector_and_generator(monkeypatch):
+    # the three s_ab of one queued vector share its actions (1 (x) b_c) * v
+    H = hopf_for("abelian3")
+    T = tensor_module(H, trivial_pi(H), omega_rep(H.lie, 1))
+    chi = H.lie.zero_trace_form()
+    gens = [v for v in sing_solve(T, 2, "S", chi).basis if v.degree() > 0]
+    runs = count_kernel_runs(monkeypatch)
+    clo = submodule_closure(T, gens, 2, "S", chi)
+    assert gens and clo.dim > 0 and runs
+    keys = [(id(v), i, orient) for v, i, orient in runs]
+    assert len(set(keys)) == len(keys)
+    assert {orient for _v, _i, orient in runs} == {LEFT}
+
+
+def test_kept_actions_never_serve_another_vector_or_form():
+    # two vectors and both forms interleaved on one module, each value
+    # computed fresh or served from the kept ones
+    V = _kernel_module("heis3", "tensor")
+    H = V.hopf
+    v1 = V.unit(0, mi_unit(H.n, 1)).add(V.unit(2).scale(Fraction(-1, 2)))
+    v2 = V.unit(1, mi_unit(H.n, 0)).add(V.unit(1, mi_unit(H.n, 2)).scale(3))
+    order = [(i, v, orient) for i in range(H.n) for v in (v1, v2) for orient in (LEFT, RIGHT)]
+    for i, v, orient in order + order[::-1] + order[::3] + order[1::2]:
+        got = V.action_pv(i, v, orient)
+        assert got.orient == orient
+        assert got.eq(_action_by_mul_second(V, i, v, orient)), (i, v, orient)

@@ -1,11 +1,10 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 
 from liepseudo.errors import DimensionTooSmall
-from liepseudo.hopf import mi_below
-from liepseudo.liecore import preset
+from liepseudo.hopf import Hopf
+from liepseudo.liecore import LieData, preset
 from liepseudo.pseudoalg import (
     WAlgebra,
     WElement,
@@ -78,9 +77,6 @@ def test_cur_sl2_bracket_and_axioms():
 
 def test_corrupted_constants_fail_jacobi():
     # solv3-like table with an extra non-Jacobi bracket entered directly
-    from liepseudo.hopf import Hopf
-    from liepseudo.liecore import LieData
-
     bad = LieData.from_entries(3, [(0, 1, 1, 1), (0, 2, 2, 1), (1, 2, 0, 1)])
     with pytest.raises(Exception):
         Hopf(bad)

@@ -1,8 +1,8 @@
 import random
 from fractions import Fraction
 
-from liepseudo.hopf import mi_below, mi_deg
-from liepseudo.pseudoalg import WAlgebra, WElement
+from liepseudo.hopf import mi_below
+from liepseudo.pseudoalg import WAlgebra
 from liepseudo.twosided import LEFT, RIGHT, PseudoValue
 
 from conftest import hopf_for
