@@ -3,6 +3,11 @@
 Rows are dicts mapping column index -> nonzero Fraction.  All routines are
 deterministic: pivots are chosen by increasing column index, so results
 depend only on the input order, never on hashing or timing.
+
+A linear system is posed one way: one sparse image per unknown, a map from
+any hashable equation key to a nonzero Fraction.  Two solves take such a
+list: `kernel` (the homogeneous system) and `span_coords` (membership of
+targets in the span of the images).
 """
 
 from __future__ import annotations
@@ -101,17 +106,19 @@ def nullspace(rows: Iterable[Row], ncols: int) -> list[Row]:
     red = RowReducer()
     for r in rows:
         red.add(r)
-    pivots = red.pivots
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        vec: Row = {f: ONE}
-        for j, piv in pivots.items():
-            c = piv.get(f)
-            if c:
-                vec[j] = -c
-        basis.append(vec)
-    return basis
+    return [{f: ONE, **{j: -piv[f] for j, piv in red.pivots.items() if f in piv}}
+            for f in range(ncols) if f not in red.pivots]
+
+
+def kernel(vectors: list[dict]) -> list[Row]:
+    """Canonical basis of the c with sum_m c[m] * vectors[m] == 0 (see
+    `nullspace`), for sparse vectors as in `span_coords`.  The rows, one per
+    coordinate, need no order: the reduced echelon form is unique."""
+    rows: dict = {}
+    for m, vec in enumerate(vectors):
+        for j, c in vec.items():
+            rows.setdefault(j, {})[m] = c
+    return nullspace(list(rows.values()), len(vectors))
 
 
 def span_coords(vectors: list[dict], targets: list[dict]) -> list[list[Fraction] | None]:

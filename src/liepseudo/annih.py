@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import Row, span_coords
+from ._linalg import Row, add_entry, span_coords
 from .dualx import XElement
 from .errors import DimensionMismatch, NotInW0, SolveFailed, TruncationExceeded
 from .hopf import Hopf, MultiIndex, mi_below, mi_deg, mi_unit
@@ -273,17 +273,14 @@ def _from_solution(hopf: Hopf, slots, sol: Row, validity: int) -> AnnElement:
     return AnnElement(hopf, (XElement(hopf, comp, validity) for comp in comps))
 
 
-def _solve_once(hopf: Hopf, memo_key: tuple, slots, rows: dict, rhs: dict,
+def _solve_once(hopf: Hopf, memo_key: tuple, slots, cols: list[dict], rhs: dict,
                 validity: int) -> AnnElement:
-    """Solve the system rows = rhs for the slot coefficients and memoize the
-    element on the Hopf instance under memo_key = (name, ...)."""
-    # unknowns as vectors over the equations: rhs must lie in their span
-    cols: list[dict] = [{} for _ in slots]
-    for k, row in rows.items():
-        for col, c in row.items():
-            if c:
-                cols[col][k] = c
-    coeffs = span_coords(cols, [{k: c for k, c in rhs.items() if c}])[0]
+    """Solve sum_col c[col] * cols[col] = rhs for the slot coefficients and
+    memoize the element on the Hopf instance under memo_key = (name, ...).
+
+    cols[col] is the sparse image of slot col, a map from equation key to a
+    nonzero coefficient; rhs must lie in the span of the columns."""
+    coeffs = span_coords(cols, [rhs])[0]
     sol = None if coeffs is None else {col: c for col, c in enumerate(coeffs) if c}
     if sol is None:
         raise SolveFailed(f"{memo_key[0]} system inconsistent at this truncation")
@@ -307,22 +304,19 @@ def euler_element(hopf: Hopf, truncation: int) -> AnnElement:
         return hopf._ann_memo[memo_key]
     cap = truncation - 2
     slots = _unknown_slots(hopf, 1, cap)
-    index = {s: c for c, s in enumerate(slots)}
-    rows: dict[tuple[MultiIndex, MultiIndex], Row] = {}
+    cols: list[dict] = [{} for _ in slots]
     rhs: dict[tuple[MultiIndex, MultiIndex], Fraction] = {}
     probes = [I for I in mi_below(hopf.n, cap) if mi_deg(I) >= 1]
     for I in probes:
         xI = XElement.mono(hopf, I, 1, truncation)
-        for (J, a), col in index.items():
+        for (J, a), col in zip(slots, cols):
             contrib = (XElement.mono(hopf, J, 1, truncation) *
                        xI.act_right(hopf.gen(a))).scale(-1)
             for K, c in contrib.coeffs.items():
-                if mi_deg(K) > cap:
-                    continue
-                row = rows.setdefault((I, K), {})
-                row[col] = row.get(col, ZERO) + c
-        rhs[(I, I)] = rhs.get((I, I), ZERO) + Fraction(-mi_deg(I))
-    return _solve_once(hopf, memo_key, slots, rows, rhs, cap)
+                if mi_deg(K) <= cap:
+                    add_entry(col, (I, K), c)
+        rhs[(I, I)] = Fraction(-mi_deg(I))
+    return _solve_once(hopf, memo_key, slots, cols, rhs, cap)
 
 
 def gamma(hopf: Hopf, l: int, truncation: int) -> AnnElement:
@@ -340,8 +334,7 @@ def gamma(hopf: Hopf, l: int, truncation: int) -> AnnElement:
         return hopf._ann_memo[memo_key]
     cap = truncation - 2
     slots = _unknown_slots(hopf, 0, cap)
-    index = {s: c for c, s in enumerate(slots)}
-    rows: dict[tuple, Row] = {}
+    cols: list[dict] = [{} for _ in slots]
     rhs: dict[tuple, Fraction] = {}
     probe_deg = 2
     eq_cap = cap - 1
@@ -349,19 +342,14 @@ def gamma(hopf: Hopf, l: int, truncation: int) -> AnnElement:
         for b in range(hopf.n):
             probe = AnnElement.term(hopf, XElement.mono(hopf, K, 1, truncation), b)
             target = d_act(hopf, l, probe)
-            for (J, a), col in index.items():
+            for (J, a), col in zip(slots, cols):
                 basis = AnnElement.term(hopf, XElement.mono(hopf, J, 1, truncation), a)
-                br = ann_bracket(basis, probe)
-                for comp_idx, x in enumerate(br.comps):
+                for comp_idx, x in enumerate(ann_bracket(basis, probe).comps):
                     for Kc, c in x.coeffs.items():
-                        if mi_deg(Kc) > eq_cap:
-                            continue
-                        key = (K, b, comp_idx, Kc)
-                        rows.setdefault(key, {})
-                        rows[key][col] = rows[key].get(col, ZERO) + c
+                        if mi_deg(Kc) <= eq_cap:
+                            add_entry(col, (K, b, comp_idx, Kc), c)
             for comp_idx, x in enumerate(target.comps):
                 for Kc, c in x.coeffs.items():
-                    if mi_deg(Kc) > eq_cap:
-                        continue
-                    rhs[(K, b, comp_idx, Kc)] = rhs.get((K, b, comp_idx, Kc), ZERO) + c
-    return _solve_once(hopf, memo_key, slots, rows, rhs, cap)
+                    if mi_deg(Kc) <= eq_cap:
+                        add_entry(rhs, (K, b, comp_idx, Kc), c)
+    return _solve_once(hopf, memo_key, slots, cols, rhs, cap)

@@ -90,6 +90,8 @@ def load_algebra(source: str) -> tuple[LieData, dict]:
     blob = _load_json(source)
     try:
         dim = int(blob["dim"])
+        if dim < 1:
+            raise ConfigError(f"algebra dimension must be >= 1 in {source}, got {dim}")
         entries = [(i - 1, j - 1, k - 1, rat(c)) for i, j, k, c in blob.get("brackets", [])]
         lie = LieData.from_entries(dim, entries, name=os.path.basename(source))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -119,6 +121,8 @@ def _mats_from_blob(blob: dict, count: int, what: str) -> list:
         raise ConfigError(f"{what}: need {count} matrices")
     try:
         dim = int(blob["dim"])
+        if dim < 1:
+            raise ConfigError(f"{what}: dimension must be >= 1, got {dim}")
         out = []
         for m in mats:
             if len(m) != dim or any(len(row) != dim for row in m):

@@ -15,12 +15,13 @@ left-normal for everything else.  It keeps the at most n values of the last
 share its actions.  Every actor is a W(d) element w (1 (x) b_i in W mode,
 s_ab in S mode), applied by `w_star` as sum_a (h_a (x) 1)((1 (x) b_a) * v),
 which is (1 (x) b_a) * v itself for w = 1 (x) b_a.  Every solver loops over
-vectors outermost and follows one path: `_sing_actors` gives the actors
-(label, w); `_add_rows` turns the coefficients of w * v into equation rows;
-`nullspace` solves them; `_vector_from_row` reads a solution back.
-`sing_solve` is `sing_in_subspace` over the unit vectors; the oracle spans
-its annihilation elements as iota(x_K, w) over the same actors.  Span
-coordinates go through `_linalg.span_coords`, which reduces each span once.
+vectors outermost and poses its system one way: `_sing_actors` gives the
+actors (label, w); `_add_image` adds the coefficients of w * v to the image
+of one unknown; `_linalg.kernel` solves the images; `_vector_from_row` reads
+a solution back.  `sing_solve` is `sing_in_subspace` over the unit vectors;
+the oracle spans its annihilation elements as iota(x_K, w) over the same
+actors.  Span coordinates go through `_linalg.span_coords`, which reduces
+each span once.
 
 Module maps have one kernel each: `twist_vector` is the twisting functor
 T_Pi on a vector (behind `twist_module`, `twist_map` and the twist
@@ -35,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._linalg import Row, RowReducer, add_entry, nullspace, span_coords
+from ._linalg import Row, RowReducer, add_entry, kernel, span_coords
 from .annih import AnnElement, ann_action, iota
 from .dualx import XElement
 from .errors import DimensionMismatch, DimensionTooSmall, RepInvalid
@@ -477,18 +478,15 @@ def _sing_actors(V: ModuleSpec, mode: str, chi: TraceForm | None):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _add_entry(rows: dict[tuple, Row], key: tuple, col: int, c: Fraction) -> None:
-    """Equation `key` gains c at unknown `col` (cancellations are dropped)."""
-    add_entry(rows.setdefault(key, {}), col, c)
+def _coords(v: ModuleVector) -> Row:
+    """The nonzero coordinates of v keyed by slot (I, k)."""
+    return {(I, k): c for I, coords in v.terms.items() for k, c in enumerate(coords) if c}
 
 
-def _add_rows(rows: dict[tuple, Row], prefix: tuple, col: int, v: ModuleVector,
-              c: Fraction = ONE) -> None:
-    """One equation prefix + (J, r) per coordinate of v, gaining c * v_J[r] at `col`."""
-    for J, coords in v.terms.items():
-        for r, x in enumerate(coords):
-            if x:
-                _add_entry(rows, prefix + (J, r), col, c * x)
+def _add_image(image: dict, prefix: tuple, v: ModuleVector, c: Fraction = ONE) -> None:
+    """The image of one unknown gains c * v: c * v_I[k] at equation prefix + (I, k)."""
+    for slot, x in _coords(v).items():
+        add_entry(image, prefix + slot, c * x)
 
 
 def _vector_from_row(V: ModuleSpec, vectors: list[ModuleVector], row: Row) -> ModuleVector:
@@ -536,20 +534,15 @@ def sing_solve_oracle(V: ModuleSpec, fil_bound: int, mode: str = "W",
             el = iota(x, w)
             if not el.is_zero():
                 spanning.append((f"x_{K}.{label}", el))
-    rows: dict[tuple, Row] = {}
-    for col, vec in enumerate(units):
+    images = []
+    for vec in units:
+        images.append({})
         for label, el in spanning:
             out = ann_action(el, vec, V.action_pv)
             if out is not None:
-                _add_rows(rows, (label,), col, out)
-    ker = nullspace([rows[k] for k in sorted(rows)], len(units))
-    basis = [_vector_from_row(V, units, vec) for vec in ker]
+                _add_image(images[-1], (label,), out)
+    basis = [_vector_from_row(V, units, vec) for vec in kernel(images)]
     return SingResult(V, basis, fil_bound, PAPER_BOUND[mode], mode)
-
-
-def _coords(v: ModuleVector) -> Row:
-    """The nonzero coordinates of v keyed by slot (I, k)."""
-    return {(I, k): c for I, coords in v.terms.items() for k, c in enumerate(coords) if c}
 
 
 def s_of(V: ModuleSpec, l: int, coords) -> ModuleVector:
@@ -681,13 +674,12 @@ def symbol_matrix(V: ModuleSpec, vectors: list[ModuleVector], els: list[AnnEleme
 
 
 def id_symbol_matrix(V: ModuleSpec, vectors: list[ModuleVector]):
-    """Matrix of the identity gl(d) symbol sum_i x^i (x) b_i (coordinates
-    valid to degree 8) on the span of `vectors` (None if the span is not
-    invariant)."""
+    """Columns of the matrix of the identity gl(d) symbol sum_i x^i (x) b_i
+    (coordinates valid to degree 8) on the span of `vectors`, one per vector
+    (None if the span is not invariant)."""
     hopf = V.hopf
     el = AnnElement(hopf, (XElement.coord(hopf, i, 8) for i in range(hopf.n)))
-    cols = symbol_matrix(V, vectors, [el])[0]
-    return None if cols is None else [list(row) for row in zip(*cols)]
+    return symbol_matrix(V, vectors, [el])[0]
 
 
 def sing_blocks_by_id_symbol(V: ModuleSpec, basis: list[ModuleVector]):
@@ -698,29 +690,23 @@ def sing_blocks_by_id_symbol(V: ModuleSpec, basis: list[ModuleVector]):
     filtration degree)."""
     if not basis:
         return {}
-    mat_rows = id_symbol_matrix(V, basis)
-    if mat_rows is None:
+    cols = id_symbol_matrix(V, basis)
+    if cols is None:
         raise RepInvalid("singular span is not invariant under the identity symbol")
-    m = len(basis)
     ground = [v for v in basis if v.degree() == 0]
     if not ground:
         raise RepInvalid("no ground-level singular vectors")
     # the symbol acts by a scalar on the ground level and the eigenvalue
     # grows by one per filtration degree of the block
     idx0 = basis.index(ground[0])
-    mu = mat_rows[idx0][idx0]
+    mu = cols[idx0][idx0]
     out: dict[Fraction, list[ModuleVector]] = {}
     for d in sorted({v.degree() for v in basis}):
         lam = mu + d
-        rows = []
-        for r in range(m):
-            row = {}
-            for c in range(m):
-                val = mat_rows[r][c] - (lam if r == c else ZERO)
-                if val:
-                    row[c] = val
-            rows.append(row)
-        vecs = [v for v in (_vector_from_row(V, basis, coeff) for coeff in nullspace(rows, m))
+        # unknown c has image column c of (symbol - lam)
+        images = [{r: x for r, y in enumerate(col) if (x := y - (lam if r == c else ZERO))}
+                  for c, col in enumerate(cols)]
+        vecs = [v for v in (_vector_from_row(V, basis, coeff) for coeff in kernel(images))
                 if not v.is_zero()]
         if vecs:
             out[lam] = vecs
@@ -736,63 +722,47 @@ def sing_in_subspace(V: ModuleSpec, vectors: list[ModuleVector], mode: str = "W"
     The kernel basis is the canonical reduced one for the order of `vectors`.
     """
     actors, threshold = _sing_actors(V, mode, chi)
-    rows: dict[tuple, Row] = {}
-    for m, v in enumerate(vectors):
+    images = []
+    for v in vectors:
+        images.append({})
         for label, w in actors:
             for K, mv in V.w_star(w, v, RIGHT).terms.items():
                 if mi_deg(K) >= threshold:
-                    _add_rows(rows, (label, K), m, mv)
-    ker = nullspace([rows[k] for k in sorted(rows)], len(vectors))
-    return [v for v in (_vector_from_row(V, vectors, vec) for vec in ker) if not v.is_zero()]
+                    _add_image(images[-1], (label, K), mv)
+    return [v for v in (_vector_from_row(V, vectors, vec) for vec in kernel(images))
+            if not v.is_zero()]
 
 
 def solve_intertwiner(V: ModuleSpec, W: ModuleSpec, fil_bound: int,
                       mode: str = "W", chi: TraceForm | None = None) -> list[list[ModuleVector]]:
     """Basis of H-linear module maps V -> W determined on generators.
 
-    Unknowns are the coefficients of the generator images inside
-    fil^bound W; the intertwining condition
-    ((id (x) id) (x)_H beta)(a * u) = a * beta(u) is imposed for every acting
-    generator a and every generator u of V.
+    Unknown (g, J, r) is the map beta sending u_g to b^(J) (x) w_r and every
+    other generator to 0, with b^(J) inside fil^bound.  The intertwining
+    condition ((id (x) id) (x)_H beta)(a * u) = a * beta(u) is imposed for
+    every acting generator a and every generator u of V.
     """
-    hopf = V.hopf
-    if hopf is not W.hopf:
+    if V.hopf is not W.hopf:
         raise DimensionMismatch("modules over different algebras")
     actors, _ = _sing_actors(V, mode, chi)
-    below = mi_below(hopf.n, fil_bound)
-    slots = [(g, J, r) for g in range(V.dim) for J in below for r in range(W.dim)]
-    index = {s: c for c, s in enumerate(slots)}
-    rows: dict[tuple, Row] = {}
-    for g in range(V.dim):
-        unit = V.unit(g)
-        for label, w in actors:
-            # beta applied to the third slot: beta(b^(J) (x) v_r) = b^(J) beta(v_r)
-            for I, mv in V.w_star(w, unit, LEFT).terms.items():
-                for J, rowc in mv.terms.items():
-                    for r, c in enumerate(rowc):
-                        if not c:
-                            continue
-                        for Jp in below:
-                            for rp in range(W.dim):
-                                col = index[(r, Jp, rp)]
-                                for K, c2 in hopf.mono_mul(J, Jp).items():
-                                    _add_entry(rows, (label, g, I, K, rp), col, c * c2)
-    # minus the action on the image: a * (b^(Jp) (x) w_rp), the same for every g
-    for Jp in below:
-        for rp in range(W.dim):
-            unit = W.unit(rp, Jp)
-            for label, w in actors:
-                acted = W.w_star(w, unit, LEFT).terms
-                for g in range(V.dim):
-                    for I, mv in acted.items():
-                        _add_rows(rows, (label, g, I), index[(g, Jp, rp)], mv, -ONE)
-    ker = nullspace([rows[k] for k in sorted(rows)], len(slots))
+    slots = [(g, J, r) for g in range(V.dim) for J in mi_below(V.hopf.n, fil_bound)
+             for r in range(W.dim)]
+    acted = [[V.w_star(w, u, LEFT) for _label, w in actors]
+             for u in (V.unit(g0) for g0 in range(V.dim))]
+    images = []
+    for g, J, r in slots:
+        unit = W.unit(r, J)
+        beta = [unit if g0 == g else W.zero_vector() for g0 in range(V.dim)]
+        images.append({})
+        for a, (label, w) in enumerate(actors):
+            for g0 in range(V.dim):
+                for I, mv in acted[g0][a].terms.items():
+                    _add_image(images[-1], (label, g0, I), apply_map(beta, mv))
+            for I, mv in W.w_star(w, unit, LEFT).terms.items():
+                _add_image(images[-1], (label, g, I), mv, -ONE)
     units = [W.unit(r, J) for _g, J, r in slots]
-    return [
-        [_vector_from_row(W, units, {col: c for col, c in vec.items() if slots[col][0] == g})
-         for g in range(V.dim)]
-        for vec in ker
-    ]
+    return [[_vector_from_row(W, units, {col: c for col, c in vec.items() if slots[col][0] == g})
+             for g in range(V.dim)] for vec in kernel(images)]
 
 
 def apply_map(images: list[ModuleVector], v: ModuleVector) -> ModuleVector:

@@ -227,6 +227,13 @@ _ZERO_MATS_1 = [[["0"]]] * 4  # the four 1x1 gl(2) matrices of a trivial U
      "config error: chi needs 3 entries"),
     (["verify", "--alg", JsonFile({"dim": 2, "brackets": [[1, 2, 1, "1/0"]]})], None,
      "config error: bad algebra schema in"),
+    # a dimension below 1 is refused before any algebra or representation is built
+    (["verify", "--alg", JsonFile({"dim": -1})], None, "config error: algebra dimension must be >= 1"),
+    (["verify", "--alg", JsonFile({"dim": 0})], None, "config error: algebra dimension must be >= 1"),
+    (["singular", "--alg", JsonFile({"dim": 2, "brackets": [], "pi": {"dim": 0, "mats": [[], []]}})],
+     None, "config error: pi: dimension must be >= 1, got 0"),
+    (["singular", "--alg", JsonFile({"dim": 2, "brackets": [], "u": {"dim": 0, "mats": [[]] * 4}})],
+     None, "config error: u: dimension must be >= 1, got 0"),
 ])
 def test_bad_input_exits_2_with_a_message(monkeypatch, capsys, tmp_path, argv, env, message):
     files = {m: tmp_path / f"input{m}.json" for m, arg in enumerate(argv) if isinstance(arg, JsonFile)}

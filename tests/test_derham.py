@@ -33,6 +33,7 @@ from liepseudo.modules import (
     ModuleVector,
     sing_in_subspace,
     sing_solve,
+    solve_intertwiner,
     submodule_closure,
     tensor_module,
 )
@@ -522,3 +523,19 @@ def test_d_images_build_each_omega_module_once(monkeypatch):
     # two Omega modules per degree 0..N-1, independent of p_max and of the
     # number of pseudo_d calls
     assert len(built) == 2 * H.n
+
+
+@pytest.mark.parametrize("name", ["heis3", "solv3", "sl2", "abelian3"])
+def test_de_rham_map_spans_the_intertwiners_from_omega1_to_omega2(name):
+    # Hom_W(T(Omega^1), T(Omega^2)) inside fil^1 is the line of the pseudo de
+    # Rham differential, on a non-abelian d too
+    H = hopf_for(name)
+    sols = solve_intertwiner(derham.omega_module(H, 1), derham.omega_module(H, 2), 1, "W")
+    assert len(sols) == 1
+    d = d_images(H, 1)
+    g, I, k = next((g, I, k) for g, v in enumerate(d) for I, coords in v.terms.items()
+                   for k, c in enumerate(coords) if c)
+    ratio = sols[0][g].coefficient(I)[k] / d[g].coefficient(I)[k]
+    assert ratio
+    assert len(sols[0]) == len(d)
+    assert all(s.eq(v.scale(ratio)) for s, v in zip(sols[0], d))

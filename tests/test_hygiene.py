@@ -70,6 +70,50 @@ def test_the_scan_sees_an_import_inside_a_function():
     assert imports_in_functions(tree) == ["g (line 5)"]
 
 
+def unreferenced_private_helpers(trees: dict[str, ast.Module]) -> list[str]:
+    """`_`-prefixed module-level functions and classes, and `_`-prefixed
+    methods, whose name nothing in `trees` reads outside their own def, as
+    "file: name (line n)"."""
+    def is_private(node):
+        return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.endswith("__"))
+
+    def reads(tree):
+        names = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.append(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.extend(alias.name for alias in node.names)
+        return names
+
+    everywhere = [name for tree in trees.values() for name in reads(tree)]
+    found = []
+    for label, tree in trees.items():
+        helpers = [(node, node.name) for node in tree.body if is_private(node)]
+        helpers += [(item, f"{node.name}.{item.name}") for node in tree.body
+                    if isinstance(node, ast.ClassDef) for item in node.body
+                    if is_private(item) and not isinstance(item, ast.ClassDef)]
+        for node, qualname in helpers:
+            if everywhere.count(node.name) == reads(node).count(node.name):
+                found.append(f"{label}: {qualname} (line {node.lineno})")
+    return found
+
+
+def test_no_private_helper_without_a_caller_in_the_package():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_helpers(trees) == []
+
+
+def test_the_scan_sees_a_private_helper_without_a_caller():
+    tree = ast.parse("def _kept(): return 1\nclass _Box:\n"
+                     "    def _peek(self): return _kept() + self._peek()\n")
+    assert unreferenced_private_helpers({"toy": tree}) == ["toy: _Box (line 2)",
+                                                           "toy: _Box._peek (line 3)"]
+
+
 def ignored_options(parser: argparse.ArgumentParser, shared=()) -> dict[str, list[str]]:
     """Per subcommand, the options whose `args.<dest>` neither the command's
     `func` nor any of the `shared` functions reads."""

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
+import sympy
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from liepseudo._linalg import RowReducer, span_coords
+from liepseudo._linalg import RowReducer, kernel, span_coords
 
 ZERO = Fraction(0)
 
@@ -52,3 +53,29 @@ def test_span_coords_matches_one_solve_per_target(vectors, combos, strays):
     for t, coords in zip(targets, got):
         if coords is not None:
             assert _combine(vectors, coords) == t
+
+
+def _sympy_kernel(vectors):
+    """The reference: sympy's nullspace of the matrix whose column m is
+    vectors[m], one row per coordinate, as sparse Fraction rows."""
+    keys = sorted({j for vec in vectors for j in vec})
+    matrix = sympy.Matrix(len(keys), len(vectors),
+                          [sympy.Rational(vec.get(j, 0)) for j in keys for vec in vectors])
+    return [{m: Fraction(int(x.p), int(x.q)) for m, x in enumerate(col) if x}
+            for col in matrix.nullspace()]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+@given(st.lists(_SPARSE, max_size=5), st.permutations("abcde"))
+def test_kernel_matches_sympy_nullspace(vectors, renaming):
+    # a combination of the first two vectors makes the kernel nonzero
+    vectors = vectors + [_combine(vectors[:2], [Fraction(1), Fraction(-2)])]
+    got = kernel(vectors)
+    assert got == _sympy_kernel(vectors)
+    for c in got:
+        assert _combine(vectors, [c.get(m, ZERO) for m in range(len(vectors))]) == {}
+    # renamed coordinates, entered in a different order, give the same basis
+    rename = dict(zip("abcde", renaming))
+    renamed = [dict(sorted((rename[j], c) for j, c in vec.items())) for vec in vectors]
+    assert kernel(renamed) == got
