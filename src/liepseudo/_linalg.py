@@ -89,13 +89,6 @@ class RowReducer:
         return not self.reduce(row)
 
 
-def rank(rows: Iterable[Row]) -> int:
-    red = RowReducer()
-    for r in rows:
-        red.add(r)
-    return red.rank
-
-
 def nullspace(rows: Iterable[Row], ncols: int) -> list[Row]:
     """Canonical basis of {x : A x = 0}.
 

@@ -2,9 +2,12 @@
 
 Basis monomials are b^(I) = b_1^{i_1} ... b_N^{i_N} / i_1! ... i_N! indexed by
 multi-indices I.  Products are straightened recursively through the
-commutation relations.  The per-instance memos (straightening, products,
-antipodes, the tables dualx and derham key on the algebra) and the action
-tables of a ModuleSpec are the only caches, all scheduling-independent.
+commutation relations.  The caches, all scheduling-independent, are:
+- the per-instance memos here (straightening, products, antipodes, and the
+  tables dualx, derham and annih key on the algebra);
+- per ModuleSpec: its action table in each normal form, its unit
+  expansions (1 (x) b_i) * (b^(I) (x) u_k) in int-where-integral terms, and
+  the values of the last (vector, form) its pseudoaction was applied to.
 """
 
 from __future__ import annotations

@@ -56,11 +56,18 @@ def mat_scale(c: Fraction, a: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m = len(a), len(b[0])
-    return tuple(
-        tuple(sum((a[r][k] * b[k][c] for k in range(len(b))), Fraction(0)) for c in range(m))
-        for r in range(n)
-    )
+    """a b, skipping the zero entries of both factors."""
+    m = len(b[0])
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * m
+        for k, x in enumerate(row):
+            if x:
+                for c, y in enumerate(b[k]):
+                    if y:
+                        acc[c] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_comm(a: Matrix, b: Matrix) -> Matrix:

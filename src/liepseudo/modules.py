@@ -12,7 +12,19 @@ One pseudoaction operator, `ModuleSpec.action_pv(i, v, orient)`, computes
 table stored once in that form: right-normal for `sing_in_subspace`,
 left-normal for everything else.  It keeps the at most n values of the last
 (vector, form) until another replaces them, so all readers of one vector
-share its actions.  Every actor is a W(d) element w (1 (x) b_i in W mode,
+share its actions.
+
+Each unit (i, I, k, form) is expanded once per ModuleSpec, the first time a
+vector with a nonzero b^(I) (x) u_k meets it: splits, antipodes and products
+become flat terms (M, N, r, x), with x an int wherever it is integral.
+A kernel run then only accumulates c * x per term, in int while both
+factors are integral, and turns each output coordinate into a Fraction once.
+An expansion keeps every (M, N) it meets, also one whose coordinates cancel,
+in order of first appearance: the kernel inserts keys into its value in that
+order, exactly as a fresh expansion would, and `submodule_closure` queues the
+components of a value in key order, so its truncated basis depends on it.
+
+Every actor is a W(d) element w (1 (x) b_i in W mode,
 s_ab in S mode), applied by `w_star` as sum_a (h_a (x) 1)((1 (x) b_a) * v),
 which is (1 (x) b_a) * v itself for w = 1 (x) b_a.  Every solver loops over
 vectors outermost and poses its system one way: `_sing_actors` gives the
@@ -59,6 +71,16 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _exact(x):
+    """x as an int when it is integral, else x itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _fraction(x) -> Fraction:
+    """An int or Fraction coordinate as a Fraction."""
+    return x if type(x) is Fraction else Fraction(x) if x else ZERO
+
+
 class ModuleVector:
     """v = sum_I b^(I) (x) v_I with coordinates v_I over the generator basis."""
 
@@ -96,6 +118,8 @@ class ModuleVector:
 
     def scale(self, c) -> "ModuleVector":
         c = rat(c)
+        if c == 1:
+            return self  # module vectors are never mutated
         if not c:
             return ModuleVector(self.hopf, self.width, {})
         return ModuleVector(
@@ -153,6 +177,7 @@ class ModuleSpec:
     rep_gl: RepData | None = None
     _flat: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _last: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
+    _expanded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.table) != self.hopf.n:
@@ -192,27 +217,54 @@ class ModuleSpec:
             return acted[i]
         hopf, dim = self.hopf, self.dim
         table = self._flat_table(orient)[i]
-        acc: dict[MultiIndex, dict[MultiIndex, list[Fraction]]] = {}  # M -> J -> coordinates
+        units = self._expanded.setdefault((i, orient), {})
+        acc: dict[MultiIndex, dict[MultiIndex, list]] = {}  # M -> N -> coordinates
         for I, row in v.terms.items():
-            splits = [(hopf.antipode_mono(A), B) for A, B in mi_splits(I)] if orient == LEFT else ()
             for k, c in enumerate(row):
-                for K, J, coords in table[k] if c else ():
-                    if orient == RIGHT:
-                        terms = [(M, J, x) for M, x in hopf.mono_mul(I, K).items()]
-                    else:
-                        terms = [(M, N, s * x * y) for SA, B in splits for A, s in SA.items()
-                                 for M, x in hopf.mono_mul(K, A).items()
-                                 for N, y in hopf.mono_mul(B, J).items()]
-                    for M, N, x in terms:
-                        at_m = acc.get(M) or acc.setdefault(M, {})
-                        cur = at_m.get(N) or at_m.setdefault(N, [ZERO] * dim)
-                        cx = c * x
-                        for r, y in coords:
-                            cur[r] += cx * y
+                if not c:
+                    continue
+                terms = units.get((I, k))
+                if terms is None:
+                    terms = units[I, k] = self._expand_unit(I, table[k], orient)
+                c = _exact(c)
+                for M, N, r, x in terms:
+                    at_m = acc.get(M) or acc.setdefault(M, {})
+                    cur = at_m.get(N) or at_m.setdefault(N, [0] * dim)
+                    cur[r] += c * x
         acted[i] = PseudoValue(hopf, orient, {
-            M: ModuleVector(hopf, dim, {N: tuple(cur) for N, cur in at_m.items()})
+            M: ModuleVector(hopf, dim, {N: tuple(map(_fraction, cur))
+                                        for N, cur in at_m.items() if any(cur)})
             for M, at_m in acc.items()})
         return acted[i]
+
+    def _expand_unit(self, I: MultiIndex, table_k: list, orient: str) -> tuple:
+        """(1 (x) b_i) * (b^(I) (x) u_k) in normal form `orient`, from the
+        flat terms table_k of (1 (x) b_i) * u_k, as flat terms (M, N, r, x):
+        b^(M) in the normal-form slot and b^(N) (x) x u_r beside it.  The
+        arithmetic runs in int wherever it is integral, and so does each x.
+        An (M, N) whose coordinates cancel stays as (M, N, 0, 0), to keep its
+        place in the key order (see the module docstring)."""
+        hopf = self.hopf
+        if orient == RIGHT:
+            terms = [(M, J, _exact(x), coords) for K, J, coords in table_k
+                     for M, x in hopf.mono_mul(I, K).items()]
+        else:
+            splits = [([(A, _exact(s)) for A, s in hopf.antipode_mono(A).items()], B)
+                      for A, B in mi_splits(I)]
+            terms = [(M, N, s * _exact(x) * _exact(y), coords) for K, J, coords in table_k
+                     for SA, B in splits for A, s in SA
+                     for M, x in hopf.mono_mul(K, A).items()
+                     for N, y in hopf.mono_mul(B, J).items()]
+        out: dict[tuple[MultiIndex, MultiIndex], dict] = {}
+        for M, N, x, coords in terms:
+            at = out.setdefault((M, N), {})
+            for r, y in coords:
+                at[r] = at.get(r, 0) + x * _exact(y)
+        flat = []
+        for (M, N), at in out.items():
+            nonzero = [(M, N, r, _exact(x)) for r, x in at.items() if x]
+            flat.extend(nonzero or [(M, N, 0, 0)])
+        return tuple(flat)
 
     def _flat_table(self, orient: str) -> list:
         """table[i][k] in normal form `orient` as flat terms (K, J, [(r, c)]):
@@ -564,20 +616,16 @@ def r0_test(u: RepData) -> bool:
     n = u.lie.dim
     m = u.dim
     delta = identity_matrix(m)
+    # shifted[i][j] = e_i^j + delta_ij
+    shifted = [[tuple(tuple(u.gl_matrix(i, j)[r][c] + (delta[r][c] if i == j else ZERO)
+                            for c in range(m)) for r in range(m))
+                for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 for l in range(n):
-                    a = mat_mul(
-                        tuple(tuple(u.gl_matrix(i, j)[r][c] + (delta[r][c] if i == j else ZERO)
-                                    for c in range(m)) for r in range(m)),
-                        u.gl_matrix(l, k),
-                    )
-                    b = mat_mul(
-                        tuple(tuple(u.gl_matrix(i, k)[r][c] + (delta[r][c] if i == k else ZERO)
-                                    for c in range(m)) for r in range(m)),
-                        u.gl_matrix(l, j),
-                    )
+                    a = mat_mul(shifted[i][j], u.gl_matrix(l, k))
+                    b = mat_mul(shifted[i][k], u.gl_matrix(l, j))
                     if any(a[r][c] + b[r][c] for r in range(m) for c in range(m)):
                         return False
     return True

@@ -18,7 +18,7 @@ from liepseudo.derham import (
     sing_fingerprint,
     star_action,
 )
-from liepseudo._linalg import RowReducer, rank
+from liepseudo._linalg import RowReducer
 from liepseudo.hopf import Hopf, mi_below
 from liepseudo.liecore import (
     RepData,
@@ -314,7 +314,10 @@ def test_filtration_ranks_match_fresh_matrices(name):
             rows = [{(J, r): c for J, coords in imgs[k].hmul(H.mono(I)).terms.items()
                      for r, c in enumerate(coords) if c}
                     for I in mi_below(H.n, p) for k in range(len(imgs))]
-            assert pair == (len(rows), rank(rows)), (n, p)
+            red = RowReducer()
+            for row in rows:
+                red.add(row)
+            assert pair == (len(rows), red.rank), (n, p)
 
 
 @pytest.mark.parametrize("name", ["abelian2", "abelian3", "solv2", "heis3"])

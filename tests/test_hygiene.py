@@ -71,33 +71,46 @@ def test_the_scan_sees_an_import_inside_a_function():
 
 
 def unreferenced_private_helpers(trees: dict[str, ast.Module]) -> list[str]:
-    """`_`-prefixed module-level functions and classes, and `_`-prefixed
-    methods, whose name nothing in `trees` reads outside their own def, as
-    "file: name (line n)"."""
+    """`_`-prefixed module-level functions and classes, `_`-prefixed methods,
+    and the public functions of a `_`-prefixed module (such as `_linalg.py`)
+    whose name nothing in `trees` reads outside their own def, as
+    "file: name (line n)".  A public function of such a module is read only
+    by its name or as `module.name`: an attribute of the same name on
+    anything else, such as the property `RowReducer.rank` beside a function
+    `_linalg.rank`, is no call."""
     def is_private(node):
         return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                 and node.name.startswith("_") and not node.name.endswith("__"))
 
-    def reads(tree):
+    def reads(tree, module=None):
+        """Names read in `tree`; with `module`, attributes only of that module."""
         names = []
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.append(node.id)
             elif isinstance(node, ast.Attribute):
-                names.append(node.attr)
+                if module is None or isinstance(node.value, ast.Name) and node.value.id == module:
+                    names.append(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 names.extend(alias.name for alias in node.names)
         return names
 
-    everywhere = [name for tree in trees.values() for name in reads(tree)]
+    everywhere: dict = {}
     found = []
     for label, tree in trees.items():
-        helpers = [(node, node.name) for node in tree.body if is_private(node)]
-        helpers += [(item, f"{node.name}.{item.name}") for node in tree.body
+        module = Path(label).stem
+        helpers = [(node, node.name, None) for node in tree.body if is_private(node)]
+        if module.startswith("_") and not module.startswith("__"):
+            helpers += [(node, node.name, module) for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not is_private(node)]
+        helpers += [(item, f"{node.name}.{item.name}", None) for node in tree.body
                     if isinstance(node, ast.ClassDef) for item in node.body
                     if is_private(item) and not isinstance(item, ast.ClassDef)]
-        for node, qualname in helpers:
-            if everywhere.count(node.name) == reads(node).count(node.name):
+        for node, qualname, scope in helpers:
+            if scope not in everywhere:
+                everywhere[scope] = [name for t in trees.values() for name in reads(t, scope)]
+            if everywhere[scope].count(node.name) == reads(node, scope).count(node.name):
                 found.append(f"{label}: {qualname} (line {node.lineno})")
     return found
 
@@ -112,6 +125,13 @@ def test_the_scan_sees_a_private_helper_without_a_caller():
                      "    def _peek(self): return _kept() + self._peek()\n")
     assert unreferenced_private_helpers({"toy": tree}) == ["toy: _Box (line 2)",
                                                            "toy: _Box._peek (line 3)"]
+
+
+def test_the_scan_sees_a_public_function_of_a_private_module_without_a_caller():
+    private = ast.parse("def used(): return 1\ndef orphan(): return orphan()\n")
+    public = ast.parse("from _toy import used\ndef unread(box): return used() + box.orphan\n")
+    assert unreferenced_private_helpers({"_toy.py": private, "toy.py": public}) == [
+        "_toy.py: orphan (line 2)"]
 
 
 def ignored_options(parser: argparse.ArgumentParser, shared=()) -> dict[str, list[str]]:

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 from fractions import Fraction
 from math import comb
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from liepseudo import checks
 from liepseudo.annih import AnnElement, ann_action
 from liepseudo.dualx import XElement
-from liepseudo.hopf import Hopf, mi_below, mi_deg, mi_unit, mi_zero
+from liepseudo.hopf import Hopf, mi_below, mi_deg, mi_splits, mi_unit, mi_zero
 from liepseudo.liecore import (
     LieData, RepData, TraceForm, mat, omega_rep, sym2_dual_rep,
 )
@@ -749,3 +750,76 @@ def test_kept_actions_never_serve_another_vector_or_form():
         got = V.action_pv(i, v, orient)
         assert got.orient == orient
         assert got.eq(_action_by_mul_second(V, i, v, orient)), (i, v, orient)
+
+
+def _unmemoized_action_pv(V, i, v, orient):
+    """(1 (x) b_i) * v by the loop that expanded every term b^(I) (x) u_k
+    afresh on every call, in Fraction arithmetic: the oracle for the unit
+    memo, values and key order alike."""
+    hopf, dim = V.hopf, V.dim
+    table = V._flat_table(orient)[i]
+    acc = {}
+    for I, row in v.terms.items():
+        splits = [(hopf.antipode_mono(A), B) for A, B in mi_splits(I)] if orient == LEFT else ()
+        for k, c in enumerate(row):
+            for K, J, coords in table[k] if c else ():
+                if orient == RIGHT:
+                    terms = [(M, J, x) for M, x in hopf.mono_mul(I, K).items()]
+                else:
+                    terms = [(M, N, s * x * y) for SA, B in splits for A, s in SA.items()
+                             for M, x in hopf.mono_mul(K, A).items()
+                             for N, y in hopf.mono_mul(B, J).items()]
+                for M, N, x in terms:
+                    cur = acc.setdefault(M, {}).setdefault(N, [Fraction(0)] * dim)
+                    for r, y in coords:
+                        cur[r] += c * x * y
+    return PseudoValue(hopf, orient, {
+        M: ModuleVector(hopf, dim, {N: tuple(cur) for N, cur in at_m.items()})
+        for M, at_m in acc.items()})
+
+
+def _memo_modules():
+    """A tensor and a shifted module on each preset, and on k b1 (semidirect)
+    k^2 with non-integral brackets, whose expanded units hold Fractions."""
+    algebras = [hopf_for(name) for name in ("abelian2", "solv2", "abelian3", "heis3", "sl2", "solv3")]
+    brackets = [(0, 1, 1, Fraction(1, 2)), (0, 1, 2, Fraction(-2, 3)), (0, 2, 2, Fraction(3))]
+    algebras.append(Hopf(LieData.from_entries(3, brackets, name="k|x k^2")))
+    for H in algebras:
+        yield H.lie.name, tensor_module(H, trivial_pi(H), omega_rep(H.lie, 1))
+        yield H.lie.name, shifted_module(H, trivial_pi(H), omega_rep(H.lie, 2))
+
+
+def _all_fractions(pv):
+    return all(type(x) is Fraction for mv in pv.terms.values()
+               for row in mv.terms.values() for x in row)
+
+
+def test_action_pv_matches_the_unmemoized_loop():
+    rng = random.Random(10)
+    coeffs = [Fraction(c) for c in ("1", "-1", "2", "-3", "1/2", "-2/3")]
+    for name, V in _memo_modules():
+        H = V.hopf
+        slots = V.basis_upto(2)
+        actors = [w for _ab, w in WAlgebra(H).s_generators(H.lie.zero_trace_form())] \
+            if H.n >= 3 else []
+        for _ in range(6):
+            picked = rng.sample(slots, rng.randint(2, 4))
+            v = V.zero_vector()
+            for I, k in picked:
+                v = v.add(V.unit(k, I).scale(rng.choice(coeffs)))
+            # the second copy is a new object, so every unit comes from the memo
+            for vec in (v, v.add(V.zero_vector())):
+                for orient in (LEFT, RIGHT):
+                    for i in range(H.n):
+                        got = V.action_pv(i, vec, orient)
+                        want = _unmemoized_action_pv(V, i, vec, orient)
+                        assert list(got.terms) == list(want.terms), (name, i, orient)
+                        assert all(list(got.terms[M].terms) == list(want.terms[M].terms)
+                                   and got.terms[M].terms == want.terms[M].terms
+                                   for M in want.terms), (name, i, orient)
+                        assert _all_fractions(got), (name, i, orient)
+                    for w in actors:
+                        assert _all_fractions(V.w_star(w, vec, orient)), (name, orient)
+        if H.lie.name == "k|x k^2":
+            assert any(type(x) is Fraction for units in V._expanded.values()
+                       for terms in units.values() for _M, _N, _r, x in terms), name
