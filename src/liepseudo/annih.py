@@ -17,15 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import Row, add_entry, span_coords
+from ._linalg import add_entry, span_coords
 from .dualx import XElement
 from .errors import DimensionMismatch, NotInW0, SolveFailed, TruncationExceeded
-from .hopf import Hopf, MultiIndex, mi_below, mi_deg, mi_unit
+from .hopf import Hopf, MultiIndex, mi_add, mi_below, mi_deg, mi_unit
 from .liecore import Matrix, TraceForm, mat
 from .pseudoalg import WElement
 from .twosided import LEFT, PseudoValue
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 class AnnElement:
@@ -94,24 +95,31 @@ class AnnElement:
 def ann_bracket(A: AnnElement, B: AnnElement) -> AnnElement:
     """[x (x) a, y (x) b] = xy (x) [a,b] - x(ya) (x) b + (xb)y (x) a."""
     hopf = A.hopf
-    lie = hopf.lie
-    n = hopf.n
     validity = min(A.validity, B.validity) - 1
-    out = AnnElement.zero(hopf, validity)
-    for a in range(n):
-        x = A.comps[a]
+    comps: list[dict] = [{} for _ in range(hopf.n)]
+    for a, x in enumerate(A.comps):
         if x.is_zero():
             continue
-        for b in range(n):
-            y = B.comps[b]
+        for b, y in enumerate(B.comps):
             if y.is_zero():
                 continue
-            prod = x * y
-            for k, c in lie.bracket(a, b).items():
-                out = out.add(AnnElement.term(hopf, prod.scale(c).truncate(validity), k))
-            out = out.add(AnnElement.term(hopf, (x * y.act_right(hopf.gen(a))).scale(-1), b))
-            out = out.add(AnnElement.term(hopf, x.act_right(hopf.gen(b)) * y, a))
-    return out.truncate(validity)
+            _add_term_bracket(comps, hopf, x.coeffs, a, y.coeffs, b,
+                              y.act_right(hopf.gen(a)).coeffs,
+                              x.act_right(hopf.gen(b)).coeffs, validity)
+    return AnnElement(hopf, (XElement(hopf, comp, validity) for comp in comps))
+
+
+def _add_term_bracket(comps: list[dict], hopf: Hopf, x: dict, a: int, y: dict, b: int,
+                      ya: dict, xb: dict, cap: int) -> None:
+    """Add [x (x) b_a, y (x) b_b] up to degree cap into comps, one coefficient
+    dict per basis vector of d; ya and xb are the coefficients of y b_a and x b_b."""
+    terms = [(k, x, y, c) for k, c in hopf.lie.bracket(a, b).items()]
+    for k, left, right, c in terms + [(b, x, ya, -1), (a, xb, y, 1)]:
+        for I, u in left.items():
+            for J, v in right.items():
+                K = mi_add(I, J)
+                if mi_deg(K) <= cap:
+                    add_entry(comps[k], K, c * u * v)
 
 
 def d_act(hopf: Hopf, i: int, A: AnnElement) -> AnnElement:
@@ -256,36 +264,25 @@ def reconstruct_pseudoaction(hopf: Hopf, w_on: WElement, v, action_pv, degree_bo
 # ---------------------------------------------------------------------------
 
 def _unknown_slots(hopf: Hopf, deg_lo: int, deg_hi: int) -> list[tuple[MultiIndex, int]]:
-    slots = []
-    for J in mi_below(hopf.n, deg_hi):
-        if mi_deg(J) < deg_lo:
-            continue
-        for a in range(hopf.n):
-            slots.append((J, a))
-    return slots
+    return [(J, a) for J in mi_below(hopf.n, deg_hi) if mi_deg(J) >= deg_lo for a in range(hopf.n)]
 
 
-def _from_solution(hopf: Hopf, slots, sol: Row, validity: int) -> AnnElement:
-    comps = [dict() for _ in range(hopf.n)]
-    for col, c in sol.items():
-        J, a = slots[col]
-        comps[a][J] = c
-    return AnnElement(hopf, (XElement(hopf, comp, validity) for comp in comps))
-
-
-def _solve_once(hopf: Hopf, memo_key: tuple, slots, cols: list[dict], rhs: dict,
-                validity: int) -> AnnElement:
-    """Solve sum_col c[col] * cols[col] = rhs for the slot coefficients and
-    memoize the element on the Hopf instance under memo_key = (name, ...).
+def _solve(hopf: Hopf, memo_keys: list[tuple], slots, cols: list[dict], rhss: list[dict],
+           validity: int) -> None:
+    """Solve sum_col c[col] * cols[col] = rhs for the slot coefficients, for
+    every rhs in rhss in one reduction, and memoize the element solving
+    rhss[m] on the Hopf instance under memo_keys[m] = (name, ...).
 
     cols[col] is the sparse image of slot col, a map from equation key to a
-    nonzero coefficient; rhs must lie in the span of the columns."""
-    coeffs = span_coords(cols, [rhs])[0]
-    sol = None if coeffs is None else {col: c for col, c in enumerate(coeffs) if c}
-    if sol is None:
-        raise SolveFailed(f"{memo_key[0]} system inconsistent at this truncation")
-    hopf._ann_memo[memo_key] = _from_solution(hopf, slots, sol, validity)
-    return hopf._ann_memo[memo_key]
+    nonzero coefficient; every rhs must lie in the span of the columns."""
+    for key, coeffs in zip(memo_keys, span_coords(cols, rhss)):
+        if coeffs is None:
+            raise SolveFailed(f"{key[0]} system inconsistent at this truncation")
+        comps: list[dict] = [{} for _ in range(hopf.n)]
+        for (J, a), c in zip(slots, coeffs):
+            if c:
+                comps[a][J] = c
+        hopf._ann_memo[key] = AnnElement(hopf, (XElement(hopf, comp, validity) for comp in comps))
 
 
 def euler_element(hopf: Hopf, truncation: int) -> AnnElement:
@@ -309,22 +306,26 @@ def euler_element(hopf: Hopf, truncation: int) -> AnnElement:
     probes = [I for I in mi_below(hopf.n, cap) if mi_deg(I) >= 1]
     for I in probes:
         xI = XElement.mono(hopf, I, 1, truncation)
+        xI_b = [xI.act_right(hopf.gen(a)).coeffs for a in range(hopf.n)]
+        # (x_J (x) b_a) x_I = -x_J (x_I b_a)
         for (J, a), col in zip(slots, cols):
-            contrib = (XElement.mono(hopf, J, 1, truncation) *
-                       xI.act_right(hopf.gen(a))).scale(-1)
-            for K, c in contrib.coeffs.items():
+            for K, c in xI_b[a].items():
+                K = mi_add(J, K)
                 if mi_deg(K) <= cap:
-                    add_entry(col, (I, K), c)
+                    add_entry(col, (I, K), -c)
         rhs[(I, I)] = Fraction(-mi_deg(I))
-    return _solve_once(hopf, memo_key, slots, cols, rhs, cap)
+    _solve(hopf, [memo_key], slots, cols, [rhs], cap)
+    return hopf._ann_memo[memo_key]
 
 
 def gamma(hopf: Hopf, l: int, truncation: int) -> AnnElement:
     """The inner-derivation preimage of b_l: [gamma(b_l), A] = [b_l, A].
 
-    Solved modulo the truncation on a spanning probe set; the returned
-    representative has support degree <= D - 2 and gamma(b_l) + 1 (x) b_l
-    lies in W_0 with gl(d) symbol ad b_l.  Solved once per (l, truncation)
+    Solved modulo the truncation on the probes x_K (x) b_b with |K| <= 2;
+    the returned representative has support degree <= D - 2 and
+    gamma(b_l) + 1 (x) b_l lies in W_0 with gl(d) symbol ad b_l.  The
+    columns [x_J (x) b_a, probe] do not depend on l, so all n of
+    gamma(b_1), ..., gamma(b_n) are solved together, once per truncation,
     and memoized on the Hopf instance.
     """
     if truncation < 3:
@@ -332,24 +333,27 @@ def gamma(hopf: Hopf, l: int, truncation: int) -> AnnElement:
     memo_key = ("gamma", l, truncation)
     if memo_key in hopf._ann_memo:
         return hopf._ann_memo[memo_key]
+    n = hopf.n
     cap = truncation - 2
-    slots = _unknown_slots(hopf, 0, cap)
-    cols: list[dict] = [{} for _ in slots]
-    rhs: dict[tuple, Fraction] = {}
-    probe_deg = 2
     eq_cap = cap - 1
-    for K in mi_below(hopf.n, probe_deg):
-        for b in range(hopf.n):
-            probe = AnnElement.term(hopf, XElement.mono(hopf, K, 1, truncation), b)
-            target = d_act(hopf, l, probe)
+    slots = _unknown_slots(hopf, 0, cap)
+    # (J, a) -> the coefficients of x_J b_a, for every slot and probe
+    right = {(J, a): XElement.mono(hopf, J, 1, truncation).act_right(hopf.gen(a)).coeffs
+             for J in mi_below(n, max(cap, 2)) for a in range(n)}
+    cols: list[dict] = [{} for _ in slots]
+    rhss: list[dict] = [{} for _ in range(n)]
+    for K in mi_below(n, 2):
+        xK = XElement.mono(hopf, K, 1, truncation)
+        # d_act(l, x_K (x) b_b) = (b_l x_K) (x) b_b
+        for l2, rhs in enumerate(rhss):
+            bl_xK = xK.act_left(hopf.gen(l2)).truncate(eq_cap).coeffs
+            rhs.update({(K, b, b, Kc): c for b in range(n) for Kc, c in bl_xK.items()})
+        for b in range(n):
             for (J, a), col in zip(slots, cols):
-                basis = AnnElement.term(hopf, XElement.mono(hopf, J, 1, truncation), a)
-                for comp_idx, x in enumerate(ann_bracket(basis, probe).comps):
-                    for Kc, c in x.coeffs.items():
-                        if mi_deg(Kc) <= eq_cap:
-                            add_entry(col, (K, b, comp_idx, Kc), c)
-            for comp_idx, x in enumerate(target.comps):
-                for Kc, c in x.coeffs.items():
-                    if mi_deg(Kc) <= eq_cap:
-                        add_entry(rhs, (K, b, comp_idx, Kc), c)
-    return _solve_once(hopf, memo_key, slots, cols, rhs, cap)
+                comps: list[dict] = [{} for _ in range(n)]
+                _add_term_bracket(comps, hopf, {J: ONE}, a, xK.coeffs, b, right[K, a],
+                                  right[J, b], eq_cap)
+                col.update({(K, b, k, Kc): c for k, comp in enumerate(comps)
+                            for Kc, c in comp.items()})
+    _solve(hopf, [("gamma", l2, truncation) for l2 in range(n)], slots, cols, rhss, cap)
+    return hopf._ann_memo[memo_key]

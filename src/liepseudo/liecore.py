@@ -316,8 +316,10 @@ class RepData:
                     if got != expect:
                         raise RepInvalid(f"[rho(b_{i+1}), rho(b_{j+1})] != rho([b_{i+1}, b_{j+1}])")
         else:
-            n = self.lie.dim
-            for i, j, k, l in itertools.product(range(n), repeat=4):
+            # both sides are antisymmetric in the two pairs and vanish on equal
+            # pairs, so (i, j) < (k, l) suffices and the first failure is the same
+            units = list(itertools.product(range(self.lie.dim), repeat=2))
+            for (i, j), (k, l) in itertools.combinations(units, 2):
                 got = mat_comm(self.gl_matrix(i, j), self.gl_matrix(k, l))
                 expect = zero_matrix(self.dim)
                 if j == k:

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from liepseudo import annih
+from liepseudo._linalg import add_entry, span_coords
 from liepseudo.annih import (
     AnnElement,
     ExtAnnElement,
@@ -20,8 +22,8 @@ from liepseudo.annih import (
 )
 from liepseudo.dualx import XElement
 from liepseudo.errors import NotInW0
-from liepseudo.hopf import mi_below, mi_deg
-from liepseudo.liecore import identity_matrix, mat_comm, zero_matrix
+from liepseudo.hopf import Hopf, mi_below, mi_deg
+from liepseudo.liecore import LieData, identity_matrix, mat_comm, preset, zero_matrix
 from liepseudo.pseudoalg import WAlgebra
 
 from conftest import hopf_for
@@ -320,9 +322,156 @@ def test_reconstruct_on_module_h(any_preset):
             assert got.eq(expect)
 
 
-def test_euler_and_gamma_are_solved_once_per_truncation():
+def test_euler_and_gamma_are_solved_once_per_truncation(monkeypatch):
     H = hopf_for("abelian2")
     assert euler_element(H, D) is euler_element(H, D)
     assert gamma(H, 1, D) is gamma(H, 1, D)
     assert gamma(H, 0, D) is not gamma(H, 1, D)
     assert gamma(H, 0, D - 1) is not gamma(H, 0, D)
+
+    # all n gamma(b_l) at one truncation come from one solve, as does the
+    # Euler element
+    solves = []
+    real_span_coords = annih.span_coords
+
+    def span_coords_counted(vectors, targets):
+        solves.append(len(targets))
+        return real_span_coords(vectors, targets)
+
+    monkeypatch.setattr(annih, "span_coords", span_coords_counted)
+    H = Hopf(preset("heis3"))
+    first = [gamma(H, l, 4) for l in (2, 0, 1)]
+    assert [gamma(H, l, 4) for l in (2, 0, 1)] == first
+    assert solves == [H.n]
+    assert euler_element(H, 4) is euler_element(H, 4)
+    assert solves == [H.n, 1]
+    gamma(H, 0, 5)
+    assert solves == [H.n, 1, H.n]
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the bracket accumulated term by term through AnnElement, and
+# gamma and the Euler element solved one system per element
+# ---------------------------------------------------------------------------
+
+def _ann_bracket_by_terms(A, B):
+    H = A.hopf
+    validity = min(A.validity, B.validity) - 1
+    out = AnnElement.zero(H, validity)
+    for a in range(H.n):
+        x = A.comps[a]
+        if x.is_zero():
+            continue
+        for b in range(H.n):
+            y = B.comps[b]
+            if y.is_zero():
+                continue
+            prod = x * y
+            for k, c in H.lie.bracket(a, b).items():
+                out = out.add(AnnElement.term(H, prod.scale(c).truncate(validity), k))
+            out = out.add(AnnElement.term(H, (x * y.act_right(H.gen(a))).scale(-1), b))
+            out = out.add(AnnElement.term(H, x.act_right(H.gen(b)) * y, a))
+    return out.truncate(validity)
+
+
+def _slots(H, deg_lo, deg_hi):
+    return [(J, a) for J in mi_below(H.n, deg_hi) if mi_deg(J) >= deg_lo for a in range(H.n)]
+
+
+def _solve_one(H, slots, cols, rhs, validity):
+    coeffs = span_coords(cols, [rhs])[0]
+    assert coeffs is not None
+    comps = [dict() for _ in range(H.n)]
+    for (J, a), c in zip(slots, coeffs):
+        if c:
+            comps[a][J] = c
+    return AnnElement(H, (XElement(H, comp, validity) for comp in comps))
+
+
+def _gamma_each_l(H, truncation):
+    """gamma(b_1), ..., gamma(b_n), each from a solve of its own.  The columns
+    do not depend on l, so they are built once, term by term."""
+    cap = truncation - 2
+    slots = _slots(H, 0, cap)
+    cols = [{} for _ in slots]
+    rhss = [{} for _ in range(H.n)]
+    for K in mi_below(H.n, 2):
+        for b in range(H.n):
+            probe = AnnElement.term(H, XElement.mono(H, K, 1, truncation), b)
+            for (J, a), col in zip(slots, cols):
+                basis = AnnElement.term(H, XElement.mono(H, J, 1, truncation), a)
+                for comp_idx, x in enumerate(_ann_bracket_by_terms(basis, probe).comps):
+                    for Kc, c in x.coeffs.items():
+                        if mi_deg(Kc) <= cap - 1:
+                            add_entry(col, (K, b, comp_idx, Kc), c)
+            for l, rhs in enumerate(rhss):
+                for comp_idx, x in enumerate(d_act(H, l, probe).comps):
+                    for Kc, c in x.coeffs.items():
+                        if mi_deg(Kc) <= cap - 1:
+                            add_entry(rhs, (K, b, comp_idx, Kc), c)
+    return [_solve_one(H, slots, cols, rhs, cap) for rhs in rhss]
+
+
+def _euler_alone(H, truncation):
+    cap = truncation - 2
+    slots = _slots(H, 1, cap)
+    cols = [{} for _ in slots]
+    rhs = {}
+    for I in mi_below(H.n, cap):
+        if mi_deg(I) == 0:
+            continue
+        xI = XElement.mono(H, I, 1, truncation)
+        for (J, a), col in zip(slots, cols):
+            contrib = (XElement.mono(H, J, 1, truncation) * xI.act_right(H.gen(a))).scale(-1)
+            for K, c in contrib.coeffs.items():
+                if mi_deg(K) <= cap:
+                    add_entry(col, (I, K), c)
+        rhs[(I, I)] = Fraction(-mi_deg(I))
+    return _solve_one(H, slots, cols, rhs, cap)
+
+
+def _same(A, B):
+    """Equal coefficients, key order and validity in every component."""
+    return [(list(x.coeffs.items()), x.validity) for x in A.comps] == \
+        [(list(x.coeffs.items()), x.validity) for x in B.comps]
+
+
+def _semidirect():
+    # k b1 (semidirect) k^2 with [b1, b_{j+2}] = sum_i M[i][j] b_{i+2}
+    brackets = [(0, 1, 1, Fraction(2)), (0, 1, 2, Fraction(-1)), (0, 2, 1, Fraction(1, 2)),
+                (0, 2, 2, Fraction(-2))]
+    return Hopf(LieData.from_entries(3, brackets, name="k|x k^2"))
+
+
+_PRESETS = ("abelian1", "abelian2", "abelian3", "heis3", "sl2", "solv2", "solv3")
+_GAMMA_CASES = [(name, trunc) for name in _PRESETS + ("k|x k^2",) for trunc in (3, 4, 5)] + \
+    [("sl2", 6), ("heis3", 6)]
+
+
+@pytest.mark.parametrize("name,trunc", _GAMMA_CASES)
+def test_gamma_and_euler_match_a_solve_per_element(name, trunc):
+    H = _semidirect() if name == "k|x k^2" else hopf_for(name)
+    for l, expect in enumerate(_gamma_each_l(H, trunc)):
+        assert _same(gamma(H, l, trunc), expect), l
+    assert _same(euler_element(H, trunc), _euler_alone(H, trunc))
+
+
+@pytest.mark.parametrize("name", _PRESETS + ("k|x k^2",))
+def test_ann_bracket_matches_term_by_term_accumulation(name):
+    H = _semidirect() if name == "k|x k^2" else hopf_for(name)
+    rng = random.Random(47)
+    monos = mi_below(H.n, 2)
+
+    def sample(terms, validity):
+        out = AnnElement.zero(H, validity)
+        for _ in range(terms):
+            x = XElement.mono(H, rng.choice(monos), rng.choice((1, -2, Fraction(1, 3))), validity)
+            out = out.add(AnnElement.term(H, x, rng.randrange(H.n)))
+        return out
+
+    for _ in range(12):
+        A, B = sample(1, rng.choice((4, 5))), sample(1, 5)
+        assert _same(ann_bracket(A, B), _ann_bracket_by_terms(A, B))
+    for _ in range(6):
+        A, B = sample(2, 5), sample(2, 4)
+        assert _same(ann_bracket(A, B), _ann_bracket_by_terms(A, B))

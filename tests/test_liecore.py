@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,16 @@ from liepseudo.liecore import (
     LieData,
     RepData,
     box_tensor,
+    mat,
+    mat_add,
+    mat_comm,
     mat_is_zero,
+    mat_scale,
     omega_rep,
     preset,
     sym2_dual_rep,
     wedge_basis,
+    zero_matrix,
 )
 
 
@@ -106,6 +112,41 @@ def test_rep_validation_catches_errors():
     bad = RepData.d_rep(lie, tuple(((Fraction(i + 1),),) for i in range(3)))
     with pytest.raises(RepInvalid):
         bad.validate()
+
+
+def _first_gl_failure_on_all_pairs(rep):
+    """The gl relations checked on all n^4 ordered pairs, in lexicographic
+    order: the message of the first failing pair, or None."""
+    n = rep.lie.dim
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        got = mat_comm(rep.gl_matrix(i, j), rep.gl_matrix(k, l))
+        expect = zero_matrix(rep.dim)
+        if j == k:
+            expect = mat_add(expect, rep.gl_matrix(i, l))
+        if i == l:
+            expect = mat_add(expect, mat_scale(Fraction(-1), rep.gl_matrix(k, j)))
+        if got != expect:
+            return f"gl commutation fails on (e_{i+1}^{j+1}, e_{k+1}^{l+1})"
+    return None
+
+
+@pytest.mark.parametrize("name", ["abelian2", "heis3", "sl2"])
+def test_gl_validation_names_the_first_failing_pair_of_all_ordered_pairs(name):
+    lie = preset(name)
+    rep = omega_rep(lie, 1)
+    units = list(itertools.product(range(lie.dim), repeat=2))
+    m = rep.dim
+    for unit, (r, c) in itertools.product(units, [(0, 0), (0, m - 1), (m - 1, 0)]):
+        bump = mat([[Fraction(1, 2) if (p, q) == (r, c) else 0 for q in range(m)]
+                    for p in range(m)])
+        mats = {u: rep.gl_matrix(*u) for u in units}
+        mats[unit] = mat_add(mats[unit], bump)
+        bad = RepData.gl_rep(lie, mats)
+        expect = _first_gl_failure_on_all_pairs(bad)
+        assert expect is not None, (unit, r, c)
+        with pytest.raises(RepInvalid) as exc:
+            bad.validate()
+        assert str(exc.value) == expect, (unit, r, c)
 
 
 def test_wedge_basis_sizes():
