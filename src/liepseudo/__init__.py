@@ -25,7 +25,7 @@ from .modules import (
     tensor_module,
     twist_module,
 )
-from .derham import classify_report, exactness_report, pseudo_d, star_action
+from .derham import classify_report, exactness_report, pseudo_d
 
 __all__ = [
     "LieData",
@@ -61,7 +61,6 @@ __all__ = [
     "classify_report",
     "exactness_report",
     "pseudo_d",
-    "star_action",
 ]
 
 __version__ = "0.1.0"

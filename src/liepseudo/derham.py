@@ -21,7 +21,7 @@ from ._linalg import RowReducer
 from .annih import AnnElement
 from .dualx import XElement
 from .errors import DegreeOutOfRange
-from .hopf import HElement, Hopf, mi_below, mi_deg, mi_unit, mi_zero
+from .hopf import Hopf, mi_below, mi_deg, mi_unit, mi_zero
 from .liecore import LieData, RepData, TraceForm, omega_rep, rat, wedge_basis
 from .modules import (
     PAPER_BOUND,
@@ -38,8 +38,6 @@ from .modules import (
     twist_map,
     r0_test,
 )
-from .pseudoalg import WElement
-from .twosided import LEFT, PseudoValue
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -205,61 +203,6 @@ def d_images(hopf: Hopf, n: int, pi: RepData | None = None) -> list[ModuleVector
 def pseudo_d(hopf: Hopf, n: int, gammav: ModuleVector, pi: RepData | None = None) -> ModuleVector:
     """Apply the (twisted) de Rham differential to a degree-n pseudoform."""
     return apply_map(d_images(hopf, n, pi), gammav)
-
-
-def star_action(hopf: Hopf, w: WElement, n: int, gammav: ModuleVector) -> PseudoValue:
-    """(w * gamma) for gamma in Omega^n(d) by the Cartan-type formula:
-
-    (w * gamma)(a_1 ^...^ a_n) = -(f (x) g a) al(a_1 ^...^ a_n)
-      + sum_i (-1)^i (f a_i (x) g) al(a ^ ...hat i...)
-      + sum_i (-1)^i (f (x) g) al([a, a_i] ^ ...hat i...).
-    """
-    lie = hopf.lie
-    N = lie.dim
-    basis = wedge_basis(N, n)
-    index = {S: t for t, S in enumerate(basis)}
-    out = PseudoValue.zero(hopf, LEFT)
-    # collect the H coefficient of each wedge-basis column of gamma
-    g_of: dict[tuple[int, ...], HElement] = {}
-    for I, coords in gammav.terms.items():
-        for t, c in enumerate(coords):
-            if c:
-                S = basis[t]
-                g_of[S] = g_of.get(S, hopf.zero()) + hopf.mono(I, c)
-    for a in range(N):
-        f = w.comps[a]
-        if f.is_zero():
-            continue
-        for S, g in g_of.items():
-            alpha = Form.basis_form(lie, S)
-            if n == 0:
-                vec = ModuleVector.unit(hopf, 1, 0)
-                out = out.add(PseudoValue.from_tensor(f, g * hopf.gen(a), vec).neg())
-                continue
-            for T in basis:
-                vec = ModuleVector.unit(hopf, len(basis), index[T])
-                val = alpha.evaluate(T)
-                if val:
-                    out = out.add(
-                        PseudoValue.from_tensor(f, g * hopf.gen(a), vec.scale(val)).neg()
-                    )
-                for r in range(len(T)):
-                    rest = T[:r] + T[r + 1:]
-                    sgn = Fraction((-1) ** (r + 1))
-                    v1 = alpha.evaluate((a,) + rest)
-                    if v1:
-                        out = out.add(
-                            PseudoValue.from_tensor(
-                                f * hopf.gen(T[r]), g, vec.scale(sgn * v1)
-                            )
-                        )
-                    for k, c in lie.bracket(a, T[r]).items():
-                        v2 = alpha.evaluate((k,) + rest)
-                        if v2:
-                            out = out.add(
-                                PseudoValue.from_tensor(f, g, vec.scale(sgn * c * v2))
-                            )
-    return out
 
 
 def dw2_lhs_rhs(hopf: Hopf, i: int, S, pi: RepData | None = None):

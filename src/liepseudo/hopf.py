@@ -4,7 +4,7 @@ Basis monomials are b^(I) = b_1^{i_1} ... b_N^{i_N} / i_1! ... i_N! indexed by
 multi-indices I.  Products are straightened recursively through the
 commutation relations.  The caches, all scheduling-independent, are:
 - the per-instance memos here (straightening, products, antipodes, and the
-  tables dualx, derham and annih key on the algebra);
+  tables dualx, derham, annih and pseudoalg key on the algebra);
 - per ModuleSpec: its action table in each normal form, its unit
   expansions (1 (x) b_i) * (b^(I) (x) u_k) in int-where-integral terms, and
   the values of the last (vector, form) its pseudoaction was applied to.
@@ -104,6 +104,8 @@ class Hopf:
         self._x_action_memo: dict = {}
         # Euler element and gamma(b_l) per truncation, filled by annih
         self._ann_memo: dict = {}
+        # W(d) as its adjoint module and the W(d)-module H, filled by pseudoalg.w_modules
+        self._w_modules_memo: dict = {}
 
     # -- element constructors ------------------------------------------
     def zero(self) -> "HElement":

@@ -215,6 +215,7 @@ class RepData:
         self.dim = dim
         self._d = d_mats
         self._gl = gl_mats
+        self._valid = False  # set once validate() passes; the matrices are never reassigned
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -306,6 +307,9 @@ class RepData:
 
     # -- validation ---------------------------------------------------
     def validate(self) -> None:
+        """Raise RepInvalid unless the relations hold; only a pass is remembered."""
+        if self._valid:
+            return
         if self.is_d_rep:
             for i in range(self.lie.dim):
                 for j in range(i + 1, self.lie.dim):
@@ -328,6 +332,7 @@ class RepData:
                     expect = mat_add(expect, mat_scale(Fraction(-1), self.gl_matrix(k, j)))
                 if got != expect:
                     raise RepInvalid(f"gl commutation fails on (e_{i+1}^{j+1}, e_{k+1}^{l+1})")
+        self._valid = True
 
 
 def box_tensor(pi: RepData, u: RepData) -> tuple[RepData, RepData]:

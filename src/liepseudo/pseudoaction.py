@@ -1,0 +1,280 @@
+"""Free H-modules H (x) R and the one pseudoaction kernel.
+
+A ModuleVector is sum_I b^(I) (x) v_I, a sparse map multi-index ->
+coordinate tuple over the generator basis of R.  A ModuleSpec is H (x) R
+with its pseudoaction stored as one left-normal PseudoValue per (basis
+vector of d, generator), extended H-bilinearly: the tensor modules of
+`modules`, and W(d) acting on itself and on H (`pseudoalg.w_modules`).
+
+`ModuleSpec.action_pv(i, v, orient)` computes (1 (x) b_i) * v directly in
+the normal form its consumer reads, from the table stored once in that form,
+and keeps the at most n values of the last (vector, form) for all readers of
+that vector.  Each unit (i, I, k, form) is expanded once, when a vector with
+a nonzero b^(I) (x) u_k first meets it, into flat terms (M, N, r, x) with x
+an int wherever it is integral; a kernel run only accumulates c * x and
+makes each output coordinate a Fraction once.  An expansion keeps every
+(M, N) it meets, also one whose coordinates cancel, in order of first
+appearance: `submodule_closure` queues the components of a value in key
+order, so its truncated basis depends on it.
+
+`w_star` applies a W(d) element w = sum_a h_a (x) b_a, a WElement or a
+width-n vector read through its `comps`, as sum_a (h_a (x) 1)((1 (x) b_a) * v).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from fractions import Fraction
+
+from ._linalg import add_entry
+from .errors import DimensionMismatch, RepInvalid
+from .hopf import HElement, Hopf, MultiIndex, mi_below, mi_deg, mi_splits, mi_zero
+from .liecore import RepData, rat
+from .twosided import LEFT, RIGHT, PseudoValue
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def _exact(x):
+    """x as an int when it is integral, else x itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _fraction(x) -> Fraction:
+    """An int or Fraction coordinate as a Fraction."""
+    return x if type(x) is Fraction else Fraction(x) if x else ZERO
+
+
+class ModuleVector:
+    """v = sum_I b^(I) (x) v_I with coordinates v_I over the generator basis."""
+
+    __slots__ = ("hopf", "width", "terms")
+
+    def __init__(self, hopf: Hopf, width: int, terms: dict[MultiIndex, tuple[Fraction, ...]]):
+        self.hopf = hopf
+        self.width = width
+        self.terms = {I: row for I, row in terms.items() if any(row)}
+
+    @classmethod
+    def zero(cls, hopf: Hopf, width: int) -> "ModuleVector":
+        return cls(hopf, width, {})
+
+    @classmethod
+    def unit(cls, hopf: Hopf, width: int, k: int, I: MultiIndex | None = None) -> "ModuleVector":
+        I = I if I is not None else mi_zero(hopf.n)
+        row = tuple(ONE if c == k else ZERO for c in range(width))
+        return cls(hopf, width, {I: row})
+
+    def add(self, other: "ModuleVector") -> "ModuleVector":
+        if other.width != self.width:
+            raise DimensionMismatch("module widths differ")
+        out = dict(self.terms)
+        for I, row in other.terms.items():
+            cur = out.get(I)
+            out[I] = row if cur is None else tuple(a + b for a, b in zip(cur, row))
+        return ModuleVector(self.hopf, self.width, out)
+
+    def __add__(self, other):
+        return self.add(other)
+
+    def __sub__(self, other):
+        return self.add(other.scale(-1))
+
+    def scale(self, c) -> "ModuleVector":
+        c = rat(c)
+        if c == 1:
+            return self  # module vectors are never mutated
+        if not c:
+            return ModuleVector(self.hopf, self.width, {})
+        return ModuleVector(
+            self.hopf, self.width, {I: tuple(c * v for v in row) for I, row in self.terms.items()}
+        )
+
+    def hmul(self, h: HElement) -> "ModuleVector":
+        out: dict[MultiIndex, list[Fraction]] = {}
+        for I, row in self.terms.items():
+            for J, c in h.coeffs.items():
+                for K, c2 in self.hopf.mono_mul(J, I).items():
+                    cur = out.setdefault(K, [ZERO] * self.width)
+                    cc = c * c2
+                    for k, v in enumerate(row):
+                        if v:
+                            cur[k] += cc * v
+        return ModuleVector(self.hopf, self.width, {K: tuple(r) for K, r in out.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def degree(self) -> int:
+        return max((mi_deg(I) for I in self.terms), default=-1)
+
+    def coefficient(self, I: MultiIndex) -> tuple[Fraction, ...]:
+        return self.terms.get(tuple(I), (ZERO,) * self.width)
+
+    def eq(self, other: "ModuleVector") -> bool:
+        return (self - other).is_zero()
+
+    @property
+    def comps(self) -> tuple[HElement, ...]:
+        """The H coefficient h_k of each generator, v = sum_k h_k (x) u_k: a
+        width-n vector read as the W(d) element sum_k h_k (x) b_k."""
+        return tuple(HElement(self.hopf, {I: row[k] for I, row in self.terms.items() if row[k]})
+                     for k in range(self.width))
+
+    def __repr__(self) -> str:
+        order = sorted(self.terms, key=lambda J: (mi_deg(J), J))
+        return " + ".join(f"b^{I}(x)({', '.join(map(str, self.terms[I]))})" for I in order) or "0"
+
+    def serialize(self) -> list:
+        return [
+            [list(I), [str(v) for v in row]]
+            for I, row in sorted(self.terms.items(), key=lambda kv: (mi_deg(kv[0]), kv[0]))
+        ]
+
+
+@dataclass
+class ModuleSpec:
+    """A free H-module H (x) R with a pseudoaction table.
+
+    table[i][k] is the left-normal value of (1 (x) b_i) * (1 (x) u_k).
+    Optional representation data records how R was constructed.
+    """
+
+    hopf: Hopf
+    dim: int
+    table: tuple
+    name: str = ""
+    rep_d: RepData | None = None
+    rep_gl: RepData | None = None
+    _flat: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _last: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
+    _expanded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if len(self.table) != self.hopf.n:
+            raise RepInvalid("need one table row per basis vector of d")
+        for row in self.table:
+            if len(row) != self.dim:
+                raise RepInvalid("table width disagrees with the generator count")
+
+    # -- vectors ---------------------------------------------------------
+    def zero_vector(self) -> ModuleVector:
+        return ModuleVector.zero(self.hopf, self.dim)
+
+    def unit(self, k: int, I: MultiIndex | None = None) -> ModuleVector:
+        return ModuleVector.unit(self.hopf, self.dim, k, I)
+
+    def basis_upto(self, p: int) -> list[tuple[MultiIndex, int]]:
+        return [(I, k) for I in mi_below(self.hopf.n, p) for k in range(self.dim)]
+
+    # -- the pseudoaction --------------------------------------------------
+    def action_pv(self, i: int, v: ModuleVector, orient: str = LEFT) -> PseudoValue:
+        """(1 (x) b_i) * v in normal form `orient`.
+
+        By H-bilinearity b^(I) (x) u_k contributes table[i][k] with b^(I) in
+        its second slot.  On a right-normal table term (1 (x) b^(K)) (x)_H w
+        that is (1 (x) b^(I) b^(K)) (x)_H w; on a left-normal one
+        (b^(K) (x) 1) (x)_H w it is sum_{A+B=I} (b^(K) S(b^(A)) (x) 1) (x)_H b^(B) w.
+        """
+        # The values of the last (vector, form) are kept, at most n.  Module
+        # vectors are never mutated after construction (nothing assigns to
+        # .terms), so they stay right while `v` is that object; holding it
+        # keeps its id from being reused.
+        last, last_orient, acted = self._last
+        if last is not v or last_orient != orient:
+            acted = {}
+            self._last = (v, orient, acted)
+        if i in acted:
+            return acted[i]
+        hopf, dim = self.hopf, self.dim
+        table = self._flat_table(orient)[i]
+        units = self._expanded.setdefault((i, orient), {})
+        acc: dict[MultiIndex, dict[MultiIndex, list]] = {}  # M -> N -> coordinates
+        for I, row in v.terms.items():
+            for k, c in enumerate(row):
+                if not c:
+                    continue
+                terms = units.get((I, k))
+                if terms is None:
+                    terms = units[I, k] = self._expand_unit(I, table[k], orient)
+                c = _exact(c)
+                for M, N, r, x in terms:
+                    at_m = acc.get(M) or acc.setdefault(M, {})
+                    cur = at_m.get(N) or at_m.setdefault(N, [0] * dim)
+                    cur[r] += c * x
+        acted[i] = PseudoValue(hopf, orient, {
+            M: ModuleVector(hopf, dim, {N: tuple(map(_fraction, cur))
+                                        for N, cur in at_m.items() if any(cur)})
+            for M, at_m in acc.items()})
+        return acted[i]
+
+    def _expand_unit(self, I: MultiIndex, table_k: list, orient: str) -> tuple:
+        """(1 (x) b_i) * (b^(I) (x) u_k) in normal form `orient`, from the
+        flat terms table_k of (1 (x) b_i) * u_k, as flat terms (M, N, r, x):
+        b^(M) in the normal-form slot and b^(N) (x) x u_r beside it.  The
+        arithmetic runs in int wherever it is integral, and so does each x.
+        An (M, N) whose coordinates cancel stays as (M, N, 0, 0), to keep its
+        place in the key order (see the module docstring)."""
+        hopf = self.hopf
+        if orient == RIGHT:
+            terms = [(M, J, _exact(x), coords) for K, J, coords in table_k
+                     for M, x in hopf.mono_mul(I, K).items()]
+        else:
+            splits = [([(A, _exact(s)) for A, s in hopf.antipode_mono(A).items()], B)
+                      for A, B in mi_splits(I)]
+            terms = [(M, N, s * _exact(x) * _exact(y), coords) for K, J, coords in table_k
+                     for SA, B in splits for A, s in SA
+                     for M, x in hopf.mono_mul(K, A).items()
+                     for N, y in hopf.mono_mul(B, J).items()]
+        out: dict[tuple[MultiIndex, MultiIndex], dict] = {}
+        for M, N, x, coords in terms:
+            at = out.setdefault((M, N), {})
+            for r, y in coords:
+                at[r] = at.get(r, 0) + x * _exact(y)
+        flat = []
+        for (M, N), at in out.items():
+            nonzero = [(M, N, r, _exact(x)) for r, x in at.items() if x]
+            flat.extend(nonzero or [(M, N, 0, 0)])
+        return tuple(flat)
+
+    def _flat_table(self, orient: str) -> list:
+        """table[i][k] in normal form `orient` as flat terms (K, J, [(r, c)]):
+        b^(K) in the normal-form slot and w = b^(J) (x) sum c u_r over the
+        nonzero c.  Built once per form; n * dim entries."""
+        flat = self._flat.get(orient)
+        if flat is None:
+            flat = self._flat[orient] = [
+                [[(K, J, [(r, c) for r, c in enumerate(coords) if c])
+                  for K, w in val.convert(orient).terms.items() for J, coords in w.terms.items()]
+                 for val in row] for row in self.table]
+        return flat
+
+    def w_star(self, w, v: ModuleVector, orient: str = LEFT) -> PseudoValue:
+        """(sum_a h_a (x) b_a) * v = sum_a ((h_a (x) 1) (x)_H 1)((1 (x) b_a) * v),
+        each (1 (x) b_a) * v taken in normal form `orient`; for w = 1 (x) b_a
+        that is (1 (x) b_a) * v itself.  The actor w is a WElement or a
+        width-n vector, read through its `comps`."""
+        terms = [(a, h) for a, h in enumerate(w.comps) if not h.is_zero()]
+        if len(terms) == 1 and terms[0][1] == self.hopf.one():
+            return self.action_pv(terms[0][0], v, orient)
+        out = PseudoValue.zero(self.hopf, orient)
+        for a, h in terms:
+            out = out.add(self.action_pv(a, v, orient).mul_first(h))
+        return out
+
+    def full_tensor(self, p: PseudoValue) -> list[tuple[MultiIndex, MultiIndex, int, Fraction]]:
+        """Expand a value over this module into pure tensors
+        (b^(F) (x) b^(G)) (x)_H (1 (x) u_k)."""
+        out: dict[tuple[MultiIndex, MultiIndex, int], Fraction] = {}
+        for I, vec in p.to_left().terms.items():
+            for J, row in vec.terms.items():
+                for A, B in mi_splits(J):
+                    for F, c in self.hopf.mono_mul(I, A).items():
+                        for k, v in enumerate(row):
+                            if v:
+                                add_entry(out, (F, B, k), c * v)
+        return [(F, G, k, c) for (F, G, k), c in sorted(out.items())]
+
+    def __repr__(self) -> str:
+        return f"ModuleSpec({self.name or 'H(x)R'}, rank {self.dim})"

@@ -1,23 +1,23 @@
 """Concrete Lie pseudoalgebras: W(d), current algebras, the divergence, and
 the generators of S(d, chi), together with exact axiom checkers.
 
-W(d) is the free H-module H (x) d; its elements are stored as one H
-coefficient per basis vector of d.  The same container doubles as an element
-of Cur g = H (x) g.
+W(d) is the free H-module H (x) d; a WElement stores one H coefficient per
+basis vector of d, and doubles as an element of Cur g = H (x) g.  The
+bracket of W(d) and its action on H are the pseudoactions of two ModuleSpecs
+(`w_modules`), so both run on the one kernel `ModuleSpec.w_star`; arguments
+are WElements or module vectors, and the carriers of values module vectors.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import DimensionMismatch, DimensionTooSmall
-from .hopf import HElement, Hopf, mi_below
+from .hopf import HElement, Hopf, mi_below, mi_unit, mi_zero
 from .liecore import LieData, TraceForm, rat
-from .twosided import PseudoValue, jacobi_defect, skew_defect
-
-ZERO = Fraction(0)
+from .pseudoaction import ONE, ZERO, ModuleSpec, ModuleVector
+from .twosided import LEFT, PseudoValue, jacobi_defect, skew_defect
 
 
 class WElement:
@@ -97,7 +97,8 @@ class WElement:
 # ---------------------------------------------------------------------------
 
 class WAlgebra:
-    """The Lie pseudoalgebra W(d) = H (x) d with its pseudobracket."""
+    """The Lie pseudoalgebra W(d) = H (x) d with its pseudobracket and its
+    action on H, both through `w_modules`."""
 
     def __init__(self, hopf: Hopf):
         self.hopf = hopf
@@ -115,35 +116,20 @@ class WAlgebra:
             raise DimensionMismatch("need one H coefficient per basis vector of d")
         return WElement(self.hopf, comps)
 
-    def bracket(self, u: WElement, v: WElement) -> PseudoValue:
-        """[(f (x) a) * (g (x) b)] = (f (x) g) (x)_H (1 (x) [a,b])
+    def bracket(self, u, v) -> PseudoValue:
+        """[u * v], the pseudoaction of W(d) on itself (`w_modules`): by
+        H-bilinearity [(f (x) a) * (g (x) b)] = (f (x) g) (x)_H (1 (x) [a,b])
         - (f (x) g a) (x)_H (1 (x) b) + (f b (x) g) (x)_H (1 (x) a)."""
-        hopf = self.hopf
-        out = PseudoValue.zero(hopf)
-        for a, f in enumerate(u.comps):
-            if f.is_zero():
-                continue
-            for b, g in enumerate(v.comps):
-                if g.is_zero():
-                    continue
-                for k, c in hopf.lie.bracket(a, b).items():
-                    out = out.add(PseudoValue.from_tensor(f, g, self.gen(k).scale(c)))
-                out = out.add(PseudoValue.from_tensor(f, g * hopf.gen(a), self.gen(b)).neg())
-                out = out.add(PseudoValue.from_tensor(f * hopf.gen(b), g, self.gen(a)))
-        return out
+        return w_modules(self.hopf)[0].w_star(u, _as_vector(v, self.n))
 
-    def action_on_h(self, w: WElement, g: HElement) -> PseudoValue:
-        """(f (x) a) * g = -(f (x) g a) (x)_H 1: the W(d)-module H."""
-        hopf = self.hopf
-        out = PseudoValue.zero(hopf)
-        for a, f in enumerate(w.comps):
-            if f.is_zero():
-                continue
-            out = out.add(PseudoValue.from_tensor(f, g * hopf.gen(a), hopf.one()).neg())
-        return out
+    def action_on_h(self, w, g) -> PseudoValue:
+        """(f (x) a) * g = -(f (x) g a) (x)_H 1: the W(d)-module H (`w_modules`),
+        for g in H or a width-1 vector."""
+        return w_modules(self.hopf)[1].w_star(w, _as_vector(g, 1))
 
-    def div(self, w: WElement, chi: TraceForm) -> HElement:
-        """Div^chi(sum h_a (x) b_a) = sum h_a (b_a + chi(b_a))."""
+    def div(self, w, chi: TraceForm) -> HElement:
+        """Div^chi(sum h_a (x) b_a) = sum h_a (b_a + chi(b_a)), for a WElement
+        or a width-n vector."""
         out = self.hopf.zero()
         for a, h in enumerate(w.comps):
             if h.is_zero():
@@ -169,6 +155,49 @@ class WAlgebra:
             for b in range(a + 1, self.n):
                 out.append(((a, b), self.s_generator(a, b, chi)))
         return out
+
+
+def _as_vector(x, width: int) -> ModuleVector:
+    """x as a module vector of the given width: a WElement sum_a h_a (x) b_a,
+    an h in H as h (x) 1 in H (x) k, a module vector as itself."""
+    if not isinstance(x, ModuleVector):
+        comps = x.comps if isinstance(x, WElement) else (x,)
+        keys = dict.fromkeys(I for h in comps for I in h.coeffs)
+        x = ModuleVector(x.hopf, len(comps), {I: tuple(h.coeffs.get(I, ZERO) for h in comps)
+                                              for I in keys})
+    if x.width != width:
+        raise DimensionMismatch(f"need a vector of width {width}, not {x.width}")
+    return x
+
+
+def w_modules(hopf: Hopf) -> tuple[ModuleSpec, ModuleSpec]:
+    """W(d) as its own adjoint module H (x) d and the W(d)-module H = H (x) k,
+    built once per Hopf from the paper's formulas
+    [(1 (x) b_i) * (1 (x) b_k)] = (1 (x) 1) (x)_H (1 (x) [b_i, b_k])
+      - (1 (x) b_i) (x)_H (1 (x) b_k) + (b_k (x) 1) (x)_H (1 (x) b_i),
+    (1 (x) b_i) * 1 = -(1 (x) b_i) (x)_H 1,
+
+    in left normal form: -(1 (x) b_i) (x)_H w = (b_i (x) 1) (x)_H w - (1 (x) 1) (x)_H b_i w.
+    """
+    memo = hopf._w_modules_memo
+    if not memo:
+        n, z = hopf.n, mi_zero(hopf.n)
+        b = [mi_unit(n, i) for i in range(n)]
+
+        def value(width: int, terms) -> PseudoValue:
+            """sum (b^(K) (x) 1) (x)_H (c b^(J) (x) u_r) over the terms (K, J, r, c)."""
+            out = PseudoValue.zero(hopf)
+            for K, J, r, c in terms:
+                out = out.add(PseudoValue(hopf, LEFT, {K: ModuleVector.unit(hopf, width, r, J).scale(c)}))
+            return out
+
+        memo["W(d)"] = ModuleSpec(hopf, n, tuple(tuple(
+            value(n, [(z, z, r, c) for r, c in hopf.lie.bracket(i, k).items()]
+                  + [(b[i], z, k, ONE), (z, b[i], k, -ONE), (b[k], z, i, ONE)])
+            for k in range(n)) for i in range(n)), name="W(d)")
+        memo["H"] = ModuleSpec(hopf, 1, tuple((value(1, [(b[i], z, 0, ONE), (z, b[i], 0, -ONE)]),)
+                                              for i in range(n)), name="H")
+    return memo["W(d)"], memo["H"]
 
 
 def cur_algebra_bracket(hopf: Hopf, g: LieData):

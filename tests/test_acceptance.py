@@ -38,6 +38,7 @@ from liepseudo.modules import (
     submodule_closure,
     tensor_module,
 )
+from liepseudo.pseudoaction import ModuleVector
 from liepseudo.pseudoalg import (
     CheckReport,
     WAlgebra,
@@ -200,8 +201,9 @@ def test_criterion_03_pseudoalgebra_axioms():
     H1 = hopf_for("abelian1")
     walg1 = WAlgebra(H1)
     ell = walg1.gen(0).scale(-1)
-    virasoro = PseudoValue.from_tensor(H1.one(), H1.gen(0), ell).add(
-        PseudoValue.from_tensor(H1.gen(0), H1.one(), ell).neg()
+    ell_vec = ModuleVector.unit(H1, 1, 0).scale(-1)  # the carrier type of bracket values
+    virasoro = PseudoValue.from_tensor(H1.one(), H1.gen(0), ell_vec).add(
+        PseudoValue.from_tensor(H1.gen(0), H1.one(), ell_vec).neg()
     )
     reports.append(("Virasoro", CheckReport.one_case("[ell * ell]",
                                                      walg1.bracket(ell, ell).eq(virasoro))))

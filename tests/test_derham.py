@@ -16,7 +16,6 @@ from liepseudo.derham import (
     iota,
     pseudo_d,
     sing_fingerprint,
-    star_action,
 )
 from liepseudo._linalg import RowReducer
 from liepseudo.hopf import Hopf, mi_below
@@ -38,6 +37,7 @@ from liepseudo.modules import (
     tensor_module,
 )
 from liepseudo.pseudoalg import WAlgebra
+from liepseudo.twosided import LEFT, PseudoValue
 
 from conftest import count_kernel_runs, hopf_for
 
@@ -210,14 +210,69 @@ def test_dw2_correction_terms_active():
 # The Cartan-style module action
 # ---------------------------------------------------------------------------
 
+def star_action(hopf, w, n, gammav):
+    """The oracle of the pseudoaction of W(d) on the tensor module of
+    Omega^n: (w * gamma) for gamma in Omega^n(d) by the Cartan-type formula:
+
+    (w * gamma)(a_1 ^...^ a_n) = -(f (x) g a) al(a_1 ^...^ a_n)
+      + sum_i (-1)^i (f a_i (x) g) al(a ^ ...hat i...)
+      + sum_i (-1)^i (f (x) g) al([a, a_i] ^ ...hat i...).
+    """
+    lie = hopf.lie
+    N = lie.dim
+    basis = wedge_basis(N, n)
+    index = {S: t for t, S in enumerate(basis)}
+    out = PseudoValue.zero(hopf, LEFT)
+    # collect the H coefficient of each wedge-basis column of gamma
+    g_of = {}
+    for I, coords in gammav.terms.items():
+        for t, c in enumerate(coords):
+            if c:
+                S = basis[t]
+                g_of[S] = g_of.get(S, hopf.zero()) + hopf.mono(I, c)
+    for a in range(N):
+        f = w.comps[a]
+        if f.is_zero():
+            continue
+        for S, g in g_of.items():
+            alpha = Form.basis_form(lie, S)
+            if n == 0:
+                vec = ModuleVector.unit(hopf, 1, 0)
+                out = out.add(PseudoValue.from_tensor(f, g * hopf.gen(a), vec).neg())
+                continue
+            for T in basis:
+                vec = ModuleVector.unit(hopf, len(basis), index[T])
+                val = alpha.evaluate(T)
+                if val:
+                    out = out.add(
+                        PseudoValue.from_tensor(f, g * hopf.gen(a), vec.scale(val)).neg()
+                    )
+                for r in range(len(T)):
+                    rest = T[:r] + T[r + 1:]
+                    sgn = Fraction((-1) ** (r + 1))
+                    v1 = alpha.evaluate((a,) + rest)
+                    if v1:
+                        out = out.add(
+                            PseudoValue.from_tensor(
+                                f * hopf.gen(T[r]), g, vec.scale(sgn * v1)
+                            )
+                        )
+                    for k, c in lie.bracket(a, T[r]).items():
+                        v2 = alpha.evaluate((k,) + rest)
+                        if v2:
+                            out = out.add(
+                                PseudoValue.from_tensor(f, g, vec.scale(sgn * c * v2))
+                            )
+    return out
+
+
 def test_star_action_degree_zero_reduces_to_module_h(any_preset):
     H = any_preset
     walg = WAlgebra(H)
     for i in range(H.n):
         got = star_action(H, walg.gen(i), 0, ModuleVector.unit(H, 1, 0))
         expect_pv = walg.action_on_h(walg.gen(i), H.one())
-        expect = {I: {J: (c,) for J, c in v.coeffs.items()}
-                  for I, v in expect_pv.to_left().terms.items()}
+        expect = {I: dict(v.terms) for I, v in expect_pv.to_left().terms.items()}
         got_terms = {I: dict(v.terms) for I, v in got.to_left().terms.items()}
         assert got_terms == expect
 
@@ -237,15 +292,16 @@ def test_d_intertwines_the_action(any_preset):
     # ((id (x) id) (x)_H d)(w * gamma) = w * (d gamma) on generators
     H = any_preset
     walg = WAlgebra(H)
+    omega = [tensor_module(H, trivial_pi(H), omega_rep(H.lie, n)) for n in range(H.n + 1)]
     for n in range(H.n):
         w_n = len(wedge_basis(H.n, n))
         for i in range(H.n):
             for k in range(w_n):
                 gammav = ModuleVector.unit(H, w_n, k)
-                lhs = star_action(H, walg.gen(i), n, gammav).map_vectors(
+                lhs = omega[n].w_star(walg.gen(i), gammav).map_vectors(
                     lambda v: pseudo_d(H, n, v)
                 )
-                rhs = star_action(H, walg.gen(i), n + 1, pseudo_d(H, n, gammav))
+                rhs = omega[n + 1].w_star(walg.gen(i), pseudo_d(H, n, gammav))
                 assert lhs.eq(rhs), (H.lie.name, n, i, k)
 
 

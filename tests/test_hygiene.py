@@ -1,6 +1,6 @@
 """Source hygiene: every name a module of the package or of its tests
-imports is used, every import sits at module level, and every CLI option
-is read."""
+imports is used, every import sits at module level, every CLI option is
+read, and W(d) has one pseudoaction kernel."""
 
 import argparse
 import ast
@@ -9,7 +9,7 @@ import re
 from pathlib import Path
 
 import liepseudo
-from liepseudo import cli
+from liepseudo import Hopf, ModuleSpec, PseudoValue, WAlgebra, cli, preset
 
 SRC = Path(liepseudo.__file__).parent
 # the package's modules and the test modules, scanned alike
@@ -167,3 +167,28 @@ def test_the_scan_sees_an_ignored_option():
     toy.add_argument("--unused-too", dest="unused_too")
     toy.set_defaults(func=_toy_command)
     assert ignored_options(parser) == {"toy": ["unused", "unused_too"]}
+
+
+def test_w_bracket_and_action_on_h_run_on_the_pseudoaction_kernel(monkeypatch):
+    kernel_runs, tensors = [], []
+    real_action, real_tensor = ModuleSpec.action_pv, PseudoValue.from_tensor.__func__
+
+    def action_pv(self, *args, **kwargs):
+        kernel_runs.append(self.name)
+        return real_action(self, *args, **kwargs)
+
+    def from_tensor(cls, *args, **kwargs):
+        tensors.append(args)
+        return real_tensor(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ModuleSpec, "action_pv", action_pv)
+    monkeypatch.setattr(PseudoValue, "from_tensor", classmethod(from_tensor))
+    H = Hopf(preset("sl2"))
+    walg = WAlgebra(H)
+    u = walg.gen(0).hmul(H.gen(1)).add(walg.gen(2))
+    assert not walg.bracket(u, walg.gen(1).hmul(H.gen(0))).is_zero()
+    assert kernel_runs and set(kernel_runs) == {"W(d)"}
+    kernel_runs.clear()
+    assert not walg.action_on_h(u, H.gen(2)).is_zero()
+    assert kernel_runs and set(kernel_runs) == {"H"}
+    assert tensors == []

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from liepseudo import checks
+from liepseudo import checks, liecore
 from liepseudo.annih import AnnElement, ann_action
 from liepseudo.dualx import XElement
+from liepseudo.errors import RepInvalid
 from liepseudo.hopf import Hopf, mi_below, mi_deg, mi_splits, mi_unit, mi_zero
 from liepseudo.liecore import (
     LieData, RepData, TraceForm, mat, omega_rep, sym2_dual_rep,
@@ -68,9 +69,31 @@ def test_tensor_kk_reduces_to_module_h():
     for i in range(H.n):
         got = {I: dict(v.terms) for I, v in T.table[i][0].to_left().terms.items()}
         expect_pv = walg.action_on_h(walg.gen(i), H.one()).to_left()
-        # identify H (x) k with H through the single generator
-        expect = {I: {J: (c,) for J, c in v.coeffs.items()} for I, v in expect_pv.terms.items()}
+        expect = {I: dict(v.terms) for I, v in expect_pv.terms.items()}
         assert got == expect
+
+
+def test_a_passed_validation_is_remembered_and_a_failure_never(monkeypatch):
+    H = hopf_for("heis3")
+    calls = []
+    real_comm = liecore.mat_comm
+    monkeypatch.setattr(liecore, "mat_comm", lambda a, b: calls.append(1) or real_comm(a, b))
+    pi, u = line_pi(H, (1, 0, 0)), omega_rep(H.lie, 1).gl_shift_id(1)
+    tensor_module(H, pi, u)
+    assert calls  # the first build checks both representations
+    checked = len(calls)
+    tensor_module(H, pi, u)
+    assert len(calls) == checked  # the second build on the same instances does not
+    # x -> 0, y -> 0, z -> 1 breaks [rho(x), rho(y)] = rho(z)
+    bad = RepData.d_rep(H.lie, (mat([[0]]), mat([[0]]), mat([[1]])))
+    messages = []
+    for _ in range(3):
+        before = len(calls)
+        with pytest.raises(RepInvalid) as err:
+            tensor_module(H, bad, u)
+        assert len(calls) > before  # a failed check runs again on every build
+        messages.append(str(err.value))
+    assert messages == ["[rho(b_1), rho(b_2)] != rho([b_1, b_2])"] * 3
 
 
 def test_twisted_h_matches_direct_formula():

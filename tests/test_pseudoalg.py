@@ -1,10 +1,15 @@
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from liepseudo.errors import DimensionTooSmall
-from liepseudo.hopf import Hopf
-from liepseudo.liecore import LieData, preset
+from liepseudo import checks
+from liepseudo.errors import DimensionMismatch, DimensionTooSmall
+from liepseudo.hopf import Hopf, mi_below, mi_unit
+from liepseudo.liecore import PRESET_NAMES, LieData, preset
+from liepseudo.pseudoaction import ModuleSpec, ModuleVector
 from liepseudo.pseudoalg import (
     WAlgebra,
     WElement,
@@ -12,6 +17,7 @@ from liepseudo.pseudoalg import (
     check_s_closure,
     check_skew,
     cur_algebra_bracket,
+    w_modules,
 )
 from liepseudo.twosided import PseudoValue, module_defect
 
@@ -25,7 +31,8 @@ def test_virasoro_specialization():
     ell = walg.gen(0).scale(-1)
     lhs = walg.bracket(ell, ell)
     one, d = H.one(), H.gen(0)
-    rhs = PseudoValue.from_tensor(one, d, ell).add(PseudoValue.from_tensor(d, one, ell).neg())
+    ell_vec = ModuleVector.unit(H, 1, 0).scale(-1)
+    rhs = PseudoValue.from_tensor(one, d, ell_vec).add(PseudoValue.from_tensor(d, one, ell_vec).neg())
     assert lhs.eq(rhs)
 
 
@@ -34,8 +41,9 @@ def test_w_bracket_abelian2_example():
     H = hopf_for("abelian2")
     walg = WAlgebra(H)
     lhs = walg.bracket(walg.gen(0), walg.gen(1))
-    rhs = PseudoValue.from_tensor(H.gen(1), H.one(), walg.gen(0)).add(
-        PseudoValue.from_tensor(H.one(), H.gen(0), walg.gen(1)).neg()
+    b1, b2 = ModuleVector.unit(H, 2, 0), ModuleVector.unit(H, 2, 1)
+    rhs = PseudoValue.from_tensor(H.gen(1), H.one(), b1).add(
+        PseudoValue.from_tensor(H.one(), H.gen(0), b2).neg()
     )
     assert lhs.eq(rhs)
 
@@ -45,8 +53,9 @@ def test_w_bracket_self_abelian():
     walg = WAlgebra(H)
     a = walg.gen(0)
     lhs = walg.bracket(a, a)
-    rhs = PseudoValue.from_tensor(H.gen(0), H.one(), a).add(
-        PseudoValue.from_tensor(H.one(), H.gen(0), a).neg()
+    b1 = ModuleVector.unit(H, 2, 0)
+    rhs = PseudoValue.from_tensor(H.gen(0), H.one(), b1).add(
+        PseudoValue.from_tensor(H.one(), H.gen(0), b1).neg()
     )
     assert lhs.eq(rhs)
 
@@ -88,7 +97,7 @@ def test_corrupted_constants_fail_jacobi():
         val = walg.bracket(u, v)
         # corrupt: add a non-H-bilinear junk term to one bracket
         if not u.comps[0].is_zero() and not v.comps[1].is_zero():
-            val = val.add(PseudoValue.from_tensor(H.one(), H.one(), walg.gen(0)))
+            val = val.add(PseudoValue.from_tensor(H.one(), H.one(), ModuleVector.unit(H, H.n, 0)))
         return val
 
     assert not check_skew(corrupted, walg.gens()).ok or not check_jacobi(corrupted, walg.gens()).ok
@@ -177,3 +186,147 @@ def test_a_check_without_cases_fails():
     assert rep.total == 0
     assert not rep.ok and not rep.as_dict()["ok"]
     assert rep.first_failure == "no cases"
+
+
+# ---------------------------------------------------------------------------
+# The explicit bracket formula as an oracle for the adjoint module
+# ---------------------------------------------------------------------------
+
+def _bracket_oracle(H, u, v):
+    """[(f (x) a) * (g (x) b)] = (f (x) g) (x)_H (1 (x) [a,b])
+    - (f (x) g a) (x)_H (1 (x) b) + (f b (x) g) (x)_H (1 (x) a), term by term."""
+    out = PseudoValue.zero(H)
+    for a, f in enumerate(u.comps):
+        for b, g in enumerate(v.comps):
+            if f.is_zero() or g.is_zero():
+                continue
+            for k, c in H.lie.bracket(a, b).items():
+                out = out.add(PseudoValue.from_tensor(f, g, WElement.unit(H, H.n, k).scale(c)))
+            out = out.add(PseudoValue.from_tensor(f, g * H.gen(a), WElement.unit(H, H.n, b)).neg())
+            out = out.add(PseudoValue.from_tensor(f * H.gen(b), g, WElement.unit(H, H.n, a)))
+    return out
+
+
+def _action_on_h_oracle(H, w, g):
+    """(f (x) a) * g = -(f (x) g a) (x)_H 1, term by term."""
+    out = PseudoValue.zero(H)
+    for a, f in enumerate(w.comps):
+        if not f.is_zero():
+            out = out.add(PseudoValue.from_tensor(f, g * H.gen(a), H.one()).neg())
+    return out
+
+
+def _coefficients(pv) -> dict:
+    """The left normal form as {(I, J, k): c}: b^(I) in the normal-form slot
+    and c b^(J) (x) u_k in the carrier, for the carriers of the oracles
+    (WElement, HElement) and of the kernel (ModuleVector) alike."""
+    out = {}
+    for I, w in pv.to_left().terms.items():
+        if isinstance(w, ModuleVector):
+            items = [(J, k, c) for J, row in w.terms.items() for k, c in enumerate(row)]
+        else:
+            comps = w.comps if isinstance(w, WElement) else (w,)
+            items = [(J, k, c) for k, h in enumerate(comps) for J, c in h.coeffs.items()]
+        out.update({(I, J, k): c for J, k, c in items if c})
+    return out
+
+
+def _as_vector(w: WElement) -> ModuleVector:
+    rows = {}
+    for k, h in enumerate(w.comps):
+        for J, c in h.coeffs.items():
+            rows.setdefault(J, [Fraction(0)] * w.rank)[k] = c
+    return ModuleVector(w.hopf, w.rank, {J: tuple(row) for J, row in rows.items()})
+
+
+_SEMIDIRECT = Hopf(LieData.from_entries(
+    3, [(0, 1, 1, Fraction(1, 2)), (0, 1, 2, Fraction(-2, 3)), (0, 2, 2, Fraction(3))],
+    name="k|x k^2"))
+_ORACLE_ALGEBRAS = [hopf_for(name) for name in PRESET_NAMES] + [_SEMIDIRECT]
+_COEFFS = st.sampled_from([Fraction(c) for c in ("-2", "-1", "-1/2", "1/3", "2", "3/2")])
+
+
+def _h_elements(H):
+    """Elements of H of degree <= 2 with one to three terms."""
+    return st.dictionaries(st.sampled_from(mi_below(H.n, 2)), _COEFFS,
+                           min_size=1, max_size=3).map(H.element)
+
+
+def _w_elements(H):
+    return st.lists(_h_elements(H) | st.just(H.zero()), min_size=H.n,
+                    max_size=H.n).map(lambda comps: WElement(H, comps))
+
+
+# no shrinking: a failing example names its algebra and elements
+@settings(max_examples=30, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+@given(st.sampled_from(_ORACLE_ALGEBRAS), st.data())
+def test_bracket_matches_the_explicit_formula(H, data):
+    walg = WAlgebra(H)
+    u, v = data.draw(_w_elements(H)), data.draw(_w_elements(H))
+    want = _coefficients(_bracket_oracle(H, u, v))
+    for actor, acted in ((u, v), (_as_vector(u), v), (_as_vector(u), _as_vector(v))):
+        got = walg.bracket(actor, acted)
+        assert all(isinstance(w, ModuleVector) and w.width == H.n for w in got.terms.values())
+        assert _coefficients(got) == want, (H.lie.name, u, v)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+@given(st.sampled_from(_ORACLE_ALGEBRAS), st.data())
+def test_action_on_h_matches_the_explicit_formula(H, data):
+    walg = WAlgebra(H)
+    w, g = data.draw(_w_elements(H)), data.draw(_h_elements(H))
+    want = _coefficients(_action_on_h_oracle(H, w, g))
+    for actor in (w, _as_vector(w)):
+        got = walg.action_on_h(actor, g)
+        assert all(isinstance(c, ModuleVector) and c.width == 1 for c in got.terms.values())
+        assert _coefficients(got) == want, (H.lie.name, w, g)
+
+
+def test_a_vector_of_the_wrong_width_is_refused():
+    H = hopf_for("heis3")
+    walg = WAlgebra(H)
+    with pytest.raises(DimensionMismatch):
+        walg.bracket(walg.gen(0), H.one())
+    with pytest.raises(DimensionMismatch):
+        walg.action_on_h(walg.gen(0), walg.gen(1))
+
+
+# ---------------------------------------------------------------------------
+# Negative controls: a corrupted table fails the W(d) checks
+# ---------------------------------------------------------------------------
+
+def _corrupted(V: ModuleSpec, i: int, k: int, K) -> ModuleSpec:
+    """V with one coordinate of table[i][k] off by 1/2: the first one of the
+    carrier beside b^(K) in left normal form, at b^(0)."""
+    H = V.hopf
+    val = V.table[i][k]
+    bump = ModuleVector(H, V.dim, {(0,) * H.n: (Fraction(1, 2),) + (Fraction(0),) * (V.dim - 1)})
+    bad = val.add(PseudoValue(H, val.orient, {K: bump}))
+    table = [list(row) for row in V.table]
+    table[i][k] = bad
+    return ModuleSpec(H, V.dim, tuple(map(tuple, table)), name=V.name)
+
+
+@pytest.mark.parametrize("name", ["abelian2", "heis3", "sl2"])
+def test_a_corrupted_adjoint_table_fails_skew_and_jacobi(name):
+    H = Hopf(preset(name))  # a fresh algebra: its W(d) memo is replaced below
+    adjoint, _on_h = w_modules(H)
+    H._w_modules_memo["W(d)"] = _corrupted(adjoint, 0, 1, (0,) * H.n)
+    walg = WAlgebra(H)
+    skew = check_skew(walg.bracket, walg.gens())
+    jacobi = check_jacobi(walg.bracket, walg.gens())
+    assert not skew.ok and skew.first_failure == "pair (1, 2)"
+    assert not jacobi.ok and jacobi.first_failure == "triple (1, 1, 2)"
+
+
+@pytest.mark.parametrize("name", ["abelian2", "heis3", "sl2"])
+def test_a_corrupted_h_module_table_fails_the_module_axiom(name):
+    H = Hopf(preset(name))
+    _adjoint, on_h = w_modules(H)
+    # at b^(0) the bump would be k_chi, a twist that is a module again where
+    # chi kills [d, d]; beside b_2 (x) 1 it is not
+    H._w_modules_memo["H"] = _corrupted(on_h, 1, 0, mi_unit(H.n, 1))
+    report = checks.w_module_h(H, 4)
+    assert not report.ok and report.first_failure == "pair (1, 2)"
