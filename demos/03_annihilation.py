@@ -11,6 +11,13 @@ from liepseudo.liecore import RepData, omega_rep
 from liepseudo.modules import tensor_module
 
 D = 6
+
+
+def show(m):
+    """A matrix of Fractions as rows of plain numbers."""
+    return "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in m) + "]"
+
+
 H = Hopf(preset("solv2"))   # [b1, b2] = b2
 
 print("== brackets lower or keep the filtration ==")
@@ -20,20 +27,20 @@ print("[x^1 (x) b_1, 1 (x) b_2] =", ann_bracket(A, B))
 print()
 
 print("== degree-zero symbols are gl(d) matrices: x^j (x) b_i -> -e_i^j ==")
-print("symbol of x^1 (x) b_1:", gr_iso_gl(A))
+print("symbol of x^1 (x) b_1:", show(gr_iso_gl(A)))
 print()
 
 print("== the Euler element: symbol Id, eigenvalue -|I| on coordinates ==")
 E = euler_element(H, D)
 print("E =", E)
-print("symbol:", gr_iso_gl(E))
+print("symbol:", show(gr_iso_gl(E)))
 print()
 
 print("== gamma realizes the d-derivations as inner ==")
 for l in range(2):
     g = gamma(H, l, D)
     shifted = g.add(AnnElement.term(H, XElement.unit(H, g.validity), l))
-    cls = None if shifted.order() is None else gr_iso_gl(shifted)
+    cls = None if shifted.order() is None else show(gr_iso_gl(shifted))
     print(f"gamma(b_{l+1}) = {g}")
     print(f"   gamma(b_{l+1}) + 1 (x) b_{l+1} has symbol {cls} (= ad b_{l+1})")
 print()

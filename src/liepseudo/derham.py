@@ -351,6 +351,9 @@ def classify_report(hopf: Hopf, pi: RepData, u: RepData, mode: str = "W",
     Runs the quadratic coefficient test, the singular-vector solver, and the
     submodule closures seeded from the singular blocks above degree 0: the
     top identity-symbol block in W mode, each degree and above in S mode.
+    In W mode below the top degree, `seed_closures_agree` compares the
+    closure of each seed with that of the whole block; a block of one seed
+    has one closure, built once.
     """
     N = hopf.n
     mode = mode.upper()
@@ -394,7 +397,8 @@ def classify_report(hopf: Hopf, pi: RepData, u: RepData, mode: str = "W",
             verdict = "top-degree case"
         else:
             verdict = "reducible with unique submodule I^n"
-            evidence["seed_closures_agree"] = all(
+            # one seed generates exactly what clo was built from
+            evidence["seed_closures_agree"] = len(seeds) == 1 or all(
                 submodule_closure(T, [s], fil_bound + 1, mode, chi).same_space(clo)
                 for s in seeds
             )

@@ -11,14 +11,19 @@ the normal form its consumer reads, from the table stored once in that form,
 and keeps the at most n values of the last (vector, form) for all readers of
 that vector.  Each unit (i, I, k, form) is expanded once, when a vector with
 a nonzero b^(I) (x) u_k first meets it, into flat terms (M, N, r, x) with x
-an int wherever it is integral; a kernel run only accumulates c * x and
-makes each output coordinate a Fraction once.  An expansion keeps every
-(M, N) it meets, also one whose coordinates cancel, in order of first
+an int wherever it is integral; a kernel run only accumulates c * x, and
+`action_pv` makes each output coordinate a Fraction once.  An expansion keeps
+every (M, N) it meets, also one whose coordinates cancel, in order of first
 appearance: `submodule_closure` queues the components of a value in key
 order, so its truncated basis depends on it.
 
 `w_star` applies a W(d) element w = sum_a h_a (x) b_a, a WElement or a
 width-n vector read through its `comps`, as sum_a (h_a (x) 1)((1 (x) b_a) * v).
+In left normal form it folds the kept kernel coordinates of each
+(1 (x) b_a) * v, multiplied by h_a in the normal-form slot, into one store
+and builds each output vector once; the key order is that of adding the
+PseudoValues one term at a time (`_fold`).  In right normal form h_a lands
+in the slot pinned to 1, and `PseudoValue.mul_inner` renormalizes.
 """
 
 from __future__ import annotations
@@ -44,6 +49,29 @@ def _exact(x):
 def _fraction(x) -> Fraction:
     """An int or Fraction coordinate as a Fraction."""
     return x if type(x) is Fraction else Fraction(x) if x else ZERO
+
+
+def _fold(store: dict, M: MultiIndex, rows, x) -> None:
+    """store[M] += x * rows, rows being (N, coordinates) pairs, with the key
+    order of `PseudoValue.add` over `ModuleVector.add`: a new key goes last,
+    and an N or an M whose coordinates cancel is dropped, so that it goes
+    last if it comes back."""
+    at = store.get(M)
+    if at is None:
+        store[M] = {N: [x * c for c in coords] for N, coords in rows}
+        return
+    for N, coords in rows:
+        cur = at.get(N)
+        if cur is None:
+            at[N] = [x * c for c in coords]
+            continue
+        for r, c in enumerate(coords):
+            if c:
+                cur[r] += x * c
+        if not any(cur):
+            del at[N]
+    if not at:
+        del store[M]
 
 
 class ModuleVector:
@@ -148,7 +176,7 @@ class ModuleSpec:
     rep_d: RepData | None = None
     rep_gl: RepData | None = None
     _flat: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _last: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
+    _last: tuple = field(default=(None, None, None, None), init=False, repr=False, compare=False)
     _expanded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -177,17 +205,32 @@ class ModuleSpec:
         that is (1 (x) b^(I) b^(K)) (x)_H w; on a left-normal one
         (b^(K) (x) 1) (x)_H w it is sum_{A+B=I} (b^(K) S(b^(A)) (x) 1) (x)_H b^(B) w.
         """
-        # The values of the last (vector, form) are kept, at most n.  Module
-        # vectors are never mutated after construction (nothing assigns to
-        # .terms), so they stay right while `v` is that object; holding it
-        # keeps its id from being reused.
-        last, last_orient, acted = self._last
-        if last is not v or last_orient != orient:
-            acted = {}
-            self._last = (v, orient, acted)
-        if i in acted:
+        # The values of the last (vector, form) are kept, at most n, next to
+        # their kernel coordinates (`_kernel`).  Module vectors are never
+        # mutated after construction (nothing assigns to .terms), so they
+        # stay right while `v` is that object; holding it keeps its id from
+        # being reused.
+        last, last_orient, acted, _ = self._last
+        if last is v and last_orient == orient and i in acted:
             return acted[i]
-        hopf, dim = self.hopf, self.dim
+        value = self._value(self._kernel(i, v, orient), orient)
+        self._last[2][i] = value
+        return value
+
+    def _kernel(self, i: int, v: ModuleVector, orient: str) -> dict:
+        """(1 (x) b_i) * v in normal form `orient` as M -> N -> coordinates,
+        in int wherever they are integral, kept with the values of the last
+        (vector, form).  An (M, N) whose coordinates cancel stays, with zero
+        coordinates."""
+        last, last_orient, _acted, kept = self._last
+        if last is not v or last_orient != orient:
+            if v.width != self.dim:
+                raise DimensionMismatch(f"need a vector of width {self.dim}, not {v.width}")
+            kept = {}
+            self._last = (v, orient, {}, kept)
+        if i in kept:
+            return kept[i]
+        dim = self.dim
         table = self._flat_table(orient)[i]
         units = self._expanded.setdefault((i, orient), {})
         acc: dict[MultiIndex, dict[MultiIndex, list]] = {}  # M -> N -> coordinates
@@ -203,11 +246,8 @@ class ModuleSpec:
                     at_m = acc.get(M) or acc.setdefault(M, {})
                     cur = at_m.get(N) or at_m.setdefault(N, [0] * dim)
                     cur[r] += c * x
-        acted[i] = PseudoValue(hopf, orient, {
-            M: ModuleVector(hopf, dim, {N: tuple(map(_fraction, cur))
-                                        for N, cur in at_m.items() if any(cur)})
-            for M, at_m in acc.items()})
-        return acted[i]
+        kept[i] = acc
+        return acc
 
     def _expand_unit(self, I: MultiIndex, table_k: list, orient: str) -> tuple:
         """(1 (x) b_i) * (b^(I) (x) u_k) in normal form `orient`, from the
@@ -254,14 +294,60 @@ class ModuleSpec:
         """(sum_a h_a (x) b_a) * v = sum_a ((h_a (x) 1) (x)_H 1)((1 (x) b_a) * v),
         each (1 (x) b_a) * v taken in normal form `orient`; for w = 1 (x) b_a
         that is (1 (x) b_a) * v itself.  The actor w is a WElement or a
-        width-n vector, read through its `comps`."""
-        terms = [(a, h) for a, h in enumerate(w.comps) if not h.is_zero()]
-        if len(terms) == 1 and terms[0][1] == self.hopf.one():
+        width-n vector, read through its `comps`.
+
+        In left normal form h_a multiplies the normal-form slot: each term
+        b^(M) (x) w of (1 (x) b_a) * v adds sum_K c_K b^(K) (x) w, where
+        h_a b^(M) = sum_K c_K b^(K), into one M -> N -> coordinates store, in
+        int arithmetic wherever it is integral.  Keys come in the order that
+        adding the PseudoValues (h_a (x) 1)((1 (x) b_a) * v) term by term
+        gives them, cancellations included (see `_fold`).  In right normal
+        form h_a sits in the slot pinned to 1 and moves across (x)_H through
+        `PseudoValue.mul_inner`."""
+        hopf, comps = self.hopf, w.comps
+        if len(comps) != hopf.n:
+            raise DimensionMismatch(f"need an actor of width {hopf.n}, not {len(comps)}")
+        terms = [(a, h) for a, h in enumerate(comps) if not h.is_zero()]
+        if len(terms) == 1 and terms[0][1] == hopf.one():
             return self.action_pv(terms[0][0], v, orient)
-        out = PseudoValue.zero(self.hopf, orient)
+        if orient == RIGHT:
+            out = PseudoValue.zero(hopf, RIGHT)
+            for a, h in terms:
+                out = out.add(self.action_pv(a, v, RIGHT).mul_inner(h))
+            return out
+        acc: dict[MultiIndex, dict[MultiIndex, list]] = {}  # M -> N -> coordinates
         for a, h in terms:
-            out = out.add(self.action_pv(a, v, orient).mul_first(h))
-        return out
+            # (h_a (x) 1)((1 (x) b_a) * v) is summed on its own and then
+            # added; summed straight into an empty store it is the same
+            part = {} if acc else acc
+            hs = [(J, _exact(c)) for J, c in h.coeffs.items()]
+            for M, at_m in self._kernel(a, v, LEFT).items():
+                rows = [(N, cur) for N, cur in at_m.items() if any(cur)]
+                if not rows:
+                    continue
+                prod: dict[MultiIndex, object] = {}  # h_a b^(M), as HElement.__mul__ orders it
+                for J, c in hs:
+                    for K, y in hopf.mono_mul(J, M).items():
+                        s = prod.get(K, 0) + c * _exact(y)
+                        if s:
+                            prod[K] = s
+                        else:
+                            prod.pop(K, None)
+                for K, x in prod.items():
+                    _fold(part, K, rows, x)
+            if part is not acc:
+                for K, at in part.items():
+                    _fold(acc, K, at.items(), 1)
+        return self._value(acc, LEFT)
+
+    def _value(self, acc: dict, orient: str) -> PseudoValue:
+        """M -> N -> coordinates as a PseudoValue in normal form `orient`:
+        each coordinate a Fraction, and an (M, N) that cancels dropped."""
+        hopf, dim = self.hopf, self.dim
+        return PseudoValue(hopf, orient, {
+            M: ModuleVector(hopf, dim, {N: tuple(map(_fraction, cur))
+                                        for N, cur in at_m.items() if any(cur)})
+            for M, at_m in acc.items()})
 
     def full_tensor(self, p: PseudoValue) -> list[tuple[MultiIndex, MultiIndex, int, Fraction]]:
         """Expand a value over this module into pure tensors

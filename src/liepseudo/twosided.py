@@ -101,15 +101,7 @@ class PseudoValue:
         cocommutativity); in normal form this just toggles the orientation."""
         return PseudoValue(self.hopf, RIGHT if self.orient == LEFT else LEFT, dict(self.terms))
 
-    # -- H-module structure on the two slots -------------------------------------
-    def mul_outer(self, h: HElement) -> "PseudoValue":
-        """Left-multiply the slot carrying the normal-form monomials."""
-        out: dict[MultiIndex, object] = {}
-        for I, v in self.terms.items():
-            for K, c in (h * self.hopf.mono(I)).coeffs.items():
-                _acc(out, K, v.scale(c))
-        return PseudoValue(self.hopf, self.orient, out)
-
+    # -- H-module structure on the slot pinned to 1 ------------------------------
     def mul_inner(self, h: HElement) -> "PseudoValue":
         """Left-multiply the slot pinned to 1, renormalizing."""
         acc = PseudoValue(self.hopf, self.orient, {})
@@ -120,12 +112,6 @@ class PseudoValue:
             else:
                 acc = acc.add(PseudoValue.from_tensor(h, mono, v, RIGHT))
         return acc
-
-    def mul_first(self, h: HElement) -> "PseudoValue":
-        return self.mul_outer(h) if self.orient == LEFT else self.mul_inner(h)
-
-    def mul_second(self, h: HElement) -> "PseudoValue":
-        return self.mul_inner(h) if self.orient == LEFT else self.mul_outer(h)
 
     # -- inspection ---------------------------------------------------------------
     def map_vectors(self, fn) -> "PseudoValue":

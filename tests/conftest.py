@@ -3,7 +3,7 @@ import pytest
 from liepseudo.hopf import Hopf
 from liepseudo.liecore import preset
 from liepseudo.modules import ModuleSpec
-from liepseudo.twosided import LEFT
+from liepseudo.twosided import LEFT, PseudoValue, _acc
 
 _CACHE: dict[str, Hopf] = {}
 
@@ -29,16 +29,16 @@ def any_preset2(request) -> Hopf:
 
 def count_kernel_runs(monkeypatch) -> list:
     """Record (vector, i, orient) for every run of the pseudoaction kernel:
-    each `ModuleSpec.action_pv` call that reads the flat action table, and
+    each `ModuleSpec._kernel` call that reads the flat action table, and
     not one served from the values it keeps.  The list holds the vectors, so
     their ids stay unique for the test."""
     runs, open_calls = [], []
-    real_action, real_flat = ModuleSpec.action_pv, ModuleSpec._flat_table
+    real_kernel, real_flat = ModuleSpec._kernel, ModuleSpec._flat_table
 
-    def action_pv(self, i, v, orient=LEFT):
+    def kernel(self, i, v, orient):
         open_calls.append((v, i, orient))
         try:
-            return real_action(self, i, v, orient)
+            return real_kernel(self, i, v, orient)
         finally:
             open_calls.pop()
 
@@ -46,6 +46,27 @@ def count_kernel_runs(monkeypatch) -> list:
         runs.append(open_calls[-1])
         return real_flat(self, orient)
 
-    monkeypatch.setattr(ModuleSpec, "action_pv", action_pv)
+    monkeypatch.setattr(ModuleSpec, "_kernel", kernel)
     monkeypatch.setattr(ModuleSpec, "_flat_table", flat_table)
     return runs
+
+
+def mul_outer(p: PseudoValue, h) -> PseudoValue:
+    """Left-multiply by h the slot of p that carries the normal-form
+    monomials, one PseudoValue add per term: the reference for the left
+    form of `ModuleSpec.w_star`, key order included."""
+    out: dict = {}
+    for I, v in p.terms.items():
+        for K, c in (h * p.hopf.mono(I)).coeffs.items():
+            _acc(out, K, v.scale(c))
+    return PseudoValue(p.hopf, p.orient, out)
+
+
+def mul_first(p: PseudoValue, h) -> PseudoValue:
+    """Left-multiply the first H-slot of p by h."""
+    return mul_outer(p, h) if p.orient == LEFT else p.mul_inner(h)
+
+
+def mul_second(p: PseudoValue, h) -> PseudoValue:
+    """Left-multiply the second H-slot of p by h."""
+    return p.mul_inner(h) if p.orient == LEFT else mul_outer(p, h)

@@ -20,6 +20,7 @@ from liepseudo.derham import (
 from liepseudo._linalg import RowReducer
 from liepseudo.hopf import Hopf, mi_below
 from liepseudo.liecore import (
+    LieData,
     RepData,
     TraceForm,
     mat,
@@ -29,7 +30,9 @@ from liepseudo.liecore import (
     wedge_basis,
 )
 from liepseudo.modules import (
+    PAPER_BOUND,
     ModuleVector,
+    sing_blocks_by_id_symbol,
     sing_in_subspace,
     sing_solve,
     solve_intertwiner,
@@ -495,6 +498,58 @@ def test_classify_s_two_nested_submodules():
     assert rep["verdict"] == "reducible with two nested submodules"
     dims = [s["dim"] for s in rep["submodules"]]
     assert len(dims) == 2 and dims[0] > dims[1] > 0
+
+
+def _count_closures(monkeypatch) -> list:
+    """Record the generator list of every closure classify_report builds."""
+    built, real = [], derham.submodule_closure
+
+    def closure(V, gens, *args, **kwargs):
+        built.append(gens)
+        return real(V, gens, *args, **kwargs)
+
+    monkeypatch.setattr(derham, "submodule_closure", closure)
+    return built
+
+
+@pytest.mark.parametrize("name, omega, closures", [("heis3", 1, 1), ("abelian3", 2, 4)])
+def test_classify_builds_each_closure_once(monkeypatch, name, omega, closures):
+    # a top block of one seed has one closure; with three seeds, the block's
+    # closure and each seed's are built
+    H = hopf_for(name)
+    built = _count_closures(monkeypatch)
+    rep = classify_report(H, trivial_pi(H), omega_rep(H.lie, omega), "W")
+    assert rep["verdict"] == "reducible with unique submodule I^n"
+    assert rep["evidence"]["seed_closures_agree"] is True
+    assert len(built) == closures
+    assert all(len(gens) == 1 for gens in built[1:])
+
+
+def _semidirect_k_k2():
+    brackets = [(0, 1, 1, Fraction(2)), (0, 1, 2, Fraction(-1)), (0, 2, 1, Fraction(1, 2)),
+                (0, 2, 2, Fraction(-2))]
+    return Hopf(LieData.from_entries(3, brackets, name="k|x k^2"))
+
+
+@pytest.mark.parametrize("make", [lambda: hopf_for("heis3"), _semidirect_k_k2],
+                         ids=["heis3", "k|x k^2"])
+def test_the_closure_of_a_one_seed_block_is_the_seed_closure(make):
+    # the closure classify_report reuses for seed_closures_agree is the one a
+    # fresh module builds from the seed alone, basis and order alike
+    H = make()
+    fil = PAPER_BOUND["W"] + 1
+    T = tensor_module(H, trivial_pi(H), omega_rep(H.lie, 1))
+    blocks = sing_blocks_by_id_symbol(T, sing_solve(T, fil, "W").basis)
+    seeds = blocks[max(blocks)]
+    assert len(seeds) == 1
+    clo = submodule_closure(T, seeds, fil + 1)
+    fresh = submodule_closure(tensor_module(H, trivial_pi(H), omega_rep(H.lie, 1)),
+                              [seeds[0]], fil + 1)
+    assert clo.dim > 0 and fresh.same_space(clo)
+    assert [list(v.terms.items()) for v in fresh.basis] == \
+        [list(v.terms.items()) for v in clo.basis]
+    rep = classify_report(H, trivial_pi(H), omega_rep(H.lie, 1), "W")
+    assert rep["submodules"] == [{"dim": clo.dim, "seed": "sing block"}]
 
 
 def test_nested_containment_s_mode():

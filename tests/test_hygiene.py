@@ -171,17 +171,17 @@ def test_the_scan_sees_an_ignored_option():
 
 def test_w_bracket_and_action_on_h_run_on_the_pseudoaction_kernel(monkeypatch):
     kernel_runs, tensors = [], []
-    real_action, real_tensor = ModuleSpec.action_pv, PseudoValue.from_tensor.__func__
+    real_kernel, real_tensor = ModuleSpec._kernel, PseudoValue.from_tensor.__func__
 
-    def action_pv(self, *args, **kwargs):
+    def kernel(self, *args, **kwargs):
         kernel_runs.append(self.name)
-        return real_action(self, *args, **kwargs)
+        return real_kernel(self, *args, **kwargs)
 
     def from_tensor(cls, *args, **kwargs):
         tensors.append(args)
         return real_tensor(cls, *args, **kwargs)
 
-    monkeypatch.setattr(ModuleSpec, "action_pv", action_pv)
+    monkeypatch.setattr(ModuleSpec, "_kernel", kernel)
     monkeypatch.setattr(PseudoValue, "from_tensor", classmethod(from_tensor))
     H = Hopf(preset("sl2"))
     walg = WAlgebra(H)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from liepseudo import checks, liecore
 from liepseudo.annih import AnnElement, ann_action
 from liepseudo.dualx import XElement
-from liepseudo.errors import RepInvalid
+from liepseudo.errors import DimensionMismatch, RepInvalid
 from liepseudo.hopf import Hopf, mi_below, mi_deg, mi_splits, mi_unit, mi_zero
 from liepseudo.liecore import (
     LieData, RepData, TraceForm, mat, omega_rep, sym2_dual_rep,
@@ -40,7 +40,7 @@ from liepseudo.modules import (
 from liepseudo.pseudoalg import WAlgebra
 from liepseudo.twosided import LEFT, RIGHT, PseudoValue, module_defect
 
-from conftest import count_kernel_runs, hopf_for
+from conftest import count_kernel_runs, hopf_for, mul_first, mul_second
 
 D = 6
 
@@ -640,7 +640,7 @@ def test_twist_identities_on_semidirect_k_k2(entries):
 
 
 def _action_by_mul_second(V, i, v, orient):
-    """The reference formula sum c * table[i][k].mul_second(b^(I)) over the
+    """The reference formula sum c * mul_second(table[i][k], b^(I)) over the
     terms c b^(I) (x) u_k of v, on the table converted to `orient`, with the
     terms of one b^(I) summed first."""
     out = PseudoValue.zero(V.hopf, orient)
@@ -648,7 +648,7 @@ def _action_by_mul_second(V, i, v, orient):
         at_I = PseudoValue.zero(V.hopf, orient)
         for k, c in enumerate(row):
             at_I = at_I.add(V.table[i][k].convert(orient).scale(c))
-        out = out.add(at_I.mul_second(V.hopf.mono(I)))
+        out = out.add(mul_second(at_I, V.hopf.mono(I)))
     return out
 
 
@@ -689,10 +689,75 @@ def test_action_kernel_matches_the_mul_second_formula(module, i, s_index, deg, d
     _ab, s = WAlgebra(H).s_generators(H.lie.zero_trace_form())[s_index]
     expect = PseudoValue.zero(H)
     for a, h in enumerate(s.comps):
-        expect = expect.add(V.action_pv(a, v, LEFT).mul_first(h))
+        expect = expect.add(mul_first(V.action_pv(a, v, LEFT), h))
     for orient in (LEFT, RIGHT):
         got = V.w_star(s, v, orient)
         assert got.orient == orient and got.eq(expect), (module, s_index, orient)
+
+
+# a nonzero trace form on each algebra that has one (sl2 = [sl2, sl2] has none)
+_NONZERO_CHI = {"abelian3": (1, -2, Fraction(1, 2)), "heis3": (1, -2, 0), "solv3": (1, 0, -2)}
+
+
+def _w_star_by_mul_first(V, w, v):
+    """sum_a mul_first((1 (x) b_a) * v, h_a), one PseudoValue add per term:
+    the composition the left form of w_star folds, key order included."""
+    out = PseudoValue.zero(V.hopf, LEFT)
+    for a, h in enumerate(w.comps):
+        if not h.is_zero():
+            out = out.add(mul_first(V.action_pv(a, v, LEFT), h))
+    return out
+
+
+def test_w_star_fold_matches_the_mul_first_composition():
+    # values and key order at both levels (M, then N within each vector);
+    # a zero fold or an actor 1 (x) b_a would check nothing here
+    rng = random.Random(13)
+    coeffs = [Fraction(c) for c in ("1", "-1", "2", "-3", "1/2", "-2/3")]
+    checked = 0
+    for module in itertools.product(["abelian3", "heis3", "sl2", "solv3"],
+                                    ["tensor", "dual", "twist", "shifted"]):
+        V = _kernel_module(*module)
+        H = V.hopf
+        walg = WAlgebra(H)
+        actors = [s for _ab, s in walg.s_generators(H.lie.zero_trace_form())]
+        if H.lie.name in _NONZERO_CHI:
+            chi = TraceForm(H.lie, tuple(map(Fraction, _NONZERO_CHI[H.lie.name])))
+            with_chi = [s for _ab, s in walg.s_generators(chi)]
+            # chi(b_a) puts a constant term into some h_a
+            assert any(mi_zero(H.n) in h.coeffs for s in with_chi for h in s.comps)
+            actors += with_chi
+        for _ in range(3):
+            v = V.zero_vector()
+            for I, k in rng.sample(V.basis_upto(3), 5):
+                v = v.add(V.unit(k, I).scale(rng.choice(coeffs)))
+            # a width-n actor with non-unit coefficients, as compose_left feeds
+            # a bracket carrier back in
+            carrier = ModuleVector(H, H.n, {I: tuple(rng.choice(coeffs) for _ in range(H.n))
+                                           for I in rng.sample(mi_below(H.n, 2), 3)})
+            for w in actors + [carrier]:
+                got, want = V.w_star(w, v, LEFT), _w_star_by_mul_first(V, w, v)
+                assert got.orient == LEFT and list(got.terms) == list(want.terms), module
+                for M, mv in want.terms.items():
+                    assert list(got.terms[M].terms.items()) == list(mv.terms.items()), module
+                assert _all_fractions(got), module
+                checked += not want.is_zero()
+    assert checked >= 300
+
+
+def test_a_vector_or_actor_of_the_wrong_width_is_refused():
+    H = hopf_for("heis3")
+    T = tensor_module(H, trivial_pi(H), omega_rep(H.lie, 1))
+    walg = WAlgebra(H)
+    with pytest.raises(DimensionMismatch, match="width 3, not 1"):
+        T.action_pv(0, ModuleVector.unit(H, 1, 0))
+    with pytest.raises(DimensionMismatch, match="width 3, not 1"):
+        T.w_star(walg.gen(0), ModuleVector.unit(H, 1, 0), RIGHT)
+    with pytest.raises(DimensionMismatch, match="actor of width 3, not 2"):
+        T.w_star(ModuleVector.unit(H, 2, 1), T.unit(0))
+    # a refused vector is not kept, and the right widths still act
+    assert not T.action_pv(0, T.unit(1)).is_zero()
+    assert not T.w_star(walg.gen(0).add(walg.gen(1)), T.unit(1)).is_zero()
 
 
 def _count_calls(monkeypatch, counts):

@@ -5,7 +5,7 @@ from liepseudo.hopf import mi_below
 from liepseudo.pseudoalg import WAlgebra
 from liepseudo.twosided import LEFT, RIGHT, PseudoValue
 
-from conftest import hopf_for
+from conftest import hopf_for, mul_first, mul_second
 
 
 def test_trivial_tensor_roundtrip():
@@ -92,10 +92,10 @@ def test_mul_slots_against_tensor_builder(any_preset):
     f, h = H.gen(0), H.gen(H.n - 1)
     v = walg.gen(0)
     built = PseudoValue.from_tensor(f, h, v)
-    stepped = PseudoValue.from_tensor(f, H.one(), v).mul_second(h)
+    stepped = mul_second(PseudoValue.from_tensor(f, H.one(), v), h)
     assert built.eq(stepped)
     built_l = PseudoValue.from_tensor(f * h, H.one(), v)
-    stepped_l = PseudoValue.from_tensor(h, H.one(), v).mul_first(f)
+    stepped_l = mul_first(PseudoValue.from_tensor(h, H.one(), v), f)
     assert built_l.eq(stepped_l)
 
 
