@@ -5,8 +5,8 @@ rank-one specialization recovering the Virasoro bracket, and the
 divergence-free generators of the type-S subalgebra.
 """
 
-from liepseudo import Hopf, PseudoValue, WAlgebra, cur_algebra_bracket, preset
-from liepseudo.pseudoalg import WElement, check_jacobi, check_skew
+from liepseudo import Hopf, ModuleVector, WAlgebra, cur_algebra_bracket, preset
+from liepseudo.pseudoalg import check_jacobi, check_skew
 
 print("== the rank-one bracket is the Virasoro *-bracket ==")
 H1 = Hopf(preset("abelian1"))
@@ -30,8 +30,8 @@ print()
 print("== current algebras: Cur sl2 over a rank-two base ==")
 H = Hopf(preset("abelian2"))
 bracket = cur_algebra_bracket(H, preset("sl2"))
-e = WElement.unit(H, 3, 0)
-f = WElement.unit(H, 3, 2)
+e = ModuleVector.unit(H, 3, 0)
+f = ModuleVector.unit(H, 3, 2)
 print("[(1(x)e) * (1(x)f)] =", bracket(e, f))
 print()
 

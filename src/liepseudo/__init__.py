@@ -11,7 +11,7 @@ from .liecore import LieData, RepData, TraceForm, preset, omega_rep, sym2_dual_r
 from .hopf import Hopf, HElement
 from .dualx import XElement, DEFAULT_TRUNCATION
 from .twosided import PseudoValue, PseudoValue3
-from .pseudoalg import WAlgebra, WElement, cur_algebra_bracket
+from .pseudoalg import WAlgebra, cur_algebra_bracket
 from .annih import AnnElement, ann_bracket, euler_element, gamma, gr_iso_gl
 from .modules import (
     ModuleSpec,
@@ -41,7 +41,6 @@ __all__ = [
     "PseudoValue",
     "PseudoValue3",
     "WAlgebra",
-    "WElement",
     "cur_algebra_bracket",
     "AnnElement",
     "ann_bracket",

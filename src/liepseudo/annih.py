@@ -22,7 +22,7 @@ from .dualx import XElement
 from .errors import DimensionMismatch, NotInW0, SolveFailed, TruncationExceeded
 from .hopf import Hopf, MultiIndex, mi_add, mi_below, mi_deg, mi_unit
 from .liecore import Matrix, TraceForm, mat
-from .pseudoalg import WElement
+from .pseudoaction import ModuleVector
 from .twosided import LEFT, PseudoValue
 
 ZERO = Fraction(0)
@@ -154,12 +154,11 @@ def ann_div(A: AnnElement, chi: TraceForm) -> XElement:
     return out
 
 
-def iota(x: XElement, w: WElement) -> AnnElement:
+def iota(x: XElement, w: ModuleVector) -> AnnElement:
     """iota(x (x)_H sum h_a (x) b_a) = sum (x h_a) (x) b_a: S -> W."""
     hopf = x.hopf
     comps = []
-    for a in range(hopf.n):
-        h = w.comps[a]
+    for h in w.comps:
         if h.is_zero():
             comps.append(XElement(hopf, {}, x.validity))
         else:
@@ -245,7 +244,7 @@ def ann_action(A: AnnElement, v, action_pv):
     return out
 
 
-def reconstruct_pseudoaction(hopf: Hopf, w_on: WElement, v, action_pv, degree_bound: int,
+def reconstruct_pseudoaction(hopf: Hopf, w_on: ModuleVector, v, action_pv, degree_bound: int,
                              validity: int) -> PseudoValue:
     """a * v = sum_I (S(b^(I)) (x) 1) (x)_H ((x_I (x)_H a) . v)."""
     out = PseudoValue.zero(hopf, LEFT)

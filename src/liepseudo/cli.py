@@ -267,13 +267,19 @@ def cmd_singular(args) -> int:
     fil = args.fil if args.fil is not None else PAPER_BOUND[mode] + 1
     if fil < 0:
         raise ConfigError(f"filtration bound --fil {fil} is negative")
+    # the oracle pairs with x_K up to |K| = low + PAPER_BOUND + 1; an x_K
+    # above the truncation would vanish and drop its equations
+    low = min(fil, 2)
+    least = low + PAPER_BOUND[mode] + 1
+    if args.trunc < least:
+        raise ConfigError(f"truncation --trunc {args.trunc} is below {least}, "
+                          f"the degree of the oracle's largest x_K at --fil {fil}")
     suite = Suite("singular", {
         "alg": lie.name, "mode": mode, "fil": fil, "trunc": args.trunc,
         "pi_dim": pi.dim, "u_dim": u.dim,
     })
     T = tensor_module(hopf, pi, u)
     res = sing_solve(T, fil, mode, chi)
-    low = min(fil, 2)
     oracle = sing_solve_oracle(T, low, mode, chi, validity=args.trunc)
     suite.record("solver-within-paper-bound",
                  CheckReport.one_case("solver basis", res.ok),

@@ -2,7 +2,9 @@
 
 Basis monomials are b^(I) = b_1^{i_1} ... b_N^{i_N} / i_1! ... i_N! indexed by
 multi-indices I.  Products are straightened recursively through the
-commutation relations.  The caches, all scheduling-independent, are:
+commutation relations.  An HElement is a coefficient: elements of free
+H-modules, H = H (x) k among them, are module vectors
+(`pseudoaction.ModuleVector`).  The caches, all scheduling-independent, are:
 - the per-instance memos here (straightening, products, antipodes, and the
   tables dualx, derham, annih and pseudoalg key on the algebra);
 - per ModuleSpec: its action table in each normal form, its unit
@@ -235,13 +237,6 @@ class HElement:
     def _check(self, other: "HElement") -> None:
         if other.hopf is not self.hopf:
             raise DimensionMismatch("elements of different enveloping algebras")
-
-    # -- protocol used by pseudo-value carriers ---------------------------
-    def add(self, other: "HElement") -> "HElement":
-        return self + other
-
-    def hmul(self, h: "HElement") -> "HElement":
-        return h * self
 
     def is_zero(self) -> bool:
         return not self.coeffs

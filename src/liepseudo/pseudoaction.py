@@ -17,13 +17,14 @@ every (M, N) it meets, also one whose coordinates cancel, in order of first
 appearance: `submodule_closure` queues the components of a value in key
 order, so its truncated basis depends on it.
 
-`w_star` applies a W(d) element w = sum_a h_a (x) b_a, a WElement or a
-width-n vector read through its `comps`, as sum_a (h_a (x) 1)((1 (x) b_a) * v).
-In left normal form it folds the kept kernel coordinates of each
-(1 (x) b_a) * v, multiplied by h_a in the normal-form slot, into one store
-and builds each output vector once; the key order is that of adding the
-PseudoValues one term at a time (`_fold`).  In right normal form h_a lands
-in the slot pinned to 1, and `PseudoValue.mul_inner` renormalizes.
+`w_star` applies a W(d) element w = sum_a h_a (x) b_a, a width-n vector,
+as sum_a (h_a (x) 1)((1 (x) b_a) * v); it reads each h_a off the terms of w,
+in the key order of w.  In left normal form it folds the kept kernel
+coordinates of each (1 (x) b_a) * v, multiplied by h_a in the normal-form
+slot, into one store and builds each output vector once; the key order is
+that of adding the PseudoValues one term at a time (`_fold`).  In right
+normal form h_a lands in the slot pinned to 1, and `PseudoValue.mul_inner`
+renormalizes.
 """
 
 from __future__ import annotations
@@ -94,6 +95,14 @@ class ModuleVector:
         row = tuple(ONE if c == k else ZERO for c in range(width))
         return cls(hopf, width, {I: row})
 
+    @classmethod
+    def from_comps(cls, hopf: Hopf, comps) -> "ModuleVector":
+        """sum_k h_k (x) u_k from the H coefficient h_k of each generator:
+        the inverse of `comps`."""
+        comps = tuple(comps)
+        keys = dict.fromkeys(I for h in comps for I in h.coeffs)
+        return cls(hopf, len(comps), {I: tuple(h.coeffs.get(I, ZERO) for h in comps) for I in keys})
+
     def add(self, other: "ModuleVector") -> "ModuleVector":
         if other.width != self.width:
             raise DimensionMismatch("module widths differ")
@@ -145,8 +154,8 @@ class ModuleVector:
 
     @property
     def comps(self) -> tuple[HElement, ...]:
-        """The H coefficient h_k of each generator, v = sum_k h_k (x) u_k: a
-        width-n vector read as the W(d) element sum_k h_k (x) b_k."""
+        """The H coefficient h_k of each generator, v = sum_k h_k (x) u_k;
+        for a W(d) element sum_k h_k (x) b_k these are the h_k."""
         return tuple(HElement(self.hopf, {I: row[k] for I, row in self.terms.items() if row[k]})
                      for k in range(self.width))
 
@@ -224,8 +233,7 @@ class ModuleSpec:
         coordinates."""
         last, last_orient, _acted, kept = self._last
         if last is not v or last_orient != orient:
-            if v.width != self.dim:
-                raise DimensionMismatch(f"need a vector of width {self.dim}, not {v.width}")
+            self._check_vector(v)
             kept = {}
             self._last = (v, orient, {}, kept)
         if i in kept:
@@ -248,6 +256,11 @@ class ModuleSpec:
                     cur[r] += c * x
         kept[i] = acc
         return acc
+
+    def _check_vector(self, v) -> None:
+        width = v.width if isinstance(v, ModuleVector) else type(v).__name__
+        if width != self.dim:
+            raise DimensionMismatch(f"need a vector of width {self.dim}, not {width}")
 
     def _expand_unit(self, I: MultiIndex, table_k: list, orient: str) -> tuple:
         """(1 (x) b_i) * (b^(I) (x) u_k) in normal form `orient`, from the
@@ -290,11 +303,11 @@ class ModuleSpec:
                  for val in row] for row in self.table]
         return flat
 
-    def w_star(self, w, v: ModuleVector, orient: str = LEFT) -> PseudoValue:
+    def w_star(self, w: ModuleVector, v: ModuleVector, orient: str = LEFT) -> PseudoValue:
         """(sum_a h_a (x) b_a) * v = sum_a ((h_a (x) 1) (x)_H 1)((1 (x) b_a) * v),
         each (1 (x) b_a) * v taken in normal form `orient`; for w = 1 (x) b_a
-        that is (1 (x) b_a) * v itself.  The actor w is a WElement or a
-        width-n vector, read through its `comps`.
+        that is (1 (x) b_a) * v itself.  The actor w is a width-n vector;
+        each h_a is read off its terms in one pass.
 
         In left normal form h_a multiplies the normal-form slot: each term
         b^(M) (x) w of (1 (x) b_a) * v adds sum_K c_K b^(K) (x) w, where
@@ -304,23 +317,29 @@ class ModuleSpec:
         gives them, cancellations included (see `_fold`).  In right normal
         form h_a sits in the slot pinned to 1 and moves across (x)_H through
         `PseudoValue.mul_inner`."""
-        hopf, comps = self.hopf, w.comps
-        if len(comps) != hopf.n:
-            raise DimensionMismatch(f"need an actor of width {hopf.n}, not {len(comps)}")
-        terms = [(a, h) for a, h in enumerate(comps) if not h.is_zero()]
-        if len(terms) == 1 and terms[0][1] == hopf.one():
+        hopf = self.hopf
+        if w.width != hopf.n:
+            raise DimensionMismatch(f"need an actor of width {hopf.n}, not {w.width}")
+        self._check_vector(v)
+        coeffs: list[list] = [[] for _ in range(hopf.n)]  # a -> the terms (J, c) of h_a
+        for J, row in w.terms.items():
+            for a, c in enumerate(row):
+                if c:
+                    coeffs[a].append((J, c))
+        terms = [(a, h) for a, h in enumerate(coeffs) if h]
+        if len(terms) == 1 and terms[0][1] == [(mi_zero(hopf.n), ONE)]:
             return self.action_pv(terms[0][0], v, orient)
         if orient == RIGHT:
             out = PseudoValue.zero(hopf, RIGHT)
             for a, h in terms:
-                out = out.add(self.action_pv(a, v, RIGHT).mul_inner(h))
+                out = out.add(self.action_pv(a, v, RIGHT).mul_inner(HElement(hopf, dict(h))))
             return out
         acc: dict[MultiIndex, dict[MultiIndex, list]] = {}  # M -> N -> coordinates
         for a, h in terms:
             # (h_a (x) 1)((1 (x) b_a) * v) is summed on its own and then
             # added; summed straight into an empty store it is the same
             part = {} if acc else acc
-            hs = [(J, _exact(c)) for J, c in h.coeffs.items()]
+            hs = [(J, _exact(c)) for J, c in h]
             for M, at_m in self._kernel(a, v, LEFT).items():
                 rows = [(N, cur) for N, cur in at_m.items() if any(cur)]
                 if not rows:

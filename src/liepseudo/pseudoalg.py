@@ -1,11 +1,11 @@
 """Concrete Lie pseudoalgebras: W(d), current algebras, the divergence, and
 the generators of S(d, chi), together with exact axiom checkers.
 
-W(d) is the free H-module H (x) d; a WElement stores one H coefficient per
-basis vector of d, and doubles as an element of Cur g = H (x) g.  The
+W(d) = H (x) d and Cur g = H (x) g are free H-modules, so their elements are
+module vectors (`pseudoaction.ModuleVector`) of width dim d and dim g.  The
 bracket of W(d) and its action on H are the pseudoactions of two ModuleSpecs
 (`w_modules`), so both run on the one kernel `ModuleSpec.w_star`; arguments
-are WElements or module vectors, and the carriers of values module vectors.
+and the carriers of values are module vectors.
 """
 
 from __future__ import annotations
@@ -13,83 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .errors import DimensionMismatch, DimensionTooSmall
+from .errors import DimensionTooSmall
 from .hopf import HElement, Hopf, mi_below, mi_unit, mi_zero
-from .liecore import LieData, TraceForm, rat
+from .liecore import LieData, TraceForm
 from .pseudoaction import ONE, ZERO, ModuleSpec, ModuleVector
 from .twosided import LEFT, PseudoValue, jacobi_defect, skew_defect
-
-
-class WElement:
-    """An element of a free module H (x) k^m: one HElement per fiber index.
-
-    For W(d) the fiber is d itself (m = N); for Cur g it is g.
-    """
-
-    __slots__ = ("hopf", "comps")
-
-    def __init__(self, hopf: Hopf, comps):
-        self.hopf = hopf
-        self.comps = tuple(comps)
-
-    @classmethod
-    def zero(cls, hopf: Hopf, m: int) -> "WElement":
-        return cls(hopf, tuple(hopf.zero() for _ in range(m)))
-
-    @classmethod
-    def unit(cls, hopf: Hopf, m: int, a: int, h: HElement | None = None) -> "WElement":
-        """h (x) b_a (default h = 1)."""
-        comps = [hopf.zero() for _ in range(m)]
-        comps[a] = h if h is not None else hopf.one()
-        return cls(hopf, comps)
-
-    @property
-    def rank(self) -> int:
-        return len(self.comps)
-
-    def add(self, other: "WElement") -> "WElement":
-        if other.rank != self.rank:
-            raise DimensionMismatch("free-module ranks differ")
-        return WElement(self.hopf, (a + b for a, b in zip(self.comps, other.comps)))
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.add(other.scale(-1))
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c) -> "WElement":
-        c = rat(c)
-        return WElement(self.hopf, (h.scale(c) for h in self.comps))
-
-    def hmul(self, h: HElement) -> "WElement":
-        return WElement(self.hopf, (h * comp for comp in self.comps))
-
-    def is_zero(self) -> bool:
-        return all(h.is_zero() for h in self.comps)
-
-    def degree(self) -> int:
-        return max((h.degree() for h in self.comps), default=-1)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WElement)
-            and self.rank == other.rank
-            and all(a == b for a, b in zip(self.comps, other.comps))
-        )
-
-    def __hash__(self):
-        raise TypeError("WElement is not hashable")
-
-    def __repr__(self) -> str:
-        bits = [f"({h!r})(x)b_{a+1}" for a, h in enumerate(self.comps) if not h.is_zero()]
-        return " + ".join(bits) if bits else "0"
-
-    def serialize(self) -> list:
-        return [h.serialize() for h in self.comps]
 
 
 # ---------------------------------------------------------------------------
@@ -98,38 +26,32 @@ class WElement:
 
 class WAlgebra:
     """The Lie pseudoalgebra W(d) = H (x) d with its pseudobracket and its
-    action on H, both through `w_modules`."""
+    action on H, both through `w_modules`.  Elements are width-n module
+    vectors sum_a h_a (x) b_a."""
 
     def __init__(self, hopf: Hopf):
         self.hopf = hopf
         self.n = hopf.n
 
-    def gen(self, a: int) -> WElement:
-        return WElement.unit(self.hopf, self.n, a)
+    def gen(self, a: int) -> ModuleVector:
+        return ModuleVector.unit(self.hopf, self.n, a)
 
-    def gens(self) -> list[WElement]:
+    def gens(self) -> list[ModuleVector]:
         return [self.gen(a) for a in range(self.n)]
 
-    def element(self, comps) -> WElement:
-        comps = tuple(comps)
-        if len(comps) != self.n:
-            raise DimensionMismatch("need one H coefficient per basis vector of d")
-        return WElement(self.hopf, comps)
-
-    def bracket(self, u, v) -> PseudoValue:
+    def bracket(self, u: ModuleVector, v: ModuleVector) -> PseudoValue:
         """[u * v], the pseudoaction of W(d) on itself (`w_modules`): by
         H-bilinearity [(f (x) a) * (g (x) b)] = (f (x) g) (x)_H (1 (x) [a,b])
         - (f (x) g a) (x)_H (1 (x) b) + (f b (x) g) (x)_H (1 (x) a)."""
-        return w_modules(self.hopf)[0].w_star(u, _as_vector(v, self.n))
+        return w_modules(self.hopf)[0].w_star(u, v)
 
-    def action_on_h(self, w, g) -> PseudoValue:
-        """(f (x) a) * g = -(f (x) g a) (x)_H 1: the W(d)-module H (`w_modules`),
-        for g in H or a width-1 vector."""
-        return w_modules(self.hopf)[1].w_star(w, _as_vector(g, 1))
+    def action_on_h(self, w: ModuleVector, g: ModuleVector) -> PseudoValue:
+        """(f (x) a) * g = -(f (x) g a) (x)_H 1: the W(d)-module H = H (x) k
+        (`w_modules`), for g a width-1 vector."""
+        return w_modules(self.hopf)[1].w_star(w, g)
 
-    def div(self, w, chi: TraceForm) -> HElement:
-        """Div^chi(sum h_a (x) b_a) = sum h_a (b_a + chi(b_a)), for a WElement
-        or a width-n vector."""
+    def div(self, w: ModuleVector, chi: TraceForm) -> HElement:
+        """Div^chi(sum h_a (x) b_a) = sum h_a (b_a + chi(b_a))."""
         out = self.hopf.zero()
         for a, h in enumerate(w.comps):
             if h.is_zero():
@@ -137,37 +59,30 @@ class WAlgebra:
             out = out + h * self.hopf.gen(a) + h.scale(chi(a))
         return out
 
-    def s_generator(self, a: int, b: int, chi: TraceForm) -> WElement:
-        """s_ab = (a + chi(a)) (x) b - (b + chi(b)) (x) a - 1 (x) [a, b]."""
+    def s_generator(self, a: int, b: int, chi: TraceForm) -> ModuleVector:
+        """s_ab = (a + chi(a)) (x) b - (b + chi(b)) (x) a - 1 (x) [a, b].
+
+        Each h_k lists its linear key before the constant one: `w_star`
+        reads h_k in key order, and the key order of its values follows."""
         if self.n <= 2:
             raise DimensionTooSmall("S(d, chi) requires dim d >= 3")
-        hopf = self.hopf
-        comps = [hopf.zero() for _ in range(self.n)]
-        comps[b] = comps[b] + hopf.gen(a) + hopf.one().scale(chi(a))
-        comps[a] = comps[a] - hopf.gen(b) - hopf.one().scale(chi(b))
-        for k, c in hopf.lie.bracket(a, b).items():
-            comps[k] = comps[k] - hopf.one().scale(c)
-        return WElement(hopf, comps)
+        n = self.n
+        ea, eb, z = mi_unit(n, a), mi_unit(n, b), mi_zero(n)
+        rows = {ea: [ZERO] * n, eb: [ZERO] * n, z: [ZERO] * n}
+        rows[ea][b] += ONE
+        rows[eb][a] -= ONE
+        rows[z][b] += chi(a)
+        rows[z][a] -= chi(b)
+        for k, c in self.hopf.lie.bracket(a, b).items():
+            rows[z][k] -= c
+        return ModuleVector(self.hopf, n, {I: tuple(row) for I, row in rows.items()})
 
-    def s_generators(self, chi: TraceForm) -> list[tuple[tuple[int, int], WElement]]:
+    def s_generators(self, chi: TraceForm) -> list[tuple[tuple[int, int], ModuleVector]]:
         out = []
         for a in range(self.n):
             for b in range(a + 1, self.n):
                 out.append(((a, b), self.s_generator(a, b, chi)))
         return out
-
-
-def _as_vector(x, width: int) -> ModuleVector:
-    """x as a module vector of the given width: a WElement sum_a h_a (x) b_a,
-    an h in H as h (x) 1 in H (x) k, a module vector as itself."""
-    if not isinstance(x, ModuleVector):
-        comps = x.comps if isinstance(x, WElement) else (x,)
-        keys = dict.fromkeys(I for h in comps for I in h.coeffs)
-        x = ModuleVector(x.hopf, len(comps), {I: tuple(h.coeffs.get(I, ZERO) for h in comps)
-                                              for I in keys})
-    if x.width != width:
-        raise DimensionMismatch(f"need a vector of width {width}, not {x.width}")
-    return x
 
 
 def w_modules(hopf: Hopf) -> tuple[ModuleSpec, ModuleSpec]:
@@ -201,19 +116,19 @@ def w_modules(hopf: Hopf) -> tuple[ModuleSpec, ModuleSpec]:
 
 
 def cur_algebra_bracket(hopf: Hopf, g: LieData):
-    """Pseudobracket of Cur g: (f (x) a) * (h (x) b) = (f (x) h) (x)_H (1 (x) [a,b])."""
+    """Pseudobracket of Cur g = H (x) g on width-dim g vectors:
+    (f (x) a) * (h (x) b) = (f (x) h) (x)_H (1 (x) [a,b])."""
 
-    def bracket(u: WElement, v: WElement) -> PseudoValue:
+    def bracket(u: ModuleVector, v: ModuleVector) -> PseudoValue:
         out = PseudoValue.zero(hopf)
+        v_comps = [(b, h) for b, h in enumerate(v.comps) if not h.is_zero()]
         for a, f in enumerate(u.comps):
             if f.is_zero():
                 continue
-            for b, h in enumerate(v.comps):
-                if h.is_zero():
-                    continue
+            for b, h in v_comps:
                 for k, c in g.bracket(a, b).items():
                     out = out.add(
-                        PseudoValue.from_tensor(f, h, WElement.unit(hopf, g.dim, k).scale(c))
+                        PseudoValue.from_tensor(f, h, ModuleVector.unit(hopf, g.dim, k).scale(c))
                     )
         return out
 

@@ -3,8 +3,8 @@
 A PseudoValue stores one of the two normal forms
     left:   sum_I (b^(I) (x) 1) (x)_H v_I
     right:  sum_I (1 (x) b^(I)) (x)_H v_I
-as a sparse map I -> v_I.  Carrier vectors v are duck-typed: they must
-provide add(w), scale(c), hmul(h: HElement), is_zero().  Conversions move
+as a sparse map I -> v_I.  The carriers v_I are module vectors
+(`pseudoaction.ModuleVector`), H itself being H (x) k.  Conversions move
 factors across (x)_H with the antipode, e.g.
     (f (x) g) (x)_H v = sum (f S(g_(1)) (x) 1) (x)_H g_(2) v.
 """

@@ -42,7 +42,6 @@ from liepseudo.pseudoaction import ModuleVector
 from liepseudo.pseudoalg import (
     CheckReport,
     WAlgebra,
-    WElement,
     check_jacobi,
     check_s_closure,
     check_skew,
@@ -195,15 +194,14 @@ def test_criterion_03_pseudoalgebra_axioms():
         reports += registry_checks(hopf_for(name), "w.")
     H = hopf_for("abelian2")
     bracket = cur_algebra_bracket(H, preset("sl2"))
-    cur_gens = [WElement.unit(H, 3, a) for a in range(3)]
+    cur_gens = [ModuleVector.unit(H, 3, a) for a in range(3)]
     reports.append(("Cur sl2 skew-symmetry", check_skew(bracket, cur_gens)))
     reports.append(("Cur sl2 Jacobi", check_jacobi(bracket, cur_gens)))
     H1 = hopf_for("abelian1")
     walg1 = WAlgebra(H1)
     ell = walg1.gen(0).scale(-1)
-    ell_vec = ModuleVector.unit(H1, 1, 0).scale(-1)  # the carrier type of bracket values
-    virasoro = PseudoValue.from_tensor(H1.one(), H1.gen(0), ell_vec).add(
-        PseudoValue.from_tensor(H1.gen(0), H1.one(), ell_vec).neg()
+    virasoro = PseudoValue.from_tensor(H1.one(), H1.gen(0), ell).add(
+        PseudoValue.from_tensor(H1.gen(0), H1.one(), ell).neg()
     )
     reports.append(("Virasoro", CheckReport.one_case("[ell * ell]",
                                                      walg1.bracket(ell, ell).eq(virasoro))))

@@ -24,6 +24,7 @@ from liepseudo.dualx import XElement
 from liepseudo.errors import NotInW0
 from liepseudo.hopf import Hopf, mi_below, mi_deg
 from liepseudo.liecore import LieData, identity_matrix, mat_comm, preset, zero_matrix
+from liepseudo.pseudoaction import ModuleVector
 from liepseudo.pseudoalg import WAlgebra
 
 from conftest import hopf_for
@@ -302,7 +303,7 @@ def test_ann_action_on_module_h(any_preset):
 
     for a in range(H.n):
         high = AnnElement.term(H, XElement.mono(H, tuple([2] + [0] * (H.n - 1)), 1, D), a)
-        out = ann_action(high, H.one(), action_pv)
+        out = ann_action(high, ModuleVector.unit(H, 1, 0), action_pv)
         assert out is None or out.is_zero()
 
 
@@ -316,7 +317,7 @@ def test_reconstruct_on_module_h(any_preset):
         return walg.action_on_h(walg.gen(i), v)
 
     for a in range(H.n):
-        for v in (H.one(), H.gen(0)):
+        for v in (ModuleVector.unit(H, 1, 0), ModuleVector.from_comps(H, [H.gen(0)])):
             expect = walg.action_on_h(walg.gen(a), v)
             got = reconstruct_pseudoaction(H, walg.gen(a), v, action_pv, 3, D)
             assert got.eq(expect)

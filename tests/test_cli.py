@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +235,18 @@ _ZERO_MATS_1 = [[["0"]]] * 4  # the four 1x1 gl(2) matrices of a trivial U
      None, "config error: pi: dimension must be >= 1, got 0"),
     (["singular", "--alg", JsonFile({"dim": 2, "brackets": [], "u": {"dim": 0, "mats": [[]] * 4}})],
      None, "config error: u: dimension must be >= 1, got 0"),
+    # the singular oracle pairs with x_K up to |K| = min(fil, 2) + paper bound + 1;
+    # below that an x_K would vanish and its equations with it
+    (["singular", "--alg", "heis3", "--u", "omega:1", "--trunc", "3"], None,
+     "config error: truncation --trunc 3 is below 4, the degree of the oracle's largest x_K"),
+    (["singular", "--alg", "heis3", "--u", "omega:1", "--trunc", "0"], None,
+     "config error: truncation --trunc 0 is below 4"),
+    (["singular", "--alg", "heis3", "--mode", "S", "--u", "omega:1", "--trunc", "4"], None,
+     "config error: truncation --trunc 4 is below 5"),
+    (["singular", "--alg", "heis3", "--mode", "S", "--u", "omega:1"], "2",
+     "config error: truncation --trunc 2 is below 5"),
+    (["singular", "--alg", "abelian2", "--u", "omega:1", "--fil", "0", "--trunc", "1"], None,
+     "config error: truncation --trunc 1 is below 2, the degree of the oracle's largest x_K at --fil 0"),
 ])
 def test_bad_input_exits_2_with_a_message(monkeypatch, capsys, tmp_path, argv, env, message):
     files = {m: tmp_path / f"input{m}.json" for m, arg in enumerate(argv) if isinstance(arg, JsonFile)}
@@ -254,6 +267,19 @@ def test_bad_input_exits_2_with_a_message(monkeypatch, capsys, tmp_path, argv, e
     assert message in captured.err.splitlines()[-1]
     if message.startswith("config error"):
         assert captured.err.count("\n") == 1
+
+
+def test_singular_at_the_least_truncation_matches_the_default(tmp_path, capsys):
+    out = tmp_path / "sing.json"
+    code = main(["singular", "--alg", "heis3", "--mode", "S", "--u", "omega:1", "--trunc", "5",
+                 "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    blob = json.loads(out.read_text())
+    default = json.loads((Path(__file__).parent / "golden" / "singular_heis3_S_omega1.json").read_text())
+    assert blob["config"]["trunc"] == 5 and default["config"]["trunc"] == 6
+    blob["config"]["trunc"] = 6
+    assert blob == default
 
 
 def test_derham_smallest_valid_truncation_checks_filtration_zero(capsys):

@@ -274,7 +274,7 @@ def test_star_action_degree_zero_reduces_to_module_h(any_preset):
     walg = WAlgebra(H)
     for i in range(H.n):
         got = star_action(H, walg.gen(i), 0, ModuleVector.unit(H, 1, 0))
-        expect_pv = walg.action_on_h(walg.gen(i), H.one())
+        expect_pv = walg.action_on_h(walg.gen(i), ModuleVector.unit(H, 1, 0))
         expect = {I: dict(v.terms) for I, v in expect_pv.to_left().terms.items()}
         got_terms = {I: dict(v.terms) for I, v in got.to_left().terms.items()}
         assert got_terms == expect

@@ -1,0 +1,46 @@
+"""The JSON reports of eight commands, byte for byte, against tests/golden.
+
+The files were written by the CLI itself (`--out`).  To record them again
+after an intended change of a report, run from the repo root:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from liepseudo.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+COMMANDS = {
+    "verify_sl2_trunc4": ["verify", "--alg", "sl2", "--trunc", "4"],
+    "singular_heis3_S_omega1": ["singular", "--alg", "heis3", "--mode", "S", "--u", "omega:1"],
+    "singular_abelian3_S_omega1_chi123": ["singular", "--alg", "abelian3", "--mode", "S",
+                                          "--u", "omega:1", "--chi", "1,2,3"],
+    "classify_abelian3_S_omega1": ["classify", "--alg", "abelian3", "--mode", "S", "--u", "omega:1"],
+    "classify_solv3_S_omega1_tr_ad": ["classify", "--alg", "solv3", "--mode", "S", "--u", "omega:1",
+                                      "--chi", "tr_ad"],
+    "classify_heis3_W_omega1": ["classify", "--alg", "heis3", "--mode", "W", "--u", "omega:1"],
+    "classify_abelian3_W_omega2": ["classify", "--alg", "abelian3", "--mode", "W", "--u", "omega:2"],
+    "derham_abelian3_trunc8_fil6": ["derham", "--alg", "abelian3", "--trunc", "8", "--fil", "6"],
+}
+
+
+@pytest.mark.cli
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_report_bytes_match_golden(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("PSA_TRUNC", raising=False)
+    out = tmp_path / "report.json"
+    assert main(COMMANDS[name] + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in COMMANDS.items():
+        if main(argv + ["--out", str(GOLDEN / f"{name}.json")]) != 0:
+            sys.exit(f"{name}: the command did not exit 0")

@@ -9,7 +9,7 @@ import re
 from pathlib import Path
 
 import liepseudo
-from liepseudo import Hopf, ModuleSpec, PseudoValue, WAlgebra, cli, preset
+from liepseudo import Hopf, ModuleSpec, ModuleVector, PseudoValue, WAlgebra, cli, preset
 
 SRC = Path(liepseudo.__file__).parent
 # the package's modules and the test modules, scanned alike
@@ -189,6 +189,6 @@ def test_w_bracket_and_action_on_h_run_on_the_pseudoaction_kernel(monkeypatch):
     assert not walg.bracket(u, walg.gen(1).hmul(H.gen(0))).is_zero()
     assert kernel_runs and set(kernel_runs) == {"W(d)"}
     kernel_runs.clear()
-    assert not walg.action_on_h(u, H.gen(2)).is_zero()
+    assert not walg.action_on_h(u, ModuleVector.from_comps(H, [H.gen(2)])).is_zero()
     assert kernel_runs and set(kernel_runs) == {"H"}
     assert tensors == []

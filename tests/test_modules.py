@@ -68,7 +68,7 @@ def test_tensor_kk_reduces_to_module_h():
     T = tensor_module(H, trivial_pi(H), trivial_u(H))
     for i in range(H.n):
         got = {I: dict(v.terms) for I, v in T.table[i][0].to_left().terms.items()}
-        expect_pv = walg.action_on_h(walg.gen(i), H.one()).to_left()
+        expect_pv = walg.action_on_h(walg.gen(i), T.unit(0)).to_left()
         expect = {I: dict(v.terms) for I, v in expect_pv.terms.items()}
         assert got == expect
 

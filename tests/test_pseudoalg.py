@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from liepseudo import checks
 from liepseudo.errors import DimensionMismatch, DimensionTooSmall
 from liepseudo.hopf import Hopf, mi_below, mi_unit
-from liepseudo.liecore import PRESET_NAMES, LieData, preset
+from liepseudo.liecore import PRESET_NAMES, LieData, TraceForm, preset
 from liepseudo.pseudoaction import ModuleSpec, ModuleVector
 from liepseudo.pseudoalg import (
     WAlgebra,
-    WElement,
     check_jacobi,
     check_s_closure,
     check_skew,
@@ -31,8 +30,7 @@ def test_virasoro_specialization():
     ell = walg.gen(0).scale(-1)
     lhs = walg.bracket(ell, ell)
     one, d = H.one(), H.gen(0)
-    ell_vec = ModuleVector.unit(H, 1, 0).scale(-1)
-    rhs = PseudoValue.from_tensor(one, d, ell_vec).add(PseudoValue.from_tensor(d, one, ell_vec).neg())
+    rhs = PseudoValue.from_tensor(one, d, ell).add(PseudoValue.from_tensor(d, one, ell).neg())
     assert lhs.eq(rhs)
 
 
@@ -71,13 +69,13 @@ def test_cur_sl2_bracket_and_axioms():
     H = hopf_for("abelian2")  # coefficient Hopf algebra independent of g
     g = preset("sl2")
     bracket = cur_algebra_bracket(H, g)
-    e = WElement.unit(H, 3, 0)
-    f = WElement.unit(H, 3, 2)
-    h = WElement.unit(H, 3, 1)
+    e = ModuleVector.unit(H, 3, 0)
+    f = ModuleVector.unit(H, 3, 2)
+    h = ModuleVector.unit(H, 3, 1)
     val = bracket(e, f)
     assert val.eq(PseudoValue.from_tensor(H.one(), H.one(), h))
     assert bracket(e, e).is_zero()
-    de = WElement.unit(H, 3, 0, H.gen(0))
+    de = ModuleVector.unit(H, 3, 0, mi_unit(H.n, 0))
     assert bracket(de, f).eq(PseudoValue.from_tensor(H.gen(0), H.one(), h))
     gens = [e, h, f]
     assert check_skew(bracket, gens).ok
@@ -132,6 +130,45 @@ def test_s_generator_examples():
     assert s13.comps[0] == -Hh.gen(2)
 
 
+def _s_generator_by_sums(H, a, b, chi):
+    """The H coefficients of s_ab as sums of H elements, in the order of the
+    formula: each h_k keeps the key order that adding gives it."""
+    comps = [H.zero() for _ in range(H.n)]
+    comps[b] = comps[b] + H.gen(a) + H.one().scale(chi(a))
+    comps[a] = comps[a] - H.gen(b) - H.one().scale(chi(b))
+    for k, c in H.lie.bracket(a, b).items():
+        comps[k] = comps[k] - H.one().scale(c)
+    return comps
+
+
+@pytest.mark.parametrize("name,chi_kind", [("sl2", "zero"), ("solv3", "tr_ad"), ("abelian3", "1,2,3")])
+def test_s_generator_key_order_per_component(name, chi_kind):
+    # w_star reads each h_a of an actor in its key order, and the key order
+    # of a value reaches the truncated basis of submodule_closure
+    H = hopf_for(name)
+    walg = WAlgebra(H)
+    if chi_kind == "zero":
+        chi = H.lie.zero_trace_form()
+    elif chi_kind == "tr_ad":
+        chi = H.lie.tr_ad()
+    else:
+        chi = TraceForm(H.lie, tuple(Fraction(c) for c in chi_kind.split(",")))
+    assert chi_kind == "zero" or any(chi.values)
+    for (a, b), s in walg.s_generators(chi):
+        want = _s_generator_by_sums(H, a, b, chi)
+        assert [list(h.coeffs.items()) for h in s.comps] == \
+            [list(h.coeffs.items()) for h in want], (a, b)
+
+
+def test_from_comps_inverts_comps():
+    H = hopf_for("heis3")
+    comps = [H.gen(1) + H.one().scale(2), H.zero(), H.gen(0) * H.gen(2)]
+    v = ModuleVector.from_comps(H, comps)
+    assert v.width == 3 and v.comps == tuple(comps)
+    assert ModuleVector.from_comps(H, v.comps).eq(v)
+    assert ModuleVector.from_comps(H, [H.zero()] * 2).is_zero()
+
+
 def test_s_mode_needs_three_dimensions():
     walg = WAlgebra(hopf_for("solv2"))
     with pytest.raises(DimensionTooSmall):
@@ -166,7 +203,7 @@ def test_s_closure_divergence_free(any_preset2):
 def test_action_on_h_satisfies_module_axiom(any_preset):
     H = any_preset
     walg = WAlgebra(H)
-    vectors = [H.one(), H.gen(0)]
+    vectors = [ModuleVector.unit(H, 1, 0), ModuleVector.from_comps(H, [H.gen(0)])]
     for a, b in itertools.product(walg.gens(), repeat=2):
         for v in vectors:
             defect = module_defect(a, b, v, walg.bracket, walg.action_on_h)
@@ -201,42 +238,28 @@ def _bracket_oracle(H, u, v):
             if f.is_zero() or g.is_zero():
                 continue
             for k, c in H.lie.bracket(a, b).items():
-                out = out.add(PseudoValue.from_tensor(f, g, WElement.unit(H, H.n, k).scale(c)))
-            out = out.add(PseudoValue.from_tensor(f, g * H.gen(a), WElement.unit(H, H.n, b)).neg())
-            out = out.add(PseudoValue.from_tensor(f * H.gen(b), g, WElement.unit(H, H.n, a)))
+                out = out.add(PseudoValue.from_tensor(f, g, ModuleVector.unit(H, H.n, k).scale(c)))
+            out = out.add(PseudoValue.from_tensor(f, g * H.gen(a), ModuleVector.unit(H, H.n, b)).neg())
+            out = out.add(PseudoValue.from_tensor(f * H.gen(b), g, ModuleVector.unit(H, H.n, a)))
     return out
 
 
 def _action_on_h_oracle(H, w, g):
-    """(f (x) a) * g = -(f (x) g a) (x)_H 1, term by term."""
+    """(f (x) a) * g = -(f (x) g a) (x)_H 1 for g in H, term by term, on
+    the width-1 carrier 1 = 1 (x) 1 of H = H (x) k."""
     out = PseudoValue.zero(H)
+    one = ModuleVector.unit(H, 1, 0)
     for a, f in enumerate(w.comps):
         if not f.is_zero():
-            out = out.add(PseudoValue.from_tensor(f, g * H.gen(a), H.one()).neg())
+            out = out.add(PseudoValue.from_tensor(f, g * H.gen(a), one).neg())
     return out
 
 
 def _coefficients(pv) -> dict:
     """The left normal form as {(I, J, k): c}: b^(I) in the normal-form slot
-    and c b^(J) (x) u_k in the carrier, for the carriers of the oracles
-    (WElement, HElement) and of the kernel (ModuleVector) alike."""
-    out = {}
-    for I, w in pv.to_left().terms.items():
-        if isinstance(w, ModuleVector):
-            items = [(J, k, c) for J, row in w.terms.items() for k, c in enumerate(row)]
-        else:
-            comps = w.comps if isinstance(w, WElement) else (w,)
-            items = [(J, k, c) for k, h in enumerate(comps) for J, c in h.coeffs.items()]
-        out.update({(I, J, k): c for J, k, c in items if c})
-    return out
-
-
-def _as_vector(w: WElement) -> ModuleVector:
-    rows = {}
-    for k, h in enumerate(w.comps):
-        for J, c in h.coeffs.items():
-            rows.setdefault(J, [Fraction(0)] * w.rank)[k] = c
-    return ModuleVector(w.hopf, w.rank, {J: tuple(row) for J, row in rows.items()})
+    and c b^(J) (x) u_k in the carrier."""
+    return {(I, J, k): c for I, w in pv.to_left().terms.items()
+            for J, row in w.terms.items() for k, c in enumerate(row) if c}
 
 
 _SEMIDIRECT = Hopf(LieData.from_entries(
@@ -254,7 +277,7 @@ def _h_elements(H):
 
 def _w_elements(H):
     return st.lists(_h_elements(H) | st.just(H.zero()), min_size=H.n,
-                    max_size=H.n).map(lambda comps: WElement(H, comps))
+                    max_size=H.n).map(lambda comps: ModuleVector.from_comps(H, comps))
 
 
 # no shrinking: a failing example names its algebra and elements
@@ -264,11 +287,9 @@ def _w_elements(H):
 def test_bracket_matches_the_explicit_formula(H, data):
     walg = WAlgebra(H)
     u, v = data.draw(_w_elements(H)), data.draw(_w_elements(H))
-    want = _coefficients(_bracket_oracle(H, u, v))
-    for actor, acted in ((u, v), (_as_vector(u), v), (_as_vector(u), _as_vector(v))):
-        got = walg.bracket(actor, acted)
-        assert all(isinstance(w, ModuleVector) and w.width == H.n for w in got.terms.values())
-        assert _coefficients(got) == want, (H.lie.name, u, v)
+    got = walg.bracket(u, v)
+    assert all(isinstance(w, ModuleVector) and w.width == H.n for w in got.terms.values())
+    assert _coefficients(got) == _coefficients(_bracket_oracle(H, u, v)), (H.lie.name, u, v)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True,
@@ -277,11 +298,9 @@ def test_bracket_matches_the_explicit_formula(H, data):
 def test_action_on_h_matches_the_explicit_formula(H, data):
     walg = WAlgebra(H)
     w, g = data.draw(_w_elements(H)), data.draw(_h_elements(H))
-    want = _coefficients(_action_on_h_oracle(H, w, g))
-    for actor in (w, _as_vector(w)):
-        got = walg.action_on_h(actor, g)
-        assert all(isinstance(c, ModuleVector) and c.width == 1 for c in got.terms.values())
-        assert _coefficients(got) == want, (H.lie.name, w, g)
+    got = walg.action_on_h(w, ModuleVector.from_comps(H, [g]))
+    assert all(isinstance(c, ModuleVector) and c.width == 1 for c in got.terms.values())
+    assert _coefficients(got) == _coefficients(_action_on_h_oracle(H, w, g)), (H.lie.name, w, g)
 
 
 def test_a_vector_of_the_wrong_width_is_refused():
@@ -289,6 +308,8 @@ def test_a_vector_of_the_wrong_width_is_refused():
     walg = WAlgebra(H)
     with pytest.raises(DimensionMismatch):
         walg.bracket(walg.gen(0), H.one())
+    with pytest.raises(DimensionMismatch):
+        walg.bracket(ModuleVector.zero(H, H.n), H.one())
     with pytest.raises(DimensionMismatch):
         walg.action_on_h(walg.gen(0), walg.gen(1))
 

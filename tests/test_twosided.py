@@ -28,8 +28,8 @@ def test_primitive_conversion_formula():
     e0 = (1, 0, 0)
     z = (0, 0, 0)
     assert set(r.terms) == {e0, z}
-    assert r.terms[e0] == v.scale(-1)
-    assert r.terms[z] == v.hmul(H.gen(0))
+    assert r.terms[e0].eq(v.scale(-1))
+    assert r.terms[z].eq(v.hmul(H.gen(0)))
 
 
 def test_roundtrip_on_random_degree_two_values(any_preset):
