@@ -23,7 +23,7 @@ from .errors import DimensionMismatch, NotInW0, SolveFailed, TruncationExceeded
 from .hopf import Hopf, MultiIndex, mi_add, mi_below, mi_deg, mi_unit
 from .liecore import Matrix, TraceForm, mat
 from .pseudoaction import ModuleVector
-from .twosided import LEFT, PseudoValue
+from .twosided import LEFT, PseudoValue, _exact, _fold, _fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -33,11 +33,12 @@ class AnnElement:
     """An element of W = X (x) d: one truncated dual coefficient per basis
     vector of d.  Validity is the minimum of the component validities."""
 
-    __slots__ = ("hopf", "comps")
+    __slots__ = ("hopf", "comps", "_pairings")
 
     def __init__(self, hopf: Hopf, comps):
         self.hopf = hopf
         self.comps = tuple(comps)
+        self._pairings = None  # a -> I -> <x_a, S(b^(I))>, filled by ann_action
         if len(self.comps) != hopf.n:
             raise DimensionMismatch("need one X coefficient per basis vector of d")
 
@@ -156,9 +157,14 @@ def ann_div(A: AnnElement, chi: TraceForm) -> XElement:
 
 def iota(x: XElement, w: ModuleVector) -> AnnElement:
     """iota(x (x)_H sum h_a (x) b_a) = sum (x h_a) (x) b_a: S -> W."""
+    return _iota(x, w.comps)
+
+
+def _iota(x: XElement, hs) -> AnnElement:
+    """iota(x (x)_H w) from the coefficients h_a of w, `w.comps`."""
     hopf = x.hopf
     comps = []
-    for h in w.comps:
+    for h in hs:
         if h.is_zero():
             comps.append(XElement(hopf, {}, x.validity))
         else:
@@ -214,34 +220,47 @@ class ExtAnnElement:
 # ---------------------------------------------------------------------------
 
 def ann_action(A: AnnElement, v, action_pv):
-    """Apply A = sum x_a (x) b_a to a module vector v.
+    """Apply A = sum x_a (x) b_a to a module vector v: sum_a sum_I
+    <x_a, S(b^(I))> v_I over the left-normal terms b^(I) (x) v_I of
+    (1 (x) b_a) * v.
 
     `action_pv(i, v)` must return the pseudoaction value (1 (x) b_i) * v as a
-    PseudoValue; the contraction uses its left-normal coefficients.
-    Raises TruncationExceeded when a pairing would exceed validity.
+    PseudoValue.  Each pairing is computed once per element and kept on it;
+    the terms are summed into one store with the key order of adding them one
+    at a time.  Returns None when every pairing is zero, and a vector,
+    possibly zero, otherwise.  Raises TruncationExceeded when a pairing would
+    exceed validity.
     """
     hopf = A.hopf
-    out = None
-    for a in range(hopf.n):
-        x = A.comps[a]
+    if A._pairings is None:
+        A._pairings = tuple({} for _ in range(hopf.n))
+    out: dict = {}  # a `_fold` store with the one key (): N -> coordinates
+    width = None
+    for a, x in enumerate(A.comps):
         if x.is_zero():
             continue
-        val = action_pv(a, v).to_left()
-        for I, w in val.terms.items():
-            if mi_deg(I) > x.validity:
-                raise TruncationExceeded(
-                    f"annihilation action needs pairing at degree {mi_deg(I)} "
-                    f"but validity is {x.validity}"
-                )
-            coeff = ZERO
-            for K, c in hopf.antipode_mono(I).items():
-                xc = x.coeffs.get(K)
-                if xc:
-                    coeff += c * xc
+        pairings = A._pairings[a]
+        for I, w in action_pv(a, v).to_left().terms.items():
+            coeff = pairings.get(I)
+            if coeff is None:
+                if mi_deg(I) > x.validity:
+                    raise TruncationExceeded(
+                        f"annihilation action needs pairing at degree {mi_deg(I)} "
+                        f"but validity is {x.validity}"
+                    )
+                coeff = ZERO
+                for K, c in hopf.antipode_mono(I).items():
+                    xc = x.coeffs.get(K)
+                    if xc:
+                        coeff += c * xc
+                coeff = pairings[I] = _exact(coeff)
             if coeff:
-                term = w.scale(coeff)
-                out = term if out is None else out.add(term)
-    return out
+                width = w.width
+                _fold(out, (), w.terms.items(), coeff)
+    if width is None:
+        return None
+    return ModuleVector(hopf, width, {N: tuple(map(_fraction, cur))
+                                      for N, cur in out.get((), {}).items()})
 
 
 def reconstruct_pseudoaction(hopf: Hopf, w_on: ModuleVector, v, action_pv, degree_bound: int,

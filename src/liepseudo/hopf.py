@@ -8,8 +8,11 @@ H-modules, H = H (x) k among them, are module vectors
 - the per-instance memos here (straightening, products, antipodes, and the
   tables dualx, derham, annih and pseudoalg key on the algebra);
 - per ModuleSpec: its action table in each normal form, its unit
-  expansions (1 (x) b_i) * (b^(I) (x) u_k) in int-where-integral terms, and
-  the values of the last (vector, form) its pseudoaction was applied to.
+  expansions (1 (x) b_i) * (b^(I) (x) u_k) in int-where-integral terms, the
+  values of the last (vector, form) its pseudoaction was applied to, and the
+  terms of up to n^2 actors `w_star` has read;
+- per annihilation element (`annih.AnnElement`): the pairings
+  <x_a, S(b^(I))> that `ann_action` has met, one dict per a keyed by I.
 """
 
 from __future__ import annotations

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import Row, RowReducer, add_entry, kernel, span_coords
-from .annih import AnnElement, ann_action, iota
+from .annih import AnnElement, _iota, ann_action
 from .dualx import XElement
-from .errors import DimensionMismatch, DimensionTooSmall, RepInvalid
+from .errors import DimensionMismatch, DimensionTooSmall, RepInvalid, TruncationExceeded
 from .hopf import Hopf, MultiIndex, mi_below, mi_deg, mi_factorial, mi_splits, mi_unit, mi_zero
 from .liecore import (
     Matrix,
@@ -313,18 +313,23 @@ def sing_solve_oracle(V: ModuleSpec, fil_bound: int, mode: str = "W",
                       validity: int | None = None) -> SingResult:
     """Independent route: v is singular iff the annihilation elements
     iota(x_K (x)_H w) over the actors w, threshold <= |K| <= fil + threshold,
-    which span W_1 (resp. S_1), kill it under the contraction action."""
+    which span W_1 (resp. S_1), kill it under the contraction action.  The
+    x_K are truncated at `validity`, which must reach the largest |K|."""
     hopf = V.hopf
     validity = validity if validity is not None else fil_bound + 4
     actors, threshold = _sing_actors(V, mode, chi)
+    if validity < fil_bound + threshold:
+        raise TruncationExceeded(f"the oracle needs x_K up to degree {fil_bound + threshold} "
+                                 f"but validity is {validity}")
     units = _units(V, V.basis_upto(fil_bound))
+    actors = [(label, w.comps) for label, w in actors]
     spanning: list[tuple[str, AnnElement]] = []
     for K in mi_below(hopf.n, fil_bound + threshold):
         if mi_deg(K) < threshold:
             continue
         x = XElement.mono(hopf, K, 1, validity)
-        for label, w in actors:
-            el = iota(x, w)
+        for label, hs in actors:
+            el = _iota(x, hs)
             if not el.is_zero():
                 spanning.append((f"x_{K}.{label}", el))
     images = []

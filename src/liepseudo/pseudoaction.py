@@ -19,12 +19,13 @@ order, so its truncated basis depends on it.
 
 `w_star` applies a W(d) element w = sum_a h_a (x) b_a, a width-n vector,
 as sum_a (h_a (x) 1)((1 (x) b_a) * v); it reads each h_a off the terms of w,
-in the key order of w.  In left normal form it folds the kept kernel
-coordinates of each (1 (x) b_a) * v, multiplied by h_a in the normal-form
-slot, into one store and builds each output vector once; the key order is
-that of adding the PseudoValues one term at a time (`_fold`).  In right
-normal form h_a lands in the slot pinned to 1, and `PseudoValue.mul_inner`
-renormalizes.
+in the key order of w, once per actor.  In left normal form it folds the kept
+kernel coordinates of each (1 (x) b_a) * v, multiplied by h_a in the
+normal-form slot, into one store and builds each output vector once; the key
+order is that of adding the PseudoValues one term at a time.  The fold is
+the one `twosided` keeps for `PseudoValue.from_tensor` too.  In right normal
+form h_a lands in the slot pinned to 1, and `PseudoValue.mul_inner`
+renormalizes through `from_tensor`.
 """
 
 from __future__ import annotations
@@ -36,43 +37,10 @@ from ._linalg import add_entry
 from .errors import DimensionMismatch, RepInvalid
 from .hopf import HElement, Hopf, MultiIndex, mi_below, mi_deg, mi_splits, mi_zero
 from .liecore import RepData, rat
-from .twosided import LEFT, RIGHT, PseudoValue
+from .twosided import LEFT, RIGHT, PseudoValue, _exact, _fold, _product, _pseudo_value
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def _exact(x):
-    """x as an int when it is integral, else x itself."""
-    return x.numerator if x.denominator == 1 else x
-
-
-def _fraction(x) -> Fraction:
-    """An int or Fraction coordinate as a Fraction."""
-    return x if type(x) is Fraction else Fraction(x) if x else ZERO
-
-
-def _fold(store: dict, M: MultiIndex, rows, x) -> None:
-    """store[M] += x * rows, rows being (N, coordinates) pairs, with the key
-    order of `PseudoValue.add` over `ModuleVector.add`: a new key goes last,
-    and an N or an M whose coordinates cancel is dropped, so that it goes
-    last if it comes back."""
-    at = store.get(M)
-    if at is None:
-        store[M] = {N: [x * c for c in coords] for N, coords in rows}
-        return
-    for N, coords in rows:
-        cur = at.get(N)
-        if cur is None:
-            at[N] = [x * c for c in coords]
-            continue
-        for r, c in enumerate(coords):
-            if c:
-                cur[r] += x * c
-        if not any(cur):
-            del at[N]
-    if not at:
-        del store[M]
 
 
 class ModuleVector:
@@ -187,6 +155,7 @@ class ModuleSpec:
     _flat: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _last: tuple = field(default=(None, None, None, None), init=False, repr=False, compare=False)
     _expanded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _actors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.table) != self.hopf.n:
@@ -222,7 +191,8 @@ class ModuleSpec:
         last, last_orient, acted, _ = self._last
         if last is v and last_orient == orient and i in acted:
             return acted[i]
-        value = self._value(self._kernel(i, v, orient), orient)
+        value = _pseudo_value(self.hopf, orient, self._kernel(i, v, orient), ModuleVector,
+                              self.dim)
         self._last[2][i] = value
         return value
 
@@ -307,7 +277,7 @@ class ModuleSpec:
         """(sum_a h_a (x) b_a) * v = sum_a ((h_a (x) 1) (x)_H 1)((1 (x) b_a) * v),
         each (1 (x) b_a) * v taken in normal form `orient`; for w = 1 (x) b_a
         that is (1 (x) b_a) * v itself.  The actor w is a width-n vector;
-        each h_a is read off its terms in one pass.
+        each h_a is read off its terms once per actor (`_actor_terms`).
 
         In left normal form h_a multiplies the normal-form slot: each term
         b^(M) (x) w of (1 (x) b_a) * v adds sum_K c_K b^(K) (x) w, where
@@ -321,13 +291,8 @@ class ModuleSpec:
         if w.width != hopf.n:
             raise DimensionMismatch(f"need an actor of width {hopf.n}, not {w.width}")
         self._check_vector(v)
-        coeffs: list[list] = [[] for _ in range(hopf.n)]  # a -> the terms (J, c) of h_a
-        for J, row in w.terms.items():
-            for a, c in enumerate(row):
-                if c:
-                    coeffs[a].append((J, c))
-        terms = [(a, h) for a, h in enumerate(coeffs) if h]
-        if len(terms) == 1 and terms[0][1] == [(mi_zero(hopf.n), ONE)]:
+        terms = self._actor_terms(w)
+        if len(terms) == 1 and terms[0][1] == [(mi_zero(hopf.n), 1)]:
             return self.action_pv(terms[0][0], v, orient)
         if orient == RIGHT:
             out = PseudoValue.zero(hopf, RIGHT)
@@ -339,34 +304,36 @@ class ModuleSpec:
             # (h_a (x) 1)((1 (x) b_a) * v) is summed on its own and then
             # added; summed straight into an empty store it is the same
             part = {} if acc else acc
-            hs = [(J, _exact(c)) for J, c in h]
             for M, at_m in self._kernel(a, v, LEFT).items():
                 rows = [(N, cur) for N, cur in at_m.items() if any(cur)]
                 if not rows:
                     continue
-                prod: dict[MultiIndex, object] = {}  # h_a b^(M), as HElement.__mul__ orders it
-                for J, c in hs:
-                    for K, y in hopf.mono_mul(J, M).items():
-                        s = prod.get(K, 0) + c * _exact(y)
-                        if s:
-                            prod[K] = s
-                        else:
-                            prod.pop(K, None)
-                for K, x in prod.items():
+                # h_a b^(M), as HElement.__mul__ orders it
+                for K, x in _product(hopf, h, ((M, 1),)).items():
                     _fold(part, K, rows, x)
             if part is not acc:
                 for K, at in part.items():
                     _fold(acc, K, at.items(), 1)
-        return self._value(acc, LEFT)
+        return _pseudo_value(hopf, LEFT, acc, ModuleVector, self.dim)
 
-    def _value(self, acc: dict, orient: str) -> PseudoValue:
-        """M -> N -> coordinates as a PseudoValue in normal form `orient`:
-        each coordinate a Fraction, and an (M, N) that cancels dropped."""
-        hopf, dim = self.hopf, self.dim
-        return PseudoValue(hopf, orient, {
-            M: ModuleVector(hopf, dim, {N: tuple(map(_fraction, cur))
-                                        for N, cur in at_m.items() if any(cur)})
-            for M, at_m in acc.items()})
+    def _actor_terms(self, w: ModuleVector) -> list:
+        """The terms (a, [(J, c)]) of each nonzero h_a of an actor
+        w = sum_a h_a (x) b_a, in the key order of w, each c an int wherever
+        it is integral.  The few actors of a solve meet every vector, so each
+        is read once: up to n^2 actors are kept, keyed by identity (module
+        vectors are never mutated), and the memo starts over when it is full."""
+        got = self._actors.get(w)
+        if got is None:
+            coeffs: list[list] = [[] for _ in range(self.hopf.n)]
+            for J, row in w.terms.items():
+                for a, c in enumerate(row):
+                    if c:
+                        coeffs[a].append((J, _exact(c)))
+            got = [(a, h) for a, h in enumerate(coeffs) if h]
+            if len(self._actors) >= self.hopf.n ** 2:
+                self._actors.clear()
+            self._actors[w] = got
+        return got
 
     def full_tensor(self, p: PseudoValue) -> list[tuple[MultiIndex, MultiIndex, int, Fraction]]:
         """Expand a value over this module into pure tensors

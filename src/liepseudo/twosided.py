@@ -7,15 +7,24 @@ as a sparse map I -> v_I.  The carriers v_I are module vectors
 (`pseudoaction.ModuleVector`), H itself being H (x) k.  Conversions move
 factors across (x)_H with the antipode, e.g.
     (f (x) g) (x)_H v = sum (f S(g_(1)) (x) 1) (x)_H g_(2) v.
+
+The fold shared with the pseudoaction kernel lives here: a value is summed
+into one store M -> N -> coordinates, in int wherever the arithmetic is
+integral (`_exact`), with the key order of adding PseudoValues one term at a
+time (`_fold`), and each output vector is built once (`_pseudo_value`), its
+coordinates made Fractions.  `from_tensor` builds its value that way.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .hopf import HElement, Hopf, MultiIndex, mi_deg, mi_splits
 from .liecore import rat
 
 LEFT = "L"
 RIGHT = "R"
+ZERO = Fraction(0)
 
 
 class PseudoValue:
@@ -34,23 +43,35 @@ class PseudoValue:
     @classmethod
     def from_tensor(cls, f: HElement, g: HElement, vec, orient: str = LEFT) -> "PseudoValue":
         """Normal form of (f (x) g) (x)_H vec: sum (f S(g_(1)) (x) 1) (x)_H g_(2) vec,
-        or sum (1 (x) g S(f_(1))) (x)_H f_(2) vec, the outer factor on the left."""
+        or sum (1 (x) g S(f_(1))) (x)_H f_(2) vec, the outer factor on the left.
+
+        For each term c b^(J) of the inner factor and each split A + B = J,
+        outer * S(b^(A)) (in the key order of `HElement.__mul__`) times
+        c * b^(B) vec (in the key order of `ModuleVector.hmul`) is folded into
+        one store in int wherever it is integral, so the value and the key
+        order at both levels are those of adding the terms one at a time."""
         hopf = f.hopf
-        terms: dict[MultiIndex, object] = {}
-        if orient == LEFT:
-            outer, inner = f, g
-        else:
-            outer, inner = g, f
+        outer, inner = (f, g) if orient == LEFT else (g, f)
+        outer_terms = [(I, _exact(c)) for I, c in outer.coeffs.items()]
+        rows = [(N, [_exact(x) for x in row]) for N, row in vec.terms.items()]
+        factors: dict[MultiIndex, dict] = {}  # A -> outer * S(b^(A))
+        moved: dict[MultiIndex, list] = {}  # B -> b^(B) vec as (N, coordinates)
+        store: dict[MultiIndex, dict[MultiIndex, list]] = {}  # I -> N -> coordinates
         for J, c in inner.coeffs.items():
+            c = _exact(c)
             for A, B in mi_splits(J):
-                sA = hopf.element(hopf.antipode_mono(A))
-                factor = outer * sA
-                moved = vec.hmul(hopf.mono(B)).scale(c)
-                if moved.is_zero():
+                rows_b = moved.get(B)
+                if rows_b is None:
+                    rows_b = moved[B] = _mono_times(hopf, B, rows, vec.width)
+                if not rows_b:
                     continue
-                for I, c2 in factor.coeffs.items():
-                    _acc(terms, I, moved.scale(c2))
-        return cls(hopf, orient, terms)
+                factor = factors.get(A)
+                if factor is None:
+                    antipode = [(K, _exact(s)) for K, s in hopf.antipode_mono(A).items()]
+                    factor = factors[A] = _product(hopf, outer_terms, antipode)
+                for I, x in factor.items():
+                    _fold(store, I, rows_b, c * x)
+        return _pseudo_value(hopf, orient, store, type(vec), vec.width)
 
     # -- linear structure ----------------------------------------------------
     def add(self, other: "PseudoValue") -> "PseudoValue":
@@ -191,6 +212,79 @@ def _acc(store: dict, key, vec) -> None:
             del store[key]
         else:
             store[key] = s
+
+
+def _exact(x):
+    """x as an int when it is integral, else x itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _fraction(x) -> Fraction:
+    """An int or Fraction coordinate as a Fraction."""
+    return x if type(x) is Fraction else Fraction(x) if x else ZERO
+
+
+def _fold(store: dict, M: MultiIndex, rows, x) -> None:
+    """store[M] += x * rows, rows being (N, coordinates) pairs, with the key
+    order of `PseudoValue.add` over `ModuleVector.add`: a new key goes last,
+    and an N or an M whose coordinates cancel is dropped, so that it goes
+    last if it comes back."""
+    at = store.get(M)
+    if at is None:
+        store[M] = {N: [x * c for c in coords] for N, coords in rows}
+        return
+    for N, coords in rows:
+        cur = at.get(N)
+        if cur is None:
+            at[N] = [x * c for c in coords]
+            continue
+        for r, c in enumerate(coords):
+            if c:
+                cur[r] += x * c
+        if not any(cur):
+            del at[N]
+    if not at:
+        del store[M]
+
+
+def _product(hopf: Hopf, f, g) -> dict[MultiIndex, object]:
+    """f g for two lists of terms (I, c) of H, in int wherever it is
+    integral, with the key order of `HElement.__mul__`."""
+    out: dict[MultiIndex, object] = {}
+    for I, a in f:
+        for J, b in g:
+            ab = a * b
+            for K, c in hopf.mono_mul(I, J).items():
+                s = out.get(K, 0) + ab * _exact(c)
+                if s:
+                    out[K] = s
+                else:
+                    out.pop(K, None)
+    return out
+
+
+def _mono_times(hopf: Hopf, B: MultiIndex, rows, width: int) -> list:
+    """b^(B) sum_N b^(N) (x) coordinates as its nonzero (N, coordinates),
+    in int wherever it is integral, with the key order of `ModuleVector.hmul`."""
+    out: dict[MultiIndex, list] = {}
+    for N, coords in rows:
+        for K, c in hopf.mono_mul(B, N).items():
+            cur = out.get(K) or out.setdefault(K, [0] * width)
+            c = _exact(c)
+            for r, x in enumerate(coords):
+                if x:
+                    cur[r] += c * x
+    return [(K, cur) for K, cur in out.items() if any(cur)]
+
+
+def _pseudo_value(hopf: Hopf, orient: str, store: dict, vector_type, width: int) -> PseudoValue:
+    """A store M -> N -> coordinates as a PseudoValue in normal form
+    `orient`, each vector built once and each coordinate a Fraction; an
+    (M, N) whose coordinates cancel is dropped."""
+    return PseudoValue(hopf, orient, {
+        M: vector_type(hopf, width, {N: tuple(map(_fraction, cur))
+                                     for N, cur in at_m.items() if any(cur)})
+        for M, at_m in store.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
-from liepseudo.hopf import Hopf
+from liepseudo.errors import TruncationExceeded
+from liepseudo.hopf import Hopf, mi_deg, mi_splits
 from liepseudo.liecore import preset
 from liepseudo.modules import ModuleSpec
 from liepseudo.twosided import LEFT, PseudoValue, _acc
@@ -70,3 +73,42 @@ def mul_first(p: PseudoValue, h) -> PseudoValue:
 def mul_second(p: PseudoValue, h) -> PseudoValue:
     """Left-multiply the second H-slot of p by h."""
     return p.mul_inner(h) if p.orient == LEFT else mul_outer(p, h)
+
+
+def from_tensor_by_terms(f, g, vec, orient: str = LEFT) -> PseudoValue:
+    """The normal form of (f (x) g) (x)_H vec, one `ModuleVector` product,
+    scale and add per term: the reference for `PseudoValue.from_tensor`, key
+    order at both levels included."""
+    hopf = f.hopf
+    terms: dict = {}
+    outer, inner = (f, g) if orient == LEFT else (g, f)
+    for J, c in inner.coeffs.items():
+        for A, B in mi_splits(J):
+            factor = outer * hopf.element(hopf.antipode_mono(A))
+            moved = vec.hmul(hopf.mono(B)).scale(c)
+            if moved.is_zero():
+                continue
+            for I, c2 in factor.coeffs.items():
+                _acc(terms, I, moved.scale(c2))
+    return PseudoValue(hopf, orient, terms)
+
+
+def ann_action_by_terms(A, v, action_pv):
+    """A = sum x_a (x) b_a applied to v one term at a time, each pairing
+    computed where it is met: the reference for `annih.ann_action`, key order
+    included."""
+    hopf = A.hopf
+    out = None
+    for a, x in enumerate(A.comps):
+        if x.is_zero():
+            continue
+        for I, w in action_pv(a, v).to_left().terms.items():
+            if mi_deg(I) > x.validity:
+                raise TruncationExceeded(f"annihilation action needs pairing at degree "
+                                         f"{mi_deg(I)} but validity is {x.validity}")
+            coeff = sum((c * x.coeffs.get(K, 0) for K, c in hopf.antipode_mono(I).items()),
+                        Fraction(0))
+            if coeff:
+                term = w.scale(coeff)
+                out = term if out is None else out.add(term)
+    return out

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liepseudo import annih
 from liepseudo._linalg import add_entry, span_coords
@@ -21,13 +23,17 @@ from liepseudo.annih import (
     reconstruct_pseudoaction,
 )
 from liepseudo.dualx import XElement
-from liepseudo.errors import NotInW0
+from liepseudo.errors import NotInW0, TruncationExceeded
 from liepseudo.hopf import Hopf, mi_below, mi_deg
-from liepseudo.liecore import LieData, identity_matrix, mat_comm, preset, zero_matrix
+from liepseudo.liecore import (
+    LieData, RepData, identity_matrix, mat_comm, omega_rep, preset, zero_matrix,
+)
+from liepseudo.modules import tensor_module
 from liepseudo.pseudoaction import ModuleVector
-from liepseudo.pseudoalg import WAlgebra
+from liepseudo.pseudoalg import WAlgebra, w_modules
+from liepseudo.twosided import LEFT, PseudoValue
 
-from conftest import hopf_for
+from conftest import ann_action_by_terms, hopf_for
 
 D = 6
 
@@ -476,3 +482,110 @@ def test_ann_bracket_matches_term_by_term_accumulation(name):
     for _ in range(6):
         A, B = sample(2, 5), sample(2, 4)
         assert _same(ann_bracket(A, B), _ann_bracket_by_terms(A, B))
+
+
+# ---------------------------------------------------------------------------
+# ann_action against the term-by-term sum
+# ---------------------------------------------------------------------------
+
+def outcome(act):
+    """What an annihilation action gives: its message when it raises
+    TruncationExceeded, None, or the vector's width and terms in key order."""
+    try:
+        out = act()
+    except TruncationExceeded as exc:
+        return "raised", str(exc)
+    if out is None:
+        return None
+    assert all(type(x) is Fraction for row in out.terms.values() for x in row)
+    return out.width, list(out.terms.items())
+
+
+def oracle_module(name: str, kind: str):
+    """The W(d)-module H (width 1), W(d) itself, or the tensor module of the
+    first wedge power (width 3) over a dim-3 preset."""
+    H = hopf_for(name)
+    if kind == "tensor":
+        return tensor_module(H, RepData.trivial(H.lie, 1, "d"), omega_rep(H.lie, 1))
+    adjoint, module_h = w_modules(H)
+    return module_h if kind == "H" else adjoint
+
+
+F = Fraction
+_PAIRING_COEFFS = st.sampled_from([F(c) for c in ("1", "-1", "2", "-1/2", "3/4")])
+_X_TERMS = st.dictionaries(st.sampled_from(mi_below(3, 3)), _PAIRING_COEFFS, max_size=3)
+_VEC_COORDS = st.sampled_from([F(c) for c in ("0", "1", "-1", "2", "1/2")])
+_VEC_ROWS = st.dictionaries(st.sampled_from(mi_below(3, 2)),
+                            st.lists(_VEC_COORDS, min_size=3, max_size=3), min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(["abelian3", "heis3", "sl2", "solv3"]), st.sampled_from(["H", "W", "tensor"]),
+       st.integers(1, 4), st.lists(_X_TERMS, min_size=3, max_size=3), _VEC_ROWS, _VEC_ROWS)
+def test_ann_action_matches_the_term_by_term_sum_on_modules(name, kind, validity, xs, rows1,
+                                                            rows2):
+    # one element on two vectors: the second reads the pairings the first kept
+    V = oracle_module(name, kind)
+    H = V.hopf
+    A = AnnElement(H, (XElement(H, x, validity) for x in xs))
+    for rows in (rows1, rows2):
+        v = ModuleVector(H, V.dim, {I: tuple(row[:V.dim]) for I, row in rows.items()})
+        assert outcome(lambda: ann_action(A, v, V.action_pv)) == outcome(
+            lambda: ann_action_by_terms(A, v, V.action_pv))
+
+
+def _values(H, width, by_a):
+    """A stand-in pseudoaction: (1 (x) b_a) * v is the left-normal value
+    by_a[a], whatever v is, its vectors cut to `width` coordinates."""
+    vals = [PseudoValue(H, LEFT, {I: ModuleVector(H, width, {N: tuple(row[:width])
+                                                             for N, row in vec.items()})
+                                  for I, vec in terms.items()})
+            for terms in by_a]
+    return lambda a, v: vals[a]
+
+
+_UNIT_COEFFS = st.sampled_from([F(1), F(-1)])
+_FEW_ROWS = st.dictionaries(st.sampled_from(mi_below(3, 1)),
+                            st.lists(st.sampled_from([F(0), F(1), F(-1), F(1, 2)]), min_size=3,
+                                     max_size=3), max_size=2)
+_FAKE_TERMS = st.dictionaries(st.sampled_from(mi_below(3, 2)), _FEW_ROWS, max_size=3)
+
+
+# the first example cancels to the zero vector, the second drops an N and
+# adds it back, the third raises
+@example("heis3", 3, [{(0, 0, 0): F(1)}, {(0, 0, 0): F(-1)}, {}], 2,
+         [{(0, 0, 0): {(0, 0, 0): [F(1)] * 3}}, {(0, 0, 0): {(0, 0, 0): [F(1)] * 3}}, {}])
+@example("abelian3", 1, [{(0, 0, 0): F(1)}, {(0, 0, 0): F(-1)}, {(0, 0, 0): F(1)}], 2,
+         [{(0, 0, 0): {(0, 0, 0): [F(1)], (1, 0, 0): [F(2)]}},
+          {(0, 0, 0): {(0, 0, 0): [F(1)]}}, {(0, 0, 0): {(0, 0, 0): [F(1)]}}])
+@example("sl2", 3, [{(1, 0, 0): F(1)}, {}, {}], 1, [{(1, 1, 0): {(0, 0, 0): [F(1)] * 3}}, {}, {}])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(["abelian3", "heis3", "sl2", "solv3"]), st.sampled_from([1, 3]),
+       st.lists(st.dictionaries(st.sampled_from(mi_below(3, 1)), _UNIT_COEFFS, max_size=2),
+                min_size=3, max_size=3),
+       st.integers(1, 2), st.lists(_FAKE_TERMS, min_size=3, max_size=3))
+def test_ann_action_matches_the_term_by_term_sum_with_cancellations(name, width, xs, validity,
+                                                                    by_a):
+    # unit pairings and coordinates, so terms cancel often
+    H = hopf_for(name)
+    A = AnnElement(H, (XElement(H, x, validity) for x in xs))
+    action_pv = _values(H, width, by_a)
+    v = ModuleVector.unit(H, 1, 0)
+    got = outcome(lambda: ann_action(A, v, action_pv))
+    assert got == outcome(lambda: ann_action_by_terms(A, v, action_pv))
+    assert got == outcome(lambda: ann_action(A, v, action_pv))  # from the kept pairings
+
+
+def test_ann_action_pairs_each_term_once_per_element(monkeypatch):
+    H = hopf_for("heis3")
+    V = oracle_module("heis3", "tensor")
+    A = AnnElement(H, (XElement.mono(H, (0, 1, 1), 1, D), XElement.mono(H, (1, 0, 0), 2, D),
+                       XElement(H, {}, D)))
+    calls = []
+    real = Hopf.antipode_mono
+    monkeypatch.setattr(Hopf, "antipode_mono", lambda self, I: calls.append(I) or real(self, I))
+    first = ann_action(A, V.unit(0, (1, 0, 0)), V.action_pv)
+    assert first is not None and calls
+    paired = len(calls)
+    assert ann_action(A, V.unit(0, (1, 0, 0)), V.action_pv).eq(first)
+    assert len(calls) == paired

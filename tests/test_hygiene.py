@@ -1,6 +1,7 @@
 """Source hygiene: every name a module of the package or of its tests
-imports is used, every import sits at module level, every CLI option is
-read, and W(d) has one pseudoaction kernel."""
+imports is used, every import sits at module level, every private helper is
+called and defined in one module only, every CLI option is read, and W(d) has
+one pseudoaction kernel."""
 
 import argparse
 import ast
@@ -132,6 +133,35 @@ def test_the_scan_sees_a_public_function_of_a_private_module_without_a_caller():
     public = ast.parse("from _toy import used\ndef unread(box): return used() + box.orphan\n")
     assert unreferenced_private_helpers({"_toy.py": private, "toy.py": public}) == [
         "_toy.py: orphan (line 2)"]
+
+
+def private_functions_defined_twice(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level `_`-prefixed function names that more than one module in
+    `trees` defines, as "name: file, file": one helper per name, imported
+    where it is needed rather than copied."""
+    where: dict[str, list[str]] = {}
+    for label, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")):
+                where.setdefault(node.name, []).append(label)
+    return [f"{name}: {', '.join(labels)}" for name, labels in sorted(where.items())
+            if len(labels) > 1]
+
+
+def test_no_private_function_is_defined_in_two_package_modules():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert private_functions_defined_twice(trees) == []
+
+
+def test_the_scan_sees_a_private_function_defined_twice():
+    first = ast.parse("def _fold(x): return x\ndef _once(): return 1\n"
+                      "class Box:\n    def _fold(self): return 0\n")
+    second = ast.parse("from first import _once\ndef _fold(y):\n    def _inner(): return y\n"
+                       "    return _inner()\n")
+    third = ast.parse("def _inner(): return 2\n")
+    assert private_functions_defined_twice({"first.py": first, "second.py": second,
+                                            "third.py": third}) == ["_fold: first.py, second.py"]
 
 
 def ignored_options(parser: argparse.ArgumentParser, shared=()) -> dict[str, list[str]]:

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from liepseudo import checks, liecore
 from liepseudo.annih import AnnElement, ann_action
 from liepseudo.dualx import XElement
-from liepseudo.errors import DimensionMismatch, RepInvalid
+from liepseudo.errors import DimensionMismatch, RepInvalid, TruncationExceeded
 from liepseudo.hopf import Hopf, mi_below, mi_deg, mi_splits, mi_unit, mi_zero
 from liepseudo.liecore import (
     LieData, RepData, TraceForm, mat, omega_rep, sym2_dual_rep,
 )
 from liepseudo._linalg import RowReducer
 from liepseudo.modules import (
+    PAPER_BOUND,
     ModuleSpec,
     ModuleVector,
     apply_map,
@@ -596,6 +597,21 @@ def test_oracle_applies_each_pseudoaction_once_per_column(monkeypatch, name, mod
     res = sing_solve_oracle(T, fil, mode, chi)
     assert 0 < len(runs) <= H.n * len(T.basis_upto(fil))
     assert [v.serialize() for v in res.basis] == [v.serialize() for v in expect]
+
+
+@pytest.mark.parametrize("mode", ["W", "S"])
+def test_oracle_refuses_a_validity_below_its_largest_x_k(mode):
+    # the oracle pairs with x_K up to |K| = fil + PAPER_BOUND + 1, the least
+    # --trunc the CLI accepts; below it those x_K would vanish
+    H = hopf_for("heis3")
+    T = tensor_module(H, trivial_pi(H), omega_rep(H.lie, 1))
+    chi = H.lie.zero_trace_form() if mode == "S" else None
+    least = 2 + PAPER_BOUND[mode] + 1
+    at_bound = sing_solve_oracle(T, 2, mode, chi, validity=least)
+    assert [v.serialize() for v in at_bound.basis] == [
+        v.serialize() for v in sing_solve(T, 2, mode, chi).basis if v.degree() <= 2]
+    with pytest.raises(TruncationExceeded, match=f"up to degree {least} but validity is {least - 1}"):
+        sing_solve_oracle(T, 2, mode, chi, validity=least - 1)
 
 
 _SMALL_RATIONALS = st.fractions(min_value=-2, max_value=2, max_denominator=3)

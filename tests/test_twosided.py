@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
 
-from liepseudo.hopf import mi_below
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from liepseudo.hopf import HElement, mi_below
+from liepseudo.pseudoaction import ModuleVector
 from liepseudo.pseudoalg import WAlgebra
 from liepseudo.twosided import LEFT, RIGHT, PseudoValue
 
-from conftest import hopf_for, mul_first, mul_second
+from conftest import from_tensor_by_terms, hopf_for, mul_first, mul_second
 
 
 def test_trivial_tensor_roundtrip():
@@ -111,3 +115,47 @@ def test_from_tensor_normal_forms_agree(any_preset):
             right = PseudoValue.from_tensor(f, g, v, RIGHT)
             assert right.orient == RIGHT
             assert right.eq(PseudoValue.from_tensor(f, g, v, LEFT)), (H.lie.name, I, J)
+
+
+# fractional and non-unit coefficients; coordinates may also be zero
+_COEFFS = st.sampled_from([Fraction(c) for c in ("1", "-1", "2", "-3", "1/2", "-2/3")])
+_COORDS = st.sampled_from([Fraction(c) for c in ("0", "1", "-1", "2", "1/2", "-3/2")])
+
+
+def layout(p: PseudoValue) -> list:
+    """The terms of p with their key order at both levels: I, then N."""
+    return [(I, list(v.terms.items())) for I, v in p.terms.items()]
+
+
+def all_fractions(p: PseudoValue) -> bool:
+    return all(type(x) is Fraction for v in p.terms.values() for row in v.terms.values()
+               for x in row)
+
+
+_MONOS = st.sampled_from(mi_below(3, 2))  # every algebra drawn below has dim 3
+_H_TERMS = st.dictionaries(_MONOS, _COEFFS, min_size=1, max_size=3)
+_ROWS = st.dictionaries(_MONOS, st.lists(_COORDS, min_size=3, max_size=3), max_size=3)
+F = Fraction
+
+
+# the examples cancel inside the fold: a vector at one I drops out and comes
+# back (sl2), a coefficient of outer * S(b^(A)) cancels (heis3), and a row of
+# b^(B) vec cancels (solv3)
+@example("sl2", {(1, 0, 0): F(2), (0, 2, 0): F(2)},
+         {(0, 1, 0): F(2), (1, 0, 0): F(-1), (2, 0, 0): F(-2, 3)},
+         1, {(0, 1, 0): [F(-3, 2)], (1, 0, 0): [F(1, 2)]}, LEFT)
+@example("heis3", {(1, 1, 0): F(1, 2)}, {(0, 0, 1): F(-2, 3), (2, 0, 0): F(1, 2), (1, 1, 0): F(-2, 3)},
+         1, {(1, 0, 1): [F(1, 2)], (0, 0, 1): [F(0)], (0, 1, 1): [F(1, 2)]}, RIGHT)
+@example("solv3", {(1, 1, 0): F(1), (1, 0, 0): F(1, 2)}, {(0, 2, 0): F(2), (1, 1, 0): F(-3), (0, 1, 0): F(1, 2)},
+         1, {(1, 0, 0): [F(-1)], (0, 0, 0): [F(-1)], (0, 0, 2): [F(-1)]}, LEFT)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(["abelian3", "heis3", "sl2", "solv3"]), _H_TERMS, _H_TERMS,
+       st.sampled_from([1, 3]), _ROWS, st.sampled_from([LEFT, RIGHT]))
+def test_from_tensor_matches_the_term_by_term_build(name, f, g, width, rows, orient):
+    H = hopf_for(name)
+    f, g = HElement(H, f), HElement(H, g)
+    vec = ModuleVector(H, width, {I: tuple(row[:width]) for I, row in rows.items()})
+    got, want = PseudoValue.from_tensor(f, g, vec, orient), from_tensor_by_terms(f, g, vec, orient)
+    assert got.orient == orient
+    assert layout(got) == layout(want)
+    assert all_fractions(got)
