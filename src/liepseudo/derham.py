@@ -351,6 +351,8 @@ def classify_report(hopf: Hopf, pi: RepData, u: RepData, mode: str = "W",
     Runs the quadratic coefficient test, the singular-vector solver, and the
     submodule closures seeded from the singular blocks above degree 0: the
     top identity-symbol block in W mode, each degree and above in S mode.
+    The S closures are nested and built innermost first, each from the rows
+    of the one inside it; `submodules` lists them from degree >= 1 up.
     In W mode below the top degree, `seed_closures_agree` compares the
     closure of each seed with that of the whole block; a block of one seed
     has one closure, built once.
@@ -415,10 +417,11 @@ def classify_report(hopf: Hopf, pi: RepData, u: RepData, mode: str = "W",
         by_degree: dict[int, list[ModuleVector]] = {}
         for v in higher:
             by_degree.setdefault(v.degree(), []).append(v)
-        for degv in sorted(by_degree):
+        clo = None
+        for degv in sorted(by_degree, reverse=True):
             seed = [w for dd in sorted(by_degree) if dd >= degv for w in by_degree[dd]]
-            clo = submodule_closure(T, seed, fil_bound + 1, mode, chi)
-            submodules.append({"dim": clo.dim, "seed": f"sing blocks at degree >= {degv}"})
+            clo = submodule_closure(T, seed, fil_bound + 1, mode, chi, clo)
+            submodules.insert(0, {"dim": clo.dim, "seed": f"sing blocks at degree >= {degv}"})
     fingerprint = sing_fingerprint(T, res)
     return {
         "report": "classification",

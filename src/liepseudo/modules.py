@@ -386,11 +386,20 @@ class Closure:
     module: ModuleSpec
     fil_bound: int
     basis: list[ModuleVector]
-    coef_rank: int
+    # the reduced rows of the whole span in fil^{bound+1}, by pivot column
+    window: dict[int, Row]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @property
+    def coef_rank(self) -> int:
+        """Rank of the generator coordinates of all basis terms."""
+        coef = RowReducer()
+        for coords in (row for v in self.basis for row in v.terms.values()):
+            coef.add({k: x for k, x in enumerate(coords) if x})
+        return coef.rank
 
     def contains(self, v: ModuleVector) -> bool:
         return span_coords([_coords(b) for b in self.basis], [_coords(v)])[0] is not None
@@ -403,7 +412,8 @@ class Closure:
 
 
 def submodule_closure(V: ModuleSpec, gens: list[ModuleVector], fil_bound: int,
-                      mode: str = "W", chi: TraceForm | None = None) -> Closure:
+                      mode: str = "W", chi: TraceForm | None = None,
+                      inner: Closure | None = None) -> Closure:
     """H-submodule generated by `gens`, intersected with fil^bound.
 
     Iterates normal-form coefficient extraction of the acting generators
@@ -411,6 +421,13 @@ def submodule_closure(V: ModuleSpec, gens: list[ModuleVector], fil_bound: int,
     H-multiplication, inside fil^{bound+1}; the returned basis spans the
     intersection with fil^bound exactly when the submodule is generated in
     degrees <= bound - 1.
+
+    With `inner`, a closure of V at the same bound, mode and chi whose
+    generators lie in the span of `gens`, the span starts from a copy of
+    inner's window rows.  They count as done and are not queued: inner drained
+    its queue, so only vectors outside its span are acted on.  The key order
+    of the basis terms follows the rows' history, so it can differ from a
+    build from scratch.
     """
     work = fil_bound + 1
     actors, _threshold = _sing_actors(V, mode, chi)
@@ -418,6 +435,11 @@ def submodule_closure(V: ModuleSpec, gens: list[ModuleVector], fil_bound: int,
     cols = sorted(V.basis_upto(work), key=lambda slot: (-mi_deg(slot[0]), slot[0], slot[1]))
     index = {slot: c for c, slot in enumerate(cols)}
     red = RowReducer()
+    if inner is not None:
+        if inner.module is not V or inner.fil_bound != fil_bound:
+            raise DimensionMismatch("inner closure of another module or bound")
+        # a copy: `add` edits the stored rows in place
+        red.pivots = {j: dict(row) for j, row in inner.window.items()}
     queue: list[ModuleVector] = []
 
     def push(v: ModuleVector) -> None:
@@ -438,18 +460,10 @@ def submodule_closure(V: ModuleSpec, gens: list[ModuleVector], fil_bound: int,
                 push(comp)
     # restrict to fil^bound: echelon rows whose pivot (highest-degree
     # coordinate) already lies inside fil^bound have all coordinates there
-    basis = []
-    coef = RowReducer()
     units = _units(V, cols)
-    for j in sorted(red.pivots):
-        I, k = cols[j]
-        if mi_deg(I) > fil_bound:
-            continue
-        v = _vector_from_row(V, units, red.pivots[j])
-        basis.append(v)
-        for J, coords in v.terms.items():
-            coef.add({c: val for c, val in enumerate(coords) if val})
-    return Closure(V, fil_bound, basis, coef.rank)
+    basis = [_vector_from_row(V, units, red.pivots[j]) for j in sorted(red.pivots)
+             if mi_deg(cols[j][0]) <= fil_bound]
+    return Closure(V, fil_bound, basis, red.pivots)
 
 
 def symbol_matrix(V: ModuleSpec, vectors: list[ModuleVector], els: list[AnnElement]):

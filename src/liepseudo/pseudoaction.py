@@ -15,7 +15,10 @@ an int wherever it is integral; a kernel run only accumulates c * x, and
 `action_pv` makes each output coordinate a Fraction once.  An expansion keeps
 every (M, N) it meets, also one whose coordinates cancel, in order of first
 appearance: `submodule_closure` queues the components of a value in key
-order, so its truncated basis depends on it.
+order, so its truncated basis depends on it.  A closure started from an inner
+closure's rows queues none of them, so it meets vectors in another order than
+a build from scratch; tests check that the nested S closures of `classify`
+still equal the from-scratch ones.
 
 `w_star` applies a W(d) element w = sum_a h_a (x) b_a, a width-n vector,
 as sum_a (h_a (x) 1)((1 (x) b_a) * v); it reads each h_a off the terms of w,

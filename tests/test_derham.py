@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -500,29 +501,85 @@ def test_classify_s_two_nested_submodules():
     assert len(dims) == 2 and dims[0] > dims[1] > 0
 
 
-def _count_closures(monkeypatch) -> list:
-    """Record the generator list of every closure classify_report builds."""
+def _terms(clo) -> list:
+    return [list(v.terms.items()) for v in clo.basis]
+
+
+def _record_closures(monkeypatch, runs=()) -> list:
+    """Record every closure classify_report builds: its module, generators,
+    further arguments and result, the basis and window rows as built, and
+    the slice of `runs` (see `count_kernel_runs`) made while building it."""
     built, real = [], derham.submodule_closure
 
-    def closure(V, gens, *args, **kwargs):
-        built.append(gens)
-        return real(V, gens, *args, **kwargs)
+    def closure(V, gens, *args):
+        start = len(runs)
+        clo = real(V, gens, *args)
+        built.append(SimpleNamespace(
+            V=V, gens=gens, args=args, clo=clo, terms=_terms(clo),
+            window={j: list(row.items()) for j, row in clo.window.items()},
+            runs=runs[start:]))
+        return clo
 
     monkeypatch.setattr(derham, "submodule_closure", closure)
     return built
 
 
-@pytest.mark.parametrize("name, omega, closures", [("heis3", 1, 1), ("abelian3", 2, 4)])
-def test_classify_builds_each_closure_once(monkeypatch, name, omega, closures):
-    # a top block of one seed has one closure; with three seeds, the block's
-    # closure and each seed's are built
+@pytest.mark.parametrize("name, omega, mode, closures",
+                         [("heis3", 1, "W", 1), ("abelian3", 2, "W", 4), ("abelian3", 1, "S", 2)],
+                         ids=["heis3-1-1", "abelian3-2-4", "abelian3-1-S-2"])
+def test_classify_builds_each_closure_once(monkeypatch, name, omega, mode, closures):
+    # W: a top block of one seed has one closure; with three seeds, the
+    # block's closure and each seed's are built.  S: the degree >= 2 closure,
+    # then the degree >= 1 one from its rows, acting on no vector again
     H = hopf_for(name)
-    built = _count_closures(monkeypatch)
-    rep = classify_report(H, trivial_pi(H), omega_rep(H.lie, omega), "W")
-    assert rep["verdict"] == "reducible with unique submodule I^n"
-    assert rep["evidence"]["seed_closures_agree"] is True
+    runs = count_kernel_runs(monkeypatch)
+    built = _record_closures(monkeypatch, runs)
+    chi = H.lie.zero_trace_form() if mode == "S" else None
+    rep = classify_report(H, trivial_pi(H), omega_rep(H.lie, omega), mode, chi)
     assert len(built) == closures
-    assert all(len(gens) == 1 for gens in built[1:])
+    if mode == "W":
+        assert rep["verdict"] == "reducible with unique submodule I^n"
+        assert rep["evidence"]["seed_closures_agree"] is True
+        assert all(len(b.gens) == 1 for b in built[1:])
+        return
+    assert rep["verdict"] == "reducible with two nested submodules"
+    inner, outer = built
+    assert outer.args[3] is inner.clo and inner.runs and outer.runs
+    acted = [{(tuple(v.terms.items()), i, orient) for v, i, orient in b.runs} for b in built]
+    assert not acted[0] & acted[1]
+    # the outer build worked on a copy of the inner rows, which `add` may
+    # edit in place, and left the inner closure as it was built
+    assert not any(outer.clo.window.get(j) is row for j, row in inner.clo.window.items())
+    assert _terms(inner.clo) == inner.terms
+    assert {j: list(row.items()) for j, row in inner.clo.window.items()} == inner.window
+
+
+@pytest.mark.parametrize("name, pi, chi, fil", [
+    ("abelian3", None, (0, 0, 0), None),
+    ("heis3", None, (0, 0, 0), None),
+    ("solv3", None, (0, 0, 0), None),
+    ("abelian3", None, (1, 2, 3), None),
+    ("solv3", (1, 0, 0), (0, 0, 0), None),
+    ("abelian3", None, (0, 0, 0), 4),
+], ids=["abelian3", "heis3", "solv3", "abelian3-chi123", "solv3-pi-line", "abelian3-fil4"])
+def test_nested_s_closures_equal_the_from_scratch_ones(monkeypatch, name, pi, chi, fil):
+    # a truncated closure basis may depend on queue order, so each closure
+    # classify_report builds from the rows of an inner one must equal the one
+    # built from scratch from its whole seed list, term order included
+    H = hopf_for(name)
+    pi = RepData.line(TraceForm(H.lie, tuple(map(Fraction, pi)))) if pi else trivial_pi(H)
+    chi = TraceForm(H.lie, tuple(map(Fraction, chi)))
+    built = _record_closures(monkeypatch)
+    rep = classify_report(H, pi, omega_rep(H.lie, 1), "S", chi, fil)
+    assert [s["dim"] for s in rep["submodules"]] == [b.clo.dim for b in built[::-1]]
+    # the innermost closure is built from scratch, each other one from the
+    # rows of the one built before it
+    assert len(built) >= 2 and built[0].args[3] is None
+    assert all(b.args[3] is a.clo for a, b in zip(built, built[1:]))
+    for b in built[1:]:
+        fresh = submodule_closure(b.V, b.gens, *b.args[:3])
+        assert fresh.dim > 0 and fresh.same_space(b.clo)
+        assert _terms(fresh) == b.terms
 
 
 def _semidirect_k_k2():

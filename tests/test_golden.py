@@ -1,4 +1,4 @@
-"""The JSON reports of ten commands, byte for byte, against tests/golden.
+"""The JSON reports of eleven commands, byte for byte, against tests/golden.
 
 The files were written by the CLI itself (`--out`).  To record them again
 after an intended change of a report, run from the repo root:
@@ -23,6 +23,7 @@ COMMANDS = {
     "classify_abelian3_S_omega1": ["classify", "--alg", "abelian3", "--mode", "S", "--u", "omega:1"],
     "classify_solv3_S_omega1_tr_ad": ["classify", "--alg", "solv3", "--mode", "S", "--u", "omega:1",
                                       "--chi", "tr_ad"],
+    "classify_heis3_S_omega1": ["classify", "--alg", "heis3", "--mode", "S", "--u", "omega:1"],
     "classify_heis3_W_omega1": ["classify", "--alg", "heis3", "--mode", "W", "--u", "omega:1"],
     "classify_abelian3_W_omega2": ["classify", "--alg", "abelian3", "--mode", "W", "--u", "omega:2"],
     "derham_abelian3_trunc8_fil6": ["derham", "--alg", "abelian3", "--trunc", "8", "--fil", "6"],
