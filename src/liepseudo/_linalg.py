@@ -27,9 +27,9 @@ def row_scale(row: Row, c: Fraction) -> Row:
     return {j: c * v for j, v in row.items()}
 
 
-def add_entry(store: dict, key, c: Fraction) -> None:
-    """In-place store[key] += c, dropping a cancellation."""
-    v = store.get(key, ZERO) + c
+def add_entry(store: dict, key, c: int | Fraction) -> None:
+    """In-place store[key] += c, dropping a cancellation; ints stay ints."""
+    v = store.get(key, 0) + c
     if v:
         store[key] = v
     else:

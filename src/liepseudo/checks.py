@@ -53,10 +53,14 @@ def hopf_antipode(hopf: Hopf, trunc: int) -> CheckReport:
 def hopf_cou2(hopf: Hopf, trunc: int) -> CheckReport:
     """S(h_(1)) h_(2) (x) h_(3) = 1 (x) h on monomials of degree <= 4."""
     report = CheckReport("relation cou2")
+    products = {}  # (A, B) -> S(b^(A)) b^(B), shared by the monomials
     for I in mi_below(hopf.n, 4):
         acc = {}
         for (A, B, C), c in coproduct_power(hopf.mono(I), 3).items():
-            for K, c2 in (hopf.element(hopf.antipode_mono(A)) * hopf.mono(B)).coeffs.items():
+            prod = products.get((A, B))
+            if prod is None:
+                prod = products[A, B] = (hopf.element(hopf.antipode_mono(A)) * hopf.mono(B)).coeffs
+            for K, c2 in prod.items():
                 acc[(K, C)] = acc.get((K, C), 0) + c * c2
         report.case(f"monomial {I}", {k: v for k, v in acc.items() if v}
                     == {(mi_zero(hopf.n), I): Fraction(1)})

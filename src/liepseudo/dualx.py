@@ -14,7 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionMismatch, TruncationExceeded
-from .hopf import HElement, Hopf, MultiIndex, mi_add, mi_deg, mi_below, mi_unit, mi_zero
+from .hopf import (HElement, Hopf, MultiIndex, _exact, _fraction, mi_add, mi_deg, mi_below, mi_unit,
+                   mi_zero)
 from .liecore import rat
 
 ZERO = Fraction(0)
@@ -115,25 +116,28 @@ class XElement:
     def _act(self, h: HElement, side: str) -> "XElement":
         """Both H-actions as a sparse matvec over the support of x: the
         coefficient at x_J is sum_M S(h)_M sum_K c^K_{M,J} x_K, where c^K_{M,J}
-        is the coefficient of b^(K) in b^(M) b^(J) (left) or b^(J) b^(M) (right)."""
+        is the coefficient of b^(K) in b^(M) b^(J) (left) or b^(J) b^(M) (right),
+        summed in int wherever it is integral."""
         d = h.degree()
         if d < 0:
             return XElement(self.hopf, {}, self.validity)
         validity = self.validity - d
         if validity < -1:
             raise TruncationExceeded(f"{side} action exhausts validity")
-        acc: dict[MultiIndex, Fraction] = {}
+        coeffs = [(K, _exact(v)) for K, v in self.coeffs.items()]
+        acc: dict[MultiIndex, int | Fraction] = {}
         for M, s in h.antipode().coeffs.items():
             table = _action_table(self.hopf, M, validity, side)
-            for K, v in self.coeffs.items():
+            s = _exact(s)
+            for K, v in coeffs:
                 entries = table.get(K)
                 if not entries:
                     continue
                 sv = s * v
                 for J, c in entries:
-                    acc[J] = acc.get(J, ZERO) + sv * c
+                    acc[J] = acc.get(J, 0) + sv * c
         # emit in the (|J|, J) order of mi_below
-        out = {J: acc[J] for J in sorted(acc, key=lambda J: (mi_deg(J), J)) if acc[J]}
+        out = {J: _fraction(acc[J]) for J in sorted(acc, key=lambda J: (mi_deg(J), J)) if acc[J]}
         return XElement(self.hopf, out, validity)
 
     # -- filtration ----------------------------------------------------------
@@ -187,8 +191,9 @@ class XElement:
 
 def _action_table(hopf: Hopf, M: MultiIndex, validity: int, side: str):
     """K -> [(J, c)] over |J| <= validity, where c is the coefficient of b^(K)
-    in b^(M) b^(J) (side "left") or b^(J) b^(M) (side "right").  Memoized
-    on the Hopf instance per (M, validity, side)."""
+    in b^(M) b^(J) (side "left") or b^(J) b^(M) (side "right"), an int
+    wherever it is integral.  Memoized on the Hopf instance per (M,
+    validity, side)."""
     key = (M, validity, side)
     table = hopf._x_action_memo.get(key)
     if table is None:
@@ -196,6 +201,6 @@ def _action_table(hopf: Hopf, M: MultiIndex, validity: int, side: str):
         for J in mi_below(hopf.n, validity):
             prod = hopf.mono_mul(M, J) if side == "left" else hopf.mono_mul(J, M)
             for K, c in prod.items():
-                table.setdefault(K, []).append((J, c))
+                table.setdefault(K, []).append((J, _exact(c)))
         hopf._x_action_memo[key] = table
     return table

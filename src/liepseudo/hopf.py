@@ -4,9 +4,13 @@ Basis monomials are b^(I) = b_1^{i_1} ... b_N^{i_N} / i_1! ... i_N! indexed by
 multi-indices I.  Products are straightened recursively through the
 commutation relations.  An HElement is a coefficient: elements of free
 H-modules, H = H (x) k among them, are module vectors
-(`pseudoaction.ModuleVector`).  The caches, all scheduling-independent, are:
-- the per-instance memos here (straightening, products, antipodes, and the
-  tables dualx, derham, annih and pseudoalg key on the algebra);
+(`pseudoaction.ModuleVector`).  Inner loops, H's product `_product` among
+them, run in int wherever the arithmetic is integral (`_exact`); every
+coefficient that leaves this layer is a Fraction (`_fraction`).  The caches,
+all scheduling-independent, are:
+- the per-instance memos here (straightened words in int-where-integral
+  coefficients, products and antipodes of basis monomials in Fractions, and
+  the tables dualx, derham, annih and pseudoalg key on the algebra);
 - per ModuleSpec: its action table in each normal form, its unit
   expansions (1 (x) b_i) * (b^(I) (x) u_k) in int-where-integral terms, the
   values of the last (vector, form) its pseudoaction was applied to, and the
@@ -99,7 +103,10 @@ class Hopf:
         lie.validate()
         self.lie = lie
         self.n = lie.dim
-        self._word_memo: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+        # [b_i, b_j] for i > j, the swaps straightening makes, in int where integral
+        self._swaps = {(i, j): [(k, _exact(c)) for k, c in lie.bracket(i, j).items()]
+                       for i in range(self.n) for j in range(i)}
+        self._word_memo: dict[tuple[int, ...], dict[tuple[int, ...], int | Fraction]] = {}
         self._mul_memo: dict[tuple[MultiIndex, MultiIndex], dict[MultiIndex, Fraction]] = {}
         self._antipode_memo: dict[MultiIndex, dict[MultiIndex, Fraction]] = {}
         # de Rham generator images per (degree, twist), filled by derham.d_images;
@@ -135,7 +142,8 @@ class Hopf:
         return HElement(self, out)
 
     # -- straightening --------------------------------------------------
-    def _straighten(self, word: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+    def _straighten(self, word: tuple[int, ...]) -> dict[tuple[int, ...], int | Fraction]:
+        """The word as a sum of sorted words, in int wherever it is integral."""
         memo = self._word_memo
         got = memo.get(word)
         if got is not None:
@@ -146,48 +154,45 @@ class Hopf:
                 descent = p
                 break
         if descent is None:
-            out = {word: ONE}
+            out = {word: 1}
         else:
             p = descent
             b, a = word[p], word[p + 1]
             swapped = word[:p] + (a, b) + word[p + 2:]
             out = dict(self._straighten(swapped))
-            for k, c in self.lie.bracket(b, a).items():
+            for k, c in self._swaps[b, a]:
                 contracted = word[:p] + (k,) + word[p + 2:]
                 for w2, c2 in self._straighten(contracted).items():
                     add_entry(out, w2, c * c2)
         memo[word] = out
         return out
 
+    def _divided(self, word: tuple[int, ...], denom: int) -> dict[MultiIndex, Fraction]:
+        """The word over denom in the divided-power basis: the coefficients
+        c of each b^(K) summed in int wherever integral, and c |K|! / denom
+        made a Fraction once per key."""
+        sums: dict[MultiIndex, int | Fraction] = {}
+        for w, c in self._straighten(word).items():
+            add_entry(sums, _index_of_word(w, self.n), c)
+        return {K: Fraction(v * mi_factorial(K), denom) for K, v in sums.items()}
+
     def mono_mul(self, I: MultiIndex, J: MultiIndex) -> dict[MultiIndex, Fraction]:
         """b^(I) b^(J) expanded in the divided-power basis."""
         key = (I, J)
         got = self._mul_memo.get(key)
-        if got is not None:
-            return got
-        word = _word_of(I) + _word_of(J)
-        denom = mi_factorial(I) * mi_factorial(J)
-        out: dict[MultiIndex, Fraction] = {}
-        for w, c in self._straighten(word).items():
-            K = _index_of_word(w, self.n)
-            add_entry(out, K, c * Fraction(mi_factorial(K), denom))
-        self._mul_memo[key] = out
-        return out
+        if got is None:
+            got = self._mul_memo[key] = self._divided(
+                _word_of(I) + _word_of(J), mi_factorial(I) * mi_factorial(J))
+        return got
 
     def antipode_mono(self, I: MultiIndex) -> dict[MultiIndex, Fraction]:
         """S(b^(I)): sign-reversed straightening of the reversed word."""
         got = self._antipode_memo.get(I)
-        if got is not None:
-            return got
-        word = tuple(reversed(_word_of(I)))
-        sign = -1 if mi_deg(I) % 2 else 1
-        denom = mi_factorial(I)
-        out: dict[MultiIndex, Fraction] = {}
-        for w, c in self._straighten(word).items():
-            K = _index_of_word(w, self.n)
-            add_entry(out, K, sign * c * Fraction(mi_factorial(K), denom))
-        self._antipode_memo[I] = out
-        return out
+        if got is None:
+            sign = -1 if mi_deg(I) % 2 else 1
+            got = self._antipode_memo[I] = self._divided(
+                tuple(reversed(_word_of(I))), sign * mi_factorial(I))
+        return got
 
 
 class HElement:
@@ -225,17 +230,9 @@ class HElement:
 
     def __mul__(self, other: "HElement") -> "HElement":
         self._check(other)
-        out: dict[MultiIndex, Fraction] = {}
-        for I, a in self.coeffs.items():
-            for J, b in other.coeffs.items():
-                ab = a * b
-                for K, c in self.hopf.mono_mul(I, J).items():
-                    v = out.get(K, ZERO) + ab * c
-                    if v:
-                        out[K] = v
-                    else:
-                        out.pop(K, None)
-        return HElement(self.hopf, out)
+        out = _product(self.hopf, [(I, _exact(a)) for I, a in self.coeffs.items()],
+                       [(J, _exact(b)) for J, b in other.coeffs.items()])
+        return HElement(self.hopf, {K: _fraction(c) for K, c in out.items()})
 
     def _check(self, other: "HElement") -> None:
         if other.hopf is not self.hopf:
@@ -281,6 +278,33 @@ class HElement:
 
     def serialize(self) -> list:
         return [[list(I), str(c)] for I, c in sorted(self.coeffs.items())]
+
+
+def _exact(x):
+    """x as an int when it is integral, else x itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _fraction(x) -> Fraction:
+    """An int or Fraction coordinate as a Fraction."""
+    return x if type(x) is Fraction else Fraction(x) if x else ZERO
+
+
+def _product(hopf: Hopf, f, g) -> dict[MultiIndex, int | Fraction]:
+    """f g for two lists of terms (I, c) of H, in int wherever it is
+    integral, with the key order of adding the products of the terms one at
+    a time; a key whose sum cancels is dropped and goes last if it returns."""
+    out: dict[MultiIndex, int | Fraction] = {}
+    for I, a in f:
+        for J, b in g:
+            ab = a * b
+            for K, c in hopf.mono_mul(I, J).items():
+                s = out.get(K, 0) + ab * _exact(c)
+                if s:
+                    out[K] = s
+                else:
+                    out.pop(K, None)
+    return out
 
 
 def coproduct_power(h: HElement, slots: int) -> dict[tuple[MultiIndex, ...], Fraction]:

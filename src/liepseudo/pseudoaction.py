@@ -38,9 +38,9 @@ from fractions import Fraction
 
 from ._linalg import add_entry
 from .errors import DimensionMismatch, RepInvalid
-from .hopf import HElement, Hopf, MultiIndex, mi_below, mi_deg, mi_splits, mi_zero
+from .hopf import HElement, Hopf, MultiIndex, _exact, _product, mi_below, mi_deg, mi_splits, mi_zero
 from .liecore import RepData, rat
-from .twosided import LEFT, RIGHT, PseudoValue, _exact, _fold, _product, _pseudo_value
+from .twosided import LEFT, RIGHT, PseudoValue, _fold, _pseudo_value
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

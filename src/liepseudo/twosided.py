@@ -10,21 +10,20 @@ factors across (x)_H with the antipode, e.g.
 
 The fold shared with the pseudoaction kernel lives here: a value is summed
 into one store M -> N -> coordinates, in int wherever the arithmetic is
-integral (`_exact`), with the key order of adding PseudoValues one term at a
-time (`_fold`), and each output vector is built once (`_pseudo_value`), its
-coordinates made Fractions.  `from_tensor` builds its value that way.
+integral, with the key order of adding PseudoValues one term at a time
+(`_fold`), and each output vector is built once (`_pseudo_value`), its
+coordinates made Fractions.  `from_tensor` builds its value that way.  The
+int arithmetic itself (`_exact`, `_fraction`, and H's product of term lists
+`_product`) is imported from `hopf`, where H's own product lives.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .hopf import HElement, Hopf, MultiIndex, mi_deg, mi_splits
+from .hopf import HElement, Hopf, MultiIndex, _exact, _fraction, _product, mi_deg, mi_splits
 from .liecore import rat
 
 LEFT = "L"
 RIGHT = "R"
-ZERO = Fraction(0)
 
 
 class PseudoValue:
@@ -214,16 +213,6 @@ def _acc(store: dict, key, vec) -> None:
             store[key] = s
 
 
-def _exact(x):
-    """x as an int when it is integral, else x itself."""
-    return x.numerator if x.denominator == 1 else x
-
-
-def _fraction(x) -> Fraction:
-    """An int or Fraction coordinate as a Fraction."""
-    return x if type(x) is Fraction else Fraction(x) if x else ZERO
-
-
 def _fold(store: dict, M: MultiIndex, rows, x) -> None:
     """store[M] += x * rows, rows being (N, coordinates) pairs, with the key
     order of `PseudoValue.add` over `ModuleVector.add`: a new key goes last,
@@ -245,22 +234,6 @@ def _fold(store: dict, M: MultiIndex, rows, x) -> None:
             del at[N]
     if not at:
         del store[M]
-
-
-def _product(hopf: Hopf, f, g) -> dict[MultiIndex, object]:
-    """f g for two lists of terms (I, c) of H, in int wherever it is
-    integral, with the key order of `HElement.__mul__`."""
-    out: dict[MultiIndex, object] = {}
-    for I, a in f:
-        for J, b in g:
-            ab = a * b
-            for K, c in hopf.mono_mul(I, J).items():
-                s = out.get(K, 0) + ab * _exact(c)
-                if s:
-                    out[K] = s
-                else:
-                    out.pop(K, None)
-    return out
 
 
 def _mono_times(hopf: Hopf, B: MultiIndex, rows, width: int) -> list:

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from liepseudo.errors import TruncationExceeded
-from liepseudo.hopf import Hopf, mi_deg, mi_splits
-from liepseudo.liecore import preset
+from liepseudo.hopf import Hopf, _index_of_word, _word_of, mi_below, mi_deg, mi_factorial, mi_splits
+from liepseudo.liecore import LieData, preset
 from liepseudo.modules import ModuleSpec
 from liepseudo.twosided import LEFT, PseudoValue, _acc
 
@@ -17,6 +17,15 @@ def hopf_for(name: str) -> Hopf:
     if name not in _CACHE:
         _CACHE[name] = Hopf(preset(name))
     return _CACHE[name]
+
+
+def semidirect_k_k2(entries) -> Hopf:
+    """k b1 (semidirect) k^2 with [b1, b_{j+2}] = sum_i M[i][j] b_{i+2} and
+    [b2, b3] = 0, M = [entries[0:2], entries[2:4]]: the Jacobi identity
+    holds for every 2x2 matrix M."""
+    M = [entries[0:2], entries[2:4]]
+    brackets = [(0, j + 1, i + 1, M[i][j]) for j in range(2) for i in range(2) if M[i][j]]
+    return Hopf(LieData.from_entries(3, brackets, name="k|x k^2"))
 
 
 @pytest.fixture(params=["abelian1", "abelian2", "abelian3", "heis3", "sl2", "solv2"])
@@ -112,3 +121,85 @@ def ann_action_by_terms(A, v, action_pv):
                 term = w.scale(coeff)
                 out = term if out is None else out.add(term)
     return out
+
+
+def _add_fraction(store: dict, key, c: Fraction) -> None:
+    v = store.get(key, Fraction(0)) + c
+    if v:
+        store[key] = v
+    else:
+        store.pop(key, None)
+
+
+class FractionPBW:
+    """The PBW layer with every step in Fraction, one term at a time, and
+    memos of its own: the reference for `Hopf._straighten`, `mono_mul`,
+    `antipode_mono`, `HElement.__mul__` and `XElement._act`, key order
+    included.  Elements are coefficient dicts."""
+
+    def __init__(self, lie):
+        self.lie, self.n = lie, lie.dim
+        self.words, self.products, self.antipodes = {}, {}, {}
+
+    def straighten(self, word: tuple) -> dict:
+        if word in self.words:
+            return self.words[word]
+        descent = next((p for p in range(len(word) - 1) if word[p] > word[p + 1]), None)
+        if descent is None:
+            out = {word: Fraction(1)}
+        else:
+            p = descent
+            b, a = word[p], word[p + 1]
+            out = dict(self.straighten(word[:p] + (a, b) + word[p + 2:]))
+            for k, c in self.lie.bracket(b, a).items():
+                for w2, c2 in self.straighten(word[:p] + (k,) + word[p + 2:]).items():
+                    _add_fraction(out, w2, c * c2)
+        self.words[word] = out
+        return out
+
+    def _divided(self, word: tuple, denom: int, sign: int = 1) -> dict:
+        out: dict = {}
+        for w, c in self.straighten(word).items():
+            K = _index_of_word(w, self.n)
+            _add_fraction(out, K, sign * c * Fraction(mi_factorial(K), denom))
+        return out
+
+    def mono_mul(self, I, J) -> dict:
+        if (I, J) not in self.products:
+            self.products[I, J] = self._divided(_word_of(I) + _word_of(J),
+                                                mi_factorial(I) * mi_factorial(J))
+        return self.products[I, J]
+
+    def antipode_mono(self, I) -> dict:
+        if I not in self.antipodes:
+            self.antipodes[I] = self._divided(tuple(reversed(_word_of(I))), mi_factorial(I),
+                                              -1 if mi_deg(I) % 2 else 1)
+        return self.antipodes[I]
+
+    def mul(self, f: dict, g: dict) -> dict:
+        out: dict = {}
+        for I, a in f.items():
+            for J, b in g.items():
+                for K, c in self.mono_mul(I, J).items():
+                    _add_fraction(out, K, a * b * c)
+        return out
+
+    def act(self, x: dict, validity: int, h: dict, side: str) -> dict:
+        """The coefficients of h . x (side "left") or x . h ("right"), x of
+        the given validity, h nonzero, emitted in (|J|, J) order."""
+        validity -= max(mi_deg(I) for I in h)
+        antipode: dict = {}
+        for I, c in h.items():
+            for K, v in self.antipode_mono(I).items():
+                _add_fraction(antipode, K, c * v)
+        acc: dict = {}
+        for M, s in antipode.items():
+            table: dict = {}
+            for J in mi_below(self.n, validity):
+                prod = self.mono_mul(M, J) if side == "left" else self.mono_mul(J, M)
+                for K, c in prod.items():
+                    table.setdefault(K, []).append((J, c))
+            for K, v in x.items():
+                for J, c in table.get(K, ()):
+                    acc[J] = acc.get(J, Fraction(0)) + s * v * c
+        return {J: acc[J] for J in sorted(acc, key=lambda J: (mi_deg(J), J)) if acc[J]}

@@ -1,4 +1,4 @@
-"""The JSON reports of eleven commands, byte for byte, against tests/golden.
+"""The JSON reports of thirteen commands, byte for byte, against tests/golden.
 
 The files were written by the CLI itself (`--out`).  To record them again
 after an intended change of a report, run from the repo root:
@@ -29,6 +29,9 @@ COMMANDS = {
     "derham_abelian3_trunc8_fil6": ["derham", "--alg", "abelian3", "--trunc", "8", "--fil", "6"],
     "singular_sl2_W_omega1": ["singular", "--alg", "sl2", "--mode", "W", "--u", "omega:1"],
     "singular_abelian3_S_omega2": ["singular", "--alg", "abelian3", "--mode", "S", "--u", "omega:2"],
+    # sl2 + k at dim 4, and a dim-3 algebra with the non-integral constants 1/2, -3/2, 2/3
+    "verify_gl2_trunc4": ["verify", "--alg", str(GOLDEN / "alg_gl2.json"), "--trunc", "4"],
+    "verify_frac3_trunc4": ["verify", "--alg", str(GOLDEN / "alg_frac3.json"), "--trunc", "4"],
 }
 
 

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from liepseudo.hopf import Hopf, coproduct_power, mi_below, mi_deg, mi_splits
-from liepseudo.liecore import preset
+from liepseudo.dualx import XElement
+from liepseudo.hopf import Hopf, _word_of, coproduct_power, mi_below, mi_deg, mi_splits
+from liepseudo.liecore import PRESET_NAMES, preset
 
-from conftest import hopf_for
+from conftest import FractionPBW, hopf_for, semidirect_k_k2
 
 
 def random_monomials(hopf, deg, count, seed):
@@ -204,3 +207,68 @@ def test_straightening_deterministic():
     f2 = h2.gen(2) * (h2.gen(0) * h2.gen(1))
     # different association orders and fresh memo caches agree
     assert f1.coeffs == ((h2.gen(2) * h2.gen(0)) * h2.gen(1)).coeffs == f2.coeffs
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _same(got: dict, want: dict) -> bool:
+    """Equal values in the same key order, every value a Fraction."""
+    return list(got.items()) == list(want.items()) and all(
+        type(c) is Fraction for c in got.values())
+
+
+def _matches_the_fraction_layer(H: Hopf, data) -> None:
+    """Products, antipodes, straightened words and both dual actions of
+    random elements agree with the Fraction reference, key order included;
+    over integral structure constants every word keeps int coefficients."""
+    ref = FractionPBW(H.lie)
+    integral = all(c.denominator == 1 for i in range(H.n) for j in range(i)
+                   for c in H.lie.bracket(i, j).values())
+    monos = mi_below(H.n, 3)
+    element = st.dictionaries(st.sampled_from(monos), _RATIONALS.filter(bool), max_size=4)
+    f, g = data.draw(element), data.draw(element)
+    prod = H.element(f) * H.element(g)
+    assert _same(prod.coeffs, ref.mul(f, g))
+    for I in f:
+        assert _same(H.antipode_mono(I), ref.antipode_mono(I))
+        for J in g:
+            assert _same(H.mono_mul(I, J), ref.mono_mul(I, J))
+            word = _word_of(I) + _word_of(J)
+            got, want = H._straighten(word), ref.straighten(word)
+            assert list(got.items()) == list(want.items())
+            assert all(type(c) is int or not integral and type(c) is Fraction
+                       for c in got.values())
+    x = data.draw(st.dictionaries(st.sampled_from(mi_below(H.n, 5)), _RATIONALS.filter(bool),
+                                  min_size=1, max_size=6))
+    h = data.draw(st.dictionaries(st.sampled_from(mi_below(H.n, 2)), _RATIONALS.filter(bool),
+                                  min_size=1, max_size=3))
+    X = XElement(H, x, 5)
+    assert _same(X.act_left(H.element(h)).coeffs, ref.act(x, 5, h, "left"))
+    assert _same(X.act_right(H.element(h)).coeffs, ref.act(x, 5, h, "right"))
+
+
+def test_product_appends_a_key_that_cancels_and_returns():
+    # b^(2) cancels at the second term of f and returns with the third, so it
+    # goes after b^(3), as when the terms are added one at a time
+    H = Hopf(preset("abelian1"))
+    f = {(0,): Fraction(1), (1,): Fraction(1), (2,): Fraction(1)}
+    g = {(0,): Fraction(1), (1,): Fraction(1), (2,): Fraction(-2)}
+    prod = (H.element(f) * H.element(g)).coeffs
+    assert list(prod) == [(0,), (1,), (3,), (2,), (4,)]
+    assert _same(prod, FractionPBW(H.lie).mul(f, g))
+
+
+# no shrinking: a failing example names its algebra and elements already
+@settings(max_examples=40, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+@given(st.sampled_from(PRESET_NAMES), st.data())
+def test_int_arithmetic_matches_the_fraction_layer_on_the_presets(name, data):
+    _matches_the_fraction_layer(Hopf(preset(name)), data)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+@given(st.lists(_RATIONALS, min_size=4, max_size=4), st.data())
+def test_int_arithmetic_matches_the_fraction_layer_on_semidirect_k_k2(entries, data):
+    _matches_the_fraction_layer(semidirect_k_k2(entries), data)

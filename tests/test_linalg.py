@@ -79,3 +79,32 @@ def test_kernel_matches_sympy_nullspace(vectors, renaming):
     rename = dict(zip("abcde", renaming))
     renamed = [dict(sorted((rename[j], c) for j, c in vec.items())) for vec in vectors]
     assert kernel(renamed) == got
+
+
+
+_ROWS = st.lists(st.dictionaries(st.integers(0, 5), _COEFFS.filter(bool), max_size=4), max_size=6)
+
+
+def _matrix(rows, width=6):
+    return sympy.Matrix(len(rows), width,
+                        [sympy.Rational(row.get(j, 0)) for row in rows for j in range(width)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+@given(_ROWS, st.lists(_COEFFS, min_size=6, max_size=6))
+def test_row_reducer_matches_sympy_rref(rows, combo):
+    # a combination of the rows makes them dependent
+    rows = rows + [_combine(rows, combo)]
+    red = RowReducer()
+    grew = [red.add(row) for row in rows]
+    rref, pivot_cols = _matrix(rows).rref()
+    assert red.rank == len(pivot_cols)
+    assert sorted(red.pivots) == list(pivot_cols)
+    assert [red.pivots[j] for j in pivot_cols] == [
+        {j: Fraction(int(x.p), int(x.q)) for j, x in enumerate(rref.row(i)) if x}
+        for i in range(len(pivot_cols))]
+    # `add` reports growth exactly when the rank of the rows so far grows
+    ranks = [_matrix(rows[:k]).rank() for k in range(len(rows) + 1)]
+    assert grew == [after > before for before, after in zip(ranks, ranks[1:])]
+    assert all(red.contains(row) for row in rows)

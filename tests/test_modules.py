@@ -41,7 +41,7 @@ from liepseudo.modules import (
 from liepseudo.pseudoalg import WAlgebra
 from liepseudo.twosided import LEFT, RIGHT, PseudoValue, module_defect
 
-from conftest import count_kernel_runs, hopf_for, mul_first, mul_second
+from conftest import count_kernel_runs, hopf_for, mul_first, mul_second, semidirect_k_k2
 
 D = 6
 
@@ -623,11 +623,7 @@ _SMALL_RATIONALS = st.fractions(min_value=-2, max_value=2, max_denominator=3)
           phases=(Phase.explicit, Phase.generate))
 @given(st.lists(_SMALL_RATIONALS, min_size=4, max_size=4), st.integers(0, 2))
 def test_solver_matches_oracle_on_semidirect_k_k2(entries, omega):
-    # k b1 (semidirect) k^2 with [b1, b_{j+2}] = sum_i M[i][j] b_{i+2} and
-    # [b2, b3] = 0: the Jacobi identity holds for every 2x2 matrix M
-    M = [entries[0:2], entries[2:4]]
-    brackets = [(0, j + 1, i + 1, M[i][j]) for j in range(2) for i in range(2) if M[i][j]]
-    H = Hopf(LieData.from_entries(3, brackets, name="k|x k^2"))
+    H = semidirect_k_k2(entries)
     T = tensor_module(H, trivial_pi(H), omega_rep(H.lie, omega))
     res = sing_solve(T, 2, "W")
     oracle = sing_solve_oracle(T, 2, "W")
@@ -639,11 +635,9 @@ def test_solver_matches_oracle_on_semidirect_k_k2(entries, omega):
           phases=(Phase.explicit, Phase.generate))
 @given(st.lists(_SMALL_RATIONALS, min_size=8, max_size=8))
 def test_twist_identities_on_semidirect_k_k2(entries):
-    # k b1 (semidirect) k^2 as above; b1 -> any 2x2 matrix A, b2, b3 -> 0 is
-    # a d-representation, since [d, d] lies in span(b2, b3)
-    M = [entries[0:2], entries[2:4]]
-    brackets = [(0, j + 1, i + 1, M[i][j]) for j in range(2) for i in range(2) if M[i][j]]
-    H = Hopf(LieData.from_entries(3, brackets, name="k|x k^2"))
+    # b1 -> any 2x2 matrix A, b2, b3 -> 0 is a d-representation of
+    # k b1 (semidirect) k^2, since [d, d] lies in span(b2, b3)
+    H = semidirect_k_k2(entries[:4])
     zero = mat([[0, 0], [0, 0]])
     pi = RepData.d_rep(H.lie, (mat([entries[4:6], entries[6:8]]), zero, zero))
     u = omega_rep(H.lie, 1)
