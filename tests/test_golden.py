@@ -1,4 +1,4 @@
-"""The JSON reports of thirteen commands, byte for byte, against tests/golden.
+"""The JSON reports of seventeen commands, byte for byte, against tests/golden.
 
 The files were written by the CLI itself (`--out`).  To record them again
 after an intended change of a report, run from the repo root:
@@ -32,6 +32,14 @@ COMMANDS = {
     # sl2 + k at dim 4, and a dim-3 algebra with the non-integral constants 1/2, -3/2, 2/3
     "verify_gl2_trunc4": ["verify", "--alg", str(GOLDEN / "alg_gl2.json"), "--trunc", "4"],
     "verify_frac3_trunc4": ["verify", "--alg", str(GOLDEN / "alg_frac3.json"), "--trunc", "4"],
+    # twisted de Rham complexes: the 2-dimensional Pi of heis3 (x -> E_12,
+    # y -> 1, z -> 0) and lines, one over the non-integral algebra
+    "derham_heis3_pi2": ["derham", "--alg", "heis3", "--pi", str(GOLDEN / "pi_heis3_dim2.json")],
+    "derham_solv3_line100": ["derham", "--alg", "solv3", "--pi", "line:1,0,0"],
+    "derham_frac3_line100": ["derham", "--alg", str(GOLDEN / "alg_frac3.json"),
+                             "--pi", "line:1,0,0"],
+    "classify_frac3_W_omega1": ["classify", "--alg", str(GOLDEN / "alg_frac3.json"),
+                                "--mode", "W", "--u", "omega:1"],
 }
 
 
