@@ -2,7 +2,11 @@
 
 Rows are dicts mapping column index -> nonzero Fraction.  All routines are
 deterministic: pivots are chosen by increasing column index, so results
-depend only on the input order, never on hashing or timing.
+depend only on the input order, never on hashing or timing.  Inside the
+reducer row entries are ints wherever they are integral (`_exact`, which the
+int inner loops of every layer above share), a pivot other than +-1 is
+normalized with one Fraction inverse per row, and the results of `nullspace`,
+`kernel` and `span_coords` are Fractions (`_fraction`).
 
 A linear system is posed one way: one sparse image per unknown, a map from
 any hashable equation key to a nonzero Fraction.  Two solves take such a
@@ -21,10 +25,14 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def row_scale(row: Row, c: Fraction) -> Row:
-    if c == 0:
-        return {}
-    return {j: c * v for j, v in row.items()}
+def _exact(x):
+    """x as an int when it is integral, else x itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _fraction(x) -> Fraction:
+    """An int or Fraction coordinate as a Fraction."""
+    return x if type(x) is Fraction else Fraction(x) if x else ZERO
 
 
 def add_entry(store: dict, key, c: int | Fraction) -> None:
@@ -36,14 +44,13 @@ def add_entry(store: dict, key, c: int | Fraction) -> None:
         store.pop(key, None)
 
 
-def row_addmul(acc: Row, row: Row, c: Fraction) -> None:
-    """In-place acc += c * row, dropping cancellations."""
-    if c == 0:
-        return
+def row_addmul(acc: Row, row: Row, c: int | Fraction) -> None:
+    """In-place acc += c * row, dropping cancellations; an integral entry
+    is kept as an int."""
     for j, v in row.items():
-        w = acc.get(j, ZERO) + c * v
+        w = acc.get(j, 0) + c * v
         if w:
-            acc[j] = w
+            acc[j] = _exact(w)
         else:
             acc.pop(j, None)
 
@@ -60,12 +67,10 @@ class RowReducer:
         self.pivots: dict[int, Row] = {}
 
     def reduce(self, row: Row) -> Row:
-        row = dict(row)
+        row = {j: _exact(c) for j, c in row.items()}
         for j in sorted(row):
-            if j not in row:
-                continue
             piv = self.pivots.get(j)
-            if piv is not None:
+            if piv is not None and j in row:
                 row_addmul(row, piv, -row[j])
         return row
 
@@ -74,7 +79,12 @@ class RowReducer:
         if not row:
             return False
         j0 = min(row)
-        row = row_scale(row, ONE / row[j0])
+        p = row[j0]
+        if p == -1:
+            row = {j: -v for j, v in row.items()}
+        elif p != 1:
+            inv = ONE / p
+            row = {j: _exact(inv * v) for j, v in row.items()}
         for piv in self.pivots.values():
             if j0 in piv:
                 row_addmul(piv, row, -piv[j0])
@@ -99,7 +109,7 @@ def nullspace(rows: Iterable[Row], ncols: int) -> list[Row]:
     red = RowReducer()
     for r in rows:
         red.add(r)
-    return [{f: ONE, **{j: -piv[f] for j, piv in red.pivots.items() if f in piv}}
+    return [{f: ONE, **{j: _fraction(-piv[f]) for j, piv in red.pivots.items() if f in piv}}
             for f in range(ncols) if f not in red.pivots]
 
 
@@ -139,5 +149,5 @@ def span_coords(vectors: list[dict], targets: list[dict]) -> list[list[Fraction]
         row = red.reduce({index[j]: c for j, c in target.items()}) \
             if target.keys() <= index.keys() else None
         out.append(None if row is None or (row and min(row) < tag)
-                   else [-row.get(tag + m, ZERO) for m in range(len(vectors))])
+                   else [_fraction(-row.get(tag + m, 0)) for m in range(len(vectors))])
     return out

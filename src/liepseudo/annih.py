@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import add_entry, span_coords
+from ._linalg import _exact, _fraction, add_entry, span_coords
 from .dualx import XElement
 from .errors import DimensionMismatch, NotInW0, SolveFailed, TruncationExceeded
-from .hopf import Hopf, MultiIndex, _exact, _fraction, mi_add, mi_below, mi_deg, mi_unit
+from .hopf import Hopf, MultiIndex, mi_add, mi_below, mi_deg, mi_unit
 from .liecore import Matrix, TraceForm, mat
 from .pseudoaction import ModuleVector
 from .twosided import LEFT, PseudoValue, _fold

@@ -149,11 +149,15 @@ def gl_action(A_rows, alpha: Form) -> Form:
 # ---------------------------------------------------------------------------
 
 def omega_module(hopf: Hopf, n: int, pi: RepData | None = None) -> ModuleSpec:
-    """The tensor module carrying pseudoforms of degree n (twisted by pi)."""
-    u = omega_rep(hopf.lie, n)
-    if pi is None:
-        pi = RepData.trivial(hopf.lie, 1, "d")
-    return tensor_module(hopf, pi, u, name=f"T(Pi,Omega^{n})")
+    """The tensor module carrying pseudoforms of degree n (twisted by pi),
+    built once per (hopf, n, pi) and memoized on the Hopf (`_omega_memo`)."""
+    key = (n, pi)
+    module = hopf._omega_memo.get(key)
+    if module is None:
+        module = hopf._omega_memo[key] = tensor_module(
+            hopf, RepData.trivial(hopf.lie, 1, "d") if pi is None else pi,
+            omega_rep(hopf.lie, n), name=f"T(Pi,Omega^{n})")
+    return module
 
 
 def _d_generator_images(hopf: Hopf, n: int) -> list[ModuleVector]:
@@ -188,7 +192,8 @@ def _d_generator_images(hopf: Hopf, n: int) -> list[ModuleVector]:
 def d_images(hopf: Hopf, n: int, pi: RepData | None = None) -> list[ModuleVector]:
     """Generator images of the (twisted) differential T(Pi,Omega^n) -> T(Pi,Omega^{n+1}).
 
-    Built once per (hopf, n, pi) and memoized on the Hopf instance.
+    Built once per (hopf, n, pi) and memoized on the Hopf (`_d_images_memo`);
+    a twist reads the untwisted Omega modules from `omega_module`'s memo.
     """
     key = (n, pi)
     imgs = hopf._d_images_memo.get(key)

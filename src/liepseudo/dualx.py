@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from ._linalg import _exact, _fraction
 from .errors import DimensionMismatch, TruncationExceeded
-from .hopf import (HElement, Hopf, MultiIndex, _exact, _fraction, mi_add, mi_deg, mi_below, mi_unit,
-                   mi_zero)
+from .hopf import HElement, Hopf, MultiIndex, mi_add, mi_deg, mi_below, mi_unit, mi_zero
 from .liecore import rat
 
 ZERO = Fraction(0)

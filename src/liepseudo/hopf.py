@@ -5,9 +5,9 @@ multi-indices I.  Products are straightened recursively through the
 commutation relations.  An HElement is a coefficient: elements of free
 H-modules, H = H (x) k among them, are module vectors
 (`pseudoaction.ModuleVector`).  Inner loops, H's product `_product` among
-them, run in int wherever the arithmetic is integral (`_exact`); every
-coefficient that leaves this layer is a Fraction (`_fraction`).  The caches,
-all scheduling-independent, are:
+them, run in int wherever the arithmetic is integral (`_linalg._exact`);
+every coefficient that leaves this layer is a Fraction (`_fraction`).  The
+caches, all scheduling-independent, are:
 - the per-instance memos here (straightened words in int-where-integral
   coefficients, products and antipodes of basis monomials in Fractions, and
   the tables dualx, derham, annih and pseudoalg key on the algebra);
@@ -25,7 +25,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from ._linalg import add_entry
+from ._linalg import _exact, _fraction, add_entry
 from .errors import DimensionMismatch
 from .liecore import LieData, rat
 
@@ -109,9 +109,11 @@ class Hopf:
         self._word_memo: dict[tuple[int, ...], dict[tuple[int, ...], int | Fraction]] = {}
         self._mul_memo: dict[tuple[MultiIndex, MultiIndex], dict[MultiIndex, Fraction]] = {}
         self._antipode_memo: dict[MultiIndex, dict[MultiIndex, Fraction]] = {}
-        # de Rham generator images per (degree, twist), filled by derham.d_images;
-        # RepData hashes by identity, so a key keeps its twist alive
+        # de Rham generator images and Omega modules per (degree, twist), filled by
+        # derham.d_images and omega_module; RepData hashes by identity, so a key
+        # keeps its twist alive
         self._d_images_memo: dict = {}
+        self._omega_memo: dict = {}
         # sparse tables of the dual H-actions, filled by dualx._action_table
         self._x_action_memo: dict = {}
         # Euler element and gamma(b_l) per truncation, filled by annih
@@ -278,16 +280,6 @@ class HElement:
 
     def serialize(self) -> list:
         return [[list(I), str(c)] for I, c in sorted(self.coeffs.items())]
-
-
-def _exact(x):
-    """x as an int when it is integral, else x itself."""
-    return x.numerator if x.denominator == 1 else x
-
-
-def _fraction(x) -> Fraction:
-    """An int or Fraction coordinate as a Fraction."""
-    return x if type(x) is Fraction else Fraction(x) if x else ZERO
 
 
 def _product(hopf: Hopf, f, g) -> dict[MultiIndex, int | Fraction]:

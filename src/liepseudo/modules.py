@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import Row, RowReducer, add_entry, kernel, span_coords
+from ._linalg import Row, RowReducer, _exact, _fraction, add_entry, kernel, span_coords
 from .annih import AnnElement, _iota, ann_action
 from .dualx import XElement
 from .errors import DimensionMismatch, DimensionTooSmall, RepInvalid, TruncationExceeded
@@ -45,7 +45,7 @@ from .liecore import (
 )
 from .pseudoaction import ONE, ZERO, ModuleSpec, ModuleVector
 from .pseudoalg import WAlgebra
-from .twosided import LEFT, RIGHT, PseudoValue
+from .twosided import LEFT, RIGHT, PseudoValue, _fold, _mono_times
 
 
 # ---------------------------------------------------------------------------
@@ -574,11 +574,16 @@ def solve_intertwiner(V: ModuleSpec, W: ModuleSpec, fil_bound: int,
 
 
 def apply_map(images: list[ModuleVector], v: ModuleVector) -> ModuleVector:
-    """The H-linear map sending generator k to images[k], applied to v."""
-    out = ModuleVector.zero(v.hopf, images[0].width)
+    """The H-linear map sending generator k to images[k], applied to v: each c b^(I)
+    images[k] folded in int where integral, with the key order of adding them in turn."""
+    hopf, width = v.hopf, images[0].width
+    rows: dict[int, list] = {}  # k -> images[k] as (N, coordinates)
+    store: dict = {}  # () -> N -> coordinates: `_fold` with one outer key
     for I, coords in v.terms.items():
-        mono = v.hopf.mono(I)
         for k, c in enumerate(coords):
             if c:
-                out = out + images[k].hmul(mono).scale(c)
-    return out
+                if k not in rows:
+                    rows[k] = [(N, [_exact(x) for x in row]) for N, row in images[k].terms.items()]
+                _fold(store, (), _mono_times(hopf, I, rows[k], width), _exact(c))
+    return ModuleVector(hopf, width, {N: tuple(map(_fraction, cur))
+                                      for N, cur in store.get((), {}).items()})

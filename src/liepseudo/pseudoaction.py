@@ -36,9 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._linalg import add_entry
+from ._linalg import _exact, _fraction, add_entry
 from .errors import DimensionMismatch, RepInvalid
-from .hopf import HElement, Hopf, MultiIndex, _exact, _product, mi_below, mi_deg, mi_splits, mi_zero
+from .hopf import HElement, Hopf, MultiIndex, _product, mi_below, mi_deg, mi_splits, mi_zero
 from .liecore import RepData, rat
 from .twosided import LEFT, RIGHT, PseudoValue, _fold, _pseudo_value
 
@@ -100,16 +100,18 @@ class ModuleVector:
         )
 
     def hmul(self, h: HElement) -> "ModuleVector":
-        out: dict[MultiIndex, list[Fraction]] = {}
+        terms = [(J, _exact(c)) for J, c in h.coeffs.items()]
+        out: dict[MultiIndex, list] = {}
         for I, row in self.terms.items():
-            for J, c in h.coeffs.items():
+            row = [_exact(v) for v in row]
+            for J, c in terms:
                 for K, c2 in self.hopf.mono_mul(J, I).items():
-                    cur = out.setdefault(K, [ZERO] * self.width)
-                    cc = c * c2
+                    cur = out.get(K) or out.setdefault(K, [0] * self.width)
+                    cc = c * _exact(c2)
                     for k, v in enumerate(row):
                         if v:
                             cur[k] += cc * v
-        return ModuleVector(self.hopf, self.width, {K: tuple(r) for K, r in out.items()})
+        return ModuleVector(self.hopf, self.width, {K: tuple(map(_fraction, r)) for K, r in out.items()})
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -12,14 +12,15 @@ The fold shared with the pseudoaction kernel lives here: a value is summed
 into one store M -> N -> coordinates, in int wherever the arithmetic is
 integral, with the key order of adding PseudoValues one term at a time
 (`_fold`), and each output vector is built once (`_pseudo_value`), its
-coordinates made Fractions.  `from_tensor` builds its value that way.  The
-int arithmetic itself (`_exact`, `_fraction`, and H's product of term lists
-`_product`) is imported from `hopf`, where H's own product lives.
+coordinates made Fractions.  `from_tensor` and `modules.apply_map` build
+their values that way.  H's product of term lists `_product` comes from
+`hopf`, the conversions `_exact` and `_fraction` from `_linalg`.
 """
 
 from __future__ import annotations
 
-from .hopf import HElement, Hopf, MultiIndex, _exact, _fraction, _product, mi_deg, mi_splits
+from ._linalg import _exact, _fraction
+from .hopf import HElement, Hopf, MultiIndex, _product, mi_deg, mi_splits
 from .liecore import rat
 
 LEFT = "L"

@@ -5,7 +5,7 @@ import pytest
 from liepseudo.errors import TruncationExceeded
 from liepseudo.hopf import Hopf, _index_of_word, _word_of, mi_below, mi_deg, mi_factorial, mi_splits
 from liepseudo.liecore import LieData, preset
-from liepseudo.modules import ModuleSpec
+from liepseudo.modules import ModuleSpec, ModuleVector
 from liepseudo.twosided import LEFT, PseudoValue, _acc
 
 _CACHE: dict[str, Hopf] = {}
@@ -203,3 +203,72 @@ class FractionPBW:
                 for J, c in table.get(K, ()):
                     acc[J] = acc.get(J, Fraction(0)) + s * v * c
         return {J: acc[J] for J in sorted(acc, key=lambda J: (mi_deg(J), J)) if acc[J]}
+
+
+def hmul_by_terms(v: ModuleVector, h) -> ModuleVector:
+    """h v with every step in Fraction, loops I, then J, then K: the
+    reference for `ModuleVector.hmul`, key order included."""
+    out: dict = {}
+    for I, row in v.terms.items():
+        for J, c in h.coeffs.items():
+            for K, c2 in v.hopf.mono_mul(J, I).items():
+                cur = out.setdefault(K, [Fraction(0)] * v.width)
+                cc = c * c2
+                for k, x in enumerate(row):
+                    if x:
+                        cur[k] += cc * x
+    return ModuleVector(v.hopf, v.width, {K: tuple(r) for K, r in out.items()})
+
+
+def apply_map_by_terms(images: list, v: ModuleVector) -> ModuleVector:
+    """The H-linear extension of generator images, one `hmul_by_terms`,
+    scale and add per term of v: the reference for `modules.apply_map`, key
+    order included."""
+    out = ModuleVector.zero(v.hopf, images[0].width)
+    for I, coords in v.terms.items():
+        for k, c in enumerate(coords):
+            if c:
+                out = out + hmul_by_terms(images[k], v.hopf.mono(I)).scale(c)
+    return out
+
+
+def row_addmul_by_fractions(acc: dict, row: dict, c: Fraction) -> None:
+    """In-place acc += c * row in Fraction: the reference for
+    `_linalg.row_addmul`, key order included."""
+    if c == 0:
+        return
+    for j, v in row.items():
+        w = acc.get(j, Fraction(0)) + c * v
+        if w:
+            acc[j] = w
+        else:
+            acc.pop(j, None)
+
+
+class FractionReducer:
+    """The incremental reduced row-echelon accumulator with every step in
+    Fraction, each pivot row scaled by the inverse of its pivot: the
+    reference for `_linalg.RowReducer`, pivot and key order included."""
+
+    def __init__(self):
+        self.pivots: dict = {}
+
+    def reduce(self, row: dict) -> dict:
+        row = dict(row)
+        for j in sorted(row):
+            if j in row and j in self.pivots:
+                row_addmul_by_fractions(row, self.pivots[j], -row[j])
+        return row
+
+    def add(self, row: dict) -> bool:
+        row = self.reduce(row)
+        if not row:
+            return False
+        j0 = min(row)
+        inv = Fraction(1) / row[j0]
+        row = {j: inv * v for j, v in row.items()}
+        for piv in self.pivots.values():
+            if j0 in piv:
+                row_addmul_by_fractions(piv, row, -piv[j0])
+        self.pivots[j0] = row
+        return True

@@ -41,7 +41,8 @@ from liepseudo.modules import (
 from liepseudo.pseudoalg import WAlgebra
 from liepseudo.twosided import LEFT, RIGHT, PseudoValue, module_defect
 
-from conftest import count_kernel_runs, hopf_for, mul_first, mul_second, semidirect_k_k2
+from conftest import (apply_map_by_terms, count_kernel_runs, hmul_by_terms, hopf_for, mul_first,
+                      mul_second, semidirect_k_k2)
 
 D = 6
 
@@ -921,3 +922,87 @@ def test_action_pv_matches_the_unmemoized_loop():
         if H.lie.name == "k|x k^2":
             assert any(type(x) is Fraction for units in V._expanded.values()
                        for terms in units.values() for _M, _N, _r, x in terms), name
+
+
+# ---------------------------------------------------------------------------
+# H-multiplication and module maps against the Fraction loops
+# ---------------------------------------------------------------------------
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_MOD_COEFFS = st.sampled_from([Fraction(c) for c in ("1", "-1", "2", "-3", "1/2", "-2/3")])
+
+
+def _same_vector(got: ModuleVector, want: ModuleVector) -> bool:
+    """Equal coordinates in the same key order, every coordinate a Fraction."""
+    return (list(got.terms.items()) == list(want.terms.items())
+            and all(type(x) is Fraction for row in got.terms.values() for x in row))
+
+
+def _draw_vector(data, H, width, min_terms=0):
+    rows = data.draw(st.dictionaries(st.sampled_from(mi_below(H.n, 2)),
+                                     st.lists(_MOD_COEFFS | st.just(Fraction(0)),
+                                              min_size=width, max_size=width),
+                                     min_size=min_terms, max_size=3))
+    return ModuleVector(H, width, {I: tuple(row) for I, row in rows.items()})
+
+
+def _matches_the_fraction_module_loops(H, data) -> None:
+    """hmul and apply_map of drawn vectors, elements and images agree with
+    the Fraction loops, values, key order and Fraction coordinates alike.
+    The images end with -images[0] and images[0], met with the same
+    coefficients at degree 0, so the keys of images[0] cancel and return."""
+    width = data.draw(st.integers(1, 3))
+    v = _draw_vector(data, H, width, min_terms=2)
+    h = H.element(data.draw(st.dictionaries(st.sampled_from(mi_below(H.n, 2)),
+                                            _RATIONALS.filter(bool), min_size=2, max_size=3)))
+    assert _same_vector(v.hmul(h), hmul_by_terms(v, h))
+    images = [_draw_vector(data, H, width) for _ in range(data.draw(st.integers(1, 3)))]
+    images += [images[0].scale(-1), images[0]]
+    u = _draw_vector(data, H, len(images))
+    c = data.draw(_MOD_COEFFS)
+    zero = mi_zero(H.n)
+    terms = dict(u.terms)
+    row = list(terms.pop(zero, (Fraction(0),) * len(images)))
+    row[0] = row[-2] = row[-1] = c
+    u = ModuleVector(H, len(images), {zero: tuple(row), **terms})
+    assert _same_vector(apply_map(images, u), apply_map_by_terms(images, u))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+@given(st.sampled_from(["abelian2", "abelian3", "heis3", "sl2", "solv2", "solv3"]), st.data())
+def test_hmul_and_apply_map_match_the_fraction_loops_on_the_presets(name, data):
+    _matches_the_fraction_module_loops(hopf_for(name), data)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+@given(st.lists(_RATIONALS, min_size=4, max_size=4), st.data())
+def test_hmul_and_apply_map_match_the_fraction_loops_on_semidirect_k_k2(entries, data):
+    _matches_the_fraction_module_loops(semidirect_k_k2(entries), data)
+
+
+def test_apply_map_appends_a_key_that_cancels_and_returns():
+    # b^(0) cancels at the second image and returns with the third, so it
+    # goes after b^(1) and b^(2), as when the images are added one at a time
+    H = hopf_for("abelian1")
+    one, half = (Fraction(1),), (Fraction(1, 2),)
+    images = [ModuleVector(H, 1, {(0,): one, (1,): half}),
+              ModuleVector(H, 1, {(0,): (Fraction(-1),), (2,): one}),
+              ModuleVector(H, 1, {(0,): (Fraction(3),)})]
+    v = ModuleVector(H, 3, {(0,): (Fraction(2), Fraction(2), Fraction(1))})
+    got = apply_map(images, v)
+    assert list(got.terms) == [(1,), (2,), (0,)]
+    assert _same_vector(got, apply_map_by_terms(images, v))
+    assert got.terms == {(1,): one, (2,): (Fraction(2),), (0,): (Fraction(3),)}
+
+
+def test_hmul_keeps_the_order_of_its_loops():
+    # b^(I) for I of v outermost, then the terms J of h: b^(0,1) comes from
+    # the first term of v times the second of h, before b^(1,0)
+    H = hopf_for("abelian2")
+    v = ModuleVector(H, 1, {(0, 0): (Fraction(1),), (1, 0): (Fraction(2),)})
+    h = H.element({(0, 0): 1, (0, 1): Fraction(1, 2)})
+    got = v.hmul(h)
+    assert list(got.terms) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert _same_vector(got, hmul_by_terms(v, h))
