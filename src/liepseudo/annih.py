@@ -31,14 +31,14 @@ ONE = Fraction(1)
 
 class AnnElement:
     """An element of W = X (x) d: one truncated dual coefficient per basis
-    vector of d.  Validity is the minimum of the component validities."""
+    vector of d.  Validity is the minimum of the component validities.  It
+    keeps no cache: `ann_action` pairs its coefficients per call."""
 
-    __slots__ = ("hopf", "comps", "_pairings")
+    __slots__ = ("hopf", "comps")
 
     def __init__(self, hopf: Hopf, comps):
         self.hopf = hopf
         self.comps = tuple(comps)
-        self._pairings = None  # a -> I -> <x_a, S(b^(I))>, filled by ann_action
         if len(self.comps) != hopf.n:
             raise DimensionMismatch("need one X coefficient per basis vector of d")
 
@@ -219,57 +219,74 @@ class ExtAnnElement:
 # Annihilation action on pseudo-module vectors
 # ---------------------------------------------------------------------------
 
-def ann_action(A: AnnElement, v, action_pv):
-    """Apply A = sum x_a (x) b_a to a module vector v: sum_a sum_I
-    <x_a, S(b^(I))> v_I over the left-normal terms b^(I) (x) v_I of
-    (1 (x) b_a) * v.
+def ann_action(els: list[AnnElement], vectors, action_pv) -> list[list]:
+    """out[j][m] = sum_a sum_I <x_a, S(b^(I))> v_I for A = els[m] = sum x_a (x) b_a
+    and v = vectors[j], over the left-normal terms b^(I) (x) v_I of
+    (1 (x) b_a) * v.  `action_pv(i, v)` must return (1 (x) b_i) * v as a
+    PseudoValue; it is read once per vector and a, for all the elements.
 
-    `action_pv(i, v)` must return the pseudoaction value (1 (x) b_i) * v as a
-    PseudoValue.  Each pairing is computed once per element and kept on it;
-    the terms are summed into one store with the key order of adding them one
-    at a time.  Returns None when every pairing is zero, and a vector,
-    possibly zero, otherwise.  Raises TruncationExceeded when a pairing would
-    exceed validity.
+    The nonzero pairings are indexed a -> I -> [(m, pairing)] as they are
+    met, each (a, I) paired once per call.  Each term is folded only into the
+    elements listed under its (a, I), in (a, term) order, so each element's
+    store has the key order of adding its terms one at a time.  out[j][m] is
+    None when every pairing of els[m] met on v is zero.  TruncationExceeded is
+    raised at the first (vector, element, a, I) whose degree exceeds x_a's
+    validity.
     """
-    hopf = A.hopf
-    if A._pairings is None:
-        A._pairings = tuple({} for _ in range(hopf.n))
-    out: dict = {}  # a `_fold` store with the one key (): N -> coordinates
-    width = None
-    for a, x in enumerate(A.comps):
-        if x.is_zero():
-            continue
-        pairings = A._pairings[a]
-        for I, w in action_pv(a, v).to_left().terms.items():
-            coeff = pairings.get(I)
-            if coeff is None:
+    if not els:
+        return [[] for _ in vectors]
+    hopf = els[0].hopf
+    # a -> the (m, x_a) with x_a nonzero, and the lowest validity among them
+    active = [[(m, el.comps[a]) for m, el in enumerate(els) if not el.comps[a].is_zero()]
+              for a in range(hopf.n)]
+    lows = [min((x.validity for _m, x in act), default=None) for act in active]
+    index: list[dict] = [{} for _ in range(hopf.n)]
+    out = []
+    for v in vectors:
+        values = [action_pv(a, v).to_left().terms if act else {} for a, act in enumerate(active)]
+        if any(low is not None and max(map(mi_deg, terms), default=0) > low
+               for low, terms in zip(lows, values)):
+            _raise_first_exceeded(els, values)
+        stores: list[dict] = [{} for _ in els]  # `_fold` stores with the one key ()
+        widths: list = [None] * len(els)
+        for a, terms in enumerate(values):
+            for I, w in terms.items():
+                listed = index[a].get(I)
+                if listed is None:
+                    S_I = hopf.antipode_mono(I)
+                    pairs = ((m, sum((c * S_I[K] for K, c in x.coeffs.items() if K in S_I), ZERO))
+                             for m, x in active[a])
+                    listed = index[a][I] = [(m, _exact(p)) for m, p in pairs if p]
+                for m, coeff in listed:
+                    widths[m] = w.width
+                    _fold(stores[m], (), w.terms.items(), coeff)
+        out.append([None if width is None else
+                    ModuleVector(hopf, width, {N: tuple(map(_fraction, cur))
+                                               for N, cur in store.get((), {}).items()})
+                    for store, width in zip(stores, widths)])
+    return out
+
+
+def _raise_first_exceeded(els: list[AnnElement], values: list[dict]) -> None:
+    """Raise TruncationExceeded at the first (element, a, I) whose degree
+    exceeds x_a's validity, values[a] being the terms of (1 (x) b_a) * v."""
+    for el in els:
+        for x, terms in zip(el.comps, values):
+            for I in terms if x.coeffs else ():
                 if mi_deg(I) > x.validity:
-                    raise TruncationExceeded(
-                        f"annihilation action needs pairing at degree {mi_deg(I)} "
-                        f"but validity is {x.validity}"
-                    )
-                coeff = ZERO
-                for K, c in hopf.antipode_mono(I).items():
-                    xc = x.coeffs.get(K)
-                    if xc:
-                        coeff += c * xc
-                coeff = pairings[I] = _exact(coeff)
-            if coeff:
-                width = w.width
-                _fold(out, (), w.terms.items(), coeff)
-    if width is None:
-        return None
-    return ModuleVector(hopf, width, {N: tuple(map(_fraction, cur))
-                                      for N, cur in out.get((), {}).items()})
+                    raise TruncationExceeded(f"annihilation action needs pairing at degree "
+                                             f"{mi_deg(I)} but validity is {x.validity}")
 
 
 def reconstruct_pseudoaction(hopf: Hopf, w_on: ModuleVector, v, action_pv, degree_bound: int,
                              validity: int) -> PseudoValue:
-    """a * v = sum_I (S(b^(I)) (x) 1) (x)_H ((x_I (x)_H a) . v)."""
+    """a * v = sum_I (S(b^(I)) (x) 1) (x)_H ((x_I (x)_H a) . v).  One
+    `ann_action` call applies every x_I (x)_H a, reading each (1 (x) b_a) * v
+    once for all of them."""
     out = PseudoValue.zero(hopf, LEFT)
-    for I in mi_below(hopf.n, degree_bound):
-        xI = XElement.mono(hopf, I, 1, validity)
-        acted = ann_action(iota(xI, w_on), v, action_pv)
+    Is = mi_below(hopf.n, degree_bound)
+    els = [iota(XElement.mono(hopf, I, 1, validity), w_on) for I in Is]
+    for I, acted in zip(Is, ann_action(els, [v], action_pv)[0]):
         if acted is None or acted.is_zero():
             continue
         s = hopf.element(hopf.antipode_mono(I))

@@ -14,9 +14,9 @@ caches, all scheduling-independent, are:
 - per ModuleSpec: its action table in each normal form, its unit
   expansions (1 (x) b_i) * (b^(I) (x) u_k) in int-where-integral terms, the
   values of the last (vector, form) its pseudoaction was applied to, and the
-  terms of up to n^2 actors `w_star` has read;
-- per annihilation element (`annih.AnnElement`): the pairings
-  <x_a, S(b^(I))> that `ann_action` has met, one dict per a keyed by I.
+  terms of up to n^2 actors `w_star` has read.
+The pairings <x_a, S(b^(I))> are kept only for one call of
+`annih.ann_action`, indexed by (a, I) for all the elements it applies.
 """
 
 from __future__ import annotations

@@ -20,6 +20,8 @@ conjugation check), `apply_map` the H-linear extension of generator images
 (behind `pseudo_d` and the exactness ranks), and `symbol_matrix` the
 matrices of a list of annihilation elements on a span (behind
 `id_symbol_matrix`, one element, and `sing_fingerprint`, all x^j (x) b_i).
+The oracle and `symbol_matrix` apply all their annihilation elements in one
+`annih.ann_action` call, which reads each (1 (x) b_a) * v once per vector.
 """
 
 from __future__ import annotations
@@ -333,10 +335,9 @@ def sing_solve_oracle(V: ModuleSpec, fil_bound: int, mode: str = "W",
             if not el.is_zero():
                 spanning.append((f"x_{K}.{label}", el))
     images = []
-    for vec in units:
+    for outs in ann_action([el for _label, el in spanning], units, V.action_pv):
         images.append({})
-        for label, el in spanning:
-            out = ann_action(el, vec, V.action_pv)
+        for (label, _el), out in zip(spanning, outs):
             if out is not None:
                 _add_image(images[-1], (label,), out)
     basis = [_vector_from_row(V, units, vec) for vec in kernel(images)]
@@ -469,12 +470,12 @@ def submodule_closure(V: ModuleSpec, gens: list[ModuleVector], fil_bound: int,
 def symbol_matrix(V: ModuleSpec, vectors: list[ModuleVector], els: list[AnnElement]):
     """For each annihilation element el of `els`, the coordinate columns of
     -el . v in span(vectors) for each v of `vectors` (None for an el under
-    which the span is not invariant).  Each (1 (x) b_a) * v is computed once
-    per vector, whatever the number of elements, and the span is reduced once."""
+    which the span is not invariant).  One `ann_action` call reads each
+    (1 (x) b_a) * v once per vector for all the elements, and the span is
+    reduced once."""
     images: list[list[Row]] = [[] for _ in els]
-    for v in vectors:
-        for m, el in enumerate(els):
-            out = ann_action(el, v, V.action_pv)
+    for outs in ann_action(els, vectors, V.action_pv):
+        for m, out in enumerate(outs):
             images[m].append(_coords(out.scale(-1)) if out is not None else {})
     cols = span_coords([_coords(v) for v in vectors], [t for ts in images for t in ts])
     per_el = [cols[m * len(vectors):(m + 1) * len(vectors)] for m in range(len(els))]

@@ -123,6 +123,13 @@ def ann_action_by_terms(A, v, action_pv):
     return out
 
 
+def ann_action_element_by_element(els, vectors, action_pv):
+    """`annih.ann_action` as a loop over the vectors, then the elements, of
+    `ann_action_by_terms`: out[j][m] is els[m] applied to vectors[j], and the
+    first (vector, element) that raises raises."""
+    return [[ann_action_by_terms(A, v, action_pv) for A in els] for v in vectors]
+
+
 def _add_fraction(store: dict, key, c: Fraction) -> None:
     v = store.get(key, Fraction(0)) + c
     if v:

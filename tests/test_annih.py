@@ -33,7 +33,7 @@ from liepseudo.pseudoaction import ModuleVector
 from liepseudo.pseudoalg import WAlgebra, w_modules
 from liepseudo.twosided import LEFT, PseudoValue
 
-from conftest import ann_action_by_terms, hopf_for
+from conftest import ann_action_element_by_element, hopf_for
 
 D = 6
 
@@ -307,9 +307,9 @@ def test_ann_action_on_module_h(any_preset):
     def action_pv(i, v):
         return walg.action_on_h(walg.gen(i), v)
 
-    for a in range(H.n):
-        high = AnnElement.term(H, XElement.mono(H, tuple([2] + [0] * (H.n - 1)), 1, D), a)
-        out = ann_action(high, ModuleVector.unit(H, 1, 0), action_pv)
+    highs = [AnnElement.term(H, XElement.mono(H, tuple([2] + [0] * (H.n - 1)), 1, D), a)
+             for a in range(H.n)]
+    for out in ann_action(highs, [ModuleVector.unit(H, 1, 0)], action_pv)[0]:
         assert out is None or out.is_zero()
 
 
@@ -489,16 +489,28 @@ def test_ann_bracket_matches_term_by_term_accumulation(name):
 # ---------------------------------------------------------------------------
 
 def outcome(act):
-    """What an annihilation action gives: its message when it raises
-    TruncationExceeded, None, or the vector's width and terms in key order."""
+    """What a batched annihilation action gives: its message when it raises
+    TruncationExceeded, else out[j][m] as None or the vector's width and terms
+    in key order."""
     try:
-        out = act()
+        outs = act()
     except TruncationExceeded as exc:
         return "raised", str(exc)
+    return [[_vector_outcome(out) for out in row] for row in outs]
+
+
+def _vector_outcome(out):
     if out is None:
         return None
     assert all(type(x) is Fraction for row in out.terms.values() for x in row)
     return out.width, list(out.terms.items())
+
+
+def same_as_the_loop(els, vectors, action_pv):
+    """One `ann_action` call gives what the element-by-element loop gives."""
+    got = outcome(lambda: ann_action(els, vectors, action_pv))
+    assert got == outcome(lambda: ann_action_element_by_element(els, vectors, action_pv))
+    return got
 
 
 def oracle_module(name: str, kind: str):
@@ -519,19 +531,34 @@ _VEC_ROWS = st.dictionaries(st.sampled_from(mi_below(3, 2)),
                             st.lists(_VEC_COORDS, min_size=3, max_size=3), min_size=1, max_size=3)
 
 
+def _vector(V, rows):
+    return ModuleVector(V.hopf, V.dim, {I: tuple(row[:V.dim]) for I, row in rows.items()})
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from(["abelian3", "heis3", "sl2", "solv3"]), st.sampled_from(["H", "W", "tensor"]),
        st.integers(1, 4), st.lists(_X_TERMS, min_size=3, max_size=3), _VEC_ROWS, _VEC_ROWS)
 def test_ann_action_matches_the_term_by_term_sum_on_modules(name, kind, validity, xs, rows1,
                                                             rows2):
-    # one element on two vectors: the second reads the pairings the first kept
+    # one element on two vectors: the second reads the pairings the first met
     V = oracle_module(name, kind)
     H = V.hopf
     A = AnnElement(H, (XElement(H, x, validity) for x in xs))
-    for rows in (rows1, rows2):
-        v = ModuleVector(H, V.dim, {I: tuple(row[:V.dim]) for I, row in rows.items()})
-        assert outcome(lambda: ann_action(A, v, V.action_pv)) == outcome(
-            lambda: ann_action_by_terms(A, v, V.action_pv))
+    same_as_the_loop([A], [_vector(V, rows1), _vector(V, rows2)], V.action_pv)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(["abelian3", "heis3", "sl2", "solv3"]), st.sampled_from(["H", "W", "tensor"]),
+       st.lists(st.tuples(st.lists(_X_TERMS, min_size=3, max_size=3),
+                          st.lists(st.integers(1, 4), min_size=3, max_size=3)),
+                min_size=1, max_size=4),
+       st.lists(_VEC_ROWS, min_size=1, max_size=3))
+def test_ann_action_matches_the_element_by_element_loop_on_modules(name, kind, specs, rows):
+    # several elements, each x_a with its own validity, on several vectors
+    V = oracle_module(name, kind)
+    H = V.hopf
+    els = [AnnElement(H, (XElement(H, x, val) for x, val in zip(xs, vals))) for xs, vals in specs]
+    same_as_the_loop(els, [_vector(V, r) for r in rows], V.action_pv)
 
 
 def _values(H, width, by_a):
@@ -571,21 +598,79 @@ def test_ann_action_matches_the_term_by_term_sum_with_cancellations(name, width,
     A = AnnElement(H, (XElement(H, x, validity) for x in xs))
     action_pv = _values(H, width, by_a)
     v = ModuleVector.unit(H, 1, 0)
-    got = outcome(lambda: ann_action(A, v, action_pv))
-    assert got == outcome(lambda: ann_action_by_terms(A, v, action_pv))
-    assert got == outcome(lambda: ann_action(A, v, action_pv))  # from the kept pairings
+    got = same_as_the_loop([A], [v], action_pv)
+    assert got == outcome(lambda: ann_action([A], [v], action_pv))  # a second call agrees
 
 
-def test_ann_action_pairs_each_term_once_per_element(monkeypatch):
+def _values_per_vector(H, width, by_v):
+    """A stand-in pseudoaction on the vectors j * (1 (x) u_0), j = 1, 2, ...:
+    (1 (x) b_a) * v is the left-normal value by_v[j - 1][a]."""
+    vals = [_values(H, width, by_a) for by_a in by_v]
+    return lambda a, v: vals[int(v.terms[(0,) * H.n][0]) - 1](a, v)
+
+
+_FRACTION_COEFFS = st.sampled_from([F(1), F(-1), F(1, 2), F(-2, 3)])
+_AN_ELEMENT = st.tuples(
+    st.lists(st.dictionaries(st.sampled_from(mi_below(3, 1)), _FRACTION_COEFFS, max_size=2),
+             min_size=3, max_size=3),
+    st.lists(st.integers(0, 2), min_size=3, max_size=3))
+
+
+# in the first example the pairings 1/2 and -1/2 cancel to the zero vector on
+# the first vector; in the second the first element raises at a = 1 (degree
+# 2) although the second would raise at a = 0 (degree 1); in the third only
+# the second vector raises, for the second element
+@example("heis3", 1,
+         [([{(0, 0, 0): F(1, 2)}, {(0, 0, 0): F(-1, 2)}, {}], [2, 2, 2]),
+          ([{}, {(0, 0, 0): F(1)}, {}], [2, 2, 2])],
+         [[{(0, 0, 0): {(0, 0, 0): [F(1)] * 3}}, {(0, 0, 0): {(0, 0, 0): [F(1)] * 3}}, {}],
+          [{(1, 0, 0): {(0, 0, 0): [F(1)] * 3}}, {(0, 0, 0): {(0, 0, 0): [F(-1)] * 3}}, {}]])
+@example("abelian3", 3,
+         [([{}, {(0, 0, 0): F(1)}, {}], [2, 1, 2]), ([{(0, 0, 0): F(1)}, {}, {}], [0, 2, 2])],
+         [[{(1, 0, 0): {(0, 0, 0): [F(1)] * 3}}, {(1, 1, 0): {(0, 0, 0): [F(1)] * 3}}, {}]])
+@example("sl2", 3,
+         [([{(0, 0, 0): F(1)}, {}, {}], [2, 2, 2]), ([{(1, 0, 0): F(1)}, {}, {}], [1, 2, 2])],
+         [[{(1, 0, 0): {(0, 0, 0): [F(1)] * 3}}, {}, {}],
+          [{(0, 1, 1): {(0, 0, 0): [F(1)] * 3}}, {}, {}]])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(["abelian3", "heis3", "sl2", "solv3"]), st.sampled_from([1, 3]),
+       st.lists(_AN_ELEMENT, min_size=1, max_size=4),
+       st.lists(st.lists(_FAKE_TERMS, min_size=3, max_size=3), min_size=1, max_size=3))
+def test_ann_action_matches_the_element_by_element_loop_with_cancellations(name, width, specs,
+                                                                           by_v):
+    # fractional pairings, unit coordinates that cancel, and validities from
+    # 0 up, so that some x_a is too short for the terms it meets
+    H = hopf_for(name)
+    els = [AnnElement(H, (XElement(H, x, val) for x, val in zip(xs, vals))) for xs, vals in specs]
+    vectors = [ModuleVector(H, 1, {(0,) * H.n: (F(j + 1),)}) for j in range(len(by_v))]
+    same_as_the_loop(els, vectors, _values_per_vector(H, width, by_v))
+
+
+def test_ann_action_pairs_each_a_and_I_once_per_call(monkeypatch):
+    # one call over several vectors and elements: antipode_mono(I) runs at
+    # most once per (a, I) met, however many vectors and elements meet it
     H = hopf_for("heis3")
     V = oracle_module("heis3", "tensor")
-    A = AnnElement(H, (XElement.mono(H, (0, 1, 1), 1, D), XElement.mono(H, (1, 0, 0), 2, D),
-                       XElement(H, {}, D)))
+    els = [AnnElement(H, (XElement.mono(H, (0, 1, 1), 1, D), XElement.mono(H, (1, 0, 0), 2, D),
+                          XElement(H, {}, D))),
+           AnnElement(H, (XElement.mono(H, (0, 1, 0), -1, D), XElement.mono(H, (0, 0, 1), 3, D),
+                          XElement.mono(H, (1, 1, 0), 1, D))),
+           AnnElement.term(H, XElement.mono(H, (0, 0, 2), 1, D), 0)]
+    vectors = [V.unit(0, (1, 0, 0)), V.unit(1, (1, 0, 0)), V.unit(2, (0, 1, 1)), V.unit(0)]
+    values = {(j, a): V.action_pv(a, v) for j, v in enumerate(vectors) for a in range(H.n)}
+    slot = {id(v): j for j, v in enumerate(vectors)}
+
+    def action_pv(a, v):
+        return values[slot[id(v)], a]
+
+    want = outcome(lambda: ann_action_element_by_element(els, vectors, action_pv))
+    met = {(a, I) for (_j, a), value in values.items() for I in value.to_left().terms
+           if any(not el.comps[a].is_zero() for el in els)}
     calls = []
     real = Hopf.antipode_mono
     monkeypatch.setattr(Hopf, "antipode_mono", lambda self, I: calls.append(I) or real(self, I))
-    first = ann_action(A, V.unit(0, (1, 0, 0)), V.action_pv)
-    assert first is not None and calls
-    paired = len(calls)
-    assert ann_action(A, V.unit(0, (1, 0, 0)), V.action_pv).eq(first)
-    assert len(calls) == paired
+    got = outcome(lambda: ann_action(els, vectors, action_pv))
+    assert got == want and any(out is not None for row in got for out in row)
+    # several vectors meet the same I, so a per-vector pairing would exceed this
+    assert calls and len(calls) <= len(met)
+    assert all(calls.count(I) <= sum(1 for _a, J in met if J == I) for I in set(calls))

@@ -58,6 +58,11 @@ def pi_for(H):
     if name == "heis3":
         return RepData.d_rep(H.lie, (mat([[0, 1], [0, 0]]), mat([[0, 0], [0, 0]]),
                                      mat([[0, 0], [0, 0]])))
+    if name == "sl2":
+        # the standard representation on the basis (e, h, f): e -> E_12,
+        # h -> diag(1, -1), f -> E_21
+        return RepData.d_rep(H.lie, (mat([[0, 1], [0, 0]]), mat([[1, 0], [0, -1]]),
+                                     mat([[0, 0], [1, 0]])))
     if name.startswith("abelian"):
         n = H.n
         mats = [mat([[0, 1], [0, 0]])] + [mat([[0, 0], [0, 0]])] * (n - 1)

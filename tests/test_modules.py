@@ -8,7 +8,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from liepseudo import checks, liecore
+from liepseudo import checks, liecore, modules
 from liepseudo.annih import AnnElement, ann_action
 from liepseudo.dualx import XElement
 from liepseudo.errors import DimensionMismatch, RepInvalid, TruncationExceeded
@@ -41,8 +41,8 @@ from liepseudo.modules import (
 from liepseudo.pseudoalg import WAlgebra
 from liepseudo.twosided import LEFT, RIGHT, PseudoValue, module_defect
 
-from conftest import (apply_map_by_terms, count_kernel_runs, hmul_by_terms, hopf_for, mul_first,
-                      mul_second, semidirect_k_k2)
+from conftest import (ann_action_element_by_element, apply_map_by_terms, count_kernel_runs,
+                      hmul_by_terms, hopf_for, mul_first, mul_second, semidirect_k_k2)
 
 D = 6
 
@@ -388,10 +388,12 @@ def test_shifted_module_generators_singular(any_preset):
     ground = [v for v in res.basis if v.degree() == 0]
     assert len(ground) == V.dim
     # rho_sing(e_i^j) v = -(x^j (x) b_i) . v reproduces the unshifted gl action
-    for i, j in itertools.product(range(H.n), repeat=2):
-        el = AnnElement.term(H, XElement.coord(H, j, D), i)
+    pairs = list(itertools.product(range(H.n), repeat=2))
+    els = [AnnElement.term(H, XElement.coord(H, j, D), i) for i, j in pairs]
+    outs = ann_action(els, [V.unit(k) for k in range(V.dim)], V.action_pv)
+    for m, (i, j) in enumerate(pairs):
         for k in range(V.dim):
-            out = ann_action(el, V.unit(k), V.action_pv)
+            out = outs[k][m]
             expect_col = tuple(u.gl_matrix(i, j)[r][k] for r in range(V.dim))
             expect = ModuleVector(H, V.dim, {mi_zero(H.n): expect_col}).scale(-1)
             if out is None:
@@ -406,20 +408,17 @@ def test_filtration_action_bounds(any_preset):
     T = tensor_module(H, trivial_pi(H), omega_rep(H.lie, 1))
     probes = [T.unit(0), T.unit(T.dim - 1, tuple([1] + [0] * (H.n - 1))),
               T.unit(0, tuple([2] + [0] * (H.n - 1)))]
-    for v in probes:
+    Ks = [(K, a) for K in mi_below(H.n, 3) if mi_deg(K) != 0 for a in range(H.n)]
+    els = [AnnElement.term(H, XElement.mono(H, K, 1, D), a) for K, a in Ks]
+    for v, outs in zip(probes, ann_action(els, probes, T.action_pv)):
         p = v.degree()
-        for K in mi_below(H.n, 3):
-            if mi_deg(K) == 0:
+        for (K, _a), out in zip(Ks, outs):
+            if out is None or out.is_zero():
                 continue
-            for a in range(H.n):
-                el = AnnElement.term(H, XElement.mono(H, K, 1, D), a)
-                out = ann_action(el, v, T.action_pv)
-                if out is None or out.is_zero():
-                    continue
-                if mi_deg(K) == 1:
-                    assert out.degree() <= p
-                else:
-                    assert out.degree() <= p - 1
+            if mi_deg(K) == 1:
+                assert out.degree() <= p
+            else:
+                assert out.degree() <= p - 1
 
 
 def test_graded_gl_action_on_filtration(any_preset):
@@ -428,30 +427,29 @@ def test_graded_gl_action_on_filtration(any_preset):
     n = H.n
     u = omega_rep(H.lie, 1)
     V = shifted_module(H, trivial_pi(H), u)
+    pairs = list(itertools.product(range(n), repeat=2))
+    els = [AnnElement.term(H, XElement.coord(H, j, D), i) for i, j in pairs]
     for p in (1, 2):
-        for i, j in itertools.product(range(n), repeat=2):
-            el = AnnElement.term(H, XElement.coord(H, j, D), i)
-            for I in mi_below(n, p):
-                if mi_deg(I) != p:
-                    continue
-                for k in range(V.dim):
-                    vec = V.unit(k, I)
-                    out = ann_action(el, vec, V.action_pv)
-                    out = out if out is not None else V.zero_vector()
-                    # symbol action on the divided-power monomial
-                    sym = {}
-                    if I[j] > 0:
-                        J = tuple(x - (1 if t == j else 0) + (1 if t == i else 0)
-                                  for t, x in enumerate(I))
-                        factor = Fraction(J[i]) if i != j else Fraction(I[i])
-                        sym[J] = factor
-                    expect = V.zero_vector()
-                    for J, c in sym.items():
-                        expect = expect + V.unit(k, J).scale(c)
-                    col = tuple(u.gl_matrix(i, j)[r][k] for r in range(V.dim))
-                    expect = expect + ModuleVector(H, V.dim, {I: col})
-                    diff = out.scale(-1) - expect
-                    assert diff.degree() < p, (i, j, I, k)
+        slots = [(I, k) for I in mi_below(n, p) if mi_deg(I) == p for k in range(V.dim)]
+        outs = ann_action(els, [V.unit(k, I) for I, k in slots], V.action_pv)
+        for m, (i, j) in enumerate(pairs):
+            for s, (I, k) in enumerate(slots):
+                out = outs[s][m]
+                out = out if out is not None else V.zero_vector()
+                # symbol action on the divided-power monomial
+                sym = {}
+                if I[j] > 0:
+                    J = tuple(x - (1 if t == j else 0) + (1 if t == i else 0)
+                              for t, x in enumerate(I))
+                    factor = Fraction(J[i]) if i != j else Fraction(I[i])
+                    sym[J] = factor
+                expect = V.zero_vector()
+                for J, c in sym.items():
+                    expect = expect + V.unit(k, J).scale(c)
+                col = tuple(u.gl_matrix(i, j)[r][k] for r in range(V.dim))
+                expect = expect + ModuleVector(H, V.dim, {I: col})
+                diff = out.scale(-1) - expect
+                assert diff.degree() < p, (i, j, I, k)
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +611,24 @@ def test_oracle_refuses_a_validity_below_its_largest_x_k(mode):
         v.serialize() for v in sing_solve(T, 2, mode, chi).basis if v.degree() <= 2]
     with pytest.raises(TruncationExceeded, match=f"up to degree {least} but validity is {least - 1}"):
         sing_solve_oracle(T, 2, mode, chi, validity=least - 1)
+
+
+@pytest.mark.parametrize("name", ["abelian3", "heis3", "sl2", "solv3"])
+def test_oracle_matches_the_element_by_element_loop(monkeypatch, name):
+    # W on Omega^0..Omega^3 and S on Omega^1, Omega^2, trivial Pi: the batched
+    # annihilation action gives the oracle's basis, key order included
+    H = hopf_for(name)
+    chi0 = H.lie.zero_trace_form()
+    cases = [(n, "W", None) for n in range(4)] + [(n, "S", chi0) for n in (1, 2)]
+    Ts = [tensor_module(H, trivial_pi(H), omega_rep(H.lie, n)) for n, _m, _c in cases]
+
+    def bases():
+        return [[list(v.terms.items()) for v in sing_solve_oracle(T, 2, mode, chi).basis]
+                for T, (_n, mode, chi) in zip(Ts, cases)]
+
+    got = bases()
+    monkeypatch.setattr(modules, "ann_action", ann_action_element_by_element)
+    assert got == bases()
 
 
 _SMALL_RATIONALS = st.fractions(min_value=-2, max_value=2, max_denominator=3)
