@@ -10,7 +10,7 @@ pseudo de Rham complex.
 from .liecore import LieData, RepData, TraceForm, preset, omega_rep, sym2_dual_rep
 from .hopf import Hopf, HElement
 from .dualx import XElement, DEFAULT_TRUNCATION
-from .twosided import PseudoValue, PseudoValue3
+from .twosided import PseudoValue
 from .pseudoalg import WAlgebra, cur_algebra_bracket
 from .annih import AnnElement, ann_bracket, euler_element, gamma, gr_iso_gl
 from .modules import (
@@ -39,7 +39,6 @@ __all__ = [
     "XElement",
     "DEFAULT_TRUNCATION",
     "PseudoValue",
-    "PseudoValue3",
     "WAlgebra",
     "cur_algebra_bracket",
     "AnnElement",

@@ -100,7 +100,7 @@ def w_module_h(hopf: Hopf, trunc: int) -> CheckReport:
     walg = WAlgebra(hopf)
     for (a, u), (b, v) in itertools.product(enumerate(walg.gens()), repeat=2):
         defect = module_defect(u, v, ModuleVector.unit(hopf, 1, 0), walg.bracket, walg.action_on_h)
-        report.case(f"pair ({a+1}, {b+1})", defect.is_zero())
+        report.case(f"pair ({a+1}, {b+1})", not defect)
     return report
 
 

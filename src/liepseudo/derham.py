@@ -193,14 +193,15 @@ def d_images(hopf: Hopf, n: int, pi: RepData | None = None) -> list[ModuleVector
     """Generator images of the (twisted) differential T(Pi,Omega^n) -> T(Pi,Omega^{n+1}).
 
     Built once per (hopf, n, pi) and memoized on the Hopf (`_d_images_memo`);
-    a twist reads the untwisted Omega modules from `omega_module`'s memo.
+    a twist reads the untwisted source module Omega^n from `omega_module`'s
+    memo.
     """
     key = (n, pi)
     imgs = hopf._d_images_memo.get(key)
     if imgs is None:
         imgs = _d_generator_images(hopf, n)
         if pi is not None:
-            imgs = twist_map(pi, omega_module(hopf, n), omega_module(hopf, n + 1), imgs)
+            imgs = twist_map(pi, omega_module(hopf, n), imgs)
         hopf._d_images_memo[key] = imgs
     return list(imgs)
 

@@ -215,10 +215,10 @@ def dual_map(V: ModuleSpec, W: ModuleSpec, images: list[ModuleVector]) -> list[M
     return out
 
 
-def twist_map(pi: RepData, V: ModuleSpec, W: ModuleSpec,
-              images: list[ModuleVector]) -> list[ModuleVector]:
-    """T_Pi(beta): generator images of T_Pi(V) -> T_Pi(W), generator
-    u_p (x) v_i going to T_Pi(beta(v_i)) at u_p (W fixes only the width)."""
+def twist_map(pi: RepData, V: ModuleSpec, images: list[ModuleVector]) -> list[ModuleVector]:
+    """T_Pi(beta): generator images of T_Pi(V) -> T_Pi(W) for beta: V -> W
+    given by generator images, generator u_p (x) v_i going to
+    T_Pi(beta(v_i)) at u_p; the images carry the width of W."""
     return [twist_vector(pi, images[i], p) for p in range(pi.dim) for i in range(V.dim)]
 
 

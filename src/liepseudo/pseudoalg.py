@@ -17,7 +17,7 @@ from .errors import DimensionTooSmall
 from .hopf import HElement, Hopf, mi_below, mi_unit, mi_zero
 from .liecore import LieData, TraceForm
 from .pseudoaction import ONE, ZERO, ModuleSpec, ModuleVector
-from .twosided import LEFT, PseudoValue, jacobi_defect, skew_defect
+from .twosided import LEFT, PseudoValue, module_defect, skew_defect
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +188,13 @@ def check_skew(bracket, elems, name: str = "skew-symmetry") -> CheckReport:
 
 
 def check_jacobi(bracket, elems, name: str = "Jacobi") -> CheckReport:
+    """Zero defect of [[a*b]*c] - [a*[b*c]] + ((sigma (x) id) (x)_H id)[b*[a*c]],
+    the module axiom of the adjoint action, on all ordered triples."""
     report = CheckReport(name)
     for (i, a), (j, b), (k, c) in itertools.product(enumerate(elems), repeat=3):
-        d = jacobi_defect(a, b, c, bracket)
-        report.case(f"triple ({i+1}, {j+1}, {k+1})", d.is_zero(),
-                    [[list(I), list(J)] for I, J in d.support()])
+        d = module_defect(a, b, c, bracket, bracket)
+        report.case(f"triple ({i+1}, {j+1}, {k+1})", not d,
+                    [[list(I), list(J)] for I, J in sorted({(I, J) for I, J, _N, _k in d})])
     return report
 
 

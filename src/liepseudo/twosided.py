@@ -1,4 +1,5 @@
-"""Canonical forms for elements of (H (x) H) (x)_H V and H^(x)3 (x)_H V.
+"""Canonical forms for elements of (H (x) H) (x)_H V, and the defects of
+the pseudoalgebra axioms.
 
 A PseudoValue stores one of the two normal forms
     left:   sum_I (b^(I) (x) 1) (x)_H v_I
@@ -15,11 +16,14 @@ integral, with the key order of adding PseudoValues one term at a time
 coordinates made Fractions.  `from_tensor` and `modules.apply_map` build
 their values that way.  H's product of term lists `_product` comes from
 `hopf`, the conversions `_exact` and `_fraction` from `_linalg`.
+
+`skew_defect` is a PseudoValue; `module_defect`, which lives in
+H^(x)3 (x)_H V, is a flat map of its nonzero coefficients.
 """
 
 from __future__ import annotations
 
-from ._linalg import _exact, _fraction
+from ._linalg import _exact, _fraction, add_entry
 from .hopf import HElement, Hopf, MultiIndex, _product, mi_deg, mi_splits
 from .liecore import rat
 
@@ -159,49 +163,6 @@ class PseudoValue:
         return f"[{side}-normal] " + "; ".join(bits)
 
 
-class PseudoValue3:
-    """Normal form sum (b^(I) (x) b^(J) (x) 1) (x)_H v_{IJ} in H^(x)3 (x)_H V."""
-
-    __slots__ = ("hopf", "terms")
-
-    def __init__(self, hopf: Hopf, terms: dict[tuple[MultiIndex, MultiIndex], object]):
-        self.hopf = hopf
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
-
-    @classmethod
-    def zero(cls, hopf: Hopf) -> "PseudoValue3":
-        return cls(hopf, {})
-
-    def add(self, other: "PseudoValue3") -> "PseudoValue3":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            _acc(out, k, v)
-        return PseudoValue3(self.hopf, out)
-
-    def scale(self, c) -> "PseudoValue3":
-        c = rat(c)
-        return PseudoValue3(self.hopf, {k: v.scale(c) for k, v in self.terms.items()} if c else {})
-
-    def sub(self, other: "PseudoValue3") -> "PseudoValue3":
-        return self.add(other.scale(-1))
-
-    def swap12(self) -> "PseudoValue3":
-        """(sigma (x) id) (x)_H id on normalized values: swap the I, J keys."""
-        return PseudoValue3(self.hopf, {(J, I): v for (I, J), v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def support(self):
-        return sorted(self.terms)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0 [3-fold]"
-        bits = [f"b^{I}(x)b^{J} : {v!r}" for (I, J), v in sorted(self.terms.items())]
-        return "[3-fold] " + "; ".join(bits)
-
-
 def _acc(store: dict, key, vec) -> None:
     cur = store.get(key)
     if cur is None:
@@ -261,60 +222,41 @@ def _pseudo_value(hopf: Hopf, orient: str, store: dict, vector_type, width: int)
         for M, at_m in store.items()})
 
 
-# ---------------------------------------------------------------------------
-# Compositions used by the Jacobi-type axioms
-# ---------------------------------------------------------------------------
-
-def compose_left(p: PseudoValue, b, product) -> PseudoValue3:
-    """((h (x)_H e) * b) expanded into H^(x)3 (x)_H V for p = sum (h_I (x)_H e_I).
-
-    `product(e, b)` must return a PseudoValue.  Realizes
-    (h (x)_H a) * b = (h (x) 1)(Delta (x) id)(g_i) (x)_H c_i.
-    """
-    hopf = p.hopf
-    p = p.to_left()
-    out: dict[tuple[MultiIndex, MultiIndex], object] = {}
-    for I, e in p.terms.items():
-        q = product(e, b).to_left()
-        mono_I = hopf.mono(I)
-        for J, w in q.terms.items():
-            for A, B in mi_splits(J):
-                for K, c in (mono_I * hopf.mono(A)).coeffs.items():
-                    _acc(out, (K, B), w.scale(c))
-    return PseudoValue3(hopf, out)
-
-
-def compose_right(a, p: PseudoValue, product) -> PseudoValue3:
-    """a * (h (x)_H e) expanded into H^(x)3 (x)_H V.
-
-    Realizes a * (h (x)_H b) = (1 (x) h)(id (x) Delta)(g_i) (x)_H c_i.
-    """
-    hopf = p.hopf
-    p = p.to_left()
-    out: dict[tuple[MultiIndex, MultiIndex], object] = {}
-    for I, e in p.terms.items():
-        q = product(a, e).to_left()
-        for J, w in q.terms.items():
-            # (1 (x) b^(I) (x) 1)(b^(J) (x) 1 (x) 1) = b^(J) (x) b^(I) (x) 1
-            _acc(out, (J, I), w)
-    return PseudoValue3(hopf, out)
-
-
-def jacobi_defect(a, b, c, product) -> PseudoValue3:
-    """[[a*b]*c] - [a*[b*c]] + ((sigma (x) id) (x)_H id)[b*[a*c]]: the
-    module defect of the adjoint action."""
-    return module_defect(a, b, c, product, product)
-
-
 def skew_defect(a, b, product) -> PseudoValue:
     """[b*a] + (sigma (x)_H id)[a*b]; zero iff the bracket is skew."""
     lhs = product(b, a)
     return lhs.add(product(a, b).flip().convert(lhs.orient))
 
 
-def module_defect(a, b, v, bracket, action) -> PseudoValue3:
-    """[a*b]*v - a*(b*v) + ((sigma (x) id) (x)_H id)(b*(a*v))."""
-    t1 = compose_left(bracket(a, b), v, action)
-    t2 = compose_right(a, action(b, v), action)
-    t3 = compose_right(b, action(a, v), action).swap12()
-    return t1.sub(t2).add(t3)
+def module_defect(a, b, v, bracket, action) -> dict:
+    """[a*b]*v - a*(b*v) + ((sigma (x) id) (x)_H id)(b*(a*v)) as its nonzero
+    coefficients (I, J, N, k) -> Fraction at
+    (b^(I) (x) b^(J) (x) 1) (x)_H (b^(N) (x) u_k): empty exactly when the
+    module axiom holds at (a, b, v), and with action = bracket the Jacobi
+    identity.
+
+    With each value in left normal form, [a*b] = sum (b^(I) (x) 1) (x)_H e_I
+    and e_I * v = sum (b^(J) (x) 1) (x)_H w give
+    sum_{A+B=J} (b^(I) b^(A) (x) b^(B) (x) 1) (x)_H w; b*v = sum (b^(I) (x) 1) (x)_H e_I
+    and a*e_I = sum (b^(J) (x) 1) (x)_H w give a*(b*v) at (J, I), and the
+    swap puts b*(a*v) at (I, J).  The three terms are summed into one store
+    in int wherever the arithmetic is integral."""
+    terms = []  # (I, J, w, c): c (b^(I) (x) b^(J) (x) 1) (x)_H w
+    for I, e in bracket(a, b).to_left().terms.items():
+        for J, w in action(e, v).to_left().terms.items():
+            for A, B in mi_splits(J):
+                for K, c in v.hopf.mono_mul(I, A).items():
+                    terms.append((K, B, w, _exact(c)))
+    for I, e in action(b, v).to_left().terms.items():
+        for J, w in action(a, e).to_left().terms.items():
+            terms.append((J, I, w, -1))
+    for I, e in action(a, v).to_left().terms.items():
+        for J, w in action(b, e).to_left().terms.items():
+            terms.append((I, J, w, 1))
+    store: dict = {}
+    for I, J, w, c in terms:
+        for N, row in w.terms.items():
+            for k, x in enumerate(row):
+                if x:
+                    add_entry(store, (I, J, N, k), c * _exact(x))
+    return {key: _fraction(c) for key, c in store.items()}

@@ -102,6 +102,44 @@ def from_tensor_by_terms(f, g, vec, orient: str = LEFT) -> PseudoValue:
     return PseudoValue(hopf, orient, terms)
 
 
+def _compose_left(p: PseudoValue, b, product) -> dict:
+    """((h (x)_H e) * b) in H^(x)3 (x)_H V as (I, J) -> vector, for
+    p = sum (h_I (x)_H e_I): (h (x) 1)(Delta (x) id)(g_i) (x)_H c_i, one
+    `HElement` product, scale and add per term."""
+    hopf = p.hopf
+    out: dict = {}
+    for I, e in p.to_left().terms.items():
+        for J, w in product(e, b).to_left().terms.items():
+            for A, B in mi_splits(J):
+                for K, c in (hopf.mono(I) * hopf.mono(A)).coeffs.items():
+                    _acc(out, (K, B), w.scale(c))
+    return out
+
+
+def _compose_right(a, p: PseudoValue, product) -> dict:
+    """a * (h (x)_H e) in H^(x)3 (x)_H V as (I, J) -> vector:
+    (1 (x) b^(I) (x) 1)(b^(J) (x) 1 (x) 1) = b^(J) (x) b^(I) (x) 1."""
+    out: dict = {}
+    for I, e in p.to_left().terms.items():
+        for J, w in product(a, e).to_left().terms.items():
+            _acc(out, (J, I), w)
+    return out
+
+
+def module_defect_by_terms(a, b, v, bracket, action) -> dict:
+    """[a*b]*v - a*(b*v) + ((sigma (x) id) (x)_H id)(b*(a*v)) built as three
+    (I, J) -> vector values, the last with its keys swapped, and added one
+    vector at a time, then flattened to (I, J, N, k) -> Fraction: the
+    reference for `twosided.module_defect`."""
+    out = _compose_left(bracket(a, b), v, action)
+    for key, w in _compose_right(a, action(b, v), action).items():
+        _acc(out, key, w.scale(-1))
+    for (I, J), w in _compose_right(b, action(a, v), action).items():
+        _acc(out, (J, I), w)
+    return {(I, J, N, k): x for (I, J), w in out.items()
+            for N, row in w.terms.items() for k, x in enumerate(row) if x}
+
+
 def ann_action_by_terms(A, v, action_pv):
     """A = sum x_a (x) b_a applied to v one term at a time, each pairing
     computed where it is met: the reference for `annih.ann_action`, key order

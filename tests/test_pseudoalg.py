@@ -2,13 +2,15 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from liepseudo import checks
+from liepseudo._linalg import span_coords
 from liepseudo.errors import DimensionMismatch, DimensionTooSmall
 from liepseudo.hopf import Hopf, mi_below, mi_unit
-from liepseudo.liecore import PRESET_NAMES, LieData, TraceForm, preset
+from liepseudo.liecore import PRESET_NAMES, LieData, RepData, TraceForm, omega_rep, preset
+from liepseudo.modules import tensor_module
 from liepseudo.pseudoaction import ModuleSpec, ModuleVector
 from liepseudo.pseudoalg import (
     WAlgebra,
@@ -20,7 +22,7 @@ from liepseudo.pseudoalg import (
 )
 from liepseudo.twosided import PseudoValue, module_defect
 
-from conftest import hopf_for
+from conftest import hopf_for, module_defect_by_terms
 
 
 def test_virasoro_specialization():
@@ -207,7 +209,7 @@ def test_action_on_h_satisfies_module_axiom(any_preset):
     for a, b in itertools.product(walg.gens(), repeat=2):
         for v in vectors:
             defect = module_defect(a, b, v, walg.bracket, walg.action_on_h)
-            assert defect.is_zero()
+            assert not defect
 
 
 def test_skew_report_counts(any_preset):
@@ -351,3 +353,96 @@ def test_a_corrupted_h_module_table_fails_the_module_axiom(name):
     H._w_modules_memo["H"] = _corrupted(on_h, 1, 0, mi_unit(H.n, 1))
     report = checks.w_module_h(H, 4)
     assert not report.ok and report.first_failure == "pair (1, 2)"
+
+
+# ---------------------------------------------------------------------------
+# module_defect against the term-by-term reference
+# ---------------------------------------------------------------------------
+
+def _support(defect) -> list:
+    """The (I, J) of a flat defect, as `CheckReport` records them."""
+    return [[list(I), list(J)] for I, J in sorted({key[:2] for key in defect})]
+
+
+def test_module_defect_matches_the_term_by_term_reference(any_preset):
+    # the W(d) Jacobi triples and the module axiom of H and of T(k, Omega^1)
+    H = any_preset
+    walg = WAlgebra(H)
+    gens = walg.gens()
+    T = tensor_module(H, RepData.trivial(H.lie, 1, "d"), omega_rep(H.lie, 1))
+    cases = [(a, b, c, walg.bracket, walg.bracket) for a, b, c in itertools.product(gens, repeat=3)]
+    cases += [(a, b, ModuleVector.unit(H, 1, 0), walg.bracket, walg.action_on_h)
+              for a, b in itertools.product(gens, repeat=2)]
+    cases += [(a, b, T.unit(k), walg.bracket, T.w_star)
+              for a, b in itertools.product(gens, repeat=2) for k in range(T.dim)]
+    for case in cases:
+        assert module_defect(*case) == module_defect_by_terms(*case) == {}
+
+
+@pytest.mark.parametrize("name", ["abelian2", "heis3", "sl2"])
+def test_corrupted_defects_match_the_reference_and_the_reported_support(name):
+    H = Hopf(preset(name))
+    adjoint, _on_h = w_modules(H)
+    H._w_modules_memo["W(d)"] = _corrupted(adjoint, 0, 1, (0,) * H.n)
+    walg = WAlgebra(H)
+    gens = walg.gens()
+    expected = []
+    for (i, a), (j, b), (k, c) in itertools.product(enumerate(gens), repeat=3):
+        got = module_defect(a, b, c, walg.bracket, walg.bracket)
+        want = module_defect_by_terms(a, b, c, walg.bracket, walg.bracket)
+        assert got == want and all(type(x) is Fraction for x in got.values()), (i, j, k)
+        if want:
+            expected.append({"case": f"triple ({i+1}, {j+1}, {k+1})",
+                             "defect_support": _support(want)})
+    assert expected
+    assert check_jacobi(walg.bracket, gens).failures == expected
+
+    H = Hopf(preset(name))
+    _adjoint, on_h = w_modules(H)
+    H._w_modules_memo["H"] = _corrupted(on_h, 1, 0, mi_unit(H.n, 1))
+    walg = WAlgebra(H)
+    one = ModuleVector.unit(H, 1, 0)
+    failing = 0
+    for a, b in itertools.product(walg.gens(), repeat=2):
+        got = module_defect(a, b, one, walg.bracket, walg.action_on_h)
+        assert got == module_defect_by_terms(a, b, one, walg.bracket, walg.action_on_h)
+        failing += bool(got)
+    assert failing
+
+
+_ENTRIES = st.sampled_from([Fraction(c) for c in ("0", "1", "-1", "2", "1/2", "-2/3")])
+
+
+def _in_basis(lie: LieData, P) -> LieData | None:
+    """lie in the basis b'_a = sum_j P[j][a] b_j; None if P is singular."""
+    n = lie.dim
+    columns = [{j: P[j][a] for j in range(n) if P[j][a]} for a in range(n)]
+    # b_m = sum_l Q[m][l] b'_l: the coordinates of b_m in the columns of P
+    Q = span_coords(columns, [{m: Fraction(1)} for m in range(n)])
+    if None in Q:
+        return None
+    entries: dict = {}  # (a, b, l) -> the coefficient of b'_l in [b'_a, b'_b]
+    for a, b in itertools.combinations(range(n), 2):
+        for j, k in itertools.product(range(n), repeat=2):
+            for m, c in lie.bracket(j, k).items():
+                for l in range(n):
+                    entries[a, b, l] = entries.get((a, b, l), 0) + P[j][a] * P[k][b] * c * Q[m][l]
+    return LieData.from_entries(n, [(*key, c) for key, c in entries.items() if c],
+                                name=f"{lie.name}'")
+
+
+# no shrinking: a failing example names its algebra and matrix
+@settings(max_examples=6, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+@given(st.sampled_from(["sl2", "heis3", "solv3"]),
+       st.lists(st.lists(_ENTRIES, min_size=3, max_size=3), min_size=3, max_size=3))
+@example("sl2", [[Fraction(1, 2), Fraction(1), Fraction(0)], [Fraction(0), Fraction(-2, 3), Fraction(1)],
+                 [Fraction(1), Fraction(0), Fraction(2)]])
+def test_checks_pass_after_a_rational_change_of_basis(name, P):
+    lie = _in_basis(preset(name), P)
+    assume(lie is not None)
+    H = Hopf(lie)
+    walg = WAlgebra(H)
+    assert check_skew(walg.bracket, walg.gens()).ok, (name, P)
+    assert check_jacobi(walg.bracket, walg.gens()).ok, (name, P)
+    assert checks.w_module_h(H, 4).ok, (name, P)
