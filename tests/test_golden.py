@@ -1,4 +1,4 @@
-"""The JSON reports of seventeen commands, byte for byte, against tests/golden.
+"""The JSON reports of nineteen commands, byte for byte, against tests/golden.
 
 The files were written by the CLI itself (`--out`).  To record them again
 after an intended change of a report, run from the repo root:
@@ -40,6 +40,10 @@ COMMANDS = {
                              "--pi", "line:1,0,0"],
     "classify_frac3_W_omega1": ["classify", "--alg", str(GOLDEN / "alg_frac3.json"),
                                 "--mode", "W", "--u", "omega:1"],
+    # dimension 4: the filiform algebra n4 and the abelian one
+    "classify_n4_W_omega2": ["classify", "--alg", str(GOLDEN / "alg_n4.json"),
+                             "--mode", "W", "--u", "omega:2"],
+    "classify_abelian4_S_omega1": ["classify", "--alg", "abelian4", "--mode", "S", "--u", "omega:1"],
 }
 
 
