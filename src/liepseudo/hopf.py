@@ -9,8 +9,11 @@ them, run in int wherever the arithmetic is integral (`_linalg._exact`);
 every coefficient that leaves this layer is a Fraction (`_fraction`).  The
 caches, all scheduling-independent, are:
 - the per-instance memos here (straightened words in int-where-integral
-  coefficients, products and antipodes of basis monomials in Fractions, and
-  the tables dualx, derham, annih and pseudoalg key on the algebra);
+  coefficients, products and antipodes of basis monomials in Fractions, the
+  tables dualx, derham, annih and pseudoalg key on the algebra, and the carry
+  table of `pseudoaction._carry`: b^(I) carried across (x)_H past an action
+  table term, per (I, K, J, form), in int-where-integral coefficients, shared
+  by every module over the algebra);
 - per ModuleSpec: its action table in each normal form, its unit
   expansions (1 (x) b_i) * (b^(I) (x) u_k) in int-where-integral terms, the
   values of the last (vector, form) its pseudoaction was applied to, and the
@@ -120,6 +123,9 @@ class Hopf:
         self._ann_memo: dict = {}
         # W(d) as its adjoint module and the W(d)-module H, filled by pseudoalg.w_modules
         self._w_modules_memo: dict = {}
+        # b^(I) carried across (x)_H past an action table term, per (I, K, J, form),
+        # filled by pseudoaction._carry for every module over this algebra
+        self._carry_memo: dict = {}
 
     # -- element constructors ------------------------------------------
     def zero(self) -> "HElement":

@@ -421,7 +421,12 @@ def submodule_closure(V: ModuleSpec, gens: list[ModuleVector], fil_bound: int,
     (each coefficient of a * v lies in the submodule) together with
     H-multiplication, inside fil^{bound+1}; the returned basis spans the
     intersection with fil^bound exactly when the submodule is generated in
-    degrees <= bound - 1.
+    degrees <= bound - 1.  The coefficients of a * v come straight from the
+    left-form kernel store (`ModuleSpec.w_star_store`), each one a reducer
+    row; a vector is built, with the Fraction coordinates and key order of
+    `w_star`, only for a row that enlarges the span and is queued.  Queue
+    order and key order are those of pushing the vectors of `w_star`, on
+    which a truncated basis depends.
 
     With `inner`, a closure of V at the same bound, mode and chi whose
     generators lie in the span of `gens`, the span starts from a copy of
@@ -449,16 +454,24 @@ def submodule_closure(V: ModuleSpec, gens: list[ModuleVector], fil_bound: int,
         if red.add({index[slot]: c for slot, c in _coords(v).items()}):
             queue.append(v)
 
+    hopf, dim = V.hopf, V.dim
     for g in gens:
         push(g)
     while queue:
         v = queue.pop()
-        for i in range(V.hopf.n):
+        for i in range(hopf.n):
             if v.degree() + 1 <= work:
-                push(v.hmul(V.hopf.gen(i)))
+                push(v.hmul(hopf.gen(i)))
         for _label, w in actors:
-            for comp in V.w_star(w, v, LEFT).terms.values():
-                push(comp)
+            # each component of w * v straight from the store, as `push` of
+            # the component vectors of `w_star` would take them
+            for at_m in V.w_star_store(w, v).values():
+                rows = [(N, cur) for N, cur in at_m.items() if any(cur)]
+                if not rows or max(mi_deg(N) for N, _cur in rows) > work:
+                    continue
+                if red.add({index[N, k]: c for N, cur in rows for k, c in enumerate(cur) if c}):
+                    queue.append(ModuleVector(hopf, dim, {N: tuple(map(_fraction, cur))
+                                                          for N, cur in rows}))
     # restrict to fil^bound: echelon rows whose pivot (highest-degree
     # coordinate) already lies inside fil^bound have all coordinates there
     units = _units(V, cols)

@@ -12,7 +12,10 @@ and keeps the at most n values of the last (vector, form) for all readers of
 that vector.  Each unit (i, I, k, form) is expanded once, when a vector with
 a nonzero b^(I) (x) u_k first meets it, into flat terms (M, N, r, x) with x
 an int wherever it is integral; a kernel run only accumulates c * x, and
-`action_pv` makes each output coordinate a Fraction once.  An expansion keeps
+`action_pv` makes each output coordinate a Fraction once.  An expansion reads,
+for each term of the table, b^(I) carried across (x)_H from the carry table
+of the Hopf algebra (`_carry`), which every (i, k) and every module over the
+algebra share.  An expansion keeps
 every (M, N) it meets, also one whose coordinates cancel, in order of first
 appearance: `submodule_closure` queues the components of a value in key
 order, so its truncated basis depends on it.  A closure started from an inner
@@ -22,13 +25,15 @@ still equal the from-scratch ones.
 
 `w_star` applies a W(d) element w = sum_a h_a (x) b_a, a width-n vector,
 as sum_a (h_a (x) 1)((1 (x) b_a) * v); it reads each h_a off the terms of w,
-in the key order of w, once per actor.  In left normal form it folds the kept
-kernel coordinates of each (1 (x) b_a) * v, multiplied by h_a in the
-normal-form slot, into one store and builds each output vector once; the key
-order is that of adding the PseudoValues one term at a time.  The fold is
-the one `twosided` keeps for `PseudoValue.from_tensor` too.  In right normal
-form h_a lands in the slot pinned to 1, and `PseudoValue.mul_inner`
-renormalizes through `from_tensor`.
+in the key order of w, once per actor.  In left normal form `w_star_store`
+folds the kept kernel coordinates of each (1 (x) b_a) * v, multiplied by h_a
+in the normal-form slot, into one store M -> N -> coordinates; the key order
+is that of adding the PseudoValues one term at a time.  The fold is the one
+`twosided` keeps for `PseudoValue.from_tensor` too.  `w_star` builds each
+output vector of that store once; `modules.submodule_closure` reads the store
+itself and turns each M into a row of its reducer, building a vector only for
+a row that enlarges the span.  In right normal form h_a lands in the slot
+pinned to 1, and `PseudoValue.mul_inner` renormalizes through `from_tensor`.
 """
 
 from __future__ import annotations
@@ -240,26 +245,18 @@ class ModuleSpec:
     def _expand_unit(self, I: MultiIndex, table_k: list, orient: str) -> tuple:
         """(1 (x) b_i) * (b^(I) (x) u_k) in normal form `orient`, from the
         flat terms table_k of (1 (x) b_i) * u_k, as flat terms (M, N, r, x):
-        b^(M) in the normal-form slot and b^(N) (x) x u_r beside it.  The
-        arithmetic runs in int wherever it is integral, and so does each x.
-        An (M, N) whose coordinates cancel stays as (M, N, 0, 0), to keep its
-        place in the key order (see the module docstring)."""
-        hopf = self.hopf
-        if orient == RIGHT:
-            terms = [(M, J, _exact(x), coords) for K, J, coords in table_k
-                     for M, x in hopf.mono_mul(I, K).items()]
-        else:
-            splits = [([(A, _exact(s)) for A, s in hopf.antipode_mono(A).items()], B)
-                      for A, B in mi_splits(I)]
-            terms = [(M, N, s * _exact(x) * _exact(y), coords) for K, J, coords in table_k
-                     for SA, B in splits for A, s in SA
-                     for M, x in hopf.mono_mul(K, A).items()
-                     for N, y in hopf.mono_mul(B, J).items()]
+        b^(M) in the normal-form slot and b^(N) (x) x u_r beside it.  Each
+        table term b^(K) / b^(J) moves b^(I) across (x)_H by the carry table
+        of the Hopf algebra (`_carry`).  The arithmetic runs in int wherever
+        it is integral, and so does each x.  An (M, N) whose coordinates
+        cancel stays as (M, N, 0, 0), to keep its place in the key order (see
+        the module docstring)."""
         out: dict[tuple[MultiIndex, MultiIndex], dict] = {}
-        for M, N, x, coords in terms:
-            at = out.setdefault((M, N), {})
-            for r, y in coords:
-                at[r] = at.get(r, 0) + x * _exact(y)
+        for K, J, coords in table_k:
+            for MN, x in _carry(self.hopf, I, K, J, orient):
+                at = out.setdefault(MN, {})
+                for r, y in coords:
+                    at[r] = at.get(r, 0) + x * y
         flat = []
         for (M, N), at in out.items():
             nonzero = [(M, N, r, _exact(x)) for r, x in at.items() if x]
@@ -269,11 +266,12 @@ class ModuleSpec:
     def _flat_table(self, orient: str) -> list:
         """table[i][k] in normal form `orient` as flat terms (K, J, [(r, c)]):
         b^(K) in the normal-form slot and w = b^(J) (x) sum c u_r over the
-        nonzero c.  Built once per form; n * dim entries."""
+        nonzero c, each an int wherever it is integral.  Built once per form;
+        n * dim entries."""
         flat = self._flat.get(orient)
         if flat is None:
             flat = self._flat[orient] = [
-                [[(K, J, [(r, c) for r, c in enumerate(coords) if c])
+                [[(K, J, [(r, _exact(c)) for r, c in enumerate(coords) if c])
                   for K, w in val.convert(orient).terms.items() for J, coords in w.terms.items()]
                  for val in row] for row in self.table]
         return flat
@@ -284,19 +282,11 @@ class ModuleSpec:
         that is (1 (x) b_a) * v itself.  The actor w is a width-n vector;
         each h_a is read off its terms once per actor (`_actor_terms`).
 
-        In left normal form h_a multiplies the normal-form slot: each term
-        b^(M) (x) w of (1 (x) b_a) * v adds sum_K c_K b^(K) (x) w, where
-        h_a b^(M) = sum_K c_K b^(K), into one M -> N -> coordinates store, in
-        int arithmetic wherever it is integral.  Keys come in the order that
-        adding the PseudoValues (h_a (x) 1)((1 (x) b_a) * v) term by term
-        gives them, cancellations included (see `_fold`).  In right normal
-        form h_a sits in the slot pinned to 1 and moves across (x)_H through
-        `PseudoValue.mul_inner`."""
+        The left form is the store of `w_star_store` with each vector built
+        once.  In right normal form h_a sits in the slot pinned to 1 and
+        moves across (x)_H through `PseudoValue.mul_inner`."""
         hopf = self.hopf
-        if w.width != hopf.n:
-            raise DimensionMismatch(f"need an actor of width {hopf.n}, not {w.width}")
-        self._check_vector(v)
-        terms = self._actor_terms(w)
+        terms = self._actor_terms(w, v)
         if len(terms) == 1 and terms[0][1] == [(mi_zero(hopf.n), 1)]:
             return self.action_pv(terms[0][0], v, orient)
         if orient == RIGHT:
@@ -304,6 +294,24 @@ class ModuleSpec:
             for a, h in terms:
                 out = out.add(self.action_pv(a, v, RIGHT).mul_inner(HElement(hopf, dict(h))))
             return out
+        return _pseudo_value(hopf, LEFT, self.w_star_store(w, v), ModuleVector, self.dim)
+
+    def w_star_store(self, w: ModuleVector, v: ModuleVector) -> dict:
+        """w * v in left normal form as M -> N -> coordinates, in int
+        wherever they are integral.  For w = 1 (x) b_a that is the kept
+        kernel store of (1 (x) b_a) * v (`_kernel`), in which an (M, N) whose
+        coordinates cancel stays with zero coordinates; the caller must not
+        change it.
+
+        Otherwise h_a multiplies the normal-form slot: each term
+        b^(M) (x) w of (1 (x) b_a) * v adds sum_K c_K b^(K) (x) w, where
+        h_a b^(M) = sum_K c_K b^(K), into one store.  Keys come in the order
+        that adding the PseudoValues (h_a (x) 1)((1 (x) b_a) * v) term by term
+        gives them, and a cancelled (M, N) is dropped (see `_fold`)."""
+        hopf = self.hopf
+        terms = self._actor_terms(w, v)
+        if len(terms) == 1 and terms[0][1] == [(mi_zero(hopf.n), 1)]:
+            return self._kernel(terms[0][0], v, LEFT)
         acc: dict[MultiIndex, dict[MultiIndex, list]] = {}  # M -> N -> coordinates
         for a, h in terms:
             # (h_a (x) 1)((1 (x) b_a) * v) is summed on its own and then
@@ -319,14 +327,18 @@ class ModuleSpec:
             if part is not acc:
                 for K, at in part.items():
                     _fold(acc, K, at.items(), 1)
-        return _pseudo_value(hopf, LEFT, acc, ModuleVector, self.dim)
+        return acc
 
-    def _actor_terms(self, w: ModuleVector) -> list:
+    def _actor_terms(self, w: ModuleVector, v: ModuleVector) -> list:
         """The terms (a, [(J, c)]) of each nonzero h_a of an actor
         w = sum_a h_a (x) b_a, in the key order of w, each c an int wherever
-        it is integral.  The few actors of a solve meet every vector, so each
-        is read once: up to n^2 actors are kept, keyed by identity (module
+        it is integral, once w and the vector v it acts on have the right
+        widths.  The few actors of a solve meet every vector, so each is
+        read once: up to n^2 actors are kept, keyed by identity (module
         vectors are never mutated), and the memo starts over when it is full."""
+        if w.width != self.hopf.n:
+            raise DimensionMismatch(f"need an actor of width {self.hopf.n}, not {w.width}")
+        self._check_vector(v)
         got = self._actors.get(w)
         if got is None:
             coeffs: list[list] = [[] for _ in range(self.hopf.n)]
@@ -355,3 +367,30 @@ class ModuleSpec:
 
     def __repr__(self) -> str:
         return f"ModuleSpec({self.name or 'H(x)R'}, rank {self.dim})"
+
+
+def _carry(hopf: Hopf, I: MultiIndex, K: MultiIndex, J: MultiIndex, orient: str) -> list:
+    """b^(I) carried across (x)_H for a table term b^(K) / b^(J) in normal
+    form `orient`, as [((M, N), x)]: b^(M) in the normal-form slot, b^(N)
+    beside it.  Right form: (1 (x) b^(I) b^(K)) with N = J.  Left form:
+    sum_{A+B=I} (b^(K) S(b^(A)) (x) 1) with N from b^(B) b^(J).  Each x is an
+    int wherever it is integral; an (M, N) whose x cancels stays, with x 0,
+    in its place of first appearance.  Kept once per Hopf algebra, for every
+    (i, k) and every module over it."""
+    key = (I, K, J, orient)
+    got = hopf._carry_memo.get(key)
+    if got is None:
+        if orient == RIGHT:
+            got = [((M, J), _exact(x)) for M, x in hopf.mono_mul(I, K).items()]
+        else:
+            out: dict[tuple[MultiIndex, MultiIndex], int | Fraction] = {}
+            for A, B in mi_splits(I):
+                right = [(N, _exact(y)) for N, y in hopf.mono_mul(B, J).items()]
+                for A2, s in hopf.antipode_mono(A).items():
+                    for M, x in hopf.mono_mul(K, A2).items():
+                        sx = _exact(s) * _exact(x)
+                        for N, y in right:
+                            out[M, N] = out.get((M, N), 0) + sx * y
+            got = [(MN, _exact(x)) for MN, x in out.items()]
+        hopf._carry_memo[key] = got
+    return got

@@ -179,11 +179,13 @@ class CheckReport:
 
 
 def check_skew(bracket, elems, name: str = "skew-symmetry") -> CheckReport:
-    """Zero defect of [b*a] = -(sigma (x)_H id)[a*b] on all ordered pairs."""
+    """Zero defect of [b*a] = -(sigma (x)_H id)[a*b] on all ordered pairs; a
+    failing pair records the sorted I of its normal-form defect, as
+    `check_jacobi` records its sorted (I, J)."""
     report = CheckReport(name)
     for (i, a), (j, b) in itertools.product(enumerate(elems), repeat=2):
         d = skew_defect(a, b, bracket)
-        report.case(f"pair ({i+1}, {j+1})", d.is_zero(), [[list(I)] for I in d.support()])
+        report.case(f"pair ({i+1}, {j+1})", d.is_zero(), [[list(I)] for I in sorted(d.terms)])
     return report
 
 

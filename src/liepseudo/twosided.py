@@ -152,9 +152,6 @@ class PseudoValue:
         """Max |I| over the normal-form support (-1 for zero)."""
         return max((mi_deg(I) for I in self.terms), default=-1)
 
-    def support(self) -> list[MultiIndex]:
-        return sorted(self.terms, key=lambda I: (mi_deg(I), I))
-
     def __repr__(self) -> str:
         side = "left" if self.orient == LEFT else "right"
         if not self.terms:

@@ -5,7 +5,9 @@ import pytest
 from liepseudo.errors import TruncationExceeded
 from liepseudo.hopf import Hopf, _index_of_word, _word_of, mi_below, mi_deg, mi_factorial, mi_splits
 from liepseudo.liecore import LieData, preset
-from liepseudo.modules import ModuleSpec, ModuleVector
+from liepseudo._linalg import RowReducer
+from liepseudo.modules import (Closure, ModuleSpec, ModuleVector, _coords, _sing_actors, _units,
+                               _vector_from_row)
 from liepseudo.twosided import LEFT, PseudoValue, _acc
 
 _CACHE: dict[str, Hopf] = {}
@@ -317,3 +319,39 @@ class FractionReducer:
                 row_addmul_by_fractions(piv, row, -piv[j0])
         self.pivots[j0] = row
         return True
+
+
+def submodule_closure_by_pushes(V, gens, fil_bound, mode="W", chi=None, inner=None):
+    """The closure loop that pushes every component vector of each
+    `ModuleSpec.w_star` value in left normal form, one `_coords` row each:
+    the reference for `modules.submodule_closure`, basis key order and
+    window rows included."""
+    work = fil_bound + 1
+    actors, _threshold = _sing_actors(V, mode, chi)
+    cols = sorted(V.basis_upto(work), key=lambda slot: (-mi_deg(slot[0]), slot[0], slot[1]))
+    index = {slot: c for c, slot in enumerate(cols)}
+    red = RowReducer()
+    if inner is not None:
+        red.pivots = {j: dict(row) for j, row in inner.window.items()}
+    queue = []
+
+    def push(v):
+        if v.is_zero() or v.degree() > work:
+            return
+        if red.add({index[slot]: c for slot, c in _coords(v).items()}):
+            queue.append(v)
+
+    for g in gens:
+        push(g)
+    while queue:
+        v = queue.pop()
+        for i in range(V.hopf.n):
+            if v.degree() + 1 <= work:
+                push(v.hmul(V.hopf.gen(i)))
+        for _label, w in actors:
+            for comp in V.w_star(w, v, LEFT).terms.values():
+                push(comp)
+    units = _units(V, cols)
+    basis = [_vector_from_row(V, units, red.pivots[j]) for j in sorted(red.pivots)
+             if mi_deg(cols[j][0]) <= fil_bound]
+    return Closure(V, fil_bound, basis, red.pivots)

@@ -1,10 +1,12 @@
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from liepseudo import checks, derham, modules
+from liepseudo.cli import load_algebra
 from liepseudo.derham import (
     Form,
     classify_report,
@@ -43,7 +45,9 @@ from liepseudo.modules import (
 from liepseudo.pseudoalg import WAlgebra
 from liepseudo.twosided import LEFT, PseudoValue
 
-from conftest import count_kernel_runs, hopf_for
+from conftest import count_kernel_runs, hopf_for, submodule_closure_by_pushes
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def trivial_pi(H, m=1):
@@ -527,6 +531,38 @@ def _record_closures(monkeypatch, runs=()) -> list:
 
     monkeypatch.setattr(derham, "submodule_closure", closure)
     return built
+
+
+def _golden_algebra(name):
+    return lambda: Hopf(load_algebra(str(GOLDEN / f"alg_{name}.json"))[0])
+
+
+@pytest.mark.parametrize("make, omega, mode", [
+    (lambda: hopf_for("heis3"), 1, "W"),
+    (lambda: hopf_for("abelian3"), 2, "W"),
+    (lambda: hopf_for("sl2"), 2, "W"),
+    (lambda: hopf_for("abelian3"), 1, "S"),
+    (lambda: hopf_for("heis3"), 1, "S"),
+    (_golden_algebra("frac3"), 1, "W"),
+    (_golden_algebra("n4"), 2, "W"),
+], ids=["heis3-W-1", "abelian3-W-2", "sl2-W-2", "abelian3-S-1", "heis3-S-1", "frac3-W-1",
+        "n4-W-2"])
+def test_closures_from_the_kernel_store_match_the_pushed_components(monkeypatch, make, omega,
+                                                                    mode):
+    # every closure classify_report builds, the nested S ones from an inner
+    # closure's rows among them, equals the loop that pushes the component
+    # vectors of each w_star value: basis terms and their key order, and the
+    # window rows with theirs
+    H = make()
+    built = _record_closures(monkeypatch)
+    chi = H.lie.zero_trace_form() if mode == "S" else None
+    classify_report(H, trivial_pi(H), omega_rep(H.lie, omega), mode, chi)
+    assert built and (mode == "W" or built[-1].args[3] is not None)
+    for b in built:
+        want = submodule_closure_by_pushes(b.V, b.gens, *b.args)
+        assert b.clo.dim == want.dim > 0
+        assert b.terms == _terms(want)
+        assert b.window == {j: list(row.items()) for j, row in want.window.items()}
 
 
 @pytest.mark.parametrize("name, omega, mode, closures",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from liepseudo import checks, liecore, modules
+from liepseudo import checks, liecore, modules, pseudoaction
 from liepseudo.annih import AnnElement, ann_action
 from liepseudo.dualx import XElement
 from liepseudo.errors import DimensionMismatch, RepInvalid, TruncationExceeded
@@ -828,17 +828,47 @@ def test_closure_converts_at_most_once_per_action(monkeypatch, name, mode):
     gens = [v for v in sing_solve(T, 2, mode, chi).basis if v.degree() > 0]
     counts = {"convert": 0, "from_tensor": 0}
     _count_calls(monkeypatch, counts)
+    # the closure reads the left-form store of each action; a call of
+    # w_star, in either form, counts as an action too
     acts = []
-    real_w_star = ModuleSpec.w_star
+    real_w_star, real_store = ModuleSpec.w_star, ModuleSpec.w_star_store
 
-    def w_star(self, w, v, orient):
+    def w_star(self, w, v, orient=LEFT):
         acts.append(orient)
         return real_w_star(self, w, v, orient)
 
+    def w_star_store(self, w, v):
+        acts.append(LEFT)
+        return real_store(self, w, v)
+
     monkeypatch.setattr(ModuleSpec, "w_star", w_star)
+    monkeypatch.setattr(ModuleSpec, "w_star_store", w_star_store)
     clo = submodule_closure(T, gens, 2, mode, chi)
     assert gens and clo.dim > 0
     assert set(acts) == {LEFT} and 0 < counts["convert"] <= len(acts)
+
+
+@pytest.mark.parametrize("name, mode", [("heis3", "W"), ("abelian3", "S")])
+def test_closure_ignores_cancelled_entries_of_the_store(monkeypatch, name, mode):
+    # the kernel store keeps an (M, N) whose coordinates cancel, above the
+    # closure's working degree too; such an entry, put first under every M,
+    # changes neither which components are pushed nor the closure
+    H = hopf_for(name)
+    T = tensor_module(H, trivial_pi(H), omega_rep(H.lie, 1))
+    chi = H.lie.zero_trace_form() if mode == "S" else None
+    gens = [T.unit(0, mi_unit(H.n, 1))]
+    want = submodule_closure(T, gens, 2, mode, chi)
+    above = tuple(4 * x for x in mi_unit(H.n, 0))  # degree 4 > fil_bound + 1
+    real_store = ModuleSpec.w_star_store
+
+    def w_star_store(self, w, v):
+        return {M: {above: [0] * self.dim, **at_m} for M, at_m in real_store(self, w, v).items()}
+
+    monkeypatch.setattr(ModuleSpec, "w_star_store", w_star_store)
+    got = submodule_closure(T, gens, 2, mode, chi)
+    assert got.dim == want.dim > 0
+    assert [list(v.terms.items()) for v in got.basis] == \
+        [list(v.terms.items()) for v in want.basis]
 
 
 def test_closure_acts_once_per_queued_vector_and_generator(monkeypatch):
@@ -895,10 +925,38 @@ def _unmemoized_action_pv(V, i, v, orient):
         for M, at_m in acc.items()})
 
 
+def _unit_by_terms(V, i, I, k, orient):
+    """(1 (x) b_i) * (b^(I) (x) u_k) as the flat terms (M, N, r, x) of
+    `ModuleSpec._expand_unit`, from every product of the expansion in
+    Fraction arithmetic, one at a time: the oracle for the unit memo and the
+    carry table, a cancelled (M, N) kept as (M, N, 0, 0) in its place."""
+    hopf = V.hopf
+    out = {}
+    for K, J, coords in V._flat_table(orient)[i][k]:
+        if orient == RIGHT:
+            terms = [(M, J, x) for M, x in hopf.mono_mul(I, K).items()]
+        else:
+            terms = [(M, N, s * x * y) for A, B in mi_splits(I)
+                     for A2, s in hopf.antipode_mono(A).items()
+                     for M, x in hopf.mono_mul(K, A2).items()
+                     for N, y in hopf.mono_mul(B, J).items()]
+        for M, N, x in terms:
+            at = out.setdefault((M, N), {})
+            for r, y in coords:
+                at[r] = at.get(r, Fraction(0)) + x * y
+    flat = []
+    for (M, N), at in out.items():
+        flat.extend([(M, N, r, x) for r, x in at.items() if x] or [(M, N, 0, 0)])
+    return tuple(flat)
+
+
 def _memo_modules():
-    """A tensor and a shifted module on each preset, and on k b1 (semidirect)
-    k^2 with non-integral brackets, whose expanded units hold Fractions."""
+    """A tensor and a shifted module on each preset, on the filiform n4
+    ([b1, b2] = b3, [b1, b3] = b4), and on k b1 (semidirect) k^2 with
+    non-integral brackets, whose expanded units hold Fractions.  The two
+    modules of an algebra share its carry table (`pseudoaction._carry`)."""
     algebras = [hopf_for(name) for name in ("abelian2", "solv2", "abelian3", "heis3", "sl2", "solv3")]
+    algebras.append(Hopf(LieData.from_entries(4, [(0, 1, 2, 1), (0, 2, 3, 1)], name="n4")))
     brackets = [(0, 1, 1, Fraction(1, 2)), (0, 1, 2, Fraction(-2, 3)), (0, 2, 2, Fraction(3))]
     algebras.append(Hopf(LieData.from_entries(3, brackets, name="k|x k^2")))
     for H in algebras:
@@ -911,10 +969,15 @@ def _all_fractions(pv):
                for row in mv.terms.values() for x in row)
 
 
-def test_action_pv_matches_the_unmemoized_loop():
+def test_action_pv_matches_the_unmemoized_loop(monkeypatch):
     rng = random.Random(10)
     coeffs = [Fraction(c) for c in ("1", "-1", "2", "-3", "1/2", "-2/3")]
+    carried: dict = {}  # algebra -> per module, the carry keys its unit expansions read
+    real_carry = pseudoaction._carry
+    monkeypatch.setattr(pseudoaction, "_carry", lambda hopf, *key: (
+        carried[hopf.lie.name][-1].add(key), real_carry(hopf, *key))[1])
     for name, V in _memo_modules():
+        carried.setdefault(name, []).append(set())
         H = V.hopf
         slots = V.basis_upto(2)
         actors = [w for _ab, w in WAlgebra(H).s_generators(H.lie.zero_trace_form())] \
@@ -937,9 +1000,14 @@ def test_action_pv_matches_the_unmemoized_loop():
                         assert _all_fractions(got), (name, i, orient)
                     for w in actors:
                         assert _all_fractions(V.w_star(w, vec, orient)), (name, orient)
+        for (i, orient), units in V._expanded.items():
+            for (I, k), terms in units.items():
+                assert terms == _unit_by_terms(V, i, I, k, orient), (name, i, I, k, orient)
         if H.lie.name == "k|x k^2":
             assert any(type(x) is Fraction for units in V._expanded.values()
                        for terms in units.values() for _M, _N, _r, x in terms), name
+    # the two modules of each algebra read carry entries in common
+    assert all(len(keys) == 2 and keys[0] & keys[1] for keys in carried.values())
 
 
 # ---------------------------------------------------------------------------

@@ -410,6 +410,39 @@ def test_corrupted_defects_match_the_reference_and_the_reported_support(name):
     assert failing
 
 
+def _skew_support_by_coefficients(a, b, bracket) -> list:
+    """The I at which [b*a] + (sigma (x)_H id)[a*b] has a nonzero
+    coefficient, from the summed coefficients (I, N, k) of the two
+    left-normal values, sorted: the reference for the support `check_skew`
+    records."""
+    coeffs: dict = {}
+    for value in (bracket(b, a), bracket(a, b).flip()):
+        for I, w in value.to_left().terms.items():
+            for N, row in w.terms.items():
+                for k, x in enumerate(row):
+                    coeffs[I, N, k] = coeffs.get((I, N, k), 0) + x
+    return [[list(I)] for I in sorted({key[0] for key, x in coeffs.items() if x})]
+
+
+@pytest.mark.parametrize("name", ["abelian2", "heis3", "sl2"])
+@pytest.mark.parametrize("K", [(0, 0), (1, 2)], ids=["b0", "b12"])
+def test_corrupted_skew_failures_match_the_reference_support(name, K):
+    # beside b^(1,2,...) the defect meets b^(1,0,...) and b^(0,2,...), which
+    # the order by (|I|, I) would swap
+    H = Hopf(preset(name))
+    adjoint, _on_h = w_modules(H)
+    H._w_modules_memo["W(d)"] = _corrupted(adjoint, 0, 1, K + (0,) * (H.n - 2))
+    walg = WAlgebra(H)
+    gens = walg.gens()
+    expected = []
+    for (i, a), (j, b) in itertools.product(enumerate(gens), repeat=2):
+        support = _skew_support_by_coefficients(a, b, walg.bracket)
+        if support:
+            expected.append({"case": f"pair ({i+1}, {j+1})", "defect_support": support})
+    assert expected
+    assert check_skew(walg.bracket, gens).failures == expected
+
+
 _ENTRIES = st.sampled_from([Fraction(c) for c in ("0", "1", "-1", "2", "1/2", "-2/3")])
 
 
