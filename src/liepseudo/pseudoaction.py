@@ -253,8 +253,8 @@ class ModuleSpec:
         the module docstring)."""
         out: dict[tuple[MultiIndex, MultiIndex], dict] = {}
         for K, J, coords in table_k:
-            for MN, x in _carry(self.hopf, I, K, J, orient):
-                at = out.setdefault(MN, {})
+            for M, N, x in _carry(self.hopf, I, K, J, orient):
+                at = out.setdefault((M, N), {})
                 for r, y in coords:
                     at[r] = at.get(r, 0) + x * y
         flat = []
@@ -369,19 +369,20 @@ class ModuleSpec:
         return f"ModuleSpec({self.name or 'H(x)R'}, rank {self.dim})"
 
 
-def _carry(hopf: Hopf, I: MultiIndex, K: MultiIndex, J: MultiIndex, orient: str) -> list:
+def _carry(hopf: Hopf, I: MultiIndex, K: MultiIndex, J: MultiIndex, orient: str) -> tuple:
     """b^(I) carried across (x)_H for a table term b^(K) / b^(J) in normal
-    form `orient`, as [((M, N), x)]: b^(M) in the normal-form slot, b^(N)
-    beside it.  Right form: (1 (x) b^(I) b^(K)) with N = J.  Left form:
+    form `orient`, as triples (M, N, x): x b^(M) in the normal-form slot,
+    b^(N) beside it.  Right form: (1 (x) b^(I) b^(K)) with N = J.  Left form:
     sum_{A+B=I} (b^(K) S(b^(A)) (x) 1) with N from b^(B) b^(J).  Each x is an
     int wherever it is integral; an (M, N) whose x cancels stays, with x 0,
     in its place of first appearance.  Kept once per Hopf algebra, for every
-    (i, k) and every module over it."""
+    (i, k) and every module over it; flat triples, not ((M, N), x) pairs, hold
+    the table in about half the memory."""
     key = (I, K, J, orient)
     got = hopf._carry_memo.get(key)
     if got is None:
         if orient == RIGHT:
-            got = [((M, J), _exact(x)) for M, x in hopf.mono_mul(I, K).items()]
+            got = tuple((M, J, _exact(x)) for M, x in hopf.mono_mul(I, K).items())
         else:
             out: dict[tuple[MultiIndex, MultiIndex], int | Fraction] = {}
             for A, B in mi_splits(I):
@@ -391,6 +392,6 @@ def _carry(hopf: Hopf, I: MultiIndex, K: MultiIndex, J: MultiIndex, orient: str)
                         sx = _exact(s) * _exact(x)
                         for N, y in right:
                             out[M, N] = out.get((M, N), 0) + sx * y
-            got = [(MN, _exact(x)) for MN, x in out.items()]
+            got = tuple((M, N, _exact(x)) for (M, N), x in out.items())
         hopf._carry_memo[key] = got
     return got

@@ -974,8 +974,12 @@ def test_action_pv_matches_the_unmemoized_loop(monkeypatch):
     coeffs = [Fraction(c) for c in ("1", "-1", "2", "-3", "1/2", "-2/3")]
     carried: dict = {}  # algebra -> per module, the carry keys its unit expansions read
     real_carry = pseudoaction._carry
-    monkeypatch.setattr(pseudoaction, "_carry", lambda hopf, *key: (
-        carried[hopf.lie.name][-1].add(key), real_carry(hopf, *key))[1])
+
+    def carry(hopf, *key):
+        carried[hopf.lie.name][-1].add(key)
+        return real_carry(hopf, *key)
+
+    monkeypatch.setattr(pseudoaction, "_carry", carry)
     for name, V in _memo_modules():
         carried.setdefault(name, []).append(set())
         H = V.hopf
