@@ -421,12 +421,10 @@ def submodule_closure(V: ModuleSpec, gens: list[ModuleVector], fil_bound: int,
     (each coefficient of a * v lies in the submodule) together with
     H-multiplication, inside fil^{bound+1}; the returned basis spans the
     intersection with fil^bound exactly when the submodule is generated in
-    degrees <= bound - 1.  The coefficients of a * v come straight from the
-    left-form kernel store (`ModuleSpec.w_star_store`), each one a reducer
-    row; a vector is built, with the Fraction coordinates and key order of
-    `w_star`, only for a row that enlarges the span and is queued.  Queue
-    order and key order are those of pushing the vectors of `w_star`, on
-    which a truncated basis depends.
+    degrees <= bound - 1.  Each coefficient of a * v goes from the left-form
+    kernel store (`ModuleSpec.w_star_store`) straight into the reducer; only
+    a row that enlarges the span becomes a vector, the one `w_star` would
+    give, so queue and key order, on which a truncated basis depends, stay.
 
     With `inner`, a closure of V at the same bound, mode and chi whose
     generators lie in the span of `gens`, the span starts from a copy of
@@ -463,8 +461,6 @@ def submodule_closure(V: ModuleSpec, gens: list[ModuleVector], fil_bound: int,
             if v.degree() + 1 <= work:
                 push(v.hmul(hopf.gen(i)))
         for _label, w in actors:
-            # each component of w * v straight from the store, as `push` of
-            # the component vectors of `w_star` would take them
             for at_m in V.w_star_store(w, v).values():
                 rows = [(N, cur) for N, cur in at_m.items() if any(cur)]
                 if not rows or max(mi_deg(N) for N, _cur in rows) > work:

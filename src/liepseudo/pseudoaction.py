@@ -297,17 +297,12 @@ class ModuleSpec:
         return _pseudo_value(hopf, LEFT, self.w_star_store(w, v), ModuleVector, self.dim)
 
     def w_star_store(self, w: ModuleVector, v: ModuleVector) -> dict:
-        """w * v in left normal form as M -> N -> coordinates, in int
-        wherever they are integral.  For w = 1 (x) b_a that is the kept
-        kernel store of (1 (x) b_a) * v (`_kernel`), in which an (M, N) whose
-        coordinates cancel stays with zero coordinates; the caller must not
-        change it.
-
-        Otherwise h_a multiplies the normal-form slot: each term
-        b^(M) (x) w of (1 (x) b_a) * v adds sum_K c_K b^(K) (x) w, where
-        h_a b^(M) = sum_K c_K b^(K), into one store.  Keys come in the order
-        that adding the PseudoValues (h_a (x) 1)((1 (x) b_a) * v) term by term
-        gives them, and a cancelled (M, N) is dropped (see `_fold`)."""
+        """w * v in left normal form as M -> N -> coordinates, int wherever
+        integral.  For w = 1 (x) b_a it is the kept kernel store of
+        (1 (x) b_a) * v (`_kernel`), cancelled (M, N) included, which the
+        caller must not change.  Otherwise each term b^(M) (x) w of each
+        (1 (x) b_a) * v adds (h_a b^(M)) (x) w to one store, with the key
+        order of adding the PseudoValues term by term (see `_fold`)."""
         hopf = self.hopf
         terms = self._actor_terms(w, v)
         if len(terms) == 1 and terms[0][1] == [(mi_zero(hopf.n), 1)]:
@@ -376,8 +371,8 @@ def _carry(hopf: Hopf, I: MultiIndex, K: MultiIndex, J: MultiIndex, orient: str)
     sum_{A+B=I} (b^(K) S(b^(A)) (x) 1) with N from b^(B) b^(J).  Each x is an
     int wherever it is integral; an (M, N) whose x cancels stays, with x 0,
     in its place of first appearance.  Kept once per Hopf algebra, for every
-    (i, k) and every module over it; flat triples, not ((M, N), x) pairs, hold
-    the table in about half the memory."""
+    (i, k) and every module over it; flat triples take about half the memory
+    of ((M, N), x) pairs."""
     key = (I, K, J, orient)
     got = hopf._carry_memo.get(key)
     if got is None:
