@@ -1,4 +1,4 @@
-"""The JSON reports of nineteen commands, byte for byte, against tests/golden.
+"""The JSON reports of twenty-one commands, byte for byte, against tests/golden.
 
 The files were written by the CLI itself (`--out`).  To record them again
 after an intended change of a report, run from the repo root:
@@ -44,6 +44,11 @@ COMMANDS = {
     "classify_n4_W_omega2": ["classify", "--alg", str(GOLDEN / "alg_n4.json"),
                              "--mode", "W", "--u", "omega:2"],
     "classify_abelian4_S_omega1": ["classify", "--alg", "abelian4", "--mode", "S", "--u", "omega:1"],
+    "verify_n4_trunc4": ["verify", "--alg", str(GOLDEN / "alg_n4.json"), "--trunc", "4"],
+    # S-mode singular vectors over the non-integral algebra: the right-form
+    # mul_inner -> from_tensor route on coordinates such as 3/2, -2/3 and 1/2
+    "singular_frac3_S_omega1": ["singular", "--alg", str(GOLDEN / "alg_frac3.json"),
+                                "--mode", "S", "--u", "omega:1"],
 }
 
 
