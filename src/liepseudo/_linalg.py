@@ -1,15 +1,22 @@
 """Exact sparse linear algebra over the rationals.
 
-Rows are dicts mapping column index -> nonzero Fraction.  All routines are
+Rows are dicts mapping column index -> nonzero coefficient.  All routines are
 deterministic: pivots are chosen by increasing column index, so results
-depend only on the input order, never on hashing or timing.  Inside the
-reducer row entries are ints wherever they are integral (`_exact`, which the
-int inner loops of every layer above share), a pivot other than +-1 is
-normalized with one Fraction inverse per row, and the results of `nullspace`,
-`kernel` and `span_coords` are Fractions (`_fraction`).
+depend only on the input order, never on hashing or timing.
+
+Coefficients follow one rule in every layer: a coefficient that an
+operation returns or memoizes is canonical exact, an int when it is
+integral and else a Fraction (`_exact`).  The arithmetic mixes the two
+exactly, so a layer multiplies and adds its inputs as they come, and makes
+each output canonical once, where it stores or hands out a sum or a
+product.  Here that is `add_entry`, `row_addmul` and the pivot normalization
+of `RowReducer.add`, which takes one Fraction inverse per row.  A row that a
+caller builds may hold integral Fractions, so `RowReducer.reduce` makes its
+entries canonical on the way in; the stored rows and the results of
+`nullspace`, `kernel` and `span_coords` are then canonical.
 
 A linear system is posed one way: one sparse image per unknown, a map from
-any hashable equation key to a nonzero Fraction.  Two solves take such a
+any hashable equation key to a nonzero coefficient.  Two solves take such a
 list: `kernel` (the homogeneous system) and `span_coords` (membership of
 targets in the span of the images).
 """
@@ -19,34 +26,29 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-Row = dict[int, Fraction]
+Row = dict[int, int | Fraction]
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 def _exact(x):
-    """x as an int when it is integral, else x itself."""
+    """x canonical: an int when it is integral, else x itself."""
     return x.numerator if x.denominator == 1 else x
 
 
-def _fraction(x) -> Fraction:
-    """An int or Fraction coordinate as a Fraction."""
-    return x if type(x) is Fraction else Fraction(x) if x else ZERO
-
-
 def add_entry(store: dict, key, c: int | Fraction) -> None:
-    """In-place store[key] += c, dropping a cancellation; ints stay ints."""
+    """In-place store[key] += c, dropping a cancellation; the sum is kept
+    canonical (`_exact`)."""
     v = store.get(key, 0) + c
     if v:
-        store[key] = v
+        store[key] = _exact(v)
     else:
         store.pop(key, None)
 
 
 def row_addmul(acc: Row, row: Row, c: int | Fraction) -> None:
-    """In-place acc += c * row, dropping cancellations; an integral entry
-    is kept as an int."""
+    """In-place acc += c * row, dropping cancellations; each changed entry
+    is kept canonical."""
     for j, v in row.items():
         w = acc.get(j, 0) + c * v
         if w:
@@ -109,7 +111,7 @@ def nullspace(rows: Iterable[Row], ncols: int) -> list[Row]:
     red = RowReducer()
     for r in rows:
         red.add(r)
-    return [{f: ONE, **{j: _fraction(-piv[f]) for j, piv in red.pivots.items() if f in piv}}
+    return [{f: 1, **{j: -piv[f] for j, piv in red.pivots.items() if f in piv}}
             for f in range(ncols) if f not in red.pivots]
 
 
@@ -124,12 +126,12 @@ def kernel(vectors: list[dict]) -> list[Row]:
     return nullspace(list(rows.values()), len(vectors))
 
 
-def span_coords(vectors: list[dict], targets: list[dict]) -> list[list[Fraction] | None]:
+def span_coords(vectors: list[dict], targets: list[dict]) -> list[list[int | Fraction] | None]:
     """For each target, the coefficients c with sum_m c[m] * vectors[m] == target,
     or None if the target lies outside the span.
 
     Vectors are sparse maps from any hashable coordinate to a nonzero
-    Fraction.  The span is reduced once, each vector tagged by a column of
+    coefficient.  The span is reduced once, each vector tagged by a column of
     its own.  A vector in the span of the earlier ones is left out, so it gets
     coefficient 0: with vectors ordered by preference this is the
     deterministic minimal-support representative (free unknowns zero).
@@ -141,13 +143,13 @@ def span_coords(vectors: list[dict], targets: list[dict]) -> list[list[Fraction]
     tag = len(index)
     red = RowReducer()
     for m, vec in enumerate(vectors):
-        row = red.reduce({**{index[j]: c for j, c in vec.items()}, tag + m: ONE})
+        row = red.reduce({**{index[j]: c for j, c in vec.items()}, tag + m: 1})
         if min(row) < tag:
             red.add(row)
-    out: list[list[Fraction] | None] = []
+    out: list[list[int | Fraction] | None] = []
     for target in targets:
         row = red.reduce({index[j]: c for j, c in target.items()}) \
             if target.keys() <= index.keys() else None
         out.append(None if row is None or (row and min(row) < tag)
-                   else [_fraction(-row.get(tag + m, 0)) for m in range(len(vectors))])
+                   else [-row.get(tag + m, 0) for m in range(len(vectors))])
     return out

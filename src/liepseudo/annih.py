@@ -17,16 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import _exact, _fraction, add_entry, span_coords
+from ._linalg import add_entry, span_coords
 from .dualx import XElement
 from .errors import DimensionMismatch, NotInW0, SolveFailed, TruncationExceeded
 from .hopf import Hopf, MultiIndex, mi_add, mi_below, mi_deg, mi_unit
 from .liecore import Matrix, TraceForm, mat
 from .pseudoaction import ModuleVector
 from .twosided import LEFT, PseudoValue, _fold
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class AnnElement:
@@ -180,7 +177,7 @@ def gr_iso_gl(A: AnnElement) -> Matrix:
     order = A.order()
     if order is not None and order < 0:
         raise NotInW0(f"element has filtration order {order}")
-    rows = [[ZERO] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for a in range(n):
         for j in range(n):
             c = A.comps[a].coeffs.get(mi_unit(n, j))
@@ -254,15 +251,14 @@ def ann_action(els: list[AnnElement], vectors, action_pv) -> list[list]:
                 listed = index[a].get(I)
                 if listed is None:
                     S_I = hopf.antipode_mono(I)
-                    pairs = ((m, sum((c * S_I[K] for K, c in x.coeffs.items() if K in S_I), ZERO))
+                    pairs = ((m, sum(c * S_I[K] for K, c in x.coeffs.items() if K in S_I))
                              for m, x in active[a])
-                    listed = index[a][I] = [(m, _exact(p)) for m, p in pairs if p]
+                    listed = index[a][I] = [(m, p) for m, p in pairs if p]
                 for m, coeff in listed:
                     widths[m] = w.width
                     _fold(stores[m], (), w.terms.items(), coeff)
         out.append([None if width is None else
-                    ModuleVector(hopf, width, {N: tuple(map(_fraction, cur))
-                                               for N, cur in store.get((), {}).items()})
+                    ModuleVector.from_store(hopf, width, store.get((), {}))
                     for store, width in zip(stores, widths)])
     return out
 
@@ -337,7 +333,7 @@ def euler_element(hopf: Hopf, truncation: int) -> AnnElement:
     cap = truncation - 2
     slots = _unknown_slots(hopf, 1, cap)
     cols: list[dict] = [{} for _ in slots]
-    rhs: dict[tuple[MultiIndex, MultiIndex], Fraction] = {}
+    rhs: dict[tuple[MultiIndex, MultiIndex], int] = {}
     probes = [I for I in mi_below(hopf.n, cap) if mi_deg(I) >= 1]
     for I in probes:
         xI = XElement.mono(hopf, I, 1, truncation)
@@ -348,7 +344,7 @@ def euler_element(hopf: Hopf, truncation: int) -> AnnElement:
                 K = mi_add(J, K)
                 if mi_deg(K) <= cap:
                     add_entry(col, (I, K), -c)
-        rhs[(I, I)] = Fraction(-mi_deg(I))
+        rhs[(I, I)] = -mi_deg(I)
     _solve(hopf, [memo_key], slots, cols, [rhs], cap)
     return hopf._ann_memo[memo_key]
 
@@ -386,7 +382,7 @@ def gamma(hopf: Hopf, l: int, truncation: int) -> AnnElement:
         for b in range(n):
             for (J, a), col in zip(slots, cols):
                 comps: list[dict] = [{} for _ in range(n)]
-                _add_term_bracket(comps, hopf, {J: ONE}, a, xK.coeffs, b, right[K, a],
+                _add_term_bracket(comps, hopf, {J: 1}, a, xK.coeffs, b, right[K, a],
                                   right[J, b], eq_cap)
                 col.update({(K, b, k, Kc): c for k, comp in enumerate(comps)
                             for Kc, c in comp.items()})

@@ -7,19 +7,18 @@ validity, so callers compare through `eq_upto`.
 
 Conventions: <x_I, b^(J)> = delta_I^J; x_J x_K = x_{J+K}; the left action is
 <h x, f> = <x, S(h) f> and the right action <x h, f> = <x, f S(h)>.
+Coefficients are canonical, an int when integral and else a Fraction
+(`_linalg._exact`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ._linalg import _exact, _fraction
+from ._linalg import _exact, add_entry
 from .errors import DimensionMismatch, TruncationExceeded
 from .hopf import HElement, Hopf, MultiIndex, mi_add, mi_deg, mi_below, mi_unit, mi_zero
 from .liecore import rat
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 DEFAULT_TRUNCATION = 6
 
@@ -27,7 +26,7 @@ DEFAULT_TRUNCATION = 6
 class XElement:
     __slots__ = ("hopf", "coeffs", "validity")
 
-    def __init__(self, hopf: Hopf, coeffs: dict[MultiIndex, Fraction], validity: int):
+    def __init__(self, hopf: Hopf, coeffs: dict[MultiIndex, int | Fraction], validity: int):
         self.hopf = hopf
         self.coeffs = {I: c for I, c in coeffs.items() if c and mi_deg(I) <= validity}
         self.validity = validity
@@ -36,16 +35,16 @@ class XElement:
     @classmethod
     def unit(cls, hopf: Hopf, validity: int = DEFAULT_TRUNCATION) -> "XElement":
         """The counit functional x_0, the unit of the ring X."""
-        return cls(hopf, {mi_zero(hopf.n): ONE}, validity)
+        return cls(hopf, {mi_zero(hopf.n): 1}, validity)
 
     @classmethod
     def coord(cls, hopf: Hopf, i: int, validity: int = DEFAULT_TRUNCATION) -> "XElement":
         """The degree-one coordinate x^i."""
-        return cls(hopf, {mi_unit(hopf.n, i): ONE}, validity)
+        return cls(hopf, {mi_unit(hopf.n, i): 1}, validity)
 
     @classmethod
     def mono(cls, hopf: Hopf, I, c=1, validity: int = DEFAULT_TRUNCATION) -> "XElement":
-        return cls(hopf, {tuple(I): rat(c)}, validity)
+        return cls(hopf, {tuple(I): _exact(rat(c))}, validity)
 
     # -- linear structure -------------------------------------------------
     def __add__(self, other: "XElement") -> "XElement":
@@ -53,11 +52,7 @@ class XElement:
         validity = min(self.validity, other.validity)
         out = dict(self.coeffs)
         for I, c in other.coeffs.items():
-            v = out.get(I, ZERO) + c
-            if v:
-                out[I] = v
-            else:
-                out.pop(I, None)
+            add_entry(out, I, c)
         return XElement(self.hopf, out, validity)
 
     def __sub__(self, other: "XElement") -> "XElement":
@@ -68,7 +63,8 @@ class XElement:
 
     def scale(self, c) -> "XElement":
         c = rat(c)
-        return XElement(self.hopf, {I: c * v for I, v in self.coeffs.items()} if c else {}, self.validity)
+        return XElement(self.hopf, {I: _exact(c * v) for I, v in self.coeffs.items()} if c else {},
+                        self.validity)
 
     def _check(self, other: "XElement") -> None:
         if other.hopf is not self.hopf:
@@ -79,31 +75,21 @@ class XElement:
         """x_J x_K = x_{J+K}, truncated to the common validity."""
         self._check(other)
         validity = min(self.validity, other.validity)
-        out: dict[MultiIndex, Fraction] = {}
+        out: dict[MultiIndex, int | Fraction] = {}
         for I, a in self.coeffs.items():
             for J, b in other.coeffs.items():
                 K = mi_add(I, J)
-                if mi_deg(K) > validity:
-                    continue
-                v = out.get(K, ZERO) + a * b
-                if v:
-                    out[K] = v
-                else:
-                    out.pop(K, None)
+                if mi_deg(K) <= validity:
+                    add_entry(out, K, a * b)
         return XElement(self.hopf, out, validity)
 
     # -- pairing and H-actions ---------------------------------------------
-    def pair(self, h: HElement) -> Fraction:
+    def pair(self, h: HElement) -> int | Fraction:
         if h.degree() > self.validity:
             raise TruncationExceeded(
                 f"pairing needs degree {h.degree()} but validity is {self.validity}"
             )
-        out = ZERO
-        for I, c in h.coeffs.items():
-            v = self.coeffs.get(I)
-            if v:
-                out += c * v
-        return out
+        return _exact(sum(c * self.coeffs[I] for I, c in h.coeffs.items() if I in self.coeffs))
 
     def act_left(self, h: HElement) -> "XElement":
         """h . x with <h x, f> = <x, S(h) f>; validity drops by deg h."""
@@ -124,12 +110,10 @@ class XElement:
         validity = self.validity - d
         if validity < -1:
             raise TruncationExceeded(f"{side} action exhausts validity")
-        coeffs = [(K, _exact(v)) for K, v in self.coeffs.items()]
         acc: dict[MultiIndex, int | Fraction] = {}
         for M, s in h.antipode().coeffs.items():
             table = _action_table(self.hopf, M, validity, side)
-            s = _exact(s)
-            for K, v in coeffs:
+            for K, v in self.coeffs.items():
                 entries = table.get(K)
                 if not entries:
                     continue
@@ -137,7 +121,7 @@ class XElement:
                 for J, c in entries:
                     acc[J] = acc.get(J, 0) + sv * c
         # emit in the (|J|, J) order of mi_below
-        out = {J: _fraction(acc[J]) for J in sorted(acc, key=lambda J: (mi_deg(J), J)) if acc[J]}
+        out = {J: _exact(acc[J]) for J in sorted(acc, key=lambda J: (mi_deg(J), J)) if acc[J]}
         return XElement(self.hopf, out, validity)
 
     # -- filtration ----------------------------------------------------------
@@ -170,7 +154,7 @@ class XElement:
         for I in keys:
             if mi_deg(I) > bound:
                 continue
-            if self.coeffs.get(I, ZERO) != other.coeffs.get(I, ZERO):
+            if self.coeffs.get(I, 0) != other.coeffs.get(I, 0):
                 return False
         return True
 
@@ -191,8 +175,8 @@ class XElement:
 
 def _action_table(hopf: Hopf, M: MultiIndex, validity: int, side: str):
     """K -> [(J, c)] over |J| <= validity, where c is the coefficient of b^(K)
-    in b^(M) b^(J) (side "left") or b^(J) b^(M) (side "right"), an int
-    wherever it is integral.  Memoized on the Hopf instance per (M,
+    in b^(M) b^(J) (side "left") or b^(J) b^(M) (side "right"), canonical
+    as `Hopf.mono_mul` gives it.  Memoized on the Hopf instance per (M,
     validity, side)."""
     key = (M, validity, side)
     table = hopf._x_action_memo.get(key)
@@ -201,6 +185,6 @@ def _action_table(hopf: Hopf, M: MultiIndex, validity: int, side: str):
         for J in mi_below(hopf.n, validity):
             prod = hopf.mono_mul(M, J) if side == "left" else hopf.mono_mul(J, M)
             for K, c in prod.items():
-                table.setdefault(K, []).append((J, _exact(c)))
+                table.setdefault(K, []).append((J, c))
         hopf._x_action_memo[key] = table
     return table

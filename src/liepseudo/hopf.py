@@ -4,18 +4,18 @@ Basis monomials are b^(I) = b_1^{i_1} ... b_N^{i_N} / i_1! ... i_N! indexed by
 multi-indices I.  Products are straightened recursively through the
 commutation relations.  An HElement is a coefficient: elements of free
 H-modules, H = H (x) k among them, are module vectors
-(`pseudoaction.ModuleVector`).  Inner loops, H's product `_product` among
-them, run in int wherever the arithmetic is integral (`_linalg._exact`);
-every coefficient that leaves this layer is a Fraction (`_fraction`).  The
-caches, all scheduling-independent, are:
-- the per-instance memos here (straightened words in int-where-integral
-  coefficients, products and antipodes of basis monomials in Fractions, the
-  tables dualx, derham, annih and pseudoalg key on the algebra, and the carry
-  table of `pseudoaction._carry`: b^(I) carried across (x)_H past an action
-  table term, per (I, K, J, form), in int-where-integral coefficients, shared
-  by every module over the algebra);
+(`pseudoaction.ModuleVector`).  Every coefficient this layer returns or
+memoizes is canonical, an int when it is integral and else a Fraction
+(`_linalg._exact`), so the inner loops above it, H's product `_product`
+among them, run in int wherever the arithmetic is integral.  The bracket
+enters once, in `Hopf._swaps`.  The caches, all scheduling-independent, are:
+- the per-instance memos here (straightened words, products and antipodes of
+  basis monomials, the tables dualx, derham, annih and pseudoalg key on the
+  algebra, and the carry table of `pseudoaction._carry`: b^(I) carried across
+  (x)_H past an action table term, per (I, K, J, form), shared by every
+  module over the algebra), all in canonical coefficients;
 - per ModuleSpec: its action table in each normal form, its unit
-  expansions (1 (x) b_i) * (b^(I) (x) u_k) in int-where-integral terms, the
+  expansions (1 (x) b_i) * (b^(I) (x) u_k) in canonical terms, the
   values of the last (vector, form) its pseudoaction was applied to, and the
   terms of up to n^2 actors `w_star` has read.
 The pairings <x_a, S(b^(I))> are kept only for one call of
@@ -28,14 +28,11 @@ import itertools
 import math
 from fractions import Fraction
 
-from ._linalg import _exact, _fraction, add_entry
+from ._linalg import _exact, add_entry
 from .errors import DimensionMismatch
 from .liecore import LieData, rat
 
 MultiIndex = tuple[int, ...]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def mi_zero(n: int) -> MultiIndex:
@@ -110,8 +107,8 @@ class Hopf:
         self._swaps = {(i, j): [(k, _exact(c)) for k, c in lie.bracket(i, j).items()]
                        for i in range(self.n) for j in range(i)}
         self._word_memo: dict[tuple[int, ...], dict[tuple[int, ...], int | Fraction]] = {}
-        self._mul_memo: dict[tuple[MultiIndex, MultiIndex], dict[MultiIndex, Fraction]] = {}
-        self._antipode_memo: dict[MultiIndex, dict[MultiIndex, Fraction]] = {}
+        self._mul_memo: dict[tuple[MultiIndex, MultiIndex], dict[MultiIndex, int | Fraction]] = {}
+        self._antipode_memo: dict[MultiIndex, dict[MultiIndex, int | Fraction]] = {}
         # de Rham generator images and Omega modules per (degree, twist), filled by
         # derham.d_images and omega_module; RepData hashes by identity, so a key
         # keeps its twist alive
@@ -132,19 +129,20 @@ class Hopf:
         return HElement(self, {})
 
     def one(self) -> "HElement":
-        return HElement(self, {mi_zero(self.n): ONE})
+        return HElement(self, {mi_zero(self.n): 1})
 
     def gen(self, i: int) -> "HElement":
-        return HElement(self, {mi_unit(self.n, i): ONE})
+        return HElement(self, {mi_unit(self.n, i): 1})
 
     def mono(self, I: MultiIndex, c=1) -> "HElement":
-        c = rat(c)
-        return HElement(self, {tuple(I): c} if c else {})
+        return self.element({I: c})
 
     def element(self, coeffs: dict) -> "HElement":
+        """The element sum c b^(I) from ints, 'p/q' strings or Fractions."""
         out = {}
         for I, c in coeffs.items():
-            c = rat(c)
+            if type(c) is not int:
+                c = _exact(rat(c))
             if c:
                 out[tuple(I)] = c
         return HElement(self, out)
@@ -175,16 +173,16 @@ class Hopf:
         memo[word] = out
         return out
 
-    def _divided(self, word: tuple[int, ...], denom: int) -> dict[MultiIndex, Fraction]:
+    def _divided(self, word: tuple[int, ...], denom: int) -> dict[MultiIndex, int | Fraction]:
         """The word over denom in the divided-power basis: the coefficients
-        c of each b^(K) summed in int wherever integral, and c |K|! / denom
-        made a Fraction once per key."""
+        c of each b^(K) summed, and c |K|! / denom made canonical once per
+        key."""
         sums: dict[MultiIndex, int | Fraction] = {}
         for w, c in self._straighten(word).items():
             add_entry(sums, _index_of_word(w, self.n), c)
-        return {K: Fraction(v * mi_factorial(K), denom) for K, v in sums.items()}
+        return {K: _exact(Fraction(v * mi_factorial(K), denom)) for K, v in sums.items()}
 
-    def mono_mul(self, I: MultiIndex, J: MultiIndex) -> dict[MultiIndex, Fraction]:
+    def mono_mul(self, I: MultiIndex, J: MultiIndex) -> dict[MultiIndex, int | Fraction]:
         """b^(I) b^(J) expanded in the divided-power basis."""
         key = (I, J)
         got = self._mul_memo.get(key)
@@ -193,7 +191,7 @@ class Hopf:
                 _word_of(I) + _word_of(J), mi_factorial(I) * mi_factorial(J))
         return got
 
-    def antipode_mono(self, I: MultiIndex) -> dict[MultiIndex, Fraction]:
+    def antipode_mono(self, I: MultiIndex) -> dict[MultiIndex, int | Fraction]:
         """S(b^(I)): sign-reversed straightening of the reversed word."""
         got = self._antipode_memo.get(I)
         if got is None:
@@ -208,7 +206,7 @@ class HElement:
 
     __slots__ = ("hopf", "coeffs")
 
-    def __init__(self, hopf: Hopf, coeffs: dict[MultiIndex, Fraction]):
+    def __init__(self, hopf: Hopf, coeffs: dict[MultiIndex, int | Fraction]):
         self.hopf = hopf
         self.coeffs = coeffs
 
@@ -217,11 +215,7 @@ class HElement:
         self._check(other)
         out = dict(self.coeffs)
         for I, c in other.coeffs.items():
-            v = out.get(I, ZERO) + c
-            if v:
-                out[I] = v
-            else:
-                out.pop(I, None)
+            add_entry(out, I, c)
         return HElement(self.hopf, out)
 
     def __sub__(self, other: "HElement") -> "HElement":
@@ -234,13 +228,12 @@ class HElement:
         c = rat(c)
         if not c:
             return HElement(self.hopf, {})
-        return HElement(self.hopf, {I: c * v for I, v in self.coeffs.items()})
+        return HElement(self.hopf, {I: _exact(c * v) for I, v in self.coeffs.items()})
 
     def __mul__(self, other: "HElement") -> "HElement":
         self._check(other)
-        out = _product(self.hopf, [(I, _exact(a)) for I, a in self.coeffs.items()],
-                       [(J, _exact(b)) for J, b in other.coeffs.items()])
-        return HElement(self.hopf, {K: _fraction(c) for K, c in out.items()})
+        out = _product(self.hopf, self.coeffs.items(), other.coeffs.items())
+        return HElement(self.hopf, {K: _exact(c) for K, c in out.items()})
 
     def _check(self, other: "HElement") -> None:
         if other.hopf is not self.hopf:
@@ -250,20 +243,20 @@ class HElement:
         return not self.coeffs
 
     # -- structure maps ----------------------------------------------------
-    def counit(self) -> Fraction:
-        return self.coeffs.get(mi_zero(self.hopf.n), ZERO)
+    def counit(self) -> int | Fraction:
+        return self.coeffs.get(mi_zero(self.hopf.n), 0)
 
     def antipode(self) -> "HElement":
-        out: dict[MultiIndex, Fraction] = {}
+        out: dict[MultiIndex, int | Fraction] = {}
         for I, c in self.coeffs.items():
             for K, v in self.hopf.antipode_mono(I).items():
                 add_entry(out, K, c * v)
         return HElement(self.hopf, out)
 
-    def coproduct(self) -> dict[tuple[MultiIndex, MultiIndex], Fraction]:
+    def coproduct(self) -> dict[tuple[MultiIndex, MultiIndex], int | Fraction]:
         """Delta as a sparse map (J, K) -> coefficient; Delta(b^(I)) is the
         multiplicity-free sum over J + K = I."""
-        out: dict[tuple[MultiIndex, MultiIndex], Fraction] = {}
+        out: dict[tuple[MultiIndex, MultiIndex], int | Fraction] = {}
         for I, c in self.coeffs.items():
             for J, K in mi_splits(I):
                 add_entry(out, (J, K), c)
@@ -289,15 +282,16 @@ class HElement:
 
 
 def _product(hopf: Hopf, f, g) -> dict[MultiIndex, int | Fraction]:
-    """f g for two lists of terms (I, c) of H, in int wherever it is
-    integral, with the key order of adding the products of the terms one at
-    a time; a key whose sum cancels is dropped and goes last if it returns."""
+    """f g for two iterables of terms (I, c) of H, in int wherever the terms
+    are, with the key order of adding the products of the terms one at a
+    time; a key whose sum cancels is dropped and goes last if it returns.
+    The sums are not made canonical: that is the caller's output step."""
     out: dict[MultiIndex, int | Fraction] = {}
     for I, a in f:
         for J, b in g:
             ab = a * b
             for K, c in hopf.mono_mul(I, J).items():
-                s = out.get(K, 0) + ab * _exact(c)
+                s = out.get(K, 0) + ab * c
                 if s:
                     out[K] = s
                 else:
@@ -305,9 +299,9 @@ def _product(hopf: Hopf, f, g) -> dict[MultiIndex, int | Fraction]:
     return out
 
 
-def coproduct_power(h: HElement, slots: int) -> dict[tuple[MultiIndex, ...], Fraction]:
+def coproduct_power(h: HElement, slots: int) -> dict[tuple[MultiIndex, ...], int | Fraction]:
     """Iterated coproduct of h spread over `slots` tensor factors."""
-    out: dict[tuple[MultiIndex, ...], Fraction] = {}
+    out: dict[tuple[MultiIndex, ...], int | Fraction] = {}
     for I, c in h.coeffs.items():
         for split in _multi_splits(I, slots):
             add_entry(out, split, c)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import Row, RowReducer, _exact, _fraction, add_entry, kernel, span_coords
+from ._linalg import Row, RowReducer, add_entry, kernel, span_coords
 from .annih import AnnElement, _iota, ann_action
 from .dualx import XElement
 from .errors import DimensionMismatch, DimensionTooSmall, RepInvalid, TruncationExceeded
@@ -45,7 +45,7 @@ from .liecore import (
     rat,
     zero_matrix,
 )
-from .pseudoaction import ONE, ZERO, ModuleSpec, ModuleVector
+from .pseudoaction import ModuleSpec, ModuleVector
 from .pseudoalg import WAlgebra
 from .twosided import LEFT, RIGHT, PseudoValue, _fold, _mono_times
 
@@ -75,12 +75,12 @@ def tensor_module(hopf: Hopf, pi: RepData, u: RepData, name: str = "") -> Module
         row = []
         for k in range(dim):
             # left-normal, with -(1 (x) b_i) (x)_H w = (b_i (x) 1) (x)_H w - (1 (x) 1) (x)_H b_i w
-            unit = [ONE if r == k else ZERO for r in range(dim)]
+            unit = [1 if r == k else 0 for r in range(dim)]
             head = tuple(ad_on_R[r][k] + d_part.d_matrix(i)[r][k] for r in range(dim))
             terms = {zero: ModuleVector(hopf, dim, {zero: head,
                                                      mi_unit(n, i): tuple(-x for x in unit)})}
             for j in range(n):
-                col = [gl_part.gl_matrix(i, j)[r][k] + (unit[r] if j == i else ZERO)
+                col = [gl_part.gl_matrix(i, j)[r][k] + (unit[r] if j == i else 0)
                        for r in range(dim)]
                 terms[mi_unit(n, j)] = ModuleVector(hopf, dim, {zero: tuple(col)})
             row.append(PseudoValue(hopf, LEFT, terms))
@@ -139,7 +139,7 @@ def dual_module(V: ModuleSpec, name: str = "") -> ModuleSpec:
     return ModuleSpec(hopf, m, tuple(table), name=name or f"D({V.name})")
 
 
-def _rep_h_matrix(rep: RepData, coeffs: dict[MultiIndex, Fraction], dim: int) -> Matrix:
+def _rep_h_matrix(rep: RepData, coeffs: dict[MultiIndex, int | Fraction], dim: int) -> Matrix:
     """Matrix of an H element on a d-representation (PBW monomials as ordered
     products of the generator matrices over the divided-power factorials)."""
     out = zero_matrix(dim)
@@ -148,7 +148,7 @@ def _rep_h_matrix(rep: RepData, coeffs: dict[MultiIndex, Fraction], dim: int) ->
         for gen_idx, power in enumerate(I):
             for _ in range(power):
                 m = mat_mul(m, rep.d_matrix(gen_idx))
-        c = c / mi_factorial(I)
+        c = Fraction(c) / mi_factorial(I)  # a Fraction operand: never a float
         out = tuple(tuple(out[r][s] + c * m[r][s] for s in range(dim)) for r in range(dim))
     return out
 
@@ -158,16 +158,16 @@ def twist_vector(pi: RepData, v: ModuleVector, p: int) -> ModuleVector:
     sum_{A+B=J} b^(A) (x) S(b^(B)) pi_p (x) w_J, with the Pi index outermost
     (coordinate r * width + j)."""
     hopf, m, mp = v.hopf, v.width, pi.dim
-    out: dict[MultiIndex, list[Fraction]] = {}
+    out: dict[MultiIndex, list] = {}
     for J, row in v.terms.items():
         for A, B in mi_splits(J):
             act = _rep_h_matrix(pi, hopf.antipode_mono(B), mp)
             for r in range(mp):
                 if act[r][p]:
-                    cur = out.setdefault(A, [ZERO] * (mp * m))
+                    cur = out.setdefault(A, [0] * (mp * m))
                     for j, c in enumerate(row):
                         cur[r * m + j] += act[r][p] * c
-    return ModuleVector(hopf, mp * m, {A: tuple(r) for A, r in out.items()})
+    return ModuleVector.from_store(hopf, mp * m, out)
 
 
 def twist_module(pi: RepData, V: ModuleSpec, name: str = "") -> ModuleSpec:
@@ -278,7 +278,7 @@ def _coords(v: ModuleVector) -> Row:
     return {(I, k): c for I, coords in v.terms.items() for k, c in enumerate(coords) if c}
 
 
-def _add_image(image: dict, prefix: tuple, v: ModuleVector, c: Fraction = ONE) -> None:
+def _add_image(image: dict, prefix: tuple, v: ModuleVector, c: int | Fraction = 1) -> None:
     """The image of one unknown gains c * v: c * v_I[k] at equation prefix + (I, k)."""
     for slot, x in _coords(v).items():
         add_entry(image, prefix + slot, c * x)
@@ -286,14 +286,14 @@ def _add_image(image: dict, prefix: tuple, v: ModuleVector, c: Fraction = ONE) -
 
 def _vector_from_row(V: ModuleSpec, vectors: list[ModuleVector], row: Row) -> ModuleVector:
     """sum_m row[m] * vectors[m]: a solution row read back as a module vector."""
-    terms: dict[MultiIndex, list[Fraction]] = {}
+    terms: dict[MultiIndex, list] = {}
     for m, c in row.items():
         for I, coords in vectors[m].terms.items():
-            cur = terms.setdefault(I, [ZERO] * V.dim)
+            cur = terms.setdefault(I, [0] * V.dim)
             for k, x in enumerate(coords):
                 if x:
                     cur[k] += c * x
-    return ModuleVector(V.hopf, V.dim, {I: tuple(r) for I, r in terms.items()})
+    return ModuleVector.from_store(V.hopf, V.dim, terms)
 
 
 def _units(V: ModuleSpec, slots) -> list[ModuleVector]:
@@ -354,7 +354,7 @@ def s_of(V: ModuleSpec, l: int, coords) -> ModuleVector:
     for j in range(hopf.n):
         img = mat_apply(V.rep_gl.gl_matrix(l, j), coords)
         if any(img):
-            out = out + ModuleVector(hopf, V.dim, {mi_unit(hopf.n, j): tuple(img)})
+            out = out + ModuleVector.from_store(hopf, V.dim, {mi_unit(hopf.n, j): img})
     return out
 
 
@@ -364,7 +364,7 @@ def r0_test(u: RepData) -> bool:
     m = u.dim
     delta = identity_matrix(m)
     # shifted[i][j] = e_i^j + delta_ij
-    shifted = [[tuple(tuple(u.gl_matrix(i, j)[r][c] + (delta[r][c] if i == j else ZERO)
+    shifted = [[tuple(tuple(u.gl_matrix(i, j)[r][c] + (delta[r][c] if i == j else 0)
                             for c in range(m)) for r in range(m))
                 for j in range(n)] for i in range(n)]
     for i in range(n):
@@ -466,8 +466,7 @@ def submodule_closure(V: ModuleSpec, gens: list[ModuleVector], fil_bound: int,
                 if not rows or max(mi_deg(N) for N, _cur in rows) > work:
                     continue
                 if red.add({index[N, k]: c for N, cur in rows for k, c in enumerate(cur) if c}):
-                    queue.append(ModuleVector(hopf, dim, {N: tuple(map(_fraction, cur))
-                                                          for N, cur in rows}))
+                    queue.append(ModuleVector.from_store(hopf, dim, at_m))
     # restrict to fil^bound: echelon rows whose pivot (highest-degree
     # coordinate) already lies inside fil^bound have all coordinates there
     units = _units(V, cols)
@@ -518,11 +517,11 @@ def sing_blocks_by_id_symbol(V: ModuleSpec, basis: list[ModuleVector]):
     # grows by one per filtration degree of the block
     idx0 = basis.index(ground[0])
     mu = cols[idx0][idx0]
-    out: dict[Fraction, list[ModuleVector]] = {}
+    out: dict[int | Fraction, list[ModuleVector]] = {}
     for d in sorted({v.degree() for v in basis}):
         lam = mu + d
         # unknown c has image column c of (symbol - lam)
-        images = [{r: x for r, y in enumerate(col) if (x := y - (lam if r == c else ZERO))}
+        images = [{r: x for r, y in enumerate(col) if (x := y - (lam if r == c else 0))}
                   for c, col in enumerate(cols)]
         vecs = [v for v in (_vector_from_row(V, basis, coeff) for coeff in kernel(images))
                 if not v.is_zero()]
@@ -577,7 +576,7 @@ def solve_intertwiner(V: ModuleSpec, W: ModuleSpec, fil_bound: int,
                 for I, mv in acted[g0][a].terms.items():
                     _add_image(images[-1], (label, g0, I), apply_map(beta, mv))
             for I, mv in W.w_star(w, unit, LEFT).terms.items():
-                _add_image(images[-1], (label, g, I), mv, -ONE)
+                _add_image(images[-1], (label, g, I), mv, -1)
     units = [W.unit(r, J) for _g, J, r in slots]
     return [[_vector_from_row(W, units, {col: c for col, c in vec.items() if slots[col][0] == g})
              for g in range(V.dim)] for vec in kernel(images)]
@@ -585,15 +584,11 @@ def solve_intertwiner(V: ModuleSpec, W: ModuleSpec, fil_bound: int,
 
 def apply_map(images: list[ModuleVector], v: ModuleVector) -> ModuleVector:
     """The H-linear map sending generator k to images[k], applied to v: each c b^(I)
-    images[k] folded in int where integral, with the key order of adding them in turn."""
+    images[k] folded into one store, with the key order of adding them in turn."""
     hopf, width = v.hopf, images[0].width
-    rows: dict[int, list] = {}  # k -> images[k] as (N, coordinates)
     store: dict = {}  # () -> N -> coordinates: `_fold` with one outer key
     for I, coords in v.terms.items():
         for k, c in enumerate(coords):
             if c:
-                if k not in rows:
-                    rows[k] = [(N, [_exact(x) for x in row]) for N, row in images[k].terms.items()]
-                _fold(store, (), _mono_times(hopf, I, rows[k], width), _exact(c))
-    return ModuleVector(hopf, width, {N: tuple(map(_fraction, cur))
-                                      for N, cur in store.get((), {}).items()})
+                _fold(store, (), _mono_times(hopf, I, images[k].terms.items(), width), c)
+    return ModuleVector.from_store(hopf, width, store.get((), {}))

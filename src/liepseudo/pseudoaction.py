@@ -11,8 +11,9 @@ the normal form its consumer reads, from the table stored once in that form,
 and keeps the at most n values of the last (vector, form) for all readers of
 that vector.  Each unit (i, I, k, form) is expanded once, when a vector with
 a nonzero b^(I) (x) u_k first meets it, into flat terms (M, N, r, x) with x
-an int wherever it is integral; a kernel run only accumulates c * x, and
-`action_pv` makes each output coordinate a Fraction once.  An expansion reads,
+canonical (an int when integral, else a Fraction); a kernel run only
+accumulates c * x, and `action_pv` makes each output coordinate canonical
+once (`ModuleVector.from_store`).  An expansion reads,
 for each term of the table, b^(I) carried across (x)_H from the carry table
 of the Hopf algebra (`_carry`), which every (i, k) and every module over the
 algebra share.  An expansion keeps
@@ -41,14 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._linalg import _exact, _fraction, add_entry
+from ._linalg import _exact, add_entry
 from .errors import DimensionMismatch, RepInvalid
 from .hopf import HElement, Hopf, MultiIndex, _product, mi_below, mi_deg, mi_splits, mi_zero
 from .liecore import RepData, rat
 from .twosided import LEFT, RIGHT, PseudoValue, _fold, _pseudo_value
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class ModuleVector:
@@ -56,7 +54,7 @@ class ModuleVector:
 
     __slots__ = ("hopf", "width", "terms")
 
-    def __init__(self, hopf: Hopf, width: int, terms: dict[MultiIndex, tuple[Fraction, ...]]):
+    def __init__(self, hopf: Hopf, width: int, terms: dict[MultiIndex, tuple[int | Fraction, ...]]):
         self.hopf = hopf
         self.width = width
         self.terms = {I: row for I, row in terms.items() if any(row)}
@@ -68,8 +66,16 @@ class ModuleVector:
     @classmethod
     def unit(cls, hopf: Hopf, width: int, k: int, I: MultiIndex | None = None) -> "ModuleVector":
         I = I if I is not None else mi_zero(hopf.n)
-        row = tuple(ONE if c == k else ZERO for c in range(width))
+        row = tuple(1 if c == k else 0 for c in range(width))
         return cls(hopf, width, {I: row})
+
+    @classmethod
+    def from_store(cls, hopf: Hopf, width: int, store: dict) -> "ModuleVector":
+        """The vector of a store N -> coordinates that a loop summed, each
+        coordinate made canonical once; an N whose coordinates cancel is
+        dropped."""
+        return cls(hopf, width,
+                   {N: tuple(map(_exact, cur)) for N, cur in store.items() if any(cur)})
 
     @classmethod
     def from_comps(cls, hopf: Hopf, comps) -> "ModuleVector":
@@ -77,7 +83,7 @@ class ModuleVector:
         the inverse of `comps`."""
         comps = tuple(comps)
         keys = dict.fromkeys(I for h in comps for I in h.coeffs)
-        return cls(hopf, len(comps), {I: tuple(h.coeffs.get(I, ZERO) for h in comps) for I in keys})
+        return cls(hopf, len(comps), {I: tuple(h.coeffs.get(I, 0) for h in comps) for I in keys})
 
     def add(self, other: "ModuleVector") -> "ModuleVector":
         if other.width != self.width:
@@ -85,7 +91,7 @@ class ModuleVector:
         out = dict(self.terms)
         for I, row in other.terms.items():
             cur = out.get(I)
-            out[I] = row if cur is None else tuple(a + b for a, b in zip(cur, row))
+            out[I] = row if cur is None else tuple(_exact(a + b) for a, b in zip(cur, row))
         return ModuleVector(self.hopf, self.width, out)
 
     def __add__(self, other):
@@ -100,23 +106,20 @@ class ModuleVector:
             return self  # module vectors are never mutated
         if not c:
             return ModuleVector(self.hopf, self.width, {})
-        return ModuleVector(
-            self.hopf, self.width, {I: tuple(c * v for v in row) for I, row in self.terms.items()}
-        )
+        return ModuleVector(self.hopf, self.width,
+                            {I: tuple(_exact(c * v) for v in row) for I, row in self.terms.items()})
 
     def hmul(self, h: HElement) -> "ModuleVector":
-        terms = [(J, _exact(c)) for J, c in h.coeffs.items()]
         out: dict[MultiIndex, list] = {}
         for I, row in self.terms.items():
-            row = [_exact(v) for v in row]
-            for J, c in terms:
+            for J, c in h.coeffs.items():
                 for K, c2 in self.hopf.mono_mul(J, I).items():
                     cur = out.get(K) or out.setdefault(K, [0] * self.width)
-                    cc = c * _exact(c2)
+                    cc = c * c2
                     for k, v in enumerate(row):
                         if v:
                             cur[k] += cc * v
-        return ModuleVector(self.hopf, self.width, {K: tuple(map(_fraction, r)) for K, r in out.items()})
+        return ModuleVector.from_store(self.hopf, self.width, out)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -124,8 +127,8 @@ class ModuleVector:
     def degree(self) -> int:
         return max((mi_deg(I) for I in self.terms), default=-1)
 
-    def coefficient(self, I: MultiIndex) -> tuple[Fraction, ...]:
-        return self.terms.get(tuple(I), (ZERO,) * self.width)
+    def coefficient(self, I: MultiIndex) -> tuple[int | Fraction, ...]:
+        return self.terms.get(tuple(I), (0,) * self.width)
 
     def eq(self, other: "ModuleVector") -> bool:
         return (self - other).is_zero()
@@ -208,9 +211,10 @@ class ModuleSpec:
 
     def _kernel(self, i: int, v: ModuleVector, orient: str) -> dict:
         """(1 (x) b_i) * v in normal form `orient` as M -> N -> coordinates,
-        in int wherever they are integral, kept with the values of the last
-        (vector, form).  An (M, N) whose coordinates cancel stays, with zero
-        coordinates."""
+        summed as they come (in int wherever the terms are), kept with the
+        values of the last (vector, form); a reader makes them canonical
+        (`ModuleVector.from_store`, `RowReducer.reduce`).  An (M, N) whose
+        coordinates cancel stays, with zero coordinates."""
         last, last_orient, _acted, kept = self._last
         if last is not v or last_orient != orient:
             self._check_vector(v)
@@ -229,7 +233,6 @@ class ModuleSpec:
                 terms = units.get((I, k))
                 if terms is None:
                     terms = units[I, k] = self._expand_unit(I, table[k], orient)
-                c = _exact(c)
                 for M, N, r, x in terms:
                     at_m = acc.get(M) or acc.setdefault(M, {})
                     cur = at_m.get(N) or at_m.setdefault(N, [0] * dim)
@@ -248,7 +251,7 @@ class ModuleSpec:
         b^(M) in the normal-form slot and b^(N) (x) x u_r beside it.  Each
         table term b^(K) / b^(J) moves b^(I) across (x)_H by the carry table
         of the Hopf algebra (`_carry`).  The arithmetic runs in int wherever
-        it is integral, and so does each x.  An (M, N) whose coordinates
+        it is integral, and each x is canonical.  An (M, N) whose coordinates
         cancel stays as (M, N, 0, 0), to keep its place in the key order (see
         the module docstring)."""
         out: dict[tuple[MultiIndex, MultiIndex], dict] = {}
@@ -266,8 +269,8 @@ class ModuleSpec:
     def _flat_table(self, orient: str) -> list:
         """table[i][k] in normal form `orient` as flat terms (K, J, [(r, c)]):
         b^(K) in the normal-form slot and w = b^(J) (x) sum c u_r over the
-        nonzero c, each an int wherever it is integral.  Built once per form;
-        n * dim entries."""
+        nonzero c, each made canonical here, where the table's values enter
+        the kernel.  Built once per form; n * dim entries."""
         flat = self._flat.get(orient)
         if flat is None:
             flat = self._flat[orient] = [
@@ -297,8 +300,8 @@ class ModuleSpec:
         return _pseudo_value(hopf, LEFT, self.w_star_store(w, v), ModuleVector, self.dim)
 
     def w_star_store(self, w: ModuleVector, v: ModuleVector) -> dict:
-        """w * v in left normal form as M -> N -> coordinates, int wherever
-        integral.  For w = 1 (x) b_a it is the kept kernel store of
+        """w * v in left normal form as M -> N -> coordinates, summed as they
+        come (see `_kernel`).  For w = 1 (x) b_a it is the kept kernel store of
         (1 (x) b_a) * v (`_kernel`), cancelled (M, N) included, which the
         caller must not change.  Otherwise each term b^(M) (x) w of each
         (1 (x) b_a) * v adds (h_a b^(M)) (x) w to one store, with the key
@@ -326,8 +329,8 @@ class ModuleSpec:
 
     def _actor_terms(self, w: ModuleVector, v: ModuleVector) -> list:
         """The terms (a, [(J, c)]) of each nonzero h_a of an actor
-        w = sum_a h_a (x) b_a, in the key order of w, each c an int wherever
-        it is integral, once w and the vector v it acts on have the right
+        w = sum_a h_a (x) b_a, in the key order of w, once w and the vector v
+        it acts on have the right
         widths.  The few actors of a solve meet every vector, so each is
         read once: up to n^2 actors are kept, keyed by identity (module
         vectors are never mutated), and the memo starts over when it is full."""
@@ -340,17 +343,18 @@ class ModuleSpec:
             for J, row in w.terms.items():
                 for a, c in enumerate(row):
                     if c:
-                        coeffs[a].append((J, _exact(c)))
+                        coeffs[a].append((J, c))
             got = [(a, h) for a, h in enumerate(coeffs) if h]
             if len(self._actors) >= self.hopf.n ** 2:
                 self._actors.clear()
             self._actors[w] = got
         return got
 
-    def full_tensor(self, p: PseudoValue) -> list[tuple[MultiIndex, MultiIndex, int, Fraction]]:
+    def full_tensor(self, p: PseudoValue) -> list[tuple[MultiIndex, MultiIndex, int,
+                                                         int | Fraction]]:
         """Expand a value over this module into pure tensors
         (b^(F) (x) b^(G)) (x)_H (1 (x) u_k)."""
-        out: dict[tuple[MultiIndex, MultiIndex, int], Fraction] = {}
+        out: dict[tuple[MultiIndex, MultiIndex, int], int | Fraction] = {}
         for I, vec in p.to_left().terms.items():
             for J, row in vec.terms.items():
                 for A, B in mi_splits(J):
@@ -368,8 +372,8 @@ def _carry(hopf: Hopf, I: MultiIndex, K: MultiIndex, J: MultiIndex, orient: str)
     """b^(I) carried across (x)_H for a table term b^(K) / b^(J) in normal
     form `orient`, as triples (M, N, x): x b^(M) in the normal-form slot,
     b^(N) beside it.  Right form: (1 (x) b^(I) b^(K)) with N = J.  Left form:
-    sum_{A+B=I} (b^(K) S(b^(A)) (x) 1) with N from b^(B) b^(J).  Each x is an
-    int wherever it is integral; an (M, N) whose x cancels stays, with x 0,
+    sum_{A+B=I} (b^(K) S(b^(A)) (x) 1) with N from b^(B) b^(J).  Each x is
+    canonical; an (M, N) whose x cancels stays, with x 0,
     in its place of first appearance.  Kept once per Hopf algebra, for every
     (i, k) and every module over it; flat triples take about half the memory
     of ((M, N), x) pairs."""
@@ -377,14 +381,14 @@ def _carry(hopf: Hopf, I: MultiIndex, K: MultiIndex, J: MultiIndex, orient: str)
     got = hopf._carry_memo.get(key)
     if got is None:
         if orient == RIGHT:
-            got = tuple((M, J, _exact(x)) for M, x in hopf.mono_mul(I, K).items())
+            got = tuple((M, J, x) for M, x in hopf.mono_mul(I, K).items())
         else:
             out: dict[tuple[MultiIndex, MultiIndex], int | Fraction] = {}
             for A, B in mi_splits(I):
-                right = [(N, _exact(y)) for N, y in hopf.mono_mul(B, J).items()]
+                right = hopf.mono_mul(B, J).items()
                 for A2, s in hopf.antipode_mono(A).items():
                     for M, x in hopf.mono_mul(K, A2).items():
-                        sx = _exact(s) * _exact(x)
+                        sx = s * x
                         for N, y in right:
                             out[M, N] = out.get((M, N), 0) + sx * y
             got = tuple((M, N, _exact(x)) for (M, N), x in out.items())

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .errors import DimensionTooSmall
 from .hopf import HElement, Hopf, mi_below, mi_unit, mi_zero
 from .liecore import LieData, TraceForm
-from .pseudoaction import ONE, ZERO, ModuleSpec, ModuleVector
+from .pseudoaction import ModuleSpec, ModuleVector
 from .twosided import LEFT, PseudoValue, module_defect, skew_defect
 
 
@@ -68,14 +68,14 @@ class WAlgebra:
             raise DimensionTooSmall("S(d, chi) requires dim d >= 3")
         n = self.n
         ea, eb, z = mi_unit(n, a), mi_unit(n, b), mi_zero(n)
-        rows = {ea: [ZERO] * n, eb: [ZERO] * n, z: [ZERO] * n}
-        rows[ea][b] += ONE
-        rows[eb][a] -= ONE
+        rows = {ea: [0] * n, eb: [0] * n, z: [0] * n}
+        rows[ea][b] += 1
+        rows[eb][a] -= 1
         rows[z][b] += chi(a)
         rows[z][a] -= chi(b)
         for k, c in self.hopf.lie.bracket(a, b).items():
             rows[z][k] -= c
-        return ModuleVector(self.hopf, n, {I: tuple(row) for I, row in rows.items()})
+        return ModuleVector.from_store(self.hopf, n, rows)
 
     def s_generators(self, chi: TraceForm) -> list[tuple[tuple[int, int], ModuleVector]]:
         out = []
@@ -108,9 +108,9 @@ def w_modules(hopf: Hopf) -> tuple[ModuleSpec, ModuleSpec]:
 
         memo["W(d)"] = ModuleSpec(hopf, n, tuple(tuple(
             value(n, [(z, z, r, c) for r, c in hopf.lie.bracket(i, k).items()]
-                  + [(b[i], z, k, ONE), (z, b[i], k, -ONE), (b[k], z, i, ONE)])
+                  + [(b[i], z, k, 1), (z, b[i], k, -1), (b[k], z, i, 1)])
             for k in range(n)) for i in range(n)), name="W(d)")
-        memo["H"] = ModuleSpec(hopf, 1, tuple((value(1, [(b[i], z, 0, ONE), (z, b[i], 0, -ONE)]),)
+        memo["H"] = ModuleSpec(hopf, 1, tuple((value(1, [(b[i], z, 0, 1), (z, b[i], 0, -1)]),)
                                               for i in range(n)), name="H")
     return memo["W(d)"], memo["H"]
 

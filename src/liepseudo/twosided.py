@@ -10,12 +10,14 @@ factors across (x)_H with the antipode, e.g.
     (f (x) g) (x)_H v = sum (f S(g_(1)) (x) 1) (x)_H g_(2) v.
 
 The fold shared with the pseudoaction kernel lives here: a value is summed
-into one store M -> N -> coordinates, in int wherever the arithmetic is
-integral, with the key order of adding PseudoValues one term at a time
-(`_fold`), and each output vector is built once (`_pseudo_value`), its
-coordinates made Fractions.  `from_tensor` and `modules.apply_map` build
-their values that way.  H's product of term lists `_product` comes from
-`hopf`, the conversions `_exact` and `_fraction` from `_linalg`.
+into one store M -> N -> coordinates, with the key order of adding
+PseudoValues one term at a time (`_fold`), and each output vector is built
+once (`_pseudo_value`), its coordinates made canonical, an int when integral
+and else a Fraction (`ModuleVector.from_store`).  The inputs are summed as
+they come: the layers below hand out canonical coefficients, so the folds
+run in int wherever the arithmetic is integral.  `from_tensor` and
+`modules.apply_map` build their values that way.  H's product of term lists
+`_product` comes from `hopf`.
 
 `skew_defect` is a PseudoValue; `module_defect`, which lives in
 H^(x)3 (x)_H V, is a flat map of its nonzero coefficients.
@@ -23,7 +25,7 @@ H^(x)3 (x)_H V, is a flat map of its nonzero coefficients.
 
 from __future__ import annotations
 
-from ._linalg import _exact, _fraction, add_entry
+from ._linalg import add_entry
 from .hopf import HElement, Hopf, MultiIndex, _product, mi_deg, mi_splits
 from .liecore import rat
 
@@ -52,27 +54,24 @@ class PseudoValue:
         For each term c b^(J) of the inner factor and each split A + B = J,
         outer * S(b^(A)) (in the key order of `HElement.__mul__`) times
         c * b^(B) vec (in the key order of `ModuleVector.hmul`) is folded into
-        one store in int wherever it is integral, so the value and the key
-        order at both levels are those of adding the terms one at a time."""
+        one store, so the value and the key order at both levels are those
+        of adding the terms one at a time."""
         hopf = f.hopf
         outer, inner = (f, g) if orient == LEFT else (g, f)
-        outer_terms = [(I, _exact(c)) for I, c in outer.coeffs.items()]
-        rows = [(N, [_exact(x) for x in row]) for N, row in vec.terms.items()]
         factors: dict[MultiIndex, dict] = {}  # A -> outer * S(b^(A))
         moved: dict[MultiIndex, list] = {}  # B -> b^(B) vec as (N, coordinates)
         store: dict[MultiIndex, dict[MultiIndex, list]] = {}  # I -> N -> coordinates
         for J, c in inner.coeffs.items():
-            c = _exact(c)
             for A, B in mi_splits(J):
                 rows_b = moved.get(B)
                 if rows_b is None:
-                    rows_b = moved[B] = _mono_times(hopf, B, rows, vec.width)
+                    rows_b = moved[B] = _mono_times(hopf, B, vec.terms.items(), vec.width)
                 if not rows_b:
                     continue
                 factor = factors.get(A)
                 if factor is None:
-                    antipode = [(K, _exact(s)) for K, s in hopf.antipode_mono(A).items()]
-                    factor = factors[A] = _product(hopf, outer_terms, antipode)
+                    factor = factors[A] = _product(hopf, outer.coeffs.items(),
+                                                   hopf.antipode_mono(A).items())
                 for I, x in factor.items():
                     _fold(store, I, rows_b, c * x)
         return _pseudo_value(hopf, orient, store, type(vec), vec.width)
@@ -197,12 +196,11 @@ def _fold(store: dict, M: MultiIndex, rows, x) -> None:
 
 def _mono_times(hopf: Hopf, B: MultiIndex, rows, width: int) -> list:
     """b^(B) sum_N b^(N) (x) coordinates as its nonzero (N, coordinates),
-    in int wherever it is integral, with the key order of `ModuleVector.hmul`."""
+    summed as they come, with the key order of `ModuleVector.hmul`."""
     out: dict[MultiIndex, list] = {}
     for N, coords in rows:
         for K, c in hopf.mono_mul(B, N).items():
             cur = out.get(K) or out.setdefault(K, [0] * width)
-            c = _exact(c)
             for r, x in enumerate(coords):
                 if x:
                     cur[r] += c * x
@@ -211,12 +209,10 @@ def _mono_times(hopf: Hopf, B: MultiIndex, rows, width: int) -> list:
 
 def _pseudo_value(hopf: Hopf, orient: str, store: dict, vector_type, width: int) -> PseudoValue:
     """A store M -> N -> coordinates as a PseudoValue in normal form
-    `orient`, each vector built once and each coordinate a Fraction; an
-    (M, N) whose coordinates cancel is dropped."""
-    return PseudoValue(hopf, orient, {
-        M: vector_type(hopf, width, {N: tuple(map(_fraction, cur))
-                                     for N, cur in at_m.items() if any(cur)})
-        for M, at_m in store.items()})
+    `orient`, each vector built once by `vector_type.from_store`; an (M, N)
+    whose coordinates cancel is dropped."""
+    return PseudoValue(hopf, orient, {M: vector_type.from_store(hopf, width, at_m)
+                                      for M, at_m in store.items()})
 
 
 def skew_defect(a, b, product) -> PseudoValue:
@@ -227,7 +223,7 @@ def skew_defect(a, b, product) -> PseudoValue:
 
 def module_defect(a, b, v, bracket, action) -> dict:
     """[a*b]*v - a*(b*v) + ((sigma (x) id) (x)_H id)(b*(a*v)) as its nonzero
-    coefficients (I, J, N, k) -> Fraction at
+    coefficients (I, J, N, k) -> int | Fraction, canonical, at
     (b^(I) (x) b^(J) (x) 1) (x)_H (b^(N) (x) u_k): empty exactly when the
     module axiom holds at (a, b, v), and with action = bracket the Jacobi
     identity.
@@ -237,13 +233,13 @@ def module_defect(a, b, v, bracket, action) -> dict:
     sum_{A+B=J} (b^(I) b^(A) (x) b^(B) (x) 1) (x)_H w; b*v = sum (b^(I) (x) 1) (x)_H e_I
     and a*e_I = sum (b^(J) (x) 1) (x)_H w give a*(b*v) at (J, I), and the
     swap puts b*(a*v) at (I, J).  The three terms are summed into one store
-    in int wherever the arithmetic is integral."""
+    with `add_entry`."""
     terms = []  # (I, J, w, c): c (b^(I) (x) b^(J) (x) 1) (x)_H w
     for I, e in bracket(a, b).to_left().terms.items():
         for J, w in action(e, v).to_left().terms.items():
             for A, B in mi_splits(J):
                 for K, c in v.hopf.mono_mul(I, A).items():
-                    terms.append((K, B, w, _exact(c)))
+                    terms.append((K, B, w, c))
     for I, e in action(b, v).to_left().terms.items():
         for J, w in action(a, e).to_left().terms.items():
             terms.append((J, I, w, -1))
@@ -255,5 +251,5 @@ def module_defect(a, b, v, bracket, action) -> dict:
         for N, row in w.terms.items():
             for k, x in enumerate(row):
                 if x:
-                    add_entry(store, (I, J, N, k), c * _exact(x))
-    return {key: _fraction(c) for key, c in store.items()}
+                    add_entry(store, (I, J, N, k), c * x)
+    return store

@@ -13,6 +13,12 @@ from liepseudo.twosided import LEFT, PseudoValue, _acc
 _CACHE: dict[str, Hopf] = {}
 
 
+def canonical(x) -> bool:
+    """x is a canonical exact coefficient: an int, or a Fraction that is not
+    integral.  Each value passes as exactly one type; floats fail."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
 def hopf_for(name: str) -> Hopf:
     # one Hopf instance per algebra per worker, so its memos (straightening,
     # dual actions, Euler element, gamma) are shared

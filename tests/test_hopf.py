@@ -9,7 +9,7 @@ from liepseudo.dualx import XElement
 from liepseudo.hopf import Hopf, _word_of, coproduct_power, mi_below, mi_deg, mi_splits
 from liepseudo.liecore import PRESET_NAMES, preset
 
-from conftest import FractionPBW, hopf_for, semidirect_k_k2
+from conftest import FractionPBW, canonical, hopf_for, semidirect_k_k2
 
 
 def random_monomials(hopf, deg, count, seed):
@@ -213,9 +213,8 @@ _RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 def _same(got: dict, want: dict) -> bool:
-    """Equal values in the same key order, every value a Fraction."""
-    return list(got.items()) == list(want.items()) and all(
-        type(c) is Fraction for c in got.values())
+    """Equal values in the same key order, every value canonical."""
+    return list(got.items()) == list(want.items()) and all(canonical(c) for c in got.values())
 
 
 def _matches_the_fraction_layer(H: Hopf, data) -> None:

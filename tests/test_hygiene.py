@@ -1,7 +1,7 @@
 """Source hygiene: every name a module of the package or of its tests
 imports is used, every import sits at module level, every private helper is
-called and defined in one module only, every CLI option is read, and W(d) has
-one pseudoaction kernel."""
+called and defined in one module only, every true division has a Fraction
+operand, every CLI option is read, and W(d) has one pseudoaction kernel."""
 
 import argparse
 import ast
@@ -162,6 +162,46 @@ def test_the_scan_sees_a_private_function_defined_twice():
     third = ast.parse("def _inner(): return 2\n")
     assert private_functions_defined_twice({"first.py": first, "second.py": second,
                                             "third.py": third}) == ["_fold: first.py, second.py"]
+
+
+def true_divisions(tree: ast.Module) -> list[tuple[str, str]]:
+    """Every `/` and `/=` in `tree` as (enclosing function, its left operand),
+    the function qualified by its class, "<module>" outside any."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if owner == "<module>" else f"{owner}.{child.name}")
+                continue
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div):
+                left = child.left if isinstance(child, ast.BinOp) else child.target
+                found.append((owner, ast.unparse(left)))
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+# The true divisions of the package, each by the Fraction operand that keeps
+# an int / int, which Python makes a float, out of every coefficient.
+FRACTION_DIVISIONS = {
+    ("_linalg.py", "RowReducer.add", "ONE"),  # ONE = Fraction(1)
+    ("modules.py", "_rep_h_matrix", "Fraction(c)"),
+    ("liecore.py", "RepData.with_id_scalar", "rat(c) - self.id_scalar()"),  # rat gives a Fraction
+}
+
+
+def test_every_true_division_in_the_package_has_a_fraction_operand():
+    found = {(path.name, owner, left) for path in sorted(SRC.glob("*.py"))
+             for owner, left in true_divisions(ast.parse(path.read_text()))}
+    assert found == FRACTION_DIVISIONS
+
+
+def test_the_scan_sees_every_true_division():
+    tree = ast.parse("x = 1 / 2\nclass Box:\n    def f(self, a):\n        a /= 3\n"
+                     "        return a // 2, Fraction(a) / 5\n")
+    assert true_divisions(tree) == [("<module>", "1"), ("Box.f", "a"), ("Box.f", "Fraction(a)")]
 
 
 def ignored_options(parser: argparse.ArgumentParser, shared=()) -> dict[str, list[str]]:

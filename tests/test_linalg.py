@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from liepseudo._linalg import RowReducer, kernel, nullspace, row_addmul, span_coords
 
-from conftest import FractionReducer, row_addmul_by_fractions
+from conftest import FractionReducer, canonical, row_addmul_by_fractions
 
 ZERO = Fraction(0)
 
@@ -52,7 +52,7 @@ def test_span_coords_matches_one_solve_per_target(vectors, combos, strays):
     targets = [_combine(vectors, c) for c in combos] + strays + [{}]
     got = span_coords(vectors, targets)
     assert got == [_span_coords_one_solve(vectors, t) for t in targets]
-    assert all(type(x) is Fraction for coords in got if coords is not None for x in coords)
+    assert all(canonical(x) for coords in got if coords is not None for x in coords)
     for t, coords in zip(targets, got):
         if coords is not None:
             assert _combine(vectors, coords) == t
@@ -76,7 +76,7 @@ def test_kernel_matches_sympy_nullspace(vectors, renaming):
     vectors = vectors + [_combine(vectors[:2], [Fraction(1), Fraction(-2)])]
     got = kernel(vectors)
     assert got == _sympy_kernel(vectors)
-    assert all(type(x) is Fraction for c in got for x in c.values())
+    assert all(canonical(x) for c in got for x in c.values())
     for c in got:
         assert _combine(vectors, [c.get(m, ZERO) for m in range(len(vectors))]) == {}
     # renamed coordinates, entered in a different order, give the same basis
@@ -132,9 +132,8 @@ def test_row_reducer_matches_sympy_rref(lead, rows, combo, col):
 
 
 def _same_row(got: dict, want: dict) -> bool:
-    """Equal entries in the same key order, each an int wherever it is integral."""
-    return list(got.items()) == list(want.items()) and all(
-        type(x) is int or type(x) is Fraction and x.denominator != 1 for x in got.values())
+    """Equal entries in the same key order, each canonical."""
+    return list(got.items()) == list(want.items()) and all(canonical(x) for x in got.values())
 
 
 @settings(max_examples=80, deadline=None, derandomize=True,
@@ -158,7 +157,7 @@ def test_row_reducer_matches_the_fraction_loop(lead, rows, combo, col, c):
         row_addmul(acc, red.pivots[j], c)
         row_addmul_by_fractions(want, ref.pivots[j], c)
         assert _same_row(acc, want)
-    # the solves hand out Fractions only
+    # the solves hand out canonical values only
     basis = nullspace(rows, 6)
     assert basis == nullspace(list(ref.pivots.values()), 6)
-    assert all(type(x) is Fraction for vec in basis for x in vec.values())
+    assert all(canonical(x) for vec in basis for x in vec.values())

@@ -41,9 +41,9 @@ from liepseudo.modules import (
 from liepseudo.pseudoalg import WAlgebra
 from liepseudo.twosided import LEFT, RIGHT, PseudoValue, module_defect
 
-from conftest import (ann_action_element_by_element, apply_map_by_terms, count_kernel_runs,
-                      hmul_by_terms, hopf_for, module_defect_by_terms, mul_first, mul_second,
-                      semidirect_k_k2)
+from conftest import (ann_action_element_by_element, apply_map_by_terms, canonical,
+                      count_kernel_runs, hmul_by_terms, hopf_for, module_defect_by_terms, mul_first,
+                      mul_second, semidirect_k_k2)
 
 D = 6
 
@@ -769,7 +769,7 @@ def test_w_star_fold_matches_the_mul_first_composition():
                 assert got.orient == LEFT and list(got.terms) == list(want.terms), module
                 for M, mv in want.terms.items():
                     assert list(got.terms[M].terms.items()) == list(mv.terms.items()), module
-                assert _all_fractions(got), module
+                assert _all_canonical(got), module
                 checked += not want.is_zero()
     assert checked >= 300
 
@@ -964,9 +964,8 @@ def _memo_modules():
         yield H.lie.name, shifted_module(H, trivial_pi(H), omega_rep(H.lie, 2))
 
 
-def _all_fractions(pv):
-    return all(type(x) is Fraction for mv in pv.terms.values()
-               for row in mv.terms.values() for x in row)
+def _all_canonical(pv):
+    return all(canonical(x) for mv in pv.terms.values() for row in mv.terms.values() for x in row)
 
 
 def test_action_pv_matches_the_unmemoized_loop(monkeypatch):
@@ -1001,9 +1000,9 @@ def test_action_pv_matches_the_unmemoized_loop(monkeypatch):
                         assert all(list(got.terms[M].terms) == list(want.terms[M].terms)
                                    and got.terms[M].terms == want.terms[M].terms
                                    for M in want.terms), (name, i, orient)
-                        assert _all_fractions(got), (name, i, orient)
+                        assert _all_canonical(got), (name, i, orient)
                     for w in actors:
-                        assert _all_fractions(V.w_star(w, vec, orient)), (name, orient)
+                        assert _all_canonical(V.w_star(w, vec, orient)), (name, orient)
         for (i, orient), units in V._expanded.items():
             for (I, k), terms in units.items():
                 assert terms == _unit_by_terms(V, i, I, k, orient), (name, i, I, k, orient)
@@ -1023,9 +1022,9 @@ _MOD_COEFFS = st.sampled_from([Fraction(c) for c in ("1", "-1", "2", "-3", "1/2"
 
 
 def _same_vector(got: ModuleVector, want: ModuleVector) -> bool:
-    """Equal coordinates in the same key order, every coordinate a Fraction."""
+    """Equal coordinates in the same key order, every coordinate canonical."""
     return (list(got.terms.items()) == list(want.terms.items())
-            and all(type(x) is Fraction for row in got.terms.values() for x in row))
+            and all(canonical(x) for row in got.terms.values() for x in row))
 
 
 def _draw_vector(data, H, width, min_terms=0):

@@ -9,7 +9,7 @@ from liepseudo.pseudoaction import ModuleVector
 from liepseudo.pseudoalg import WAlgebra
 from liepseudo.twosided import LEFT, RIGHT, PseudoValue
 
-from conftest import from_tensor_by_terms, hopf_for, mul_first, mul_second
+from conftest import canonical, from_tensor_by_terms, hopf_for, mul_first, mul_second
 
 
 def test_trivial_tensor_roundtrip():
@@ -127,9 +127,8 @@ def layout(p: PseudoValue) -> list:
     return [(I, list(v.terms.items())) for I, v in p.terms.items()]
 
 
-def all_fractions(p: PseudoValue) -> bool:
-    return all(type(x) is Fraction for v in p.terms.values() for row in v.terms.values()
-               for x in row)
+def all_canonical(p: PseudoValue) -> bool:
+    return all(canonical(x) for v in p.terms.values() for row in v.terms.values() for x in row)
 
 
 _MONOS = st.sampled_from(mi_below(3, 2))  # every algebra drawn below has dim 3
@@ -158,4 +157,4 @@ def test_from_tensor_matches_the_term_by_term_build(name, f, g, width, rows, ori
     got, want = PseudoValue.from_tensor(f, g, vec, orient), from_tensor_by_terms(f, g, vec, orient)
     assert got.orient == orient
     assert layout(got) == layout(want)
-    assert all_fractions(got)
+    assert all_canonical(got)
