@@ -330,10 +330,10 @@ class ModuleSpec:
     def _actor_terms(self, w: ModuleVector, v: ModuleVector) -> list:
         """The terms (a, [(J, c)]) of each nonzero h_a of an actor
         w = sum_a h_a (x) b_a, in the key order of w, once w and the vector v
-        it acts on have the right
-        widths.  The few actors of a solve meet every vector, so each is
-        read once: up to n^2 actors are kept, keyed by identity (module
-        vectors are never mutated), and the memo starts over when it is full."""
+        it acts on have the right widths.  The few actors of a solve meet
+        every vector, so each is read once: up to n^2 actors are kept, keyed
+        by identity (module vectors are never mutated), and the memo starts
+        over when it is full."""
         if w.width != self.hopf.n:
             raise DimensionMismatch(f"need an actor of width {self.hopf.n}, not {w.width}")
         self._check_vector(v)
