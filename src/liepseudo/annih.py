@@ -258,7 +258,7 @@ def ann_action(els: list[AnnElement], vectors, action_pv) -> list[list]:
                     widths[m] = w.width
                     _fold(stores[m], (), w.terms.items(), coeff)
         out.append([None if width is None else
-                    ModuleVector.from_store(hopf, width, store.get((), {}))
+                    ModuleVector(hopf, width, store.get((), {}))
                     for store, width in zip(stores, widths)])
     return out
 

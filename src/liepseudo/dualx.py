@@ -8,7 +8,7 @@ validity, so callers compare through `eq_upto`.
 Conventions: <x_I, b^(J)> = delta_I^J; x_J x_K = x_{J+K}; the left action is
 <h x, f> = <x, S(h) f> and the right action <x h, f> = <x, f S(h)>.
 Coefficients are canonical, an int when integral and else a Fraction
-(`_linalg._exact`).
+(`_linalg._exact`), as the XElement constructor keeps them.
 """
 
 from __future__ import annotations
@@ -24,11 +24,15 @@ DEFAULT_TRUNCATION = 6
 
 
 class XElement:
+    """A functional sum c x_I modulo fil_validity X; the constructor keeps
+    each nonzero coefficient of degree at most the validity, canonical
+    (`_exact`)."""
+
     __slots__ = ("hopf", "coeffs", "validity")
 
     def __init__(self, hopf: Hopf, coeffs: dict[MultiIndex, int | Fraction], validity: int):
         self.hopf = hopf
-        self.coeffs = {I: c for I, c in coeffs.items() if c and mi_deg(I) <= validity}
+        self.coeffs = {I: _exact(c) for I, c in coeffs.items() if c and mi_deg(I) <= validity}
         self.validity = validity
 
     # -- constructors ----------------------------------------------------
@@ -44,7 +48,7 @@ class XElement:
 
     @classmethod
     def mono(cls, hopf: Hopf, I, c=1, validity: int = DEFAULT_TRUNCATION) -> "XElement":
-        return cls(hopf, {tuple(I): _exact(rat(c))}, validity)
+        return cls(hopf, {tuple(I): rat(c)}, validity)
 
     # -- linear structure -------------------------------------------------
     def __add__(self, other: "XElement") -> "XElement":
@@ -52,7 +56,7 @@ class XElement:
         validity = min(self.validity, other.validity)
         out = dict(self.coeffs)
         for I, c in other.coeffs.items():
-            add_entry(out, I, c)
+            out[I] = out.get(I, 0) + c
         return XElement(self.hopf, out, validity)
 
     def __sub__(self, other: "XElement") -> "XElement":
@@ -63,8 +67,7 @@ class XElement:
 
     def scale(self, c) -> "XElement":
         c = rat(c)
-        return XElement(self.hopf, {I: _exact(c * v) for I, v in self.coeffs.items()} if c else {},
-                        self.validity)
+        return XElement(self.hopf, {I: c * v for I, v in self.coeffs.items()}, self.validity)
 
     def _check(self, other: "XElement") -> None:
         if other.hopf is not self.hopf:
@@ -121,7 +124,7 @@ class XElement:
                 for J, c in entries:
                     acc[J] = acc.get(J, 0) + sv * c
         # emit in the (|J|, J) order of mi_below
-        out = {J: _exact(acc[J]) for J in sorted(acc, key=lambda J: (mi_deg(J), J)) if acc[J]}
+        out = {J: acc[J] for J in sorted(acc, key=lambda J: (mi_deg(J), J))}
         return XElement(self.hopf, out, validity)
 
     # -- filtration ----------------------------------------------------------

@@ -6,8 +6,9 @@ commutation relations.  An HElement is a coefficient: elements of free
 H-modules, H = H (x) k among them, are module vectors
 (`pseudoaction.ModuleVector`).  Every coefficient this layer returns or
 memoizes is canonical, an int when it is integral and else a Fraction
-(`_linalg._exact`), so the inner loops above it, H's product `_product`
-among them, run in int wherever the arithmetic is integral.  The bracket
+(`_linalg._exact`); the HElement constructor holds the rule for elements.
+So the inner loops above it, H's product `_product` among them, run in int
+wherever the arithmetic is integral.  The bracket
 enters once, in `Hopf._swaps`.  The caches, all scheduling-independent, are:
 - the per-instance memos here (straightened words, products and antipodes of
   basis monomials, the tables dualx, derham, annih and pseudoalg key on the
@@ -139,13 +140,7 @@ class Hopf:
 
     def element(self, coeffs: dict) -> "HElement":
         """The element sum c b^(I) from ints, 'p/q' strings or Fractions."""
-        out = {}
-        for I, c in coeffs.items():
-            if type(c) is not int:
-                c = _exact(rat(c))
-            if c:
-                out[tuple(I)] = c
-        return HElement(self, out)
+        return HElement(self, {tuple(I): rat(c) for I, c in coeffs.items()})
 
     # -- straightening --------------------------------------------------
     def _straighten(self, word: tuple[int, ...]) -> dict[tuple[int, ...], int | Fraction]:
@@ -202,20 +197,21 @@ class Hopf:
 
 
 class HElement:
-    """A finite rational combination of PBW divided-power monomials."""
+    """A finite rational combination of PBW divided-power monomials; the
+    constructor keeps each nonzero coefficient canonical (`_exact`)."""
 
     __slots__ = ("hopf", "coeffs")
 
     def __init__(self, hopf: Hopf, coeffs: dict[MultiIndex, int | Fraction]):
         self.hopf = hopf
-        self.coeffs = coeffs
+        self.coeffs = {I: _exact(c) for I, c in coeffs.items() if c}
 
     # -- ring structure --------------------------------------------------
     def __add__(self, other: "HElement") -> "HElement":
         self._check(other)
         out = dict(self.coeffs)
         for I, c in other.coeffs.items():
-            add_entry(out, I, c)
+            out[I] = out.get(I, 0) + c
         return HElement(self.hopf, out)
 
     def __sub__(self, other: "HElement") -> "HElement":
@@ -226,14 +222,11 @@ class HElement:
 
     def scale(self, c) -> "HElement":
         c = rat(c)
-        if not c:
-            return HElement(self.hopf, {})
-        return HElement(self.hopf, {I: _exact(c * v) for I, v in self.coeffs.items()})
+        return HElement(self.hopf, {I: c * v for I, v in self.coeffs.items()})
 
     def __mul__(self, other: "HElement") -> "HElement":
         self._check(other)
-        out = _product(self.hopf, self.coeffs.items(), other.coeffs.items())
-        return HElement(self.hopf, {K: _exact(c) for K, c in out.items()})
+        return HElement(self.hopf, _product(self.hopf, self.coeffs.items(), other.coeffs.items()))
 
     def _check(self, other: "HElement") -> None:
         if other.hopf is not self.hopf:

@@ -167,7 +167,7 @@ def twist_vector(pi: RepData, v: ModuleVector, p: int) -> ModuleVector:
                     cur = out.setdefault(A, [0] * (mp * m))
                     for j, c in enumerate(row):
                         cur[r * m + j] += act[r][p] * c
-    return ModuleVector.from_store(hopf, mp * m, out)
+    return ModuleVector(hopf, mp * m, out)
 
 
 def twist_module(pi: RepData, V: ModuleSpec, name: str = "") -> ModuleSpec:
@@ -293,7 +293,7 @@ def _vector_from_row(V: ModuleSpec, vectors: list[ModuleVector], row: Row) -> Mo
             for k, x in enumerate(coords):
                 if x:
                     cur[k] += c * x
-    return ModuleVector.from_store(V.hopf, V.dim, terms)
+    return ModuleVector(V.hopf, V.dim, terms)
 
 
 def _units(V: ModuleSpec, slots) -> list[ModuleVector]:
@@ -354,7 +354,7 @@ def s_of(V: ModuleSpec, l: int, coords) -> ModuleVector:
     for j in range(hopf.n):
         img = mat_apply(V.rep_gl.gl_matrix(l, j), coords)
         if any(img):
-            out = out + ModuleVector.from_store(hopf, V.dim, {mi_unit(hopf.n, j): img})
+            out = out + ModuleVector(hopf, V.dim, {mi_unit(hopf.n, j): img})
     return out
 
 
@@ -466,7 +466,7 @@ def submodule_closure(V: ModuleSpec, gens: list[ModuleVector], fil_bound: int,
                 if not rows or max(mi_deg(N) for N, _cur in rows) > work:
                     continue
                 if red.add({index[N, k]: c for N, cur in rows for k, c in enumerate(cur) if c}):
-                    queue.append(ModuleVector.from_store(hopf, dim, at_m))
+                    queue.append(ModuleVector(hopf, dim, at_m))
     # restrict to fil^bound: echelon rows whose pivot (highest-degree
     # coordinate) already lies inside fil^bound have all coordinates there
     units = _units(V, cols)
@@ -591,4 +591,4 @@ def apply_map(images: list[ModuleVector], v: ModuleVector) -> ModuleVector:
         for k, c in enumerate(coords):
             if c:
                 _fold(store, (), _mono_times(hopf, I, images[k].terms.items(), width), c)
-    return ModuleVector.from_store(hopf, width, store.get((), {}))
+    return ModuleVector(hopf, width, store.get((), {}))

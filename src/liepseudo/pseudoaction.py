@@ -12,8 +12,8 @@ and keeps the at most n values of the last (vector, form) for all readers of
 that vector.  Each unit (i, I, k, form) is expanded once, when a vector with
 a nonzero b^(I) (x) u_k first meets it, into flat terms (M, N, r, x) with x
 canonical (an int when integral, else a Fraction); a kernel run only
-accumulates c * x, and `action_pv` makes each output coordinate canonical
-once (`ModuleVector.from_store`).  An expansion reads,
+accumulates c * x, and the ModuleVector constructor makes each output
+coordinate canonical once.  An expansion reads,
 for each term of the table, b^(I) carried across (x)_H from the carry table
 of the Hopf algebra (`_carry`), which every (i, k) and every module over the
 algebra share.  An expansion keeps
@@ -50,14 +50,16 @@ from .twosided import LEFT, RIGHT, PseudoValue, _fold, _pseudo_value
 
 
 class ModuleVector:
-    """v = sum_I b^(I) (x) v_I with coordinates v_I over the generator basis."""
+    """v = sum_I b^(I) (x) v_I with coordinates v_I over the generator basis;
+    the constructor keeps each row with a nonzero coordinate, as a tuple of
+    canonical coordinates (`_exact`)."""
 
     __slots__ = ("hopf", "width", "terms")
 
-    def __init__(self, hopf: Hopf, width: int, terms: dict[MultiIndex, tuple[int | Fraction, ...]]):
+    def __init__(self, hopf: Hopf, width: int, terms: dict[MultiIndex, tuple | list]):
         self.hopf = hopf
         self.width = width
-        self.terms = {I: row for I, row in terms.items() if any(row)}
+        self.terms = {I: tuple(map(_exact, row)) for I, row in terms.items() if any(row)}
 
     @classmethod
     def zero(cls, hopf: Hopf, width: int) -> "ModuleVector":
@@ -68,14 +70,6 @@ class ModuleVector:
         I = I if I is not None else mi_zero(hopf.n)
         row = tuple(1 if c == k else 0 for c in range(width))
         return cls(hopf, width, {I: row})
-
-    @classmethod
-    def from_store(cls, hopf: Hopf, width: int, store: dict) -> "ModuleVector":
-        """The vector of a store N -> coordinates that a loop summed, each
-        coordinate made canonical once; an N whose coordinates cancel is
-        dropped."""
-        return cls(hopf, width,
-                   {N: tuple(map(_exact, cur)) for N, cur in store.items() if any(cur)})
 
     @classmethod
     def from_comps(cls, hopf: Hopf, comps) -> "ModuleVector":
@@ -91,7 +85,7 @@ class ModuleVector:
         out = dict(self.terms)
         for I, row in other.terms.items():
             cur = out.get(I)
-            out[I] = row if cur is None else tuple(_exact(a + b) for a, b in zip(cur, row))
+            out[I] = row if cur is None else [a + b for a, b in zip(cur, row)]
         return ModuleVector(self.hopf, self.width, out)
 
     def __add__(self, other):
@@ -104,10 +98,8 @@ class ModuleVector:
         c = rat(c)
         if c == 1:
             return self  # module vectors are never mutated
-        if not c:
-            return ModuleVector(self.hopf, self.width, {})
         return ModuleVector(self.hopf, self.width,
-                            {I: tuple(_exact(c * v) for v in row) for I, row in self.terms.items()})
+                            {I: [c * v for v in row] for I, row in self.terms.items()})
 
     def hmul(self, h: HElement) -> "ModuleVector":
         out: dict[MultiIndex, list] = {}
@@ -119,7 +111,7 @@ class ModuleVector:
                     for k, v in enumerate(row):
                         if v:
                             cur[k] += cc * v
-        return ModuleVector.from_store(self.hopf, self.width, out)
+        return ModuleVector(self.hopf, self.width, out)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -213,7 +205,7 @@ class ModuleSpec:
         """(1 (x) b_i) * v in normal form `orient` as M -> N -> coordinates,
         summed as they come (in int wherever the terms are), kept with the
         values of the last (vector, form); a reader makes them canonical
-        (`ModuleVector.from_store`, `RowReducer.reduce`).  An (M, N) whose
+        (the ModuleVector constructor, `RowReducer.reduce`).  An (M, N) whose
         coordinates cancel stays, with zero coordinates."""
         last, last_orient, _acted, kept = self._last
         if last is not v or last_orient != orient:
@@ -269,12 +261,11 @@ class ModuleSpec:
     def _flat_table(self, orient: str) -> list:
         """table[i][k] in normal form `orient` as flat terms (K, J, [(r, c)]):
         b^(K) in the normal-form slot and w = b^(J) (x) sum c u_r over the
-        nonzero c, each made canonical here, where the table's values enter
-        the kernel.  Built once per form; n * dim entries."""
+        nonzero c.  Built once per form; n * dim entries."""
         flat = self._flat.get(orient)
         if flat is None:
             flat = self._flat[orient] = [
-                [[(K, J, [(r, _exact(c)) for r, c in enumerate(coords) if c])
+                [[(K, J, [(r, c) for r, c in enumerate(coords) if c])
                   for K, w in val.convert(orient).terms.items() for J, coords in w.terms.items()]
                  for val in row] for row in self.table]
         return flat

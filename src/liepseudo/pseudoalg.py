@@ -75,7 +75,7 @@ class WAlgebra:
         rows[z][a] -= chi(b)
         for k, c in self.hopf.lie.bracket(a, b).items():
             rows[z][k] -= c
-        return ModuleVector.from_store(self.hopf, n, rows)
+        return ModuleVector(self.hopf, n, rows)
 
     def s_generators(self, chi: TraceForm) -> list[tuple[tuple[int, int], ModuleVector]]:
         out = []

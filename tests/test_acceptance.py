@@ -415,7 +415,7 @@ def test_criterion_10_intertwiners():
         for I, coords in dref.terms.items():
             for k, c in enumerate(coords):
                 if c:
-                    ratio = img.coefficient(I)[k] / c
+                    ratio = Fraction(img.coefficient(I)[k], c)
         ok = ok and ratio is not None and ratio != 0 and img.eq(dref.scale(ratio))
     H3 = hopf_for("abelian3")
     chi0 = H3.lie.zero_trace_form()

@@ -488,30 +488,28 @@ def test_ann_bracket_matches_term_by_term_accumulation(name):
 # ann_action against the term-by-term sum
 # ---------------------------------------------------------------------------
 
-def outcome(act, reference=False):
+def outcome(act):
     """What a batched annihilation action gives: its message when it raises
     TruncationExceeded, else out[j][m] as None or the vector's width and terms
-    in key order.  Every coordinate `ann_action` gives is canonical; the
-    `reference` loop hands a carrier the test built on unchanged when it
-    scales by 1, so its coordinates are not checked."""
+    in key order, every coordinate canonical."""
     try:
         outs = act()
     except TruncationExceeded as exc:
         return "raised", str(exc)
-    return [[_vector_outcome(out, reference) for out in row] for row in outs]
+    return [[_vector_outcome(out) for out in row] for row in outs]
 
 
-def _vector_outcome(out, reference):
+def _vector_outcome(out):
     if out is None:
         return None
-    assert reference or all(canonical(x) for row in out.terms.values() for x in row)
+    assert all(canonical(x) for row in out.terms.values() for x in row)
     return out.width, list(out.terms.items())
 
 
 def same_as_the_loop(els, vectors, action_pv):
     """One `ann_action` call gives what the element-by-element loop gives."""
     got = outcome(lambda: ann_action(els, vectors, action_pv))
-    assert got == outcome(lambda: ann_action_element_by_element(els, vectors, action_pv), True)
+    assert got == outcome(lambda: ann_action_element_by_element(els, vectors, action_pv))
     return got
 
 
@@ -665,7 +663,7 @@ def test_ann_action_pairs_each_a_and_I_once_per_call(monkeypatch):
     def action_pv(a, v):
         return values[slot[id(v)], a]
 
-    want = outcome(lambda: ann_action_element_by_element(els, vectors, action_pv), True)
+    want = outcome(lambda: ann_action_element_by_element(els, vectors, action_pv))
     met = {(a, I) for (_j, a), value in values.items() for I in value.to_left().terms
            if any(not el.comps[a].is_zero() for el in els)}
     calls = []

@@ -748,7 +748,7 @@ def test_de_rham_map_spans_the_intertwiners_from_omega1_to_omega2(name):
     d = d_images(H, 1)
     g, I, k = next((g, I, k) for g, v in enumerate(d) for I, coords in v.terms.items()
                    for k, c in enumerate(coords) if c)
-    ratio = sols[0][g].coefficient(I)[k] / d[g].coefficient(I)[k]
+    ratio = Fraction(sols[0][g].coefficient(I)[k], d[g].coefficient(I)[k])
     assert ratio
     assert len(sols[0]) == len(d)
     assert all(s.eq(v.scale(ratio)) for s, v in zip(sols[0], d))

@@ -559,7 +559,7 @@ def test_intertwiner_hom_om0_om1_is_one_dimensional():
     for I, coords in expect.terms.items():
         for k, c in enumerate(coords):
             if c:
-                ratio = got.coefficient(I)[k] / c
+                ratio = Fraction(got.coefficient(I)[k], c)
     assert ratio and got.eq(expect.scale(ratio))
 
 

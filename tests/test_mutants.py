@@ -17,10 +17,10 @@ from pathlib import Path
 import pytest
 
 import liepseudo
-from liepseudo import _linalg, modules, twosided
-from liepseudo.hopf import Hopf
+from liepseudo import _linalg, twosided
+from liepseudo.dualx import XElement
+from liepseudo.hopf import HElement, Hopf, mi_deg
 from liepseudo.pseudoaction import ModuleVector
-from liepseudo.twosided import PseudoValue
 
 import test_hopf
 import test_linalg
@@ -47,11 +47,20 @@ def _patch_everywhere(monkeypatch, original, replacement) -> None:
 
 # -- the mutants ---------------------------------------------------------------
 
-def _pseudo_value_leaving_integral_fractions(hopf, orient, store, vector_type, width):
-    # coordinates summed but never made canonical
-    return PseudoValue(hopf, orient, {
-        M: vector_type(hopf, width, {N: tuple(cur) for N, cur in at.items() if any(cur)})
-        for M, at in store.items()})
+def _module_vector_keeping_coordinates(self, hopf, width, terms):
+    # rows kept as given, integral Fractions included
+    self.hopf, self.width = hopf, width
+    self.terms = {I: tuple(row) for I, row in terms.items() if any(row)}
+
+
+def _h_element_keeping_coefficients(self, hopf, coeffs):
+    self.hopf = hopf
+    self.coeffs = {I: c for I, c in coeffs.items() if c}
+
+
+def _x_element_keeping_coefficients(self, hopf, coeffs, validity):
+    self.hopf, self.validity = hopf, validity
+    self.coeffs = {I: c for I, c in coeffs.items() if c and mi_deg(I) <= validity}
 
 
 def _divided_in_fractions(real):
@@ -79,17 +88,6 @@ def _reducer_add_without_exact(self, row):
     return True
 
 
-def _apply_map_without_exact(images, v):
-    hopf, width = v.hopf, images[0].width
-    store: dict = {}
-    for I, coords in v.terms.items():
-        for k, c in enumerate(coords):
-            if c:
-                twosided._fold(store, (), twosided._mono_times(hopf, I, images[k].terms.items(),
-                                                               width), c)
-    return ModuleVector(hopf, width, {N: tuple(cur) for N, cur in store.get((), {}).items()})
-
-
 def _fold_keeping_cancelled_keys(store, M, rows, x):
     # a key whose coordinates cancel stays in place instead of going last
     at = store.get(M)
@@ -115,11 +113,19 @@ def _hmul_with_j_outermost(self, h):
                 for k, v in enumerate(row):
                     if v:
                         cur[k] += c * c2 * v
-    return ModuleVector.from_store(self.hopf, self.width, out)
+    return ModuleVector(self.hopf, self.width, out)
 
 
-def _install_pseudo_value(monkeypatch):
-    _patch_everywhere(monkeypatch, twosided._pseudo_value, _pseudo_value_leaving_integral_fractions)
+def _install_module_vector(monkeypatch):
+    monkeypatch.setattr(ModuleVector, "__init__", _module_vector_keeping_coordinates)
+
+
+def _install_h_element(monkeypatch):
+    monkeypatch.setattr(HElement, "__init__", _h_element_keeping_coefficients)
+
+
+def _install_x_element(monkeypatch):
+    monkeypatch.setattr(XElement, "__init__", _x_element_keeping_coefficients)
 
 
 def _install_divided(monkeypatch):
@@ -128,10 +134,6 @@ def _install_divided(monkeypatch):
 
 def _install_reducer_add(monkeypatch):
     monkeypatch.setattr(_linalg.RowReducer, "add", _reducer_add_without_exact)
-
-
-def _install_apply_map(monkeypatch):
-    _patch_everywhere(monkeypatch, modules.apply_map, _apply_map_without_exact)
 
 
 def _install_fold(monkeypatch):
@@ -144,14 +146,16 @@ def _install_hmul(monkeypatch):
 
 # name -> (install, the test expected to kill the mutant)
 MUTANTS = {
-    "_pseudo_value leaves integral Fractions":
-        (_install_pseudo_value, test_twosided.test_from_tensor_matches_the_term_by_term_build),
+    "ModuleVector keeps its coordinates as given":
+        (_install_module_vector, test_twosided.test_from_tensor_matches_the_term_by_term_build),
+    "HElement keeps its coefficients as given":
+        (_install_h_element, test_hopf.test_product_appends_a_key_that_cancels_and_returns),
+    "XElement keeps its coefficients as given":
+        (_install_x_element, test_hopf.test_int_arithmetic_matches_the_fraction_layer_on_the_presets),
     "Hopf._divided returns Fractions":
         (_install_divided, test_hopf.test_int_arithmetic_matches_the_fraction_layer_on_the_presets),
     "RowReducer.add normalizes a pivot without _exact":
         (_install_reducer_add, test_linalg.test_row_reducer_matches_the_fraction_loop),
-    "apply_map drops its output _exact":
-        (_install_apply_map, test_modules.test_apply_map_appends_a_key_that_cancels_and_returns),
     "_fold keeps a cancelled key in place":
         (_install_fold, test_modules.test_apply_map_appends_a_key_that_cancels_and_returns),
     "hmul with J outermost":
