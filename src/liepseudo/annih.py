@@ -20,7 +20,7 @@ from fractions import Fraction
 from ._linalg import add_entry, span_coords
 from .dualx import XElement
 from .errors import DimensionMismatch, NotInW0, SolveFailed, TruncationExceeded
-from .hopf import Hopf, MultiIndex, mi_add, mi_below, mi_deg, mi_unit
+from .hopf import HElement, Hopf, MultiIndex, mi_add, mi_below, mi_deg, mi_unit
 from .liecore import Matrix, TraceForm, mat
 from .pseudoaction import ModuleVector
 from .twosided import LEFT, PseudoValue, _fold
@@ -285,7 +285,7 @@ def reconstruct_pseudoaction(hopf: Hopf, w_on: ModuleVector, v, action_pv, degre
     for I, acted in zip(Is, ann_action(els, [v], action_pv)[0]):
         if acted is None or acted.is_zero():
             continue
-        s = hopf.element(hopf.antipode_mono(I))
+        s = HElement(hopf, hopf.antipode_mono(I))
         out = out.add(PseudoValue.from_tensor(s, hopf.one(), acted))
     return out
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .annih import AnnElement, ann_bracket, euler_element, gamma, gr_iso_gl, reconstruct_pseudoaction
 from .derham import dw2_lhs_rhs, pseudo_d
 from .dualx import XElement
-from .hopf import Hopf, coproduct_power, mi_below, mi_deg, mi_zero
+from .hopf import HElement, Hopf, coproduct_power, mi_below, mi_deg, mi_zero
 from .liecore import RepData, identity_matrix, mat_apply, omega_rep, wedge_basis
 from .modules import ModuleVector, tensor_module, twist_vector
 from .pseudoalg import CheckReport, WAlgebra, check_jacobi, check_skew
@@ -44,7 +44,7 @@ def hopf_antipode(hopf: Hopf, trunc: int) -> CheckReport:
         cp = h.coproduct()
         acc = hopf.zero()
         for (J, K), c in cp.items():
-            acc = acc + (hopf.element(hopf.antipode_mono(J)) * hopf.mono(K)).scale(c)
+            acc = acc + (HElement(hopf, hopf.antipode_mono(J)) * hopf.mono(K)).scale(c)
         report.case(f"monomial {I}", cp == {(K, J): c for (J, K), c in cp.items()}
                     and acc == hopf.one().scale(h.counit()))
     return report
@@ -59,7 +59,8 @@ def hopf_cou2(hopf: Hopf, trunc: int) -> CheckReport:
         for (A, B, C), c in coproduct_power(hopf.mono(I), 3).items():
             prod = products.get((A, B))
             if prod is None:
-                prod = products[A, B] = (hopf.element(hopf.antipode_mono(A)) * hopf.mono(B)).coeffs
+                s_a = HElement(hopf, hopf.antipode_mono(A))
+                prod = products[A, B] = (s_a * hopf.mono(B)).coeffs
             for K, c2 in prod.items():
                 acc[(K, C)] = acc.get((K, C), 0) + c * c2
         report.case(f"monomial {I}", {k: v for k, v in acc.items() if v}

@@ -226,7 +226,8 @@ class HElement:
 
     def __mul__(self, other: "HElement") -> "HElement":
         self._check(other)
-        return HElement(self.hopf, _product(self.hopf, self.coeffs.items(), other.coeffs.items()))
+        out = _product(self.hopf, self.coeffs.items(), other.coeffs.items())
+        return HElement(self.hopf, out)
 
     def _check(self, other: "HElement") -> None:
         if other.hopf is not self.hopf:

@@ -33,7 +33,8 @@ from ._linalg import Row, RowReducer, add_entry, kernel, span_coords
 from .annih import AnnElement, _iota, ann_action
 from .dualx import XElement
 from .errors import DimensionMismatch, DimensionTooSmall, RepInvalid, TruncationExceeded
-from .hopf import Hopf, MultiIndex, mi_below, mi_deg, mi_factorial, mi_splits, mi_unit, mi_zero
+from .hopf import (HElement, Hopf, MultiIndex, mi_below, mi_deg, mi_factorial, mi_splits, mi_unit,
+                   mi_zero)
 from .liecore import (
     Matrix,
     RepData,
@@ -127,8 +128,8 @@ def dual_module(V: ModuleSpec, name: str = "") -> ModuleSpec:
                     if tgt != k:
                         continue
                     for G1, G2 in mi_splits(G):
-                        f = hopf.mono(F) * hopf.element(hopf.antipode_mono(G1))
-                        g = hopf.element(hopf.antipode_mono(G2))
+                        f = hopf.mono(F) * HElement(hopf, hopf.antipode_mono(G1))
+                        g = HElement(hopf, hopf.antipode_mono(G2))
                         val = val.add(
                             PseudoValue.from_tensor(
                                 f, g, ModuleVector.unit(hopf, m, j)
@@ -209,7 +210,7 @@ def dual_map(V: ModuleSpec, W: ModuleSpec, images: list[ModuleVector]) -> list[M
                 c = row[k]
                 if not c:
                     continue
-                s = hopf.element(hopf.antipode_mono(J)).scale(c)
+                s = HElement(hopf, hopf.antipode_mono(J)).scale(c)
                 acc = acc + ModuleVector.unit(hopf, V.dim, j).hmul(s)
         out.append(acc)
     return out
