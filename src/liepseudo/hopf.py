@@ -8,8 +8,8 @@ H-modules, H = H (x) k among them, are module vectors
 memoizes is canonical, an int when it is integral and else a Fraction
 (`_linalg._exact`); the HElement constructor holds the rule for elements.
 So the inner loops above it, H's product `_product` among them, run in int
-wherever the arithmetic is integral.  The bracket
-enters once, in `Hopf._swaps`.  The caches, all scheduling-independent, are:
+wherever the arithmetic is integral.  The bracket enters once, in
+`Hopf._swaps`.  The caches, all scheduling-independent, are:
 - the per-instance memos here (straightened words, products and antipodes of
   basis monomials, the tables dualx, derham, annih and pseudoalg key on the
   algebra, and the carry table of `pseudoaction._carry`: b^(I) carried across

@@ -13,8 +13,8 @@ The fold shared with the pseudoaction kernel lives here: a value is summed
 into one store M -> N -> coordinates, with the key order of adding
 PseudoValues one term at a time (`_fold`), and each output vector is built
 once (`_pseudo_value`); the ModuleVector constructor makes its coordinates
-canonical, an int when integral and else a Fraction.  The inputs are summed as
-they come: the layers below hand out canonical coefficients, so the folds
+canonical, an int when integral and else a Fraction.  The inputs are summed
+as they come: the layers below hand out canonical coefficients, so the folds
 run in int wherever the arithmetic is integral.  `from_tensor` and
 `modules.apply_map` build their values that way.  H's product of term lists
 `_product` comes from `hopf`.
@@ -209,8 +209,8 @@ def _mono_times(hopf: Hopf, B: MultiIndex, rows, width: int) -> list:
 
 def _pseudo_value(hopf: Hopf, orient: str, store: dict, vector_type, width: int) -> PseudoValue:
     """A store M -> N -> coordinates as a PseudoValue in normal form
-    `orient`, each vector built once by `vector_type`; an (M, N)
-    whose coordinates cancel is dropped."""
+    `orient`, each vector built once by `vector_type`; an (M, N) whose
+    coordinates cancel is dropped."""
     return PseudoValue(hopf, orient, {M: vector_type(hopf, width, at_m)
                                       for M, at_m in store.items()})
 
