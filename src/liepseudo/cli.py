@@ -32,6 +32,7 @@ from .liecore import (
     LieData,
     RepData,
     TraceForm,
+    mat_is_zero,
     omega_rep,
     preset,
     PRESET_NAMES,
@@ -40,8 +41,6 @@ from .liecore import (
 )
 from .modules import PAPER_BOUND, sing_solve, sing_solve_oracle, tensor_module
 from .pseudoalg import CheckReport
-
-ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +303,7 @@ def cmd_derham(args) -> int:
         raise ConfigError(f"derham needs dim d >= 2, got {lie.dim}: d-squared-zero has no cases")
     hopf = Hopf(lie)
     pi = load_pi(lie, args.pi, blob)
-    trivial = all(
-        pi.d_matrix(i) == tuple((ZERO,) * pi.dim for _ in range(pi.dim))
-        for i in range(lie.dim)
-    )
+    trivial = all(mat_is_zero(pi.d_matrix(i)) for i in range(lie.dim))
     pi_arg = None if (pi.dim == 1 and trivial) else pi
     p_max = args.fil if args.fil is not None else min(4, args.trunc - 2)
     if p_max < 0:
@@ -361,16 +357,6 @@ def cmd_report_merge(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _env_truncation() -> int:
-    raw = os.environ.get("PSA_TRUNC")
-    if raw is None:
-        return DEFAULT_TRUNCATION
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"PSA_TRUNC must be an integer, got {raw!r}") from None
-
-
 # a subcommand registers only the optional flags it reads, so argparse
 # refuses the others instead of ignoring them
 _FLAGS = {
@@ -389,8 +375,8 @@ def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
     p.add_argument("--json", action="store_true", help="print the JSON report")
     for flag in flags:
         if flag == "trunc":
-            p.add_argument("--trunc", type=int, default=_env_truncation(),
-                           help="dual truncation degree (default 6, env PSA_TRUNC)")
+            p.add_argument("--trunc", type=int, default=DEFAULT_TRUNCATION,
+                           help=f"dual truncation degree (default {DEFAULT_TRUNCATION})")
         else:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
 

@@ -1,5 +1,11 @@
-"""Constant-coefficient forms, the pseudo de Rham complex and its twists,
-plus the exactness and classification reports built on top of it.
+"""The pseudo de Rham complex and its twists, plus the exactness and
+classification reports built on top of it.
+
+A constant-coefficient n-form is a coordinate row over `wedge_basis(N, n)`.
+gl(d) acts on Omega^n only through `liecore.omega_rep`, whose column S is
+the image of x^S; the Lie-algebra differential d0 and the contraction
+iota_{b_i} read their signs from `insert_sign`.  Forms reach reports only
+inside module vectors, whose constructor keeps each coefficient canonical.
 
 Pseudoforms of degree n are module vectors over the tensor module attached
 to Omega^n (or Pi (x) Omega^n); a pseudoform gamma = sum h_T (x) x^T is the
@@ -14,15 +20,14 @@ under the twisting functor.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import comb
 
-from ._linalg import RowReducer
+from ._linalg import RowReducer, add_entry
 from .annih import AnnElement
 from .dualx import XElement
 from .errors import DegreeOutOfRange
 from .hopf import Hopf, mi_below, mi_deg, mi_unit, mi_zero
-from .liecore import LieData, RepData, TraceForm, omega_rep, rat, wedge_basis
+from .liecore import LieData, RepData, TraceForm, insert_sign, mat_apply, omega_rep, wedge_basis
 from .modules import (
     PAPER_BOUND,
     ModuleSpec,
@@ -39,114 +44,33 @@ from .modules import (
     r0_test,
 )
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-# ---------------------------------------------------------------------------
-# Constant-coefficient forms
-# ---------------------------------------------------------------------------
-
-class Form:
-    """A rational n-form on d in the wedge-monomial basis."""
-
-    __slots__ = ("lie", "degree", "coeffs")
-
-    def __init__(self, lie: LieData, degree: int, coeffs: dict[tuple[int, ...], Fraction]):
-        if not 0 <= degree <= lie.dim:
-            raise DegreeOutOfRange(f"form degree {degree} outside 0..{lie.dim}")
-        self.lie = lie
-        self.degree = degree
-        self.coeffs = {tuple(S): rat(c) for S, c in coeffs.items() if rat(c)}
-
-    @classmethod
-    def basis_form(cls, lie: LieData, S) -> "Form":
-        return cls(lie, len(S), {tuple(S): ONE})
-
-    def evaluate(self, vectors: tuple[int, ...]) -> Fraction:
-        """Value on a wedge of basis vectors (with sign from sorting)."""
-        if len(set(vectors)) != len(vectors):
-            return ZERO
-        sign, sorted_vs = _sort_sign(vectors)
-        return sign * self.coeffs.get(sorted_vs, ZERO)
-
-    def add(self, other: "Form") -> "Form":
-        out = dict(self.coeffs)
-        for S, c in other.coeffs.items():
-            out[S] = out.get(S, ZERO) + c
-        return Form(self.lie, self.degree, out)
-
-    def scale(self, c) -> "Form":
-        c = rat(c)
-        return Form(self.lie, self.degree, {S: c * v for S, v in self.coeffs.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{c}*x^{S}" for S, c in sorted(self.coeffs.items()))
-
-
-def _sort_sign(vectors: tuple[int, ...]) -> tuple[Fraction, tuple[int, ...]]:
-    inversions = sum(1 for a, b in itertools.combinations(vectors, 2) if a > b)
-    return Fraction((-1) ** inversions), tuple(sorted(vectors))
-
-
-def d0(alpha: Form) -> Form:
-    """Lie-algebra cohomology differential with trivial coefficients."""
-    lie = alpha.lie
-    n = alpha.degree
-    if n >= lie.dim:
-        return Form(lie, lie.dim, {})
-    out: dict[tuple[int, ...], Fraction] = {}
-    for T in wedge_basis(lie.dim, n + 1):
-        val = ZERO
-        for r, s in itertools.combinations(range(len(T)), 2):
-            rest = tuple(T[t] for t in range(len(T)) if t not in (r, s))
-            for k, c in lie.bracket(T[r], T[s]).items():
-                # (-1)^{i+j} with 1-based positions i = r+1, j = s+1
-                val += Fraction((-1) ** (r + s)) * c * alpha.evaluate((k,) + rest)
-        if val:
-            out[T] = val
-    return Form(lie, n + 1, out)
-
-
-def iota(a: int, alpha: Form) -> Form:
-    """Contraction with the basis vector b_a."""
-    lie = alpha.lie
-    n = alpha.degree
-    if n == 0:
-        return Form(lie, 0, {})
-    out: dict[tuple[int, ...], Fraction] = {}
-    for S in wedge_basis(lie.dim, n - 1):
-        val = alpha.evaluate((a,) + S)
-        if val:
-            out[S] = val
-    return Form(lie, n - 1, out)
-
-
-def gl_action(A_rows, alpha: Form) -> Form:
-    """(A . al)(a_1 ^ ... ^ a_n) = sum_r (-1)^r al(A a_r ^ ...hat r...)."""
-    lie = alpha.lie
-    out: dict[tuple[int, ...], Fraction] = {}
-    for T in wedge_basis(lie.dim, alpha.degree):
-        val = ZERO
-        for r in range(len(T)):
-            rest = T[:r] + T[r + 1:]
-            for i in range(lie.dim):
-                c = A_rows[i][T[r]]
-                if c:
-                    val += Fraction((-1) ** (r + 1)) * c * alpha.evaluate((i,) + rest)
-        if val:
-            out[T] = val
-    return Form(lie, alpha.degree, out)
-
 
 # ---------------------------------------------------------------------------
 # Pseudo de Rham differential
 # ---------------------------------------------------------------------------
+
+def _d0_columns(lie: LieData, n: int) -> dict[tuple[int, ...], dict]:
+    """d0 x^S as {T: coefficient} for each S of `wedge_basis(N, n)`, where d0
+    is the Lie-algebra differential with trivial coefficients:
+    (d0 al)(a_1 ^ ... ^ a_{n+1}) = sum_{i<j} (-1)^{i+j} al([a_i,a_j] ^ ...hat i...hat j...)."""
+    cols: dict = {S: {} for S in wedge_basis(lie.dim, n)}
+    for T in wedge_basis(lie.dim, n + 1):
+        for r, s in itertools.combinations(range(n + 1), 2):
+            rest = T[:r] + T[r + 1:s] + T[s + 1:]
+            for k, c in lie.bracket(T[r], T[s]).items():
+                ins = insert_sign(k, rest)
+                if ins is not None:
+                    # (-1)^{i+j} with 1-based positions i = r+1, j = s+1
+                    add_entry(cols[ins[1]], T, (-1) ** (r + s) * ins[0] * c)
+    return cols
+
+
+def _contraction(i: int, S: tuple[int, ...]):
+    """iota_{b_i} x^S as (sign, T) with x^S(b_i ^ b_T) = sign; None when i
+    is not in S."""
+    T = tuple(s for s in S if s != i)
+    return (insert_sign(i, T)[0], T) if i in S else None
+
 
 def omega_module(hopf: Hopf, n: int, pi: RepData | None = None) -> ModuleSpec:
     """The tensor module carrying pseudoforms of degree n (twisted by pi),
@@ -161,31 +85,23 @@ def omega_module(hopf: Hopf, n: int, pi: RepData | None = None) -> ModuleSpec:
 
 
 def _d_generator_images(hopf: Hopf, n: int) -> list[ModuleVector]:
-    """d(1 (x) x^S) in Omega^{n+1}(d) for each wedge-basis S of degree n."""
-    lie = hopf.lie
-    N = lie.dim
+    """d(1 (x) x^S) in Omega^{n+1}(d) for each wedge-basis S of degree n: the
+    scalar part d0 x^S, then for each T = S with b_j inserted at position r
+    the coefficient (-1)^{r+1} at b_j = b_{T_r}."""
+    N = hopf.n
     if n >= N:
         raise DegreeOutOfRange("top degree has no differential")
-    src = wedge_basis(N, n)
     tgt = wedge_basis(N, n + 1)
-    tgt_index = {S: t for t, S in enumerate(tgt)}
+    tgt_index = {T: t for t, T in enumerate(tgt)}
     out = []
-    for S in src:
-        alpha = Form.basis_form(lie, S)
-        terms: dict = {}
-        # scalar part: the Lie-algebra differential d0 alpha
-        scalar = d0(alpha).coeffs
-        if scalar:
-            terms[mi_zero(N)] = [scalar.get(T, ZERO) for T in tgt]
-        for T in tgt:
-            # H part: sum_r (-1)^r alpha(...hat r...) b_{T_r}
-            for r in range(len(T)):
-                rest = T[:r] + T[r + 1:]
-                val = Fraction((-1) ** (r + 1)) * alpha.evaluate(rest)
-                if val:
-                    row = terms.setdefault(mi_unit(N, T[r]), [ZERO] * len(tgt))
-                    row[tgt_index[T]] += val
-        out.append(ModuleVector(hopf, len(tgt), {I: tuple(r) for I, r in terms.items()}))
+    for S, scalar in _d0_columns(hopf.lie, n).items():
+        terms = {mi_zero(N): [scalar.get(T, 0) for T in tgt]}
+        for j in range(N):
+            ins = insert_sign(j, S)  # its sign is (-1)^r
+            if ins is not None:
+                row = terms[mi_unit(N, j)] = [0] * len(tgt)
+                row[tgt_index[ins[1]]] = -ins[0]
+        out.append(ModuleVector(hopf, len(tgt), terms))
     return out
 
 
@@ -211,6 +127,27 @@ def pseudo_d(hopf: Hopf, n: int, gammav: ModuleVector, pi: RepData | None = None
     return apply_map(d_images(hopf, n, pi), gammav)
 
 
+def _image(omega: RepData, a: int, b: int, s: int) -> list:
+    """e^b_a x^S: column s, the index of S, of `omega`'s e_a^b."""
+    return [row[s] for row in omega.gl_matrix(a, b)]
+
+
+def _structure_terms(lie: LieData, omega: RepData, i: int, s: int) -> list:
+    """(c, form) for c^j_kl e^k_i e^l_j al and c^k_kl e^l_i al, k < l, with
+    al = x^S for S of index s: the terms that 1 (x) u carries with a minus
+    sign in `dw2_lhs_rhs`; e^k_i is `omega`'s e_i^k."""
+    terms = []
+    for k, l in itertools.combinations(range(lie.dim), 2):
+        bracket = lie.bracket(k, l)
+        # composition order pinned by the delta^k_j contraction in the
+        # identity's expansion: e^k_i acts first
+        terms += [(c, mat_apply(omega.gl_matrix(j, l), _image(omega, i, k, s)))
+                  for j, c in bracket.items()]
+        if bracket.get(k):
+            terms.append((bracket[k], _image(omega, i, l, s)))
+    return terms
+
+
 def dw2_lhs_rhs(hopf: Hopf, i: int, S, pi: RepData | None = None):
     """Both sides of the contraction identity for the differential:
     d(1 (x) u (x) iota_{b_i} x^S) against the explicit right side
@@ -219,66 +156,49 @@ def dw2_lhs_rhs(hopf: Hopf, i: int, S, pi: RepData | None = None):
       - sum_{k<l} 1 (x) u (x) c^k_kl e^l_i al
     (the second sum is absent in the untwisted case).  Returns one
     (lhs, rhs) pair of module vectors per generator of Pi; None at n = 0.
+    A form is its coordinate row over the wedge basis, and e^k_i al is
+    column S of `omega_rep`'s e_i^k.
     """
     lie = hopf.lie
     N = lie.dim
+    S = tuple(S)
     n = len(S)
     if n == 0:
         return None
-    alpha = Form.basis_form(lie, S)
-    contracted = iota(i, alpha)
-    basis_n = wedge_basis(N, n)
-    index_n = {T: t for t, T in enumerate(basis_n)}
-    src_basis = wedge_basis(N, n - 1)
-    src_index = {T: t for t, T in enumerate(src_basis)}
+    omega = omega_rep(lie, n)
+    nb = omega.dim
+    s = wedge_basis(N, n).index(S)
+    first = [_image(omega, i, k, s) for k in range(N)]  # e^k_i al
+    structure = _structure_terms(lie, omega, i, s)
+    src_index = {T: t for t, T in enumerate(wedge_basis(N, n - 1))}
+    contracted = _contraction(i, S)
     mp = pi.dim if pi is not None else 1
-    width = mp * len(basis_n)
-
-    def embed(form: Form, p: int, I) -> ModuleVector:
-        out = ModuleVector.zero(hopf, width)
-        for T, c in form.coeffs.items():
-            out = out + ModuleVector.unit(hopf, width, p * len(basis_n) + index_n[T], I).scale(c)
-        return out
-
-    # e^k_j maps b_k to b_j; as rows for gl_action
-    def e_hat(k: int, j: int):
-        return [[ONE if (r == j and c == k) else ZERO for c in range(N)] for r in range(N)]
-
-    pairs = []
     zero_I = mi_zero(N)
+    pairs = []
     for p in range(mp):
-        src = ModuleVector.zero(hopf, mp * len(src_basis))
-        for T, c in contracted.coeffs.items():
-            src = src + ModuleVector.unit(
-                hopf, mp * len(src_basis), p * len(src_basis) + src_index[T]
-            ).scale(c)
-        lhs = pseudo_d(hopf, n - 1, src, pi)
+        src = [0] * (mp * len(src_index))
+        if contracted is not None:
+            src[p * len(src_index) + src_index[contracted[1]]] = contracted[0]
+        lhs = pseudo_d(hopf, n - 1, ModuleVector(hopf, len(src), {zero_I: src}), pi)
 
-        rhs = ModuleVector.zero(hopf, width)
+        terms: dict = {}
+
+        def put(I, q: int, form, c) -> None:
+            """c times `form` in the Omega^n block of generator q of Pi, at b^(I)."""
+            row = terms.setdefault(I, [0] * (mp * nb))
+            for t, v in enumerate(form):
+                if v:
+                    row[q * nb + t] += c * v
+
         for k in range(N):
-            form1 = gl_action(e_hat(k, i), alpha)
-            if form1.is_zero():
-                continue
-            rhs = rhs + embed(form1, p, mi_unit(N, k))
-            if pi is not None:
-                for r in range(mp):
-                    c = pi.d_matrix(k)[r][p]
-                    if c:
-                        rhs = rhs + embed(form1, r, zero_I).scale(-c)
-        for k in range(N):
-            for l in range(k + 1, N):
-                for j, c in lie.bracket(k, l).items():
-                    # composition order pinned by the delta^k_j contraction
-                    # in the identity's expansion: e^k_i acts first
-                    form2 = gl_action(e_hat(l, j), gl_action(e_hat(k, i), alpha))
-                    if not form2.is_zero():
-                        rhs = rhs + embed(form2, p, zero_I).scale(-c)
-                ckkl = lie.bracket(k, l).get(k)
-                if ckkl:
-                    form3 = gl_action(e_hat(l, i), alpha)
-                    if not form3.is_zero():
-                        rhs = rhs + embed(form3, p, zero_I).scale(-ckkl)
-        pairs.append((lhs, rhs))
+            if any(first[k]):
+                put(mi_unit(N, k), p, first[k], 1)
+                if pi is not None:
+                    for r in range(mp):
+                        put(zero_I, r, first[k], -pi.d_matrix(k)[r][p])
+        for c, form in structure:
+            put(zero_I, p, form, -c)
+        pairs.append((lhs, ModuleVector(hopf, mp * nb, terms)))
     return pairs
 
 
@@ -454,7 +374,7 @@ def sing_fingerprint(V: ModuleSpec, res) -> dict:
     mats = symbol_matrix(V, basis, [AnnElement.term(hopf, XElement.coord(hopf, j, validity), i)
                                     for i in range(n) for j in range(n)])
     gl_traces = []
-    id_trace = ZERO
+    id_trace = 0
     for i in range(n):
         row_tr = []
         for j in range(n):
@@ -462,7 +382,7 @@ def sing_fingerprint(V: ModuleSpec, res) -> dict:
             if cols is None:
                 row_tr.append("outside")
                 continue
-            tr = sum((cols[m][m] for m in range(len(basis))), ZERO)
+            tr = sum(cols[m][m] for m in range(len(basis)))
             row_tr.append(str(tr))
             if i == j:
                 id_trace += tr

@@ -75,7 +75,8 @@ def mat_comm(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_apply(a: Matrix, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(sum((row[c] * v[c] for c in range(len(v))), Fraction(0)) for row in a)
+    """a v, skipping the zero entries of v."""
+    return tuple(sum((row[c] * x for c, x in enumerate(v) if x), Fraction(0)) for row in a)
 
 
 def mat_trace(a: Matrix) -> Fraction:

@@ -8,6 +8,7 @@ import pytest
 import liepseudo.cli as cli
 from liepseudo.checks import verify_checks
 from liepseudo.cli import main
+from liepseudo.dualx import DEFAULT_TRUNCATION
 
 pytestmark = pytest.mark.cli
 
@@ -165,9 +166,11 @@ _ZERO_MATS_1 = [[["0"]]] * 4  # the four 1x1 gl(2) matrices of a trivial U
     # classify reads no truncation, so the flag is refused, not ignored
     (["classify", "--alg", "abelian2", "--mode", "W", "--u", "sym2", "--trunc", "1"], None,
      "error: unrecognized arguments: --trunc 1"),
-    (["verify", "--alg", "abelian1", "--trunc", "4"], "abc",
-     "config error: PSA_TRUNC must be an integer, got 'abc'"),
-    (["report-merge", "a.json"], "4.5", "config error: PSA_TRUNC must be an integer, got '4.5'"),
+    # no command reads PSA_TRUNC, so a junk value leaves each command's own error
+    (["classify", "--alg", "abelian2", "--u", "sym2", "--fil", "0"], "x",
+     "config error: filtration bound --fil 0 is below the paper bound 1 of mode W"),
+    (["report-merge", "no-such-dir/a.json"], "4.5",
+     "config error: cannot read JSON from no-such-dir/a.json"),
     # malformed specs are configuration errors, never tracebacks
     (["verify", "--alg", "abelianx"], None, "config error: cannot read JSON from abelianx"),
     (["verify", "--alg", "abelian0"], None, "config error: abelian dimension must be >= 1"),
@@ -243,7 +246,7 @@ _ZERO_MATS_1 = [[["0"]]] * 4  # the four 1x1 gl(2) matrices of a trivial U
      "config error: truncation --trunc 0 is below 4"),
     (["singular", "--alg", "heis3", "--mode", "S", "--u", "omega:1", "--trunc", "4"], None,
      "config error: truncation --trunc 4 is below 5"),
-    (["singular", "--alg", "heis3", "--mode", "S", "--u", "omega:1"], "2",
+    (["singular", "--alg", "heis3", "--mode", "S", "--u", "omega:1", "--trunc", "2"], None,
      "config error: truncation --trunc 2 is below 5"),
     (["singular", "--alg", "abelian2", "--u", "omega:1", "--fil", "0", "--trunc", "1"], None,
      "config error: truncation --trunc 1 is below 2, the degree of the oracle's largest x_K at --fil 0"),
@@ -267,6 +270,11 @@ def test_bad_input_exits_2_with_a_message(monkeypatch, capsys, tmp_path, argv, e
     assert message in captured.err.splitlines()[-1]
     if message.startswith("config error"):
         assert captured.err.count("\n") == 1
+
+
+def test_the_truncation_default_is_not_read_from_the_environment(monkeypatch):
+    monkeypatch.setenv("PSA_TRUNC", "3")
+    assert cli._parser().parse_args(["derham", "--alg", "abelian2"]).trunc == DEFAULT_TRUNCATION
 
 
 def test_singular_at_the_least_truncation_matches_the_default(tmp_path, capsys):

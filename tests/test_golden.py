@@ -54,8 +54,7 @@ COMMANDS = {
 
 @pytest.mark.cli
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_report_bytes_match_golden(name, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("PSA_TRUNC", raising=False)
+def test_report_bytes_match_golden(name, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(COMMANDS[name] + ["--out", str(out)]) == 0
     capsys.readouterr()

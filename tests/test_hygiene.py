@@ -1,6 +1,7 @@
 """Source hygiene: every name a module of the package or of its tests
 imports is used, every import sits at module level, every private helper is
-called and defined in one module only, every true division has a Fraction
+called and defined in one module only, every public name of the package is
+read by it or listed with a reason, every true division has a Fraction
 operand, every CLI option is read, and W(d) has one pseudoaction kernel."""
 
 import argparse
@@ -133,6 +134,77 @@ def test_the_scan_sees_a_public_function_of_a_private_module_without_a_caller():
     public = ast.parse("from _toy import used\ndef unread(box): return used() + box.orphan\n")
     assert unreferenced_private_helpers({"_toy.py": private, "toy.py": public}) == [
         "_toy.py: orphan (line 2)"]
+
+
+def unread_public_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Public module-level functions, classes and assigned names of `trees`
+    that no module reads outside their own definition, as "file: name".
+    `__init__.py` only re-exports, so its imports are no read."""
+    def reads(tree):
+        names = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.append(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.extend(alias.name for alias in node.names)
+        return names
+
+    everywhere = [name for label, tree in trees.items() if label != "__init__.py"
+                  for name in reads(tree)]
+    found = []
+    for label, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [(node.name, reads(node).count(node.name))]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [(t.id, 0) for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{label}: {name}" for name, own in defined
+                      if not name.startswith("_") and everywhere.count(name) == own]
+    return found
+
+
+# The public names of the package that no module of it reads, each with the
+# reason it stays: constructions and checks that only the tests and demos run
+# (ROADMAP item 7 decides, per name, between a registry check and tests/).
+UNREAD_BY_SRC = {
+    "annih.py: act_on_x": "the W-action on X, checked in test_annih",
+    "annih.py: ann_div": "Div^chi on the annihilation algebra, checked in test_annih",
+    "annih.py: ExtAnnElement": "the extended annihilation algebra d |x W, checked in test_annih",
+    "checks.py: twist_conjugation": "the twisting functor's conjugation, run by test_derham "
+                                    "and test_modules",
+    "modules.py: unshift_module": "the inverse shift, a paper construction checked in "
+                                  "test_modules",
+    "modules.py: s_tensor_module": "the S(d, chi) tensor module at the canonical lift, "
+                                   "checked in test_modules",
+    "modules.py: dual_module": "the dual module D(V), checked in test_modules",
+    "modules.py: twist_module": "T_Pi(V), checked against tensor_module in test_modules",
+    "modules.py: dual_map": "D(beta) of a module map, checked in test_modules",
+    "modules.py: s_of": "s(b_l, u) of the S-module formulas, checked in test_modules",
+    "modules.py: solve_intertwiner": "Hom_W between tensor modules, run by the acceptance "
+                                     "tests and test_derham",
+    "pseudoalg.py: cur_algebra_bracket": "Cur g, run by criterion 03 and demos/02",
+    "pseudoalg.py: check_s_closure": "closure of S(d, chi) in W(d), run by criterion 04 "
+                                     "outside the CLI for time",
+}
+
+
+def test_every_unread_public_name_of_the_package_is_listed():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert sorted(unread_public_names(trees)) == sorted(UNREAD_BY_SRC)
+
+
+def test_the_scan_sees_an_unread_public_name():
+    toy = ast.parse("LIMIT = 3\nSEEN = 4\ndef used(): return SEEN\n"
+                    "def orphan(): return orphan()\nclass Box: pass\n")
+    user = ast.parse("from toy import used\nvalue = used()\n")
+    init = ast.parse("from .toy import Box, LIMIT, orphan\n")
+    assert unread_public_names({"toy.py": toy, "user.py": user, "__init__.py": init}) == [
+        "toy.py: LIMIT", "toy.py: orphan", "toy.py: Box", "user.py: value"]
 
 
 def private_functions_defined_twice(trees: dict[str, ast.Module]) -> list[str]:

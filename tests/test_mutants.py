@@ -10,6 +10,7 @@ package's and the tests' modules that holds it, since modules import
 helpers such as `_fold` by name.
 """
 
+import itertools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -17,14 +18,17 @@ from pathlib import Path
 import pytest
 
 import liepseudo
-from liepseudo import _linalg, twosided
+from liepseudo import _linalg, derham, modules, twosided
 from liepseudo.dualx import XElement
 from liepseudo.hopf import HElement, Hopf, mi_deg
+from liepseudo.liecore import insert_sign, mat_apply, preset, wedge_basis
 from liepseudo.pseudoaction import ModuleVector
 
+import test_derham
 import test_hopf
 import test_linalg
 import test_modules
+import test_pseudoalg
 import test_twosided
 
 _TREES = (Path(liepseudo.__file__).parent, Path(__file__).parent)
@@ -116,6 +120,65 @@ def _hmul_with_j_outermost(self, h):
     return ModuleVector(self.hopf, self.width, out)
 
 
+def _d0_columns_without_sign(lie, n):
+    # every term added with sign +1 instead of (-1)^{r+s} times insert_sign's
+    cols = {S: {} for S in wedge_basis(lie.dim, n)}
+    for T in wedge_basis(lie.dim, n + 1):
+        for r, s in itertools.combinations(range(n + 1), 2):
+            rest = T[:r] + T[r + 1:s] + T[s + 1:]
+            for k, c in lie.bracket(T[r], T[s]).items():
+                ins = insert_sign(k, rest)
+                if ins is not None:
+                    _linalg.add_entry(cols[ins[1]], T, ins[0] * c)
+    return cols
+
+
+def _contraction_without_sign(i, S):
+    if i not in S:
+        return None
+    return 1, tuple(s for s in S if s != i)
+
+
+def _structure_terms_with_factors_swapped(lie, omega, i, s):
+    # e^l_j acting first in the c^j_kl terms
+    terms = []
+    for k, l in itertools.combinations(range(lie.dim), 2):
+        bracket = lie.bracket(k, l)
+        terms += [(c, mat_apply(omega.gl_matrix(i, k), derham._image(omega, j, l, s)))
+                  for j, c in bracket.items()]
+        if bracket.get(k):
+            terms.append((bracket[k], derham._image(omega, i, l, s)))
+    return terms
+
+
+def _module_defect_without_the_sign_of_a_b_v(real):
+    # a*(b*v) added with +1: the real sum plus twice that term
+    def module_defect(a, b, v, bracket, action):
+        store = real(a, b, v, bracket, action)
+        for I, e in action(b, v).to_left().terms.items():
+            for J, w in action(a, e).to_left().terms.items():
+                for N, row in w.terms.items():
+                    for k, x in enumerate(row):
+                        if x:
+                            _linalg.add_entry(store, (J, I, N, k), 2 * x)
+        return store
+    return module_defect
+
+
+def _closure_sharing_the_inner_rows(real):
+    # what a shallow copy of the inner window leaves: the outer closure's
+    # rows are the inner closure's row objects, edited in place
+    def submodule_closure(V, gens, fil_bound, mode="W", chi=None, inner=None):
+        clo = real(V, gens, fil_bound, mode, chi, inner)
+        if inner is not None:
+            for j, row in inner.window.items():
+                row.clear()
+                row.update(clo.window[j])
+                clo.window[j] = row
+        return clo
+    return submodule_closure
+
+
 def _install_module_vector(monkeypatch):
     monkeypatch.setattr(ModuleVector, "__init__", _module_vector_keeping_coordinates)
 
@@ -144,6 +207,39 @@ def _install_hmul(monkeypatch):
     monkeypatch.setattr(ModuleVector, "hmul", _hmul_with_j_outermost)
 
 
+def _install_d0_columns(monkeypatch):
+    _patch_everywhere(monkeypatch, derham._d0_columns, _d0_columns_without_sign)
+
+
+def _install_contraction(monkeypatch):
+    _patch_everywhere(monkeypatch, derham._contraction, _contraction_without_sign)
+
+
+def _install_structure_terms(monkeypatch):
+    _patch_everywhere(monkeypatch, derham._structure_terms, _structure_terms_with_factors_swapped)
+
+
+def _install_module_defect(monkeypatch):
+    _patch_everywhere(monkeypatch, twosided.module_defect,
+                      _module_defect_without_the_sign_of_a_b_v(twosided.module_defect))
+
+
+def _install_closure(monkeypatch):
+    _patch_everywhere(monkeypatch, modules.submodule_closure,
+                      _closure_sharing_the_inner_rows(modules.submodule_closure))
+
+
+def _on_a_fresh_hopf(test, name):
+    """`test` called on a Hopf of the preset `name` built when it runs, so
+    that no memo of the Hopfs the tests share keeps a mutant's values."""
+    return lambda: test(Hopf(preset(name)))
+
+
+def _closure_killer():
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        test_derham.test_classify_builds_each_closure_once(monkeypatch, "abelian3", 1, "S", 2)
+
+
 # name -> (install, the test expected to kill the mutant)
 MUTANTS = {
     "ModuleVector keeps its coordinates as given":
@@ -160,6 +256,18 @@ MUTANTS = {
         (_install_fold, test_modules.test_apply_map_appends_a_key_that_cancels_and_returns),
     "hmul with J outermost":
         (_install_hmul, test_modules.test_hmul_keeps_the_order_of_its_loops),
+    "_d0_columns without (-1)^(r+s)":
+        (_install_d0_columns, _on_a_fresh_hopf(test_derham.test_dw2_identity_all_presets, "sl2")),
+    "the contraction without insert_sign's sign":
+        (_install_contraction, _on_a_fresh_hopf(test_derham.test_dw2_identity_all_presets, "sl2")),
+    "dw2 with the factors of e^k_i e^l_j swapped":
+        (_install_structure_terms,
+         _on_a_fresh_hopf(test_derham.test_dw2_identity_all_presets, "sl2")),
+    "module_defect without the sign of a*(b*v)":
+        (_install_module_defect, _on_a_fresh_hopf(
+            test_pseudoalg.test_module_defect_matches_the_term_by_term_reference, "sl2")),
+    "submodule_closure(inner=) sharing the inner rows":
+        (_install_closure, _closure_killer),
 }
 
 
