@@ -190,12 +190,12 @@ def gr_iso_gl(A: AnnElement) -> Matrix:
 class ExtAnnElement:
     """Formal pair in the extended algebra d |x W."""
 
-    d_part: tuple[Fraction, ...]
+    d_part: tuple[int | Fraction, ...]
     w_part: AnnElement
 
     @classmethod
     def from_d(cls, hopf: Hopf, i: int, validity: int) -> "ExtAnnElement":
-        vec = tuple(Fraction(1 if k == i else 0) for k in range(hopf.n))
+        vec = tuple(int(k == i) for k in range(hopf.n))
         return cls(vec, AnnElement.zero(hopf, validity))
 
     def bracket(self, other: "ExtAnnElement") -> "ExtAnnElement":

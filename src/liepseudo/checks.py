@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 
 from .annih import AnnElement, ann_bracket, euler_element, gamma, gr_iso_gl, reconstruct_pseudoaction
 from .derham import dw2_lhs_rhs, pseudo_d
@@ -64,7 +63,7 @@ def hopf_cou2(hopf: Hopf, trunc: int) -> CheckReport:
             for K, c2 in prod.items():
                 acc[(K, C)] = acc.get((K, C), 0) + c * c2
         report.case(f"monomial {I}", {k: v for k, v in acc.items() if v}
-                    == {(mi_zero(hopf.n), I): Fraction(1)})
+                    == {(mi_zero(hopf.n), I): 1})
     return report
 
 

@@ -6,6 +6,9 @@ c_ij^k for i < j only; the antisymmetric completion is implicit.  All
 coefficients are exact rationals.  gl(d)-representations are keyed by the N^2
 elementary matrices e_i^j (with e_i^j b_k = delta_jk b_i), so an sl(d)-module
 enters as gl(d) data together with the scalar by which the identity acts.
+Every coefficient is canonical, an int when integral and else a Fraction
+(`_linalg._exact`), as `from_entries`, `TraceForm`, the `RepData` constructor
+and the matrix helpers keep it.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._linalg import _exact
 from .errors import (
     AntisymmetryViolation,
     DegreeOutOfRange,
@@ -23,7 +27,7 @@ from .errors import (
     RepInvalid,
 )
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+Matrix = tuple[tuple[int | Fraction, ...], ...]
 
 
 def rat(x) -> Fraction:
@@ -36,23 +40,23 @@ def rat(x) -> Fraction:
 
 
 def mat(rows: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(rat(v) for v in row) for row in rows)
+    return tuple(tuple(x if type(x) is int else _exact(rat(x)) for x in row) for row in rows)
 
 
 def zero_matrix(m: int) -> Matrix:
-    return tuple((Fraction(0),) * m for _ in range(m))
+    return tuple((0,) * m for _ in range(m))
 
 
 def identity_matrix(m: int) -> Matrix:
-    return tuple(tuple(Fraction(1 if r == c else 0) for c in range(m)) for r in range(m))
+    return tuple(tuple(int(r == c) for c in range(m)) for r in range(m))
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(_exact(x + y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_scale(c: Fraction, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
+def mat_scale(c: int | Fraction, a: Matrix) -> Matrix:
+    return tuple(tuple(_exact(c * x) for x in row) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -60,27 +64,28 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     m = len(b[0])
     out = []
     for row in a:
-        acc = [Fraction(0)] * m
+        acc = [0] * m
         for k, x in enumerate(row):
             if x:
                 for c, y in enumerate(b[k]):
                     if y:
                         acc[c] += x * y
-        out.append(tuple(acc))
+        out.append(tuple(map(_exact, acc)))
     return tuple(out)
 
 
 def mat_comm(a: Matrix, b: Matrix) -> Matrix:
-    return mat_add(mat_mul(a, b), mat_scale(Fraction(-1), mat_mul(b, a)))
+    return tuple(tuple(_exact(x - y) for x, y in zip(ra, rb))
+                 for ra, rb in zip(mat_mul(a, b), mat_mul(b, a)))
 
 
-def mat_apply(a: Matrix, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def mat_apply(a: Matrix, v: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:
     """a v, skipping the zero entries of v."""
-    return tuple(sum((row[c] * x for c, x in enumerate(v) if x), Fraction(0)) for row in a)
+    return tuple(_exact(sum(row[c] * x for c, x in enumerate(v) if x)) for row in a)
 
 
-def mat_trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
+def mat_trace(a: Matrix) -> int | Fraction:
+    return _exact(sum(a[i][i] for i in range(len(a))))
 
 
 def mat_is_zero(a: Matrix) -> bool:
@@ -92,9 +97,10 @@ class LieData:
     """Structure constants of an N-dimensional Lie algebra, stored for i < j."""
 
     dim: int
-    table: tuple[tuple[int, int, tuple[tuple[int, Fraction], ...]], ...]
+    table: tuple[tuple[int, int, tuple[tuple[int, int | Fraction], ...]], ...]
     name: str = ""
     _index: dict = field(default_factory=dict, repr=False, compare=False)
+    _omega_reps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         idx = {}
@@ -106,10 +112,10 @@ class LieData:
     def from_entries(cls, dim: int, entries: Iterable[tuple[int, int, int, object]], name: str = "") -> "LieData":
         """Build from (i, j, k, coeff) 0-based entries; i > j entries must be
         consistent with antisymmetry and are folded into i < j storage."""
-        acc: dict[tuple[int, int], dict[int, Fraction]] = {}
-        seen: dict[tuple[int, int, int], Fraction] = {}
+        acc: dict[tuple[int, int], dict[int, int | Fraction]] = {}
+        seen: dict[tuple[int, int, int], int | Fraction] = {}
         for i, j, k, c in entries:
-            c = rat(c)
+            c = _exact(rat(c))
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise AntisymmetryViolation(f"index out of range in bracket entry {(i, j, k)}")
             if i == j:
@@ -131,7 +137,7 @@ class LieData:
         table = tuple((i, j, terms) for i, j, terms in table if terms)
         return cls(dim=dim, table=table, name=name)
 
-    def bracket(self, i: int, j: int) -> dict[int, Fraction]:
+    def bracket(self, i: int, j: int) -> dict[int, int | Fraction]:
         """[b_i, b_j] as {k: coefficient}."""
         if i == j:
             return {}
@@ -139,8 +145,8 @@ class LieData:
             return dict(self._index.get((i, j), {}))
         return {k: -c for k, c in self._index.get((j, i), {}).items()}
 
-    def bracket_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * self.dim
+    def bracket_vec(self, u: Sequence, v: Sequence) -> tuple[int | Fraction, ...]:
+        out = [0] * self.dim
         for i, ci in enumerate(u):
             if ci == 0:
                 continue
@@ -149,30 +155,30 @@ class LieData:
                     continue
                 for k, c in self.bracket(i, j).items():
                     out[k] += ci * cj * c
-        return tuple(out)
+        return tuple(map(_exact, out))
 
     def validate(self) -> None:
         """Check the Jacobi identity exactly on all basis triples."""
         n = self.dim
         for i, j, k in itertools.combinations(range(n), 3):
-            defect = [Fraction(0)] * n
+            defect = [0] * n
             for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                 inner = self.bracket(b, c)
                 for m, cm in inner.items():
                     for l, cl in self.bracket(a, m).items():
                         defect[l] += cm * cl
             if any(defect):
-                raise JacobiViolation(i, j, k, tuple(defect))
+                raise JacobiViolation(i, j, k, tuple(map(_exact, defect)))
 
     def adjoint(self) -> "RepData":
         """The adjoint representation: (ad b_i)_{kj} = c_ij^k."""
         mats = []
         for i in range(self.dim):
-            m = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+            m = [[0] * self.dim for _ in range(self.dim)]
             for j in range(self.dim):
                 for k, c in self.bracket(i, j).items():
                     m[k][j] += c
-            mats.append(mat(m))
+            mats.append(m)
         return RepData.d_rep(self, tuple(mats))
 
     def tr_ad(self) -> "TraceForm":
@@ -180,7 +186,7 @@ class LieData:
         return TraceForm(self, tuple(mat_trace(ad.d_matrix(i)) for i in range(self.dim)))
 
     def zero_trace_form(self) -> "TraceForm":
-        return TraceForm(self, (Fraction(0),) * self.dim)
+        return TraceForm(self, (0,) * self.dim)
 
 
 @dataclass(frozen=True)
@@ -188,18 +194,19 @@ class TraceForm:
     """A linear functional chi on d vanishing on [d, d]."""
 
     lie: LieData
-    values: tuple[Fraction, ...]
+    values: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if len(self.values) != self.lie.dim:
             raise InvalidTraceForm("wrong length")
+        object.__setattr__(self, "values", tuple(_exact(rat(v)) for v in self.values))
         for i in range(self.lie.dim):
             for j in range(i + 1, self.lie.dim):
-                s = sum((c * self.values[k] for k, c in self.lie.bracket(i, j).items()), Fraction(0))
+                s = sum(c * self.values[k] for k, c in self.lie.bracket(i, j).items())
                 if s != 0:
                     raise InvalidTraceForm(f"chi([b_{i+1}, b_{j+1}]) = {s} != 0")
 
-    def __call__(self, i: int) -> Fraction:
+    def __call__(self, i: int) -> int | Fraction:
         return self.values[i]
 
 
@@ -208,14 +215,14 @@ class RepData:
 
     Two flavours share this container: a d-representation holds one matrix
     per basis element of d; a gl(d)-representation holds one matrix per
-    elementary e_i^j.  Matrices act on column vectors.
+    elementary e_i^j.  Matrices act on column vectors, with canonical entries.
     """
 
     def __init__(self, lie: LieData, dim: int, d_mats=None, gl_mats=None):
         self.lie = lie
         self.dim = dim
-        self._d = d_mats
-        self._gl = gl_mats
+        self._d = None if d_mats is None else tuple(map(mat, d_mats))
+        self._gl = None if gl_mats is None else {key: mat(m) for key, m in gl_mats.items()}
         self._valid = False  # set once validate() passes; the matrices are never reassigned
 
     # -- constructors -------------------------------------------------
@@ -233,7 +240,7 @@ class RepData:
         if set(mats) != {(i, j) for i in range(n) for j in range(n)}:
             raise RepInvalid("need one matrix per e_i^j")
         m = len(mats[(0, 0)])
-        return cls(lie, m, gl_mats=dict(mats))
+        return cls(lie, m, gl_mats=mats)
 
     @classmethod
     def trivial(cls, lie: LieData, m: int = 1, kind: str = "d") -> "RepData":
@@ -269,13 +276,13 @@ class RepData:
                     out = mat_add(out, mat_scale(A[i][j], self.gl_matrix(i, j)))
         return out
 
-    def id_scalar(self) -> Fraction:
+    def id_scalar(self) -> int | Fraction:
         """Scalar by which Id = sum e_i^i acts; RepInvalid if not scalar."""
         total = zero_matrix(self.dim)
         for i in range(self.lie.dim):
             total = mat_add(total, self.gl_matrix(i, i))
         c = total[0][0]
-        if not mat_is_zero(mat_add(total, mat_scale(Fraction(-1), mat_scale(c, identity_matrix(self.dim))))):
+        if not mat_is_zero(mat_add(total, mat_scale(-c, identity_matrix(self.dim)))):
             raise RepInvalid("Id does not act as a scalar")
         return c
 
@@ -330,7 +337,7 @@ class RepData:
                 if j == k:
                     expect = mat_add(expect, self.gl_matrix(i, l))
                 if i == l:
-                    expect = mat_add(expect, mat_scale(Fraction(-1), self.gl_matrix(k, j)))
+                    expect = mat_add(expect, mat_scale(-1, self.gl_matrix(k, j)))
                 if got != expect:
                     raise RepInvalid(f"gl commutation fails on (e_{i+1}^{j+1}, e_{k+1}^{l+1})")
         self._valid = True
@@ -348,12 +355,12 @@ def box_tensor(pi: RepData, u: RepData) -> tuple[RepData, RepData]:
     def embed(a: Matrix, index) -> Matrix:
         """a acting on one factor; index(r, s) is the tensor-basis position of
         the factor's vector r next to vector s of the other factor."""
-        out = [[Fraction(0)] * m for _ in range(m)]
+        out = [[0] * m for _ in range(m)]
         for r, c in itertools.product(range(len(a)), repeat=2):
             if a[r][c]:
                 for s in range(m // len(a)):
                     out[index(r, s)][index(c, s)] += a[r][c]
-        return mat(out)
+        return out
 
     d_part = RepData.d_rep(lie, tuple(embed(pi.d_matrix(i), lambda r, s: r * mu + s)
                                       for i in range(lie.dim)))
@@ -383,17 +390,20 @@ def omega_rep(data: LieData, n: int) -> RepData:
 
     The action of A on an n-form alpha is
     (A.alpha)(a_1 ^ ... ^ a_n) = sum_r (-1)^r alpha(A a_r ^ a_1 ^ ...hat a_r...).
+    Built once per (data, n): every caller shares one RepData.
     """
     N = data.dim
     if not 0 <= n <= N:
         raise DegreeOutOfRange(f"wedge degree {n} outside 0..{N}")
+    if n in data._omega_reps:
+        return data._omega_reps[n]
     basis = wedge_basis(N, n)
     index = {b: t for t, b in enumerate(basis)}
     m = len(basis)
     mats = {}
     for i in range(N):
         for j in range(N):
-            out = [[Fraction(0)] * m for _ in range(m)]
+            out = [[0] * m for _ in range(m)]
             # column: value of A.x^S on each basis wedge T computed from the
             # defining formula; e_i^j a_r = delta_{j, a_r} b_i
             for t, T in enumerate(basis):
@@ -406,9 +416,10 @@ def omega_rep(data: LieData, n: int) -> RepData:
                         continue
                     sgn, S = ins
                     # (-1)^(r+1): the formula's sign at 1-based position r+1
-                    out[t][index[S]] += Fraction((-1) ** (r + 1) * sgn)
-            mats[(i, j)] = mat(out)
-    return RepData.gl_rep(data, mats)
+                    out[t][index[S]] += (-1) ** (r + 1) * sgn
+            mats[(i, j)] = out
+    data._omega_reps[n] = RepData.gl_rep(data, mats)
+    return data._omega_reps[n]
 
 
 def sym2_dual_rep(data: LieData) -> RepData:
@@ -420,15 +431,15 @@ def sym2_dual_rep(data: LieData) -> RepData:
     mats = {}
     for i in range(N):
         for j in range(N):
-            out = [[Fraction(0)] * m for _ in range(m)]
+            out = [[0] * m for _ in range(m)]
             # derivation action induced from e_i^j . x^k = -delta_ik x^j
             for t, (a, b) in enumerate(basis):
                 for pos, other in ((a, b), (b, a)):
                     if pos != i:
                         continue
                     pair = tuple(sorted((j, other)))
-                    out[index[pair]][t] -= Fraction(1)
-            mats[(i, j)] = mat(out)
+                    out[index[pair]][t] -= 1
+            mats[(i, j)] = out
     return RepData.gl_rep(data, mats)
 
 

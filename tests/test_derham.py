@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from liepseudo import checks, derham, modules
+from liepseudo import checks, cli, derham, modules
 from liepseudo.cli import load_algebra
 from liepseudo.derham import (
     _contraction,
@@ -759,6 +759,28 @@ def test_d_images_build_each_omega_module_once(monkeypatch):
     # twisted differentials, each once, independent of p_max and of the
     # number of pseudo_d calls
     assert len(built) == H.n
+
+
+def test_derham_builds_each_omega_rep_once(monkeypatch, capsys):
+    # one twisted derham command: the checks, dw2_lhs_rhs and the Omega
+    # modules ask for Omega^n many times, and all get one RepData per degree
+    returned = []
+    real = derham.omega_rep
+
+    def recording(lie, n):
+        rep = real(lie, n)
+        returned.append((n, rep))
+        return rep
+
+    for module in (cli, checks, derham):
+        monkeypatch.setattr(module, "omega_rep", recording)
+    assert cli.main(["derham", "--alg", "heis3", "--pi", str(GOLDEN / "pi_heis3_dim2.json")]) == 0
+    capsys.readouterr()
+    built = {id(rep): n for n, rep in returned}
+    assert len(returned) > len(built)
+    assert len(built) <= preset("heis3").dim + 1
+    # every caller of degree n got the same object
+    assert sorted(built.values()) == sorted({n for n, _ in returned})
 
 
 @pytest.mark.parametrize("name", ["heis3", "solv3", "sl2", "abelian3"])

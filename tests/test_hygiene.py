@@ -236,9 +236,9 @@ def test_the_scan_sees_a_private_function_defined_twice():
                                             "third.py": third}) == ["_fold: first.py, second.py"]
 
 
-def true_divisions(tree: ast.Module) -> list[tuple[str, str]]:
-    """Every `/` and `/=` in `tree` as (enclosing function, its left operand),
-    the function qualified by its class, "<module>" outside any."""
+def _owned_nodes(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Every node of `tree` in source order as (enclosing function, node), the
+    function qualified by its class, "<module>" outside any."""
     found = []
 
     def visit(node, owner):
@@ -246,13 +246,18 @@ def true_divisions(tree: ast.Module) -> list[tuple[str, str]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, child.name if owner == "<module>" else f"{owner}.{child.name}")
                 continue
-            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div):
-                left = child.left if isinstance(child, ast.BinOp) else child.target
-                found.append((owner, ast.unparse(left)))
+            found.append((owner, child))
             visit(child, owner)
 
     visit(tree, "<module>")
     return found
+
+
+def true_divisions(tree: ast.Module) -> list[tuple[str, str]]:
+    """Every `/` and `/=` in `tree` as (enclosing function, its left operand)."""
+    return [(owner, ast.unparse(node.left if isinstance(node, ast.BinOp) else node.target))
+            for owner, node in _owned_nodes(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)]
 
 
 # The true divisions of the package, each by the Fraction operand that keeps
@@ -274,6 +279,35 @@ def test_the_scan_sees_every_true_division():
     tree = ast.parse("x = 1 / 2\nclass Box:\n    def f(self, a):\n        a /= 3\n"
                      "        return a // 2, Fraction(a) / 5\n")
     assert true_divisions(tree) == [("<module>", "1"), ("Box.f", "a"), ("Box.f", "Fraction(a)")]
+
+
+def fraction_calls(tree: ast.Module) -> list[tuple[str, str]]:
+    """Every call of `Fraction` in `tree` as (enclosing function, the call)."""
+    return [(owner, ast.unparse(node)) for owner, node in _owned_nodes(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "Fraction"]
+
+
+# The Fractions the package makes: every other coefficient is an int, or a
+# Fraction that arithmetic on these made (the canonical rule of `_linalg`).
+FRACTION_CALLS = {
+    ("_linalg.py", "<module>", "Fraction(1)"),  # ONE, which inverts a pivot
+    ("hopf.py", "Hopf._divided", "Fraction(v * mi_factorial(K), denom)"),
+    ("liecore.py", "rat", "Fraction(x)"),
+    ("modules.py", "_rep_h_matrix", "Fraction(c)"),
+}
+
+
+def test_every_fraction_call_in_the_package_is_listed():
+    found = {(path.name, owner, call) for path in sorted(SRC.glob("*.py"))
+             for owner, call in fraction_calls(ast.parse(path.read_text()))}
+    assert found == FRACTION_CALLS
+
+
+def test_the_scan_sees_every_fraction_call():
+    tree = ast.parse("ONE = Fraction(1)\nclass Box:\n    def f(self, a):\n"
+                     "        return fractions.Fraction(a), isinstance(a, Fraction), Fraction(a, 2)\n")
+    assert fraction_calls(tree) == [("<module>", "Fraction(1)"), ("Box.f", "fractions.Fraction(a)"),
+                                    ("Box.f", "Fraction(a, 2)")]
 
 
 def ignored_options(parser: argparse.ArgumentParser, shared=()) -> dict[str, list[str]]:

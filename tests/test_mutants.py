@@ -12,20 +12,23 @@ helpers such as `_fold` by name.
 
 import itertools
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import liepseudo
-from liepseudo import _linalg, derham, modules, twosided
+from liepseudo import _linalg, annih, derham, modules, twosided
 from liepseudo.dualx import XElement
 from liepseudo.hopf import HElement, Hopf, mi_deg
-from liepseudo.liecore import insert_sign, mat_apply, preset, wedge_basis
+from liepseudo.liecore import RepData, insert_sign, mat_apply, preset, wedge_basis
 from liepseudo.pseudoaction import ModuleVector
 
+import test_annih
 import test_derham
 import test_hopf
+import test_liecore
 import test_linalg
 import test_modules
 import test_pseudoalg
@@ -179,6 +182,25 @@ def _closure_sharing_the_inner_rows(real):
     return submodule_closure
 
 
+def _rep_data_keeping_matrices(self, lie, dim, d_mats=None, gl_mats=None):
+    # entries kept as given, integral Fractions included; rows made tuples
+    self.lie, self.dim, self._valid = lie, dim, False
+    self._d = None if d_mats is None else tuple(tuple(map(tuple, m)) for m in d_mats)
+    self._gl = None if gl_mats is None else {k: tuple(map(tuple, m)) for k, m in gl_mats.items()}
+
+
+def _validate_never_raising(self):
+    self._valid = True
+
+
+def _ann_action_none_on_cancellation(real):
+    # an element whose terms cancel on a vector reads as one that met none
+    def ann_action(els, vectors, action_pv):
+        return [[None if w is not None and w.is_zero() else w for w in row]
+                for row in real(els, vectors, action_pv)]
+    return ann_action
+
+
 def _install_module_vector(monkeypatch):
     monkeypatch.setattr(ModuleVector, "__init__", _module_vector_keeping_coordinates)
 
@@ -224,6 +246,19 @@ def _install_module_defect(monkeypatch):
                       _module_defect_without_the_sign_of_a_b_v(twosided.module_defect))
 
 
+def _install_rep_data(monkeypatch):
+    monkeypatch.setattr(RepData, "__init__", _rep_data_keeping_matrices)
+
+
+def _install_validate(monkeypatch):
+    monkeypatch.setattr(RepData, "validate", _validate_never_raising)
+
+
+def _install_ann_action(monkeypatch):
+    _patch_everywhere(monkeypatch, annih.ann_action,
+                      _ann_action_none_on_cancellation(annih.ann_action))
+
+
 def _install_closure(monkeypatch):
     _patch_everywhere(monkeypatch, modules.submodule_closure,
                       _closure_sharing_the_inner_rows(modules.submodule_closure))
@@ -233,6 +268,19 @@ def _on_a_fresh_hopf(test, name):
     """`test` called on a Hopf of the preset `name` built when it runs, so
     that no memo of the Hopfs the tests share keeps a mutant's values."""
     return lambda: test(Hopf(preset(name)))
+
+
+def _canonical_killer():
+    with tempfile.TemporaryDirectory() as tmp:
+        test_liecore.test_liecore_values_are_canonical("heis3", Path(tmp))
+
+
+def _validation_killer():
+    # pytest.raises reports a missing exception as its Failed outcome
+    try:
+        test_liecore.test_rep_validation_catches_errors()
+    except pytest.fail.Exception as exc:
+        raise AssertionError(str(exc)) from None
 
 
 def _closure_killer():
@@ -268,6 +316,13 @@ MUTANTS = {
             test_pseudoalg.test_module_defect_matches_the_term_by_term_reference, "sl2")),
     "submodule_closure(inner=) sharing the inner rows":
         (_install_closure, _closure_killer),
+    "RepData keeps its matrices as given":
+        (_install_rep_data, _canonical_killer),
+    "RepData.validate never raises":
+        (_install_validate, _validation_killer),
+    "ann_action returns None on a cancelled value":
+        (_install_ann_action,
+         test_annih.test_ann_action_matches_the_element_by_element_loop_with_cancellations),
 }
 
 
