@@ -104,8 +104,8 @@ class Hopf:
         lie.validate()
         self.lie = lie
         self.n = lie.dim
-        # [b_i, b_j] for i > j, the swaps straightening makes, in int where integral
-        self._swaps = {(i, j): [(k, _exact(c)) for k, c in lie.bracket(i, j).items()]
+        # [b_i, b_j] for i > j, the swaps straightening makes (canonical in LieData)
+        self._swaps = {(i, j): list(lie.bracket(i, j).items())
                        for i in range(self.n) for j in range(i)}
         self._word_memo: dict[tuple[int, ...], dict[tuple[int, ...], int | Fraction]] = {}
         self._mul_memo: dict[tuple[MultiIndex, MultiIndex], dict[MultiIndex, int | Fraction]] = {}

@@ -7,8 +7,8 @@ coefficients are exact rationals.  gl(d)-representations are keyed by the N^2
 elementary matrices e_i^j (with e_i^j b_k = delta_jk b_i), so an sl(d)-module
 enters as gl(d) data together with the scalar by which the identity acts.
 Every coefficient is canonical, an int when integral and else a Fraction
-(`_linalg._exact`), as `from_entries`, `TraceForm`, the `RepData` constructor
-and the matrix helpers keep it.
+(`_linalg._exact`), as the LieData, TraceForm and RepData constructors and the
+matrix helpers keep it.
 """
 
 from __future__ import annotations
@@ -103,10 +103,10 @@ class LieData:
     _omega_reps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        idx = {}
-        for i, j, terms in self.table:
-            idx[(i, j)] = {k: c for k, c in terms}
-        object.__setattr__(self, "_index", idx)
+        table = tuple((i, j, tuple((k, _exact(rat(c))) for k, c in terms))
+                      for i, j, terms in self.table)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_index", {(i, j): dict(terms) for i, j, terms in table})
 
     @classmethod
     def from_entries(cls, dim: int, entries: Iterable[tuple[int, int, int, object]], name: str = "") -> "LieData":
@@ -115,7 +115,7 @@ class LieData:
         acc: dict[tuple[int, int], dict[int, int | Fraction]] = {}
         seen: dict[tuple[int, int, int], int | Fraction] = {}
         for i, j, k, c in entries:
-            c = _exact(rat(c))
+            c = rat(c)
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise AntisymmetryViolation(f"index out of range in bracket entry {(i, j, k)}")
             if i == j:

@@ -259,6 +259,11 @@ def test_liecore_values_are_canonical(name, tmp_path):
     for (i, j), want in brackets.items():
         got = lie.bracket(i, j)
         assert all(canonical(c) for c in got.values()) and got == want, (i, j)
+    # the constructor keeps a table built with Fractions canonical too
+    again = LieData(N, tuple((i, j, tuple((k, Fraction(c)) for k, c in terms))
+                             for i, j, terms in lie.table))
+    assert again.table == lie.table
+    assert all(canonical(c) for _i, _j, terms in again.table for _k, c in terms)
     ad = lie.adjoint()
     for i in range(N):
         _same(ad.d_matrix(i), [[brackets[i, j].get(k, Fraction(0)) for j in range(N)]
