@@ -23,7 +23,7 @@ from .errors import DimensionMismatch, NotInW0, SolveFailed, TruncationExceeded
 from .hopf import HElement, Hopf, MultiIndex, mi_add, mi_below, mi_deg, mi_unit
 from .liecore import Matrix, TraceForm, mat
 from .pseudoaction import ModuleVector
-from .twosided import LEFT, PseudoValue, _fold
+from .twosided import PseudoValue, _fold
 
 
 class AnnElement:
@@ -278,16 +278,14 @@ def reconstruct_pseudoaction(hopf: Hopf, w_on: ModuleVector, v, action_pv, degre
                              validity: int) -> PseudoValue:
     """a * v = sum_I (S(b^(I)) (x) 1) (x)_H ((x_I (x)_H a) . v).  One
     `ann_action` call applies every x_I (x)_H a, reading each (1 (x) b_a) * v
-    once for all of them."""
-    out = PseudoValue.zero(hopf, LEFT)
+    once for all of them; one `PseudoValue.from_tensor` call folds the sum."""
     Is = mi_below(hopf.n, degree_bound)
     els = [iota(XElement.mono(hopf, I, 1, validity), w_on) for I in Is]
-    for I, acted in zip(Is, ann_action(els, [v], action_pv)[0]):
-        if acted is None or acted.is_zero():
-            continue
-        s = HElement(hopf, hopf.antipode_mono(I))
-        out = out.add(PseudoValue.from_tensor(s, hopf.one(), acted))
-    return out
+    one = hopf.one()
+    return PseudoValue.from_tensor(hopf, [
+        (HElement(hopf, hopf.antipode_mono(I)), one, acted)
+        for I, acted in zip(Is, ann_action(els, [v], action_pv)[0])
+        if acted is not None])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ class JacobiViolation(LiePseudoError):
     def __init__(self, i: int, j: int, k: int, defect):
         self.triple = (i, j, k)
         self.defect = defect
-        super().__init__(f"Jacobi identity fails on basis triple {(i + 1, j + 1, k + 1)}: defect {defect}")
+        super().__init__(f"Jacobi identity fails on basis triple {(i + 1, j + 1, k + 1)}: "
+                         f"defect ({', '.join(map(str, defect))})")
 
 
 class DimensionMismatch(LiePseudoError):

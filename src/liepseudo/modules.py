@@ -35,17 +35,8 @@ from .dualx import XElement
 from .errors import DimensionMismatch, DimensionTooSmall, RepInvalid, TruncationExceeded
 from .hopf import (HElement, Hopf, MultiIndex, mi_below, mi_deg, mi_factorial, mi_splits, mi_unit,
                    mi_zero)
-from .liecore import (
-    Matrix,
-    RepData,
-    TraceForm,
-    box_tensor,
-    identity_matrix,
-    mat_apply,
-    mat_mul,
-    rat,
-    zero_matrix,
-)
+from .liecore import (Matrix, RepData, TraceForm, box_tensor, identity_matrix, mat_add, mat_apply,
+                      mat_mul, mat_scale, rat, zero_matrix)
 from .pseudoaction import ModuleSpec, ModuleVector
 from .pseudoalg import WAlgebra
 from .twosided import LEFT, RIGHT, PseudoValue, _fold, _mono_times
@@ -116,27 +107,16 @@ def dual_module(V: ModuleSpec, name: str = "") -> ModuleSpec:
     """D(V) on H (x) V0* from the action table of V."""
     hopf = V.hopf
     n, m = hopf.n, V.dim
-    one = hopf.one()
     table = []
     for i in range(n):
         expanded = [V.full_tensor(V.table[i][k]) for k in range(m)]
-        row = []
-        for k in range(m):
-            val = PseudoValue.zero(hopf, LEFT)
-            for j in range(m):
-                for (F, G, tgt, c) in expanded[j]:
-                    if tgt != k:
-                        continue
-                    for G1, G2 in mi_splits(G):
-                        f = hopf.mono(F) * HElement(hopf, hopf.antipode_mono(G1))
-                        g = HElement(hopf, hopf.antipode_mono(G2))
-                        val = val.add(
-                            PseudoValue.from_tensor(
-                                f, g, ModuleVector.unit(hopf, m, j)
-                            ).scale(-c)
-                        )
-            row.append(val)
-        table.append(tuple(row))
+        table.append(tuple(
+            PseudoValue.from_tensor(hopf, [
+                (hopf.mono(F) * HElement(hopf, hopf.antipode_mono(G1)),
+                 HElement(hopf, hopf.antipode_mono(G2)), ModuleVector.unit(hopf, m, j).scale(-c))
+                for j in range(m) for (F, G, tgt, c) in expanded[j] if tgt == k
+                for G1, G2 in mi_splits(G)])
+            for k in range(m)))
     return ModuleSpec(hopf, m, tuple(table), name=name or f"D({V.name})")
 
 
@@ -149,8 +129,7 @@ def _rep_h_matrix(rep: RepData, coeffs: dict[MultiIndex, int | Fraction], dim: i
         for gen_idx, power in enumerate(I):
             for _ in range(power):
                 m = mat_mul(m, rep.d_matrix(gen_idx))
-        c = Fraction(c) / mi_factorial(I)  # a Fraction operand: never a float
-        out = tuple(tuple(out[r][s] + c * m[r][s] for s in range(dim)) for r in range(dim))
+        out = mat_add(out, mat_scale(Fraction(c, mi_factorial(I)), m))
     return out
 
 
@@ -186,13 +165,13 @@ def twist_module(pi: RepData, V: ModuleSpec, name: str = "") -> ModuleSpec:
         row = []
         for p in range(mp):
             for k in range(m):
-                val = PseudoValue.zero(hopf, LEFT)
+                tensors = []
                 for (F, G, tgt, c) in expanded[k]:
                     image = twist_vector(pi, ModuleVector.unit(hopf, m, tgt, G).scale(c), p)
-                    for G1, coords in image.terms.items():
-                        vec = ModuleVector(hopf, mp * m, {mi_zero(n): coords})
-                        val = val.add(PseudoValue.from_tensor(hopf.mono(F), hopf.mono(G1), vec))
-                row.append(val)
+                    tensors += [(hopf.mono(F), hopf.mono(G1),
+                                 ModuleVector(hopf, mp * m, {mi_zero(n): coords}))
+                                for G1, coords in image.terms.items()]
+                row.append(PseudoValue.from_tensor(hopf, tensors))
         table.append(tuple(row))
     return ModuleSpec(hopf, mp * m, tuple(table), name=name or f"T_Pi({V.name})")
 

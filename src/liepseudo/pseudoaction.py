@@ -34,7 +34,7 @@ is that of adding the PseudoValues one term at a time.  The fold is the one
 output vector of that store once; `modules.submodule_closure` reads the store
 itself and turns each M into a row of its reducer, building a vector only for
 a row that enlarges the span.  In right normal form h_a lands in the slot
-pinned to 1, and `PseudoValue.mul_inner` renormalizes through `from_tensor`.
+pinned to 1, and one `PseudoValue.from_tensor` call renormalizes the sum.
 """
 
 from __future__ import annotations
@@ -277,17 +277,20 @@ class ModuleSpec:
         each h_a is read off its terms once per actor (`_actor_terms`).
 
         The left form is the store of `w_star_store` with each vector built
-        once.  In right normal form h_a sits in the slot pinned to 1 and
-        moves across (x)_H through `PseudoValue.mul_inner`."""
+        once.  In right normal form h_a sits in the slot pinned to 1, and one
+        `PseudoValue.from_tensor` call folds the tensors (h_a (x) b^(K)) (x)_H u
+        of the terms (1 (x) b^(K)) (x)_H u of every (1 (x) b_a) * v."""
         hopf = self.hopf
         terms = self._actor_terms(w, v)
         if len(terms) == 1 and terms[0][1] == [(mi_zero(hopf.n), 1)]:
             return self.action_pv(terms[0][0], v, orient)
         if orient == RIGHT:
-            out = PseudoValue.zero(hopf, RIGHT)
+            tensors = []
             for a, h in terms:
-                out = out.add(self.action_pv(a, v, RIGHT).mul_inner(HElement(hopf, dict(h))))
-            return out
+                h = HElement(hopf, dict(h))
+                tensors += [(h, hopf.mono(K), u)
+                            for K, u in self.action_pv(a, v, RIGHT).terms.items()]
+            return PseudoValue.from_tensor(hopf, tensors, RIGHT)
         return _pseudo_value(hopf, LEFT, self.w_star_store(w, v), ModuleVector, self.dim)
 
     def w_star_store(self, w: ModuleVector, v: ModuleVector) -> dict:

@@ -120,17 +120,11 @@ def cur_algebra_bracket(hopf: Hopf, g: LieData):
     (f (x) a) * (h (x) b) = (f (x) h) (x)_H (1 (x) [a,b])."""
 
     def bracket(u: ModuleVector, v: ModuleVector) -> PseudoValue:
-        out = PseudoValue.zero(hopf)
         v_comps = [(b, h) for b, h in enumerate(v.comps) if not h.is_zero()]
-        for a, f in enumerate(u.comps):
-            if f.is_zero():
-                continue
-            for b, h in v_comps:
-                for k, c in g.bracket(a, b).items():
-                    out = out.add(
-                        PseudoValue.from_tensor(f, h, ModuleVector.unit(hopf, g.dim, k).scale(c))
-                    )
-        return out
+        return PseudoValue.from_tensor(hopf, [
+            (f, h, ModuleVector.unit(hopf, g.dim, k).scale(c))
+            for a, f in enumerate(u.comps) if not f.is_zero()
+            for b, h in v_comps for k, c in g.bracket(a, b).items()])
 
     return bracket
 

@@ -15,9 +15,9 @@ PseudoValues one term at a time (`_fold`), and each output vector is built
 once (`_pseudo_value`); the ModuleVector constructor makes its coordinates
 canonical, an int when integral and else a Fraction.  The inputs are summed
 as they come: the layers below hand out canonical coefficients, so the folds
-run in int wherever the arithmetic is integral.  `from_tensor` and
-`modules.apply_map` build their values that way.  H's product of term lists
-`_product` comes from `hopf`.
+run in int wherever the arithmetic is integral.  `modules.apply_map` builds
+its values that way, and `from_tensor` a whole sum of tensors
+(f (x) g) (x)_H v.  H's product of term lists `_product` comes from `hopf`.
 
 `skew_defect` is a PseudoValue; `module_defect`, which lives in
 H^(x)3 (x)_H V, is a flat map of its nonzero coefficients.
@@ -26,7 +26,7 @@ H^(x)3 (x)_H V, is a flat map of its nonzero coefficients.
 from __future__ import annotations
 
 from ._linalg import add_entry
-from .hopf import HElement, Hopf, MultiIndex, _product, mi_deg, mi_splits
+from .hopf import Hopf, MultiIndex, _product, mi_deg, mi_splits
 from .liecore import rat
 
 LEFT = "L"
@@ -47,33 +47,37 @@ class PseudoValue:
         return cls(hopf, orient, {})
 
     @classmethod
-    def from_tensor(cls, f: HElement, g: HElement, vec, orient: str = LEFT) -> "PseudoValue":
-        """Normal form of (f (x) g) (x)_H vec: sum (f S(g_(1)) (x) 1) (x)_H g_(2) vec,
-        or sum (1 (x) g S(f_(1))) (x)_H f_(2) vec, the outer factor on the left.
+    def from_tensor(cls, hopf: Hopf, tensors, orient: str = LEFT) -> "PseudoValue":
+        """Normal form of sum (f (x) g) (x)_H vec over the triples of
+        `tensors`, the vectors all of one width (an empty sum is zero), each
+        as sum (f S(g_(1)) (x) 1) (x)_H g_(2) vec or sum (1 (x) g S(f_(1)))
+        (x)_H f_(2) vec, the outer factor on the left.
 
-        For each term c b^(J) of the inner factor and each split A + B = J,
+        For each term c b^(J) of an inner factor and each split A + B = J,
         outer * S(b^(A)) (in the key order of `HElement.__mul__`) times
         c * b^(B) vec (in the key order of `ModuleVector.hmul`) is folded into
-        one store, so the value and the key order at both levels are those
-        of adding the terms one at a time."""
-        hopf = f.hopf
-        outer, inner = (f, g) if orient == LEFT else (g, f)
-        factors: dict[MultiIndex, dict] = {}  # A -> outer * S(b^(A))
-        moved: dict[MultiIndex, list] = {}  # B -> b^(B) vec as (N, coordinates)
+        one store for the whole sum, so the value and the key order at both
+        levels are those of adding the terms one at a time."""
         store: dict[MultiIndex, dict[MultiIndex, list]] = {}  # I -> N -> coordinates
-        for J, c in inner.coeffs.items():
-            for A, B in mi_splits(J):
-                rows_b = moved.get(B)
-                if rows_b is None:
-                    rows_b = moved[B] = _mono_times(hopf, B, vec.terms.items(), vec.width)
-                if not rows_b:
-                    continue
-                factor = factors.get(A)
-                if factor is None:
-                    factor = factors[A] = _product(hopf, outer.coeffs.items(),
-                                                   hopf.antipode_mono(A).items())
-                for I, x in factor.items():
-                    _fold(store, I, rows_b, c * x)
+        for f, g, vec in tensors:
+            outer, inner = (f, g) if orient == LEFT else (g, f)
+            factors: dict[MultiIndex, dict] = {}  # A -> outer * S(b^(A))
+            moved: dict[MultiIndex, list] = {}  # B -> b^(B) vec as (N, coordinates)
+            for J, c in inner.coeffs.items():
+                for A, B in mi_splits(J):
+                    rows_b = moved.get(B)
+                    if rows_b is None:
+                        rows_b = moved[B] = _mono_times(hopf, B, vec.terms.items(), vec.width)
+                    if not rows_b:
+                        continue
+                    factor = factors.get(A)
+                    if factor is None:
+                        factor = factors[A] = _product(hopf, outer.coeffs.items(),
+                                                       hopf.antipode_mono(A).items())
+                    for I, x in factor.items():
+                        _fold(store, I, rows_b, c * x)
+        if not store:
+            return cls(hopf, orient, {})
         return _pseudo_value(hopf, orient, store, type(vec), vec.width)
 
     # -- linear structure ----------------------------------------------------
@@ -124,18 +128,6 @@ class PseudoValue:
         """(sigma (x)_H id): swap the two H-slots (well defined by
         cocommutativity); in normal form this just toggles the orientation."""
         return PseudoValue(self.hopf, RIGHT if self.orient == LEFT else LEFT, dict(self.terms))
-
-    # -- H-module structure on the slot pinned to 1 ------------------------------
-    def mul_inner(self, h: HElement) -> "PseudoValue":
-        """Left-multiply the slot pinned to 1, renormalizing."""
-        acc = PseudoValue(self.hopf, self.orient, {})
-        for I, v in self.terms.items():
-            mono = self.hopf.mono(I)
-            if self.orient == LEFT:
-                acc = acc.add(PseudoValue.from_tensor(mono, h, v, LEFT))
-            else:
-                acc = acc.add(PseudoValue.from_tensor(h, mono, v, RIGHT))
-        return acc
 
     # -- inspection ---------------------------------------------------------------
     def map_vectors(self, fn) -> "PseudoValue":

@@ -82,31 +82,44 @@ def mul_outer(p: PseudoValue, h) -> PseudoValue:
     return PseudoValue(p.hopf, p.orient, out)
 
 
+def mul_inner(p: PseudoValue, h) -> PseudoValue:
+    """Left-multiply by h the slot of p pinned to 1, renormalizing one
+    tensor (b^(I) (x) h) (x)_H v, or (h (x) b^(I)) (x)_H v, per term and
+    adding the values one at a time."""
+    out = PseudoValue.zero(p.hopf, p.orient)
+    for I, v in p.terms.items():
+        mono = p.hopf.mono(I)
+        tensor = (mono, h, v) if p.orient == LEFT else (h, mono, v)
+        out = out.add(from_tensor_by_terms(p.hopf, [tensor], p.orient))
+    return out
+
+
 def mul_first(p: PseudoValue, h) -> PseudoValue:
     """Left-multiply the first H-slot of p by h."""
-    return mul_outer(p, h) if p.orient == LEFT else p.mul_inner(h)
+    return mul_outer(p, h) if p.orient == LEFT else mul_inner(p, h)
 
 
 def mul_second(p: PseudoValue, h) -> PseudoValue:
     """Left-multiply the second H-slot of p by h."""
-    return p.mul_inner(h) if p.orient == LEFT else mul_outer(p, h)
+    return mul_inner(p, h) if p.orient == LEFT else mul_outer(p, h)
 
 
-def from_tensor_by_terms(f, g, vec, orient: str = LEFT) -> PseudoValue:
-    """The normal form of (f (x) g) (x)_H vec, one `ModuleVector` product,
-    scale and add per term: the reference for `PseudoValue.from_tensor`, key
-    order at both levels included."""
-    hopf = f.hopf
+def from_tensor_by_terms(hopf, tensors, orient: str = LEFT) -> PseudoValue:
+    """The normal form of the sum of (f (x) g) (x)_H vec over the triples of
+    `tensors`, one `ModuleVector` product, scale and add per term, tensor
+    after tensor: the reference for `PseudoValue.from_tensor`, key order at
+    both levels included."""
     terms: dict = {}
-    outer, inner = (f, g) if orient == LEFT else (g, f)
-    for J, c in inner.coeffs.items():
-        for A, B in mi_splits(J):
-            factor = outer * hopf.element(hopf.antipode_mono(A))
-            moved = vec.hmul(hopf.mono(B)).scale(c)
-            if moved.is_zero():
-                continue
-            for I, c2 in factor.coeffs.items():
-                _acc(terms, I, moved.scale(c2))
+    for f, g, vec in tensors:
+        outer, inner = (f, g) if orient == LEFT else (g, f)
+        for J, c in inner.coeffs.items():
+            for A, B in mi_splits(J):
+                factor = outer * hopf.element(hopf.antipode_mono(A))
+                moved = vec.hmul(hopf.mono(B)).scale(c)
+                if moved.is_zero():
+                    continue
+                for I, c2 in factor.coeffs.items():
+                    _acc(terms, I, moved.scale(c2))
     return PseudoValue(hopf, orient, terms)
 
 

@@ -200,8 +200,8 @@ def test_criterion_03_pseudoalgebra_axioms():
     H1 = hopf_for("abelian1")
     walg1 = WAlgebra(H1)
     ell = walg1.gen(0).scale(-1)
-    virasoro = PseudoValue.from_tensor(H1.one(), H1.gen(0), ell).add(
-        PseudoValue.from_tensor(H1.gen(0), H1.one(), ell).neg()
+    virasoro = PseudoValue.from_tensor(H1, [(H1.one(), H1.gen(0), ell)]).add(
+        PseudoValue.from_tensor(H1, [(H1.gen(0), H1.one(), ell)]).neg()
     )
     reports.append(("Virasoro", CheckReport.one_case("[ell * ell]",
                                                      walg1.bracket(ell, ell).eq(virasoro))))

@@ -274,30 +274,27 @@ def star_action(hopf, w, n, gammav):
         for S, g in g_of.items():
             if n == 0:
                 vec = ModuleVector.unit(hopf, 1, 0)
-                out = out.add(PseudoValue.from_tensor(f, g * hopf.gen(a), vec).neg())
+                out = out.add(PseudoValue.from_tensor(hopf, [(f, g * hopf.gen(a), vec)]).neg())
                 continue
             for T in basis:
                 vec = ModuleVector.unit(hopf, len(basis), index[T])
                 val = basis_form_value(S, T)
                 if val:
                     out = out.add(
-                        PseudoValue.from_tensor(f, g * hopf.gen(a), vec.scale(val)).neg()
+                        PseudoValue.from_tensor(hopf, [(f, g * hopf.gen(a), vec.scale(val))]).neg()
                     )
                 for r in range(len(T)):
                     rest = T[:r] + T[r + 1:]
                     sgn = (-1) ** (r + 1)
                     v1 = basis_form_value(S, (a,) + rest)
                     if v1:
-                        out = out.add(
-                            PseudoValue.from_tensor(
-                                f * hopf.gen(T[r]), g, vec.scale(sgn * v1)
-                            )
-                        )
+                        out = out.add(PseudoValue.from_tensor(
+                            hopf, [(f * hopf.gen(T[r]), g, vec.scale(sgn * v1))]))
                     for k, c in lie.bracket(a, T[r]).items():
                         v2 = basis_form_value(S, (k,) + rest)
                         if v2:
                             out = out.add(
-                                PseudoValue.from_tensor(f, g, vec.scale(sgn * c * v2))
+                                PseudoValue.from_tensor(hopf, [(f, g, vec.scale(sgn * c * v2))])
                             )
     return out
 

@@ -136,28 +136,36 @@ def test_the_scan_sees_a_public_function_of_a_private_module_without_a_caller():
         "_toy.py: orphan (line 2)"]
 
 
+def _reads(tree: ast.AST) -> list[str]:
+    """Every name `tree` reads: loaded names, attributes and the names
+    imported from a module."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.extend(alias.name for alias in node.names)
+    return names
+
+
+def _reads_outside_init(trees: dict[str, ast.Module]) -> list[str]:
+    """The reads of every module of `trees` but `__init__.py`, which only
+    re-exports, so its imports are no read."""
+    return [name for label, tree in trees.items() if label != "__init__.py"
+            for name in _reads(tree)]
+
+
 def unread_public_names(trees: dict[str, ast.Module]) -> list[str]:
     """Public module-level functions, classes and assigned names of `trees`
-    that no module reads outside their own definition, as "file: name".
-    `__init__.py` only re-exports, so its imports are no read."""
-    def reads(tree):
-        names = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.append(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.append(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                names.extend(alias.name for alias in node.names)
-        return names
-
-    everywhere = [name for label, tree in trees.items() if label != "__init__.py"
-                  for name in reads(tree)]
+    that no module reads outside their own definition, as "file: name"."""
+    everywhere = _reads_outside_init(trees)
     found = []
     for label, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined = [(node.name, reads(node).count(node.name))]
+                defined = [(node.name, _reads(node).count(node.name))]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined = [(t.id, 0) for t in targets if isinstance(t, ast.Name)]
@@ -205,6 +213,62 @@ def test_the_scan_sees_an_unread_public_name():
     init = ast.parse("from .toy import Box, LIMIT, orphan\n")
     assert unread_public_names({"toy.py": toy, "user.py": user, "__init__.py": init}) == [
         "toy.py: LIMIT", "toy.py: orphan", "toy.py: Box", "user.py: value"]
+
+
+def unread_public_methods(trees: dict[str, ast.Module]) -> list[str]:
+    """Public methods of the module-level classes of `trees` whose name no
+    module reads outside the method's own definition, as
+    "file: Class.method".  A method is read by its name, whatever it is read
+    on, so of two methods of one name either keeps both."""
+    everywhere = _reads_outside_init(trees)
+    return [f"{label}: {node.name}.{item.name}" for label, tree in trees.items()
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith("_")
+            and everywhere.count(item.name) == _reads(item).count(item.name)]
+
+
+# The public methods of the package that no module of it reads, each with the
+# reason it stays: readers kept for the tests, demos and users of the API.
+METHODS_UNREAD_BY_SRC = {
+    "_linalg.py: RowReducer.contains": "span membership beside add, read by test_linalg and "
+                                       "test_derham",
+    "modules.py: Closure.contains": "membership in a closure, read by test_acceptance and "
+                                    "test_derham",
+    "modules.py: Closure.coef_rank": "the rank of the closure's coefficient span, read by "
+                                     "test_modules",
+    "pseudoaction.py: ModuleVector.from_comps": "the inverse of comps, builds vectors in "
+                                                "test_annih, test_pseudoalg and test_mutants",
+    "pseudoaction.py: ModuleVector.coefficient": "the coordinates at one b^(I), read by "
+                                                 "test_modules, test_acceptance and test_derham",
+    "twosided.py: PseudoValue.neg": "negation beside add, scale and sub, read by four test "
+                                    "modules",
+    "twosided.py: PseudoValue.to_right": "the right normal form beside to_left, read by "
+                                         "test_twosided",
+    "twosided.py: PseudoValue.map_vectors": "applies a map to every carrier, read by "
+                                            "test_derham",
+    "annih.py: AnnElement.drop_below_order": "the filtration quotient of the annihilation "
+                                             "algebra, read by test_annih and test_acceptance",
+    "annih.py: ExtAnnElement.from_d": "d inside the extended annihilation algebra, whose class "
+                                      "UNREAD_BY_SRC lists",
+    "pseudoalg.py: CheckReport.as_dict": "a check as a JSON object, read by test_pseudoalg",
+}
+
+
+def test_every_unread_public_method_of_the_package_is_listed():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert sorted(unread_public_methods(trees)) == sorted(METHODS_UNREAD_BY_SRC)
+
+
+def test_the_scan_sees_an_unread_public_method():
+    toy = ast.parse("class Box:\n    def used(self): return self.orphan\n"
+                    "    def again(self): return self.again()\n    def _hidden(self): pass\n"
+                    "    @property\n    def size(self): return 1\n"
+                    "class Bag:\n    def used(self): return 0\n    def orphan(self): return 1\n")
+    user = ast.parse("from toy import Box\nBox().used()\n")
+    init = ast.parse("from .toy import Box\nsize = Box.size\n")
+    assert unread_public_methods({"toy.py": toy, "user.py": user, "__init__.py": init}) == [
+        "toy.py: Box.again", "toy.py: Box.size"]
 
 
 def private_functions_defined_twice(trees: dict[str, ast.Module]) -> list[str]:
@@ -264,7 +328,6 @@ def true_divisions(tree: ast.Module) -> list[tuple[str, str]]:
 # an int / int, which Python makes a float, out of every coefficient.
 FRACTION_DIVISIONS = {
     ("_linalg.py", "RowReducer.add", "ONE"),  # ONE = Fraction(1)
-    ("modules.py", "_rep_h_matrix", "Fraction(c)"),
     ("liecore.py", "RepData.with_id_scalar", "rat(c) - self.id_scalar()"),  # rat gives a Fraction
 }
 
@@ -293,7 +356,7 @@ FRACTION_CALLS = {
     ("_linalg.py", "<module>", "Fraction(1)"),  # ONE, which inverts a pivot
     ("hopf.py", "Hopf._divided", "Fraction(v * mi_factorial(K), denom)"),
     ("liecore.py", "rat", "Fraction(x)"),
-    ("modules.py", "_rep_h_matrix", "Fraction(c)"),
+    ("modules.py", "_rep_h_matrix", "Fraction(c, mi_factorial(I))"),  # c / I!, exact
 }
 
 

@@ -58,6 +58,11 @@ def test_jacobi_violation_names_triple():
         bad.validate()
     assert exc.value.triple == (0, 1, 2)
     assert any(exc.value.defect)
+    # the defect reads as reports print numbers: -1/2, not Fraction(-1, 2)
+    frac = LieData.from_entries(3, [(0, 1, 0, 1), (0, 2, 2, Fraction(1, 2))])
+    with pytest.raises(JacobiViolation) as exc:
+        frac.validate()
+    assert str(exc.value) == "Jacobi identity fails on basis triple (1, 2, 3): defect (0, 0, -1/2)"
 
 
 def test_adjoint_and_trace_form():

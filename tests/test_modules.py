@@ -12,7 +12,7 @@ from liepseudo import checks, liecore, modules, pseudoaction
 from liepseudo.annih import AnnElement, ann_action
 from liepseudo.dualx import XElement
 from liepseudo.errors import DimensionMismatch, RepInvalid, TruncationExceeded
-from liepseudo.hopf import Hopf, mi_below, mi_deg, mi_splits, mi_unit, mi_zero
+from liepseudo.hopf import Hopf, mi_below, mi_deg, mi_factorial, mi_splits, mi_unit, mi_zero
 from liepseudo.liecore import (
     LieData, RepData, TraceForm, mat, omega_rep, sym2_dual_rep,
 )
@@ -99,6 +99,37 @@ def test_a_passed_validation_is_remembered_and_a_failure_never(monkeypatch):
     assert messages == ["[rho(b_1), rho(b_2)] != rho([b_1, b_2])"] * 3
 
 
+def _h_matrix_by_fractions(rep, coeffs, dim):
+    """The matrix of sum_I c_I b^(I) on `rep`, in Fractions: c_I / I! times
+    the ordered product of the generator matrices."""
+    out = [[Fraction(0)] * dim for _ in range(dim)]
+    for I, c in coeffs.items():
+        m = [[Fraction(int(r == s)) for s in range(dim)] for r in range(dim)]
+        for a, power in enumerate(I):
+            for _ in range(power):
+                g = rep.d_matrix(a)
+                m = [[sum(m[r][t] * g[t][s] for t in range(dim)) for s in range(dim)]
+                     for r in range(dim)]
+        for r in range(dim):
+            for s in range(dim):
+                out[r][s] += Fraction(c) * m[r][s] / mi_factorial(I)
+    return out
+
+
+def test_rep_h_matrix_is_canonical_and_matches_the_fraction_loop():
+    # heis3 on the 2-dimensional Pi of the twisted de Rham golden (x -> E_12,
+    # y -> 1, z -> 0): antipodes of every monomial of degree < 4, and a sum
+    # with non-integral coefficients
+    H = hopf_for("heis3")
+    pi = RepData.d_rep(H.lie, (mat([[0, 1], [0, 0]]), mat([[1, 0], [0, 1]]), mat([[0, 0], [0, 0]])))
+    cases = [H.antipode_mono(I) for I in mi_below(H.n, 4)]
+    cases.append({(1, 1, 0): Fraction(1, 2), (0, 2, 0): Fraction(-2, 3), (0, 0, 0): 3})
+    for coeffs in cases:
+        got = modules._rep_h_matrix(pi, coeffs, 2)
+        assert [list(row) for row in got] == _h_matrix_by_fractions(pi, coeffs, 2), coeffs
+        assert all(canonical(x) for row in got for x in row), (coeffs, got)
+
+
 def test_twisted_h_matches_direct_formula():
     # T_Pi(H) for solv2, Pi one-dimensional with b_1 -> alpha:
     # (1 (x) a)*(1 (x) u) = (1 (x) 1) (x)_H (1 (x) a u) - (1 (x) a) (x)_H (1 (x) u)
@@ -110,8 +141,8 @@ def test_twisted_h_matches_direct_formula():
     for i, aval in ((0, alpha), (1, Fraction(0))):
         got = T.table[i][0]
         vec = T.unit(0)
-        expect = PseudoValue.from_tensor(one, one, vec.scale(aval)).add(
-            PseudoValue.from_tensor(one, H.gen(i), vec).neg()
+        expect = PseudoValue.from_tensor(H, [(one, one, vec.scale(aval))]).add(
+            PseudoValue.from_tensor(H, [(one, H.gen(i), vec)]).neg()
         )
         assert got.eq(expect)
 
@@ -141,7 +172,7 @@ def test_module_axiom_negative_control():
     # corrupt one table entry
     bad_table = [list(row) for row in T.table]
     bad_table[0][0] = bad_table[0][0].add(
-        PseudoValue.from_tensor(H.one(), H.one(), T.unit(1))
+        PseudoValue.from_tensor(H, [(H.one(), H.one(), T.unit(1))])
     )
     bad = ModuleSpec(H, T.dim, tuple(tuple(r) for r in bad_table))
     defects = []

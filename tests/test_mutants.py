@@ -23,7 +23,7 @@ from liepseudo import _linalg, annih, derham, modules, twosided
 from liepseudo.dualx import XElement
 from liepseudo.hopf import HElement, Hopf, mi_deg
 from liepseudo.liecore import RepData, insert_sign, mat_apply, preset, wedge_basis
-from liepseudo.pseudoaction import ModuleVector
+from liepseudo.pseudoaction import ModuleSpec, ModuleVector
 
 import test_annih
 import test_derham
@@ -201,6 +201,25 @@ def _ann_action_none_on_cancellation(real):
     return ann_action
 
 
+def _from_tensor_restarting_per_tensor(real):
+    # the store starts over at each tensor, so only the last one is kept
+    def from_tensor(cls, hopf, tensors, orient=twosided.LEFT):
+        return real(hopf, list(tensors)[-1:], orient)
+    return classmethod(from_tensor)
+
+
+def _w_star_right_reading_the_first_actor(real):
+    # in right normal form only the first nonzero h_a (x) b_a of w acts
+    def w_star(self, w, v, orient=twosided.LEFT):
+        if orient == twosided.RIGHT:
+            comps = w.comps
+            first = next((a for a, h in enumerate(comps) if not h.is_zero()), None)
+            w = ModuleVector.from_comps(self.hopf, [h if a == first else h.hopf.zero()
+                                                    for a, h in enumerate(comps)])
+        return real(self, w, v, orient)
+    return w_star
+
+
 def _install_module_vector(monkeypatch):
     monkeypatch.setattr(ModuleVector, "__init__", _module_vector_keeping_coordinates)
 
@@ -264,6 +283,15 @@ def _install_closure(monkeypatch):
                       _closure_sharing_the_inner_rows(modules.submodule_closure))
 
 
+def _install_from_tensor(monkeypatch):
+    monkeypatch.setattr(twosided.PseudoValue, "from_tensor",
+                        _from_tensor_restarting_per_tensor(twosided.PseudoValue.from_tensor))
+
+
+def _install_w_star(monkeypatch):
+    monkeypatch.setattr(ModuleSpec, "w_star", _w_star_right_reading_the_first_actor(ModuleSpec.w_star))
+
+
 def _on_a_fresh_hopf(test, name):
     """`test` called on a Hopf of the preset `name` built when it runs, so
     that no memo of the Hopfs the tests share keeps a mutant's values."""
@@ -323,6 +351,10 @@ MUTANTS = {
     "ann_action returns None on a cancelled value":
         (_install_ann_action,
          test_annih.test_ann_action_matches_the_element_by_element_loop_with_cancellations),
+    "from_tensor restarts its store per tensor":
+        (_install_from_tensor, test_twosided.test_from_tensor_folds_a_sum_as_the_term_by_term_build),
+    "right-form w_star reads only its first actor term":
+        (_install_w_star, test_modules.test_action_kernel_matches_the_mul_second_formula),
 }
 
 

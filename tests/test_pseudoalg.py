@@ -32,7 +32,7 @@ def test_virasoro_specialization():
     ell = walg.gen(0).scale(-1)
     lhs = walg.bracket(ell, ell)
     one, d = H.one(), H.gen(0)
-    rhs = PseudoValue.from_tensor(one, d, ell).add(PseudoValue.from_tensor(d, one, ell).neg())
+    rhs = PseudoValue.from_tensor(H, [(one, d, ell), (d, one, ell.scale(-1))])
     assert lhs.eq(rhs)
 
 
@@ -42,9 +42,7 @@ def test_w_bracket_abelian2_example():
     walg = WAlgebra(H)
     lhs = walg.bracket(walg.gen(0), walg.gen(1))
     b1, b2 = ModuleVector.unit(H, 2, 0), ModuleVector.unit(H, 2, 1)
-    rhs = PseudoValue.from_tensor(H.gen(1), H.one(), b1).add(
-        PseudoValue.from_tensor(H.one(), H.gen(0), b2).neg()
-    )
+    rhs = PseudoValue.from_tensor(H, [(H.gen(1), H.one(), b1), (H.one(), H.gen(0), b2.scale(-1))])
     assert lhs.eq(rhs)
 
 
@@ -54,9 +52,7 @@ def test_w_bracket_self_abelian():
     a = walg.gen(0)
     lhs = walg.bracket(a, a)
     b1 = ModuleVector.unit(H, 2, 0)
-    rhs = PseudoValue.from_tensor(H.gen(0), H.one(), b1).add(
-        PseudoValue.from_tensor(H.one(), H.gen(0), b1).neg()
-    )
+    rhs = PseudoValue.from_tensor(H, [(H.gen(0), H.one(), b1), (H.one(), H.gen(0), b1.scale(-1))])
     assert lhs.eq(rhs)
 
 
@@ -75,10 +71,10 @@ def test_cur_sl2_bracket_and_axioms():
     f = ModuleVector.unit(H, 3, 2)
     h = ModuleVector.unit(H, 3, 1)
     val = bracket(e, f)
-    assert val.eq(PseudoValue.from_tensor(H.one(), H.one(), h))
+    assert val.eq(PseudoValue.from_tensor(H, [(H.one(), H.one(), h)]))
     assert bracket(e, e).is_zero()
     de = ModuleVector.unit(H, 3, 0, mi_unit(H.n, 0))
-    assert bracket(de, f).eq(PseudoValue.from_tensor(H.gen(0), H.one(), h))
+    assert bracket(de, f).eq(PseudoValue.from_tensor(H, [(H.gen(0), H.one(), h)]))
     gens = [e, h, f]
     assert check_skew(bracket, gens).ok
     assert check_jacobi(bracket, gens).ok
@@ -97,7 +93,8 @@ def test_corrupted_constants_fail_jacobi():
         val = walg.bracket(u, v)
         # corrupt: add a non-H-bilinear junk term to one bracket
         if not u.comps[0].is_zero() and not v.comps[1].is_zero():
-            val = val.add(PseudoValue.from_tensor(H.one(), H.one(), ModuleVector.unit(H, H.n, 0)))
+            junk = ModuleVector.unit(H, H.n, 0)
+            val = val.add(PseudoValue.from_tensor(H, [(H.one(), H.one(), junk)]))
         return val
 
     assert not check_skew(corrupted, walg.gens()).ok or not check_jacobi(corrupted, walg.gens()).ok
@@ -235,14 +232,15 @@ def _bracket_oracle(H, u, v):
     """[(f (x) a) * (g (x) b)] = (f (x) g) (x)_H (1 (x) [a,b])
     - (f (x) g a) (x)_H (1 (x) b) + (f b (x) g) (x)_H (1 (x) a), term by term."""
     out = PseudoValue.zero(H)
+    unit = [ModuleVector.unit(H, H.n, k) for k in range(H.n)]
     for a, f in enumerate(u.comps):
         for b, g in enumerate(v.comps):
             if f.is_zero() or g.is_zero():
                 continue
             for k, c in H.lie.bracket(a, b).items():
-                out = out.add(PseudoValue.from_tensor(f, g, ModuleVector.unit(H, H.n, k).scale(c)))
-            out = out.add(PseudoValue.from_tensor(f, g * H.gen(a), ModuleVector.unit(H, H.n, b)).neg())
-            out = out.add(PseudoValue.from_tensor(f * H.gen(b), g, ModuleVector.unit(H, H.n, a)))
+                out = out.add(PseudoValue.from_tensor(H, [(f, g, unit[k].scale(c))]))
+            out = out.add(PseudoValue.from_tensor(H, [(f, g * H.gen(a), unit[b])]).neg())
+            out = out.add(PseudoValue.from_tensor(H, [(f * H.gen(b), g, unit[a])]))
     return out
 
 
@@ -253,7 +251,7 @@ def _action_on_h_oracle(H, w, g):
     one = ModuleVector.unit(H, 1, 0)
     for a, f in enumerate(w.comps):
         if not f.is_zero():
-            out = out.add(PseudoValue.from_tensor(f, g * H.gen(a), one).neg())
+            out = out.add(PseudoValue.from_tensor(H, [(f, g * H.gen(a), one)]).neg())
     return out
 
 

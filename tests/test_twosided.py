@@ -16,7 +16,7 @@ def test_trivial_tensor_roundtrip():
     H = hopf_for("abelian2")
     walg = WAlgebra(H)
     v = walg.gen(0)
-    p = PseudoValue.from_tensor(H.one(), H.one(), v)
+    p = PseudoValue.from_tensor(H, [(H.one(), H.one(), v)])
     assert p.orient == LEFT
     assert list(p.terms) == [(0, 0)]
     assert p.to_right().to_left().eq(p)
@@ -27,7 +27,7 @@ def test_primitive_conversion_formula():
     H = hopf_for("sl2")
     walg = WAlgebra(H)
     v = walg.gen(2)
-    p = PseudoValue.from_tensor(H.gen(0), H.one(), v)
+    p = PseudoValue.from_tensor(H, [(H.gen(0), H.one(), v)])
     r = p.to_right()
     e0 = (1, 0, 0)
     z = (0, 0, 0)
@@ -57,7 +57,7 @@ def test_flip_swaps_slots():
     H = hopf_for("abelian2")
     walg = WAlgebra(H)
     v = walg.gen(1)
-    p = PseudoValue.from_tensor(H.gen(0), H.one(), v)
+    p = PseudoValue.from_tensor(H, [(H.gen(0), H.one(), v)])
     f = p.flip()
     assert f.orient == RIGHT
     assert f.terms.keys() == p.terms.keys()
@@ -81,8 +81,8 @@ def test_filtration_compatibility(any_preset):
 def test_normal_form_uniqueness(any_preset):
     H = any_preset
     walg = WAlgebra(H)
-    a = PseudoValue.from_tensor(H.gen(0), H.one(), walg.gen(0))
-    b = PseudoValue.from_tensor(H.gen(0), H.one(), walg.gen(0))
+    a = PseudoValue.from_tensor(H, [(H.gen(0), H.one(), walg.gen(0))])
+    b = PseudoValue.from_tensor(H, [(H.gen(0), H.one(), walg.gen(0))])
     assert a.eq(b)
     c = b.scale("1/2")
     assert not a.eq(c)
@@ -95,11 +95,11 @@ def test_mul_slots_against_tensor_builder(any_preset):
     walg = WAlgebra(H)
     f, h = H.gen(0), H.gen(H.n - 1)
     v = walg.gen(0)
-    built = PseudoValue.from_tensor(f, h, v)
-    stepped = mul_second(PseudoValue.from_tensor(f, H.one(), v), h)
+    built = PseudoValue.from_tensor(H, [(f, h, v)])
+    stepped = mul_second(PseudoValue.from_tensor(H, [(f, H.one(), v)]), h)
     assert built.eq(stepped)
-    built_l = PseudoValue.from_tensor(f * h, H.one(), v)
-    stepped_l = mul_first(PseudoValue.from_tensor(h, H.one(), v), f)
+    built_l = PseudoValue.from_tensor(H, [(f * h, H.one(), v)])
+    stepped_l = mul_first(PseudoValue.from_tensor(H, [(h, H.one(), v)]), f)
     assert built_l.eq(stepped_l)
 
 
@@ -112,9 +112,9 @@ def test_from_tensor_normal_forms_agree(any_preset):
     for I in mi_below(H.n, 2):
         for J in mi_below(H.n, 2):
             f, g = H.mono(I), H.mono(J)
-            right = PseudoValue.from_tensor(f, g, v, RIGHT)
+            right = PseudoValue.from_tensor(H, [(f, g, v)], RIGHT)
             assert right.orient == RIGHT
-            assert right.eq(PseudoValue.from_tensor(f, g, v, LEFT)), (H.lie.name, I, J)
+            assert right.eq(PseudoValue.from_tensor(H, [(f, g, v)], LEFT)), (H.lie.name, I, J)
 
 
 # fractional and non-unit coefficients; coordinates may also be zero
@@ -154,7 +154,32 @@ def test_from_tensor_matches_the_term_by_term_build(name, f, g, width, rows, ori
     H = hopf_for(name)
     f, g = HElement(H, f), HElement(H, g)
     vec = ModuleVector(H, width, {I: tuple(row[:width]) for I, row in rows.items()})
-    got, want = PseudoValue.from_tensor(f, g, vec, orient), from_tensor_by_terms(f, g, vec, orient)
+    got = PseudoValue.from_tensor(H, [(f, g, vec)], orient)
+    want = from_tensor_by_terms(H, [(f, g, vec)], orient)
+    assert got.orient == orient
+    assert layout(got) == layout(want)
+    assert all_canonical(got)
+
+
+_TENSORS = st.lists(st.tuples(_H_TERMS, _H_TERMS, _ROWS), max_size=3)
+_ONE, _B1, _B2 = (0, 0, 0), (1, 0, 0), (0, 1, 0)
+
+
+# an empty sum; and on abelian3, where (1 + b2 (x) 1) (x)_H u has keys 1 and
+# b2, the term -1 of (1 (x) -1 + b1) (x)_H u cancels key 1, and the split
+# A = 0, B = b1 of its term b1 brings it back after b2
+@example("heis3", [], 3, RIGHT)
+@example("abelian3", [({_ONE: F(1), _B2: F(1)}, {_ONE: F(1)}, {_ONE: [F(1)]}),
+                      ({_ONE: F(1)}, {_ONE: F(-1), _B1: F(1)}, {_ONE: [F(1)]})], 1, LEFT)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(["abelian3", "heis3", "sl2", "solv3"]), _TENSORS,
+       st.sampled_from([1, 3]), st.sampled_from([LEFT, RIGHT]))
+def test_from_tensor_folds_a_sum_as_the_term_by_term_build(name, tensors, width, orient):
+    H = hopf_for(name)
+    tensors = [(HElement(H, f), HElement(H, g),
+                ModuleVector(H, width, {I: tuple(row[:width]) for I, row in rows.items()}))
+               for f, g, rows in tensors]
+    got, want = PseudoValue.from_tensor(H, tensors, orient), from_tensor_by_terms(H, tensors, orient)
     assert got.orient == orient
     assert layout(got) == layout(want)
     assert all_canonical(got)
