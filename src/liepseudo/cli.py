@@ -5,19 +5,24 @@ representations load from presets or JSON files; all reports are JSON-able
 dictionaries rendered deterministically (sorted keys, fixed list orders), so
 identical configurations produce byte-identical reports.
 
-JSON algebra schema (rationals are "p/q" strings, indices 1-based):
+JSON algebra schema (rationals are "p/q" strings, indices 1-based, each
+"dim" a JSON integer >= 1; no "brackets" key means an abelian algebra):
     {"dim": N,
      "brackets": [[i, j, k, "p/q"], ...],
      "chi": "zero" | "tr_ad" | ["p/q", ...],
      "pi":  {"dim": m, "mats": [N matrices]},
      "u":   {"dim": m, "mats": [N*N matrices row-major by (i, j)],
              "id_scalar": "p/q"}}
+
+Before it builds a module or a dual table, a command estimates the size of
+its problem and refuses one above SIZE_LIMIT (`_check_size`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -70,6 +75,36 @@ def _spec_int(spec: str, least: int) -> int:
     return m
 
 
+def _json_dim(value, what: str) -> int:
+    """A dimension read from JSON: an integer, not a bool, a float or a
+    string."""
+    if type(value) is not int:
+        raise ConfigError(f"{what}: dimension must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
+# The largest problem a command accepts: C(N + p, N) x rank, the number of
+# basis vectors b^(I) (x) u with |I| <= p of a module of that rank over
+# H = U(d), dim d = N, at the highest degree p the command reads (its --fil
+# or --trunc, or the working degree of a closure).  Every golden and
+# benchmark command, and the dim-4 and dim-5 commands timed in ROADMAP.md,
+# stay below 1,500 (tests/test_cli.py).  The limit bounds the size of a
+# problem, not its running time.
+SIZE_LIMIT = 10 ** 5
+
+
+def _check_size(lie: LieData, p: int, rank: int) -> None:
+    """Refuse a problem above SIZE_LIMIT before any module or dual table is built."""
+    n = lie.dim
+    size = math.comb(n + p, n) * rank
+    if size > SIZE_LIMIT:
+        # the first three digits of size, which may have more than str() allows
+        k = math.floor(math.log10(size))
+        lead = size // 10 ** (k - 2)
+        raise ConfigError(f"problem size C(N + p, N) x rank = C({n} + {p}, {n}) x {rank} "
+                          f"~ {lead // 100}.{lead % 100:02d}e{k} exceeds the limit {SIZE_LIMIT}")
+
+
 def _spec_rats(values, what: str) -> tuple[Fraction, ...]:
     try:
         return tuple(rat(str(v).strip()) for v in values)
@@ -88,7 +123,7 @@ def load_algebra(source: str) -> tuple[LieData, dict]:
             raise ConfigError(str(exc)) from None
     blob = _load_json(source)
     try:
-        dim = int(blob["dim"])
+        dim = _json_dim(blob["dim"], f"bad algebra schema in {source}")
         if dim < 1:
             raise ConfigError(f"algebra dimension must be >= 1 in {source}, got {dim}")
         entries = [(i - 1, j - 1, k - 1, rat(c)) for i, j, k, c in blob.get("brackets", [])]
@@ -119,7 +154,7 @@ def _mats_from_blob(blob: dict, count: int, what: str) -> list:
     if not isinstance(mats, list) or len(mats) != count:
         raise ConfigError(f"{what}: need {count} matrices")
     try:
-        dim = int(blob["dim"])
+        dim = _json_dim(blob["dim"], f"{what}: bad matrix data")
         if dim < 1:
             raise ConfigError(f"{what}: dimension must be >= 1, got {dim}")
         out = []
@@ -249,6 +284,7 @@ def cmd_verify(args) -> int:
     lie, _ = load_algebra(args.alg)
     if args.trunc < 3:
         raise ConfigError(f"truncation --trunc {args.trunc} is below 3, the least that gamma needs")
+    _check_size(lie, args.trunc, 1)
     suite = Suite("verify", {"alg": lie.name, "trunc": args.trunc})
     hopf = Hopf(lie)
     for name, check in checks.verify_checks(lie.dim):
@@ -273,6 +309,7 @@ def cmd_singular(args) -> int:
     if args.trunc < least:
         raise ConfigError(f"truncation --trunc {args.trunc} is below {least}, "
                           f"the degree of the oracle's largest x_K at --fil {fil}")
+    _check_size(lie, max(fil, args.trunc), pi.dim * u.dim)
     suite = Suite("singular", {
         "alg": lie.name, "mode": mode, "fil": fil, "trunc": args.trunc,
         "pi_dim": pi.dim, "u_dim": u.dim,
@@ -311,6 +348,8 @@ def cmd_derham(args) -> int:
             f"filtration bound p_max = {p_max} leaves the exactness check without "
             "cases; pass --fil >= 0 or --trunc >= 2"
         )
+    # the complex: every degree n of T(Pi, Omega^n), of rank dim Pi * C(N, n)
+    _check_size(lie, p_max, pi.dim * 2 ** lie.dim)
     suite = Suite("derham", {"alg": lie.name, "pi_dim": pi.dim, "p_max": p_max,
                              "trunc": args.trunc})
     h = hopf.one()
@@ -338,6 +377,9 @@ def cmd_classify(args) -> int:
             f"filtration bound --fil {args.fil} is below the paper bound {PAPER_BOUND[mode]} "
             f"of mode {mode}, where singular vectors would be missed"
         )
+    # a closure works one degree above its bound
+    fil = args.fil if args.fil is not None else PAPER_BOUND[mode] + 1
+    _check_size(lie, fil + 1, pi.dim * u.dim)
     report = drh.classify_report(hopf, pi, u, mode, chi, args.fil)
     report["command"] = "classify"
     report["config"] = {"alg": lie.name, "mode": mode, "pi_dim": pi.dim, "u_dim": u.dim}

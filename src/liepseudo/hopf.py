@@ -13,12 +13,12 @@ wherever the arithmetic is integral.  The bracket enters once, in
 - the per-instance memos here (straightened words, products and antipodes of
   basis monomials, the tables dualx, derham, annih and pseudoalg key on the
   algebra, and the carry table of `pseudoaction._carry`: b^(I) carried across
-  (x)_H past an action table term, per (I, K, J, form), shared by every
+  (x)_H past a left-normal action table term, per (I, K, J), shared by every
   module over the algebra), all in canonical coefficients;
-- per ModuleSpec: its action table in each normal form, its unit
+- per ModuleSpec: its action table in each normal form, its left-form unit
   expansions (1 (x) b_i) * (b^(I) (x) u_k) in canonical terms, the
   values of the last (vector, form) its pseudoaction was applied to, and the
-  terms of up to n^2 actors `w_star` has read.
+  terms and right-form rows w * u_k of up to n^2 actors `w_star` has read.
 The pairings <x_a, S(b^(I))> are kept only for one call of
 `annih.ann_action`, indexed by (a, I) for all the elements it applies.
 """
@@ -121,8 +121,8 @@ class Hopf:
         self._ann_memo: dict = {}
         # W(d) as its adjoint module and the W(d)-module H, filled by pseudoalg.w_modules
         self._w_modules_memo: dict = {}
-        # b^(I) carried across (x)_H past an action table term, per (I, K, J, form),
-        # filled by pseudoaction._carry for every module over this algebra
+        # b^(I) carried across (x)_H past a left-normal action table term, per
+        # (I, K, J), filled by pseudoaction._carry for every module over this algebra
         self._carry_memo: dict = {}
 
     # -- element constructors ------------------------------------------

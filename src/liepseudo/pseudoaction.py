@@ -9,14 +9,17 @@ vector of d, generator), extended H-bilinearly: the tensor modules of
 `ModuleSpec.action_pv(i, v, orient)` computes (1 (x) b_i) * v directly in
 the normal form its consumer reads, from the table stored once in that form,
 and keeps the at most n values of the last (vector, form) for all readers of
-that vector.  Each unit (i, I, k, form) is expanded once, when a vector with
-a nonzero b^(I) (x) u_k first meets it, into flat terms (M, N, r, x) with x
-canonical (an int when integral, else a Fraction); a kernel run only
-accumulates c * x, and the ModuleVector constructor makes each output
-coordinate canonical once.  An expansion reads,
-for each term of the table, b^(I) carried across (x)_H from the carry table
-of the Hopf algebra (`_carry`), which every (i, k) and every module over the
-algebra share.  An expansion keeps
+that vector.  By H-bilinearity a term b^(I) (x) u_k of v contributes row k
+of the table with b^(I) in its second slot.  In right normal form that slot
+is the normal-form one, so the kernel (`ModuleSpec._kernel`) reads
+b^(I) b^(K) off `Hopf.mono_mul` for each table term b^(K) / b^(J) and keeps
+no unit expansions.  In left normal form b^(I) crosses (x)_H: each unit
+(i, I, k) is expanded once, when a vector with a nonzero b^(I) (x) u_k first
+meets it, into flat terms (M, N, r, x) with x canonical (an int when
+integral, else a Fraction), reading each table term from the carry table of
+the Hopf algebra (`_carry`), which every (i, k) and every module over the
+algebra share.  A kernel run only accumulates c * x, and the ModuleVector
+constructor makes each output coordinate canonical once.  The kernel keeps
 every (M, N) it meets, also one whose coordinates cancel, in order of first
 appearance: `submodule_closure` queues the components of a value in key
 order, so its truncated basis depends on it.  A closure started from an inner
@@ -26,15 +29,19 @@ still equal the from-scratch ones.
 
 `w_star` applies a W(d) element w = sum_a h_a (x) b_a, a width-n vector,
 as sum_a (h_a (x) 1)((1 (x) b_a) * v); it reads each h_a off the terms of w,
-in the key order of w, once per actor.  In left normal form `w_star_store`
-folds the kept kernel coordinates of each (1 (x) b_a) * v, multiplied by h_a
-in the normal-form slot, into one store M -> N -> coordinates; the key order
-is that of adding the PseudoValues one term at a time.  The fold is the one
-`twosided` keeps for `PseudoValue.from_tensor` too.  `w_star` builds each
-output vector of that store once; `modules.submodule_closure` reads the store
-itself and turns each M into a row of its reducer, building a vector only for
-a row that enlarges the span.  In right normal form h_a lands in the slot
-pinned to 1, and one `PseudoValue.from_tensor` call renormalizes the sum.
+in the key order of w, once per actor.  In right normal form every actor is
+a row of the one kernel: its rows w * u_k are built once per actor, each by
+one `PseudoValue.from_tensor` fold over the tensors (h_a (x) b^(K)) (x)_H w_K
+of the right-form table, and by H-bilinearity the kernel applies them to v
+as it applies the table of a basis vector (`_actor_rows`).  In left normal
+form `w_star_store` folds the kept kernel coordinates of each
+(1 (x) b_a) * v, multiplied by h_a in the normal-form slot, into one store
+M -> N -> coordinates; the key order is that of adding the PseudoValues one
+term at a time.  The fold is the one `twosided` keeps for
+`PseudoValue.from_tensor` too.  `w_star` builds each output vector of a
+store once; `modules.submodule_closure` reads the left-form store itself and
+turns each M into a row of its reducer, building a vector only for a row
+that enlarges the span.
 """
 
 from __future__ import annotations
@@ -201,35 +208,54 @@ class ModuleSpec:
         self._last[2][i] = value
         return value
 
-    def _kernel(self, i: int, v: ModuleVector, orient: str) -> dict:
-        """(1 (x) b_i) * v in normal form `orient` as M -> N -> coordinates,
-        summed as they come (in int wherever the terms are), kept with the
-        values of the last (vector, form); a reader makes them canonical
-        (the ModuleVector constructor, `RowReducer.reduce`).  An (M, N) whose
-        coordinates cancel stays, with zero coordinates."""
+    def _kernel(self, key, v: ModuleVector, orient: str) -> dict:
+        """(1 (x) b_i) * v for a basis index `key` = i, in normal form
+        `orient`, or w * v for an actor `key` = w in right normal form, as
+        M -> N -> coordinates, summed as they come (in int wherever the terms
+        are), kept with the values of the last (vector, form); a reader makes
+        them canonical (the ModuleVector constructor, `RowReducer.reduce`).
+        An (M, N) whose coordinates cancel stays, with zero coordinates.
+
+        The right form reads each table term b^(K) / b^(J) of row k,
+        of the flat table or of the actor's rows (`_actor_rows`), as
+        b^(I) b^(K) / b^(J) for a term b^(I) (x) u_k of v: it keeps no unit
+        expansions.  The left form expands each unit once (`_expand_unit`)."""
         last, last_orient, _acted, kept = self._last
         if last is not v or last_orient != orient:
             self._check_vector(v)
             kept = {}
             self._last = (v, orient, {}, kept)
-        if i in kept:
-            return kept[i]
+        if key in kept:
+            return kept[key]
         dim = self.dim
-        table = self._flat_table(orient)[i]
-        units = self._expanded.setdefault((i, orient), {})
         acc: dict[MultiIndex, dict[MultiIndex, list]] = {}  # M -> N -> coordinates
-        for I, row in v.terms.items():
-            for k, c in enumerate(row):
-                if not c:
-                    continue
-                terms = units.get((I, k))
-                if terms is None:
-                    terms = units[I, k] = self._expand_unit(I, table[k], orient)
-                for M, N, r, x in terms:
-                    at_m = acc.get(M) or acc.setdefault(M, {})
-                    cur = at_m.get(N) or at_m.setdefault(N, [0] * dim)
-                    cur[r] += c * x
-        kept[i] = acc
+        if orient == RIGHT:
+            table = self._flat_table(RIGHT)[key] if isinstance(key, int) else self._actor_rows(key)
+            mono_mul = self.hopf.mono_mul
+            for I, row in v.terms.items():
+                for k, c in enumerate(row):
+                    for K, J, coords in table[k] if c else ():
+                        for M, x in mono_mul(I, K).items():
+                            at_m = acc.get(M) or acc.setdefault(M, {})
+                            cur = at_m.get(J) or at_m.setdefault(J, [0] * dim)
+                            cx = c * x
+                            for r, y in coords:
+                                cur[r] += cx * y
+        else:
+            table = self._flat_table(LEFT)[key]
+            units = self._expanded.setdefault(key, {})
+            for I, row in v.terms.items():
+                for k, c in enumerate(row):
+                    if not c:
+                        continue
+                    terms = units.get((I, k))
+                    if terms is None:
+                        terms = units[I, k] = self._expand_unit(I, table[k])
+                    for M, N, r, x in terms:
+                        at_m = acc.get(M) or acc.setdefault(M, {})
+                        cur = at_m.get(N) or at_m.setdefault(N, [0] * dim)
+                        cur[r] += c * x
+        kept[key] = acc
         return acc
 
     def _check_vector(self, v) -> None:
@@ -237,9 +263,9 @@ class ModuleSpec:
         if width != self.dim:
             raise DimensionMismatch(f"need a vector of width {self.dim}, not {width}")
 
-    def _expand_unit(self, I: MultiIndex, table_k: list, orient: str) -> tuple:
-        """(1 (x) b_i) * (b^(I) (x) u_k) in normal form `orient`, from the
-        flat terms table_k of (1 (x) b_i) * u_k, as flat terms (M, N, r, x):
+    def _expand_unit(self, I: MultiIndex, table_k: list) -> tuple:
+        """(1 (x) b_i) * (b^(I) (x) u_k) in left normal form, from the flat
+        terms table_k of (1 (x) b_i) * u_k, as flat terms (M, N, r, x):
         b^(M) in the normal-form slot and b^(N) (x) x u_r beside it.  Each
         table term b^(K) / b^(J) moves b^(I) across (x)_H by the carry table
         of the Hopf algebra (`_carry`).  The arithmetic runs in int wherever
@@ -248,7 +274,7 @@ class ModuleSpec:
         the module docstring)."""
         out: dict[tuple[MultiIndex, MultiIndex], dict] = {}
         for K, J, coords in table_k:
-            for M, N, x in _carry(self.hopf, I, K, J, orient):
+            for M, N, x in _carry(self.hopf, I, K, J):
                 at = out.setdefault((M, N), {})
                 for r, y in coords:
                     at[r] = at.get(r, 0) + x * y
@@ -259,39 +285,29 @@ class ModuleSpec:
         return tuple(flat)
 
     def _flat_table(self, orient: str) -> list:
-        """table[i][k] in normal form `orient` as flat terms (K, J, [(r, c)]):
-        b^(K) in the normal-form slot and w = b^(J) (x) sum c u_r over the
-        nonzero c.  Built once per form; n * dim entries."""
+        """table[i][k] in normal form `orient` as flat terms (K, J, [(r, c)])
+        (`_flat_terms`).  Built once per form; n * dim entries."""
         flat = self._flat.get(orient)
         if flat is None:
-            flat = self._flat[orient] = [
-                [[(K, J, [(r, c) for r, c in enumerate(coords) if c])
-                  for K, w in val.convert(orient).terms.items() for J, coords in w.terms.items()]
-                 for val in row] for row in self.table]
+            flat = self._flat[orient] = [[_flat_terms(val.convert(orient)) for val in row]
+                                         for row in self.table]
         return flat
 
     def w_star(self, w: ModuleVector, v: ModuleVector, orient: str = LEFT) -> PseudoValue:
         """(sum_a h_a (x) b_a) * v = sum_a ((h_a (x) 1) (x)_H 1)((1 (x) b_a) * v),
         each (1 (x) b_a) * v taken in normal form `orient`; for w = 1 (x) b_a
         that is (1 (x) b_a) * v itself.  The actor w is a width-n vector;
-        each h_a is read off its terms once per actor (`_actor_terms`).
+        each h_a is read off its terms once per actor (`_actor`).
 
         The left form is the store of `w_star_store` with each vector built
-        once.  In right normal form h_a sits in the slot pinned to 1, and one
-        `PseudoValue.from_tensor` call folds the tensors (h_a (x) b^(K)) (x)_H u
-        of the terms (1 (x) b^(K)) (x)_H u of every (1 (x) b_a) * v."""
-        hopf = self.hopf
-        terms = self._actor_terms(w, v)
-        if len(terms) == 1 and terms[0][1] == [(mi_zero(hopf.n), 1)]:
+        once.  The right form is the kernel store of w (`_kernel`), which
+        reads the actor's rows w * u_k (`_actor_rows`) the way it reads the
+        table of a basis vector."""
+        terms = self._actor(w, v)[0]
+        if len(terms) == 1 and terms[0][1] == [(mi_zero(self.hopf.n), 1)]:
             return self.action_pv(terms[0][0], v, orient)
-        if orient == RIGHT:
-            tensors = []
-            for a, h in terms:
-                h = HElement(hopf, dict(h))
-                tensors += [(h, hopf.mono(K), u)
-                            for K, u in self.action_pv(a, v, RIGHT).terms.items()]
-            return PseudoValue.from_tensor(hopf, tensors, RIGHT)
-        return _pseudo_value(hopf, LEFT, self.w_star_store(w, v), ModuleVector, self.dim)
+        store = self._kernel(w, v, RIGHT) if orient == RIGHT else self.w_star_store(w, v)
+        return _pseudo_value(self.hopf, orient, store, ModuleVector, self.dim)
 
     def w_star_store(self, w: ModuleVector, v: ModuleVector) -> dict:
         """w * v in left normal form as M -> N -> coordinates, summed as they
@@ -301,7 +317,7 @@ class ModuleSpec:
         (1 (x) b_a) * v adds (h_a b^(M)) (x) w to one store, with the key
         order of adding the PseudoValues term by term (see `_fold`)."""
         hopf = self.hopf
-        terms = self._actor_terms(w, v)
+        terms = self._actor(w, v)[0]
         if len(terms) == 1 and terms[0][1] == [(mi_zero(hopf.n), 1)]:
             return self._kernel(terms[0][0], v, LEFT)
         acc: dict[MultiIndex, dict[MultiIndex, list]] = {}  # M -> N -> coordinates
@@ -321,13 +337,14 @@ class ModuleSpec:
                     _fold(acc, K, at.items(), 1)
         return acc
 
-    def _actor_terms(self, w: ModuleVector, v: ModuleVector) -> list:
-        """The terms (a, [(J, c)]) of each nonzero h_a of an actor
-        w = sum_a h_a (x) b_a, in the key order of w, once w and the vector v
-        it acts on have the right widths.  The few actors of a solve meet
-        every vector, so each is read once: up to n^2 actors are kept, keyed
-        by identity (module vectors are never mutated), and the memo starts
-        over when it is full."""
+    def _actor(self, w: ModuleVector, v: ModuleVector) -> list:
+        """The memo entry [terms, rows] of an actor w = sum_a h_a (x) b_a,
+        once w and the vector v it acts on have the right widths: the terms
+        (a, [(J, c)]) of each nonzero h_a, in the key order of w, and its
+        right-form rows (`_actor_rows`), None until first read.  The few
+        actors of a solve meet every vector, so each is read once: up to n^2
+        actors are kept, keyed by identity (module vectors are never
+        mutated), and the memo starts over when it is full."""
         if w.width != self.hopf.n:
             raise DimensionMismatch(f"need an actor of width {self.hopf.n}, not {w.width}")
         self._check_vector(v)
@@ -338,11 +355,29 @@ class ModuleSpec:
                 for a, c in enumerate(row):
                     if c:
                         coeffs[a].append((J, c))
-            got = [(a, h) for a, h in enumerate(coeffs) if h]
             if len(self._actors) >= self.hopf.n ** 2:
                 self._actors.clear()
-            self._actors[w] = got
+            got = self._actors[w] = [[(a, h) for a, h in enumerate(coeffs) if h], None]
         return got
+
+    def _actor_rows(self, w: ModuleVector) -> list:
+        """Row k is w * u_k in right normal form as flat terms
+        (K, J, [(r, c)]) (`_flat_terms`), so the kernel reads an actor as it
+        reads a basis vector of d: by H-bilinearity
+        w * (b^(I) (x) u_k) = (1 (x) b^(I))(w * u_k).  One
+        `PseudoValue.from_tensor` call per row folds the tensors
+        (h_a (x) b^(K)) (x)_H w_K of the right-form table[a][k] over every
+        actor term; built once per actor and kept in its memo entry
+        (`_actor`), which the caller has read for w."""
+        entry = self._actors[w]
+        if entry[1] is None:
+            hopf = self.hopf
+            terms = [(a, HElement(hopf, dict(h))) for a, h in entry[0]]
+            entry[1] = [_flat_terms(PseudoValue.from_tensor(
+                hopf, [(h, hopf.mono(K), u) for a, h in terms
+                       for K, u in self.table[a][k].convert(RIGHT).terms.items()], RIGHT))
+                for k in range(self.dim)]
+        return entry[1]
 
     def full_tensor(self, p: PseudoValue) -> list[tuple[MultiIndex, MultiIndex, int,
                                                          int | Fraction]]:
@@ -362,29 +397,33 @@ class ModuleSpec:
         return f"ModuleSpec({self.name or 'H(x)R'}, rank {self.dim})"
 
 
-def _carry(hopf: Hopf, I: MultiIndex, K: MultiIndex, J: MultiIndex, orient: str) -> tuple:
-    """b^(I) carried across (x)_H for a table term b^(K) / b^(J) in normal
-    form `orient`, as triples (M, N, x): x b^(M) in the normal-form slot,
-    b^(N) beside it.  Right form: (1 (x) b^(I) b^(K)) with N = J.  Left form:
-    sum_{A+B=I} (b^(K) S(b^(A)) (x) 1) with N from b^(B) b^(J).  Each x is
-    canonical; an (M, N) whose x cancels stays, with x 0,
-    in its place of first appearance.  Kept once per Hopf algebra, for every
-    (i, k) and every module over it; flat triples take about half the memory
-    of ((M, N), x) pairs."""
-    key = (I, K, J, orient)
+def _flat_terms(value: PseudoValue) -> list:
+    """A value sum_K b^(K) / w_K as flat terms (K, J, [(r, c)]): b^(K) in the
+    normal-form slot and w = b^(J) (x) sum c u_r over the nonzero c, in the
+    key order of the value."""
+    return [(K, J, [(r, c) for r, c in enumerate(coords) if c])
+            for K, w in value.terms.items() for J, coords in w.terms.items()]
+
+
+def _carry(hopf: Hopf, I: MultiIndex, K: MultiIndex, J: MultiIndex) -> tuple:
+    """b^(I) carried across (x)_H for a left-normal table term b^(K) / b^(J),
+    as triples (M, N, x): sum_{A+B=I} (b^(K) S(b^(A)) (x) 1) with
+    x b^(M) in the normal-form slot and b^(N) from b^(B) b^(J) beside it.
+    Each x is canonical; an (M, N) whose x cancels stays, with x 0, in its
+    place of first appearance.  Kept once per Hopf algebra, for every (i, k)
+    and every module over it; flat triples take about half the memory of
+    ((M, N), x) pairs.  The right form needs no carry: there b^(I) lands
+    next to b^(K), as b^(I) b^(K) (`ModuleSpec._kernel`)."""
+    key = (I, K, J)
     got = hopf._carry_memo.get(key)
     if got is None:
-        if orient == RIGHT:
-            got = tuple((M, J, x) for M, x in hopf.mono_mul(I, K).items())
-        else:
-            out: dict[tuple[MultiIndex, MultiIndex], int | Fraction] = {}
-            for A, B in mi_splits(I):
-                right = hopf.mono_mul(B, J).items()
-                for A2, s in hopf.antipode_mono(A).items():
-                    for M, x in hopf.mono_mul(K, A2).items():
-                        sx = s * x
-                        for N, y in right:
-                            out[M, N] = out.get((M, N), 0) + sx * y
-            got = tuple((M, N, _exact(x)) for (M, N), x in out.items())
-        hopf._carry_memo[key] = got
+        out: dict[tuple[MultiIndex, MultiIndex], int | Fraction] = {}
+        for A, B in mi_splits(I):
+            right = hopf.mono_mul(B, J).items()
+            for A2, s in hopf.antipode_mono(A).items():
+                for M, x in hopf.mono_mul(K, A2).items():
+                    sx = s * x
+                    for N, y in right:
+                        out[M, N] = out.get((M, N), 0) + sx * y
+        got = hopf._carry_memo[key] = tuple((M, N, _exact(x)) for (M, N), x in out.items())
     return got

@@ -8,7 +8,7 @@ from liepseudo.liecore import LieData, preset
 from liepseudo._linalg import RowReducer
 from liepseudo.modules import (Closure, ModuleSpec, ModuleVector, _coords, _sing_actors, _units,
                                _vector_from_row)
-from liepseudo.twosided import LEFT, PseudoValue, _acc
+from liepseudo.twosided import LEFT, RIGHT, PseudoValue, _acc
 
 _CACHE: dict[str, Hopf] = {}
 
@@ -121,6 +121,18 @@ def from_tensor_by_terms(hopf, tensors, orient: str = LEFT) -> PseudoValue:
                 for I, c2 in factor.coeffs.items():
                     _acc(terms, I, moved.scale(c2))
     return PseudoValue(hopf, orient, terms)
+
+
+def w_star_right_by_vector(V, w, v) -> PseudoValue:
+    """w * v in right normal form for w = sum_a h_a (x) b_a, by the route that
+    renormalizes each vector's actions: one `PseudoValue.from_tensor` fold
+    over the tensors (h_a (x) b^(K)) (x)_H u of the terms (1 (x) b^(K)) (x)_H u
+    of every (1 (x) b_a) * v.  The reference for the actor rows of
+    `ModuleSpec.w_star`, in value."""
+    hopf = V.hopf
+    tensors = [(h, hopf.mono(K), u) for a, h in enumerate(w.comps) if not h.is_zero()
+               for K, u in V.action_pv(a, v, RIGHT).terms.items()]
+    return PseudoValue.from_tensor(hopf, tensors, RIGHT)
 
 
 def _compose_left(p: PseudoValue, b, product) -> dict:

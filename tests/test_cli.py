@@ -1,4 +1,6 @@
 import json
+import math
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,8 @@ import liepseudo.cli as cli
 from liepseudo.checks import verify_checks
 from liepseudo.cli import main
 from liepseudo.dualx import DEFAULT_TRUNCATION
+
+import test_golden
 
 pytestmark = pytest.mark.cli
 
@@ -213,7 +217,7 @@ _ZERO_MATS_1 = [[["0"]]] * 4  # the four 1x1 gl(2) matrices of a trivial U
     (["derham", "--alg", "abelian3", "--pi", JsonFile({"dim": 1, "mats": [1, 2, 3]})], None,
      "config error: pi: bad matrix data: object of type 'int' has no len()"),
     (["derham", "--alg", "abelian3", "--pi", JsonFile({"dim": "x", "mats": [[["0"]]] * 3})],
-     None, "config error: pi: bad matrix data: invalid literal for int()"),
+     None, 'config error: pi: bad matrix data: dimension must be a JSON integer, got "x"'),
     (["derham", "--alg", "abelian3", "--pi",
       JsonFile({"dim": 1, "mats": [[["a"]], [["0"]], [["0"]]]})], None,
      "config error: pi: bad matrix data: Invalid literal for Fraction: 'a'"),
@@ -250,6 +254,13 @@ _ZERO_MATS_1 = [[["0"]]] * 4  # the four 1x1 gl(2) matrices of a trivial U
      "config error: truncation --trunc 2 is below 5"),
     (["singular", "--alg", "abelian2", "--u", "omega:1", "--fil", "0", "--trunc", "1"], None,
      "config error: truncation --trunc 1 is below 2, the degree of the oracle's largest x_K at --fil 0"),
+    # a dimension is a JSON integer: not a float, a bool or a string
+    (["singular", "--alg", "abelian2", "--pi", JsonFile({"dim": 1.0, "mats": [[["0"]]] * 2})], None,
+     "config error: pi: bad matrix data: dimension must be a JSON integer, got 1.0"),
+    (["singular", "--alg", "abelian2", "--u", JsonFile({"dim": True, "mats": _ZERO_MATS_1})], None,
+     "config error: u: bad matrix data: dimension must be a JSON integer, got true"),
+    (["singular", "--alg", "abelian2", "--u", JsonFile({"dim": "1", "mats": _ZERO_MATS_1})], None,
+     'config error: u: bad matrix data: dimension must be a JSON integer, got "1"'),
 ])
 def test_bad_input_exits_2_with_a_message(monkeypatch, capsys, tmp_path, argv, env, message):
     files = {m: tmp_path / f"input{m}.json" for m, arg in enumerate(argv) if isinstance(arg, JsonFile)}
@@ -270,6 +281,76 @@ def test_bad_input_exits_2_with_a_message(monkeypatch, capsys, tmp_path, argv, e
     assert message in captured.err.splitlines()[-1]
     if message.startswith("config error"):
         assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("dim, shown", [(2.7, "2.7"), (True, "true"), ("2", '"2"')])
+def test_an_algebra_dimension_must_be_a_json_integer(tmp_path, capsys, dim, shown):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"dim": dim, "brackets": []}))
+    assert main(["verify", "--alg", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: bad algebra schema in {path}: "
+                            f"dimension must be a JSON integer, got {shown}\n")
+
+
+def test_an_algebra_without_brackets_is_abelian(tmp_path, capsys):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"dim": 3}))
+    reports = []
+    for alg in (str(path), "abelian3"):
+        code, out = run_cli(["singular", "--alg", alg, "--mode", "S", "--u", "omega:1", "--json"],
+                            capsys)
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0]["basis"] == reports[1]["basis"] and reports[0]["sing_dim"] == 7
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["singular", "--alg", "abelian3", "--fil", "100000000000000000000"],
+     "C(3 + 100000000000000000000, 3) x 1 ~ 1.66e59"),
+    (["verify", "--alg", "sl2", "--trunc", "100000000000"], "C(3 + 100000000000, 3) x 1 ~ 1.66e32"),
+])
+def test_a_problem_above_the_size_limit_exits_2_at_once(argv, size):
+    # in a child capped at 1.5 GB and 60 s, so that a missing refusal fails
+    # with a MemoryError or a timeout instead of filling the machine
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    proc = subprocess.run([sys.executable, "-m", "liepseudo.cli"] + argv, capture_output=True,
+                          text=True, timeout=60, preexec_fn=cap)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (f"config error: problem size C(N + p, N) x rank = {size} "
+                           f"exceeds the limit {cli.SIZE_LIMIT}\n")
+
+
+class _SizeChecked(Exception):
+    """Stops a command right after its size check."""
+
+
+# the dim-4 and dim-5 commands timed in ROADMAP.md that no golden runs
+_LARGE_COMMANDS = [
+    ["verify", "--alg", "sl2"],
+    ["classify", "--alg", "abelian4", "--mode", "W", "--u", "omega:2"],
+    ["classify", "--alg", "abelian5", "--mode", "W", "--u", "omega:2"],
+    ["classify", "--alg", str(test_golden.GOLDEN / "alg_gl2.json"), "--mode", "S", "--u", "omega:2"],
+]
+
+
+def test_every_golden_and_large_command_is_far_below_the_size_limit(monkeypatch):
+    sizes = []
+
+    def check_size(lie, p, rank):
+        sizes.append(math.comb(lie.dim + p, lie.dim) * rank)
+        raise _SizeChecked
+
+    monkeypatch.setattr(cli, "_check_size", check_size)
+    commands = list(test_golden.COMMANDS.values()) + _LARGE_COMMANDS
+    for argv in commands:
+        with pytest.raises(_SizeChecked):
+            main(argv)
+    assert len(sizes) == len(commands)
+    assert max(sizes) < 1500 and 50 * 1500 < cli.SIZE_LIMIT
 
 
 def test_the_truncation_default_is_not_read_from_the_environment(monkeypatch):

@@ -45,8 +45,8 @@ COMMANDS = {
                              "--mode", "W", "--u", "omega:2"],
     "classify_abelian4_S_omega1": ["classify", "--alg", "abelian4", "--mode", "S", "--u", "omega:1"],
     "verify_n4_trunc4": ["verify", "--alg", str(GOLDEN / "alg_n4.json"), "--trunc", "4"],
-    # S-mode singular vectors over the non-integral algebra: the right form of
-    # w_star, one from_tensor fold, on coordinates such as 3/2, -2/3 and 1/2
+    # S-mode singular vectors over the non-integral algebra: the actor rows of
+    # the right-form w_star, on coordinates such as 3/2, -2/3 and 1/2
     "singular_frac3_S_omega1": ["singular", "--alg", str(GOLDEN / "alg_frac3.json"),
                                 "--mode", "S", "--u", "omega:1"],
 }

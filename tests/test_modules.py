@@ -8,7 +8,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from liepseudo import checks, liecore, modules, pseudoaction
+from liepseudo import checks, cli, liecore, modules, pseudoaction
 from liepseudo.annih import AnnElement, ann_action
 from liepseudo.dualx import XElement
 from liepseudo.errors import DimensionMismatch, RepInvalid, TruncationExceeded
@@ -42,8 +42,9 @@ from liepseudo.pseudoalg import WAlgebra
 from liepseudo.twosided import LEFT, RIGHT, PseudoValue, module_defect
 
 from conftest import (ann_action_element_by_element, apply_map_by_terms, canonical,
-                      count_kernel_runs, hmul_by_terms, hopf_for, module_defect_by_terms, mul_first,
-                      mul_second, semidirect_k_k2)
+                      count_kernel_runs, from_tensor_by_terms, hmul_by_terms, hopf_for,
+                      module_defect_by_terms, mul_first, mul_second, semidirect_k_k2,
+                      w_star_right_by_vector)
 
 D = 6
 
@@ -805,6 +806,71 @@ def test_w_star_fold_matches_the_mul_first_composition():
     assert checked >= 300
 
 
+@functools.lru_cache(maxsize=None)
+def _omega_module(name, n):
+    H = hopf_for(name)
+    return tensor_module(H, trivial_pi(H), omega_rep(H.lie, n))
+
+
+def _as_dict(pv):
+    return {M: dict(mv.terms) for M, mv in pv.terms.items()}
+
+
+# no shrinking: a failing example names its algebra, degree, trace form and actor
+@pytest.mark.parametrize("name, n, chi_name", itertools.product(
+    ["abelian3", "heis3", "sl2", "solv3"], range(4), ["zero", "tr_ad"]))
+@settings(max_examples=3, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+@given(st.data())
+def test_right_form_w_star_matches_the_per_vector_fold(name, n, chi_name, data):
+    # the actor rows w * u_k applied to v give the fold of v's own actions
+    case = (name, n, chi_name)
+    V = _omega_module(name, n)
+    H = V.hopf
+    chi = H.lie.zero_trace_form() if chi_name == "zero" else H.lie.tr_ad()
+    actors = [(f"s_{a + 1}{b + 1}", s) for (a, b), s in WAlgebra(H).s_generators(chi)]
+    # a width-n actor whose h_a all reach degree 2, with lower terms besides
+    slots = mi_below(H.n, 2)
+    top = data.draw(st.sampled_from([J for J in slots if mi_deg(J) == 2]))
+    lower = data.draw(st.lists(st.sampled_from([J for J in slots if mi_deg(J) < 2]),
+                               max_size=3, unique=True))
+    rows = [st.lists(_NONZERO_COEFFS, min_size=H.n, max_size=H.n)] + \
+        [st.lists(_NONZERO_COEFFS | st.just(0), min_size=H.n, max_size=H.n)] * len(lower)
+    carrier = ModuleVector(H, H.n, {J: tuple(data.draw(row))
+                                   for J, row in zip([top] + lower, rows)})
+    actors.append(("carrier", carrier))
+    units = V.basis_upto(2)
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(units), _NONZERO_COEFFS), min_size=1,
+                               max_size=5))
+    v = V.zero_vector()
+    for (I, k), c in terms:
+        v = v.add(V.unit(k, I).scale(c))
+    for label, w in actors:
+        got, want = V.w_star(w, v, RIGHT), w_star_right_by_vector(V, w, v)
+        assert got.orient == RIGHT and _as_dict(got) == _as_dict(want), (case, label)
+        assert _all_canonical(got), (case, label)
+
+
+def test_s_mode_singular_folds_once_per_actor_row(monkeypatch, capsys):
+    # singular heis3 S omega:1: three actors s_ab, each with one row per
+    # generator of Omega^1, and the right-form solve expands no unit
+    counts = {"convert": 0, "from_tensor": 0}
+    _count_calls(monkeypatch, counts)
+    expanded_after_solve = []
+    real_solve = cli.sing_solve
+
+    def sing_solve(T, *args):
+        res = real_solve(T, *args)
+        expanded_after_solve.append(dict(T._expanded))
+        return res
+
+    monkeypatch.setattr(cli, "sing_solve", sing_solve)
+    assert cli.main(["singular", "--alg", "heis3", "--mode", "S", "--u", "omega:1"]) == 0
+    capsys.readouterr()
+    assert counts["from_tensor"] == 3 * 3
+    assert expanded_after_solve == [{}]
+
+
 def test_a_vector_or_actor_of_the_wrong_width_is_refused():
     H = hopf_for("heis3")
     T = tensor_module(H, trivial_pi(H), omega_rep(H.lie, 1))
@@ -934,8 +1000,28 @@ def _unmemoized_action_pv(V, i, v, orient):
     """(1 (x) b_i) * v by the loop that expanded every term b^(I) (x) u_k
     afresh on every call, in Fraction arithmetic: the oracle for the unit
     memo, values and key order alike."""
+    return _unmemoized_kernel(V, V._flat_table(orient)[i], v, orient)
+
+
+def _unmemoized_w_star_right(V, w, v):
+    """w * v in right normal form by the loop of `_unmemoized_action_pv` over
+    the rows w * u_k, each renormalized one term at a time from the
+    right-form table (`from_tensor_by_terms`): the oracle for the actor rows
+    of the kernel, values and key order alike."""
+    hopf, rows = V.hopf, []
+    for k in range(V.dim):
+        tensors = [(h, hopf.mono(K), u) for a, h in enumerate(w.comps) if not h.is_zero()
+                   for K, u in V.table[a][k].to_right().terms.items()]
+        row = from_tensor_by_terms(hopf, tensors, RIGHT)
+        rows.append([(K, J, [(r, c) for r, c in enumerate(coords) if c])
+                     for K, u in row.terms.items() for J, coords in u.terms.items()])
+    return _unmemoized_kernel(V, rows, v, RIGHT)
+
+
+def _unmemoized_kernel(V, table, v, orient):
+    """sum c (1 (x) b^(I))-moved rows table[k] over the terms c b^(I) (x) u_k
+    of v, each term expanded afresh in Fraction arithmetic."""
     hopf, dim = V.hopf, V.dim
-    table = V._flat_table(orient)[i]
     acc = {}
     for I, row in v.terms.items():
         splits = [(hopf.antipode_mono(A), B) for A, B in mi_splits(I)] if orient == LEFT else ()
@@ -956,21 +1042,19 @@ def _unmemoized_action_pv(V, i, v, orient):
         for M, at_m in acc.items()})
 
 
-def _unit_by_terms(V, i, I, k, orient):
-    """(1 (x) b_i) * (b^(I) (x) u_k) as the flat terms (M, N, r, x) of
-    `ModuleSpec._expand_unit`, from every product of the expansion in
-    Fraction arithmetic, one at a time: the oracle for the unit memo and the
-    carry table, a cancelled (M, N) kept as (M, N, 0, 0) in its place."""
+def _unit_by_terms(V, i, I, k):
+    """(1 (x) b_i) * (b^(I) (x) u_k) in left normal form as the flat terms
+    (M, N, r, x) of `ModuleSpec._expand_unit`, from every product of the
+    expansion in Fraction arithmetic, one at a time: the oracle for the unit
+    memo and the carry table, a cancelled (M, N) kept as (M, N, 0, 0) in its
+    place."""
     hopf = V.hopf
     out = {}
-    for K, J, coords in V._flat_table(orient)[i][k]:
-        if orient == RIGHT:
-            terms = [(M, J, x) for M, x in hopf.mono_mul(I, K).items()]
-        else:
-            terms = [(M, N, s * x * y) for A, B in mi_splits(I)
-                     for A2, s in hopf.antipode_mono(A).items()
-                     for M, x in hopf.mono_mul(K, A2).items()
-                     for N, y in hopf.mono_mul(B, J).items()]
+    for K, J, coords in V._flat_table(LEFT)[i][k]:
+        terms = [(M, N, s * x * y) for A, B in mi_splits(I)
+                 for A2, s in hopf.antipode_mono(A).items()
+                 for M, x in hopf.mono_mul(K, A2).items()
+                 for N, y in hopf.mono_mul(B, J).items()]
         for M, N, x in terms:
             at = out.setdefault((M, N), {})
             for r, y in coords:
@@ -1010,6 +1094,7 @@ def test_action_pv_matches_the_unmemoized_loop(monkeypatch):
         return real_carry(hopf, *key)
 
     monkeypatch.setattr(pseudoaction, "_carry", carry)
+    checked = 0  # nonzero right-form actor values
     for name, V in _memo_modules():
         carried.setdefault(name, []).append(set())
         H = V.hopf
@@ -1033,15 +1118,25 @@ def test_action_pv_matches_the_unmemoized_loop(monkeypatch):
                                    for M in want.terms), (name, i, orient)
                         assert _all_canonical(got), (name, i, orient)
                     for w in actors:
-                        assert _all_canonical(V.w_star(w, vec, orient)), (name, orient)
-        for (i, orient), units in V._expanded.items():
+                        got = V.w_star(w, vec, orient)
+                        assert _all_canonical(got), (name, orient)
+                        if orient == RIGHT:
+                            want = _unmemoized_w_star_right(V, w, vec)
+                            assert list(got.terms) == list(want.terms), name
+                            assert all(list(got.terms[M].terms.items())
+                                       == list(want.terms[M].terms.items())
+                                       for M in want.terms), name
+                            checked += not want.is_zero()
+        # the right form expands no unit: it reads b^(I) b^(K) off mono_mul
+        for i, units in V._expanded.items():
             for (I, k), terms in units.items():
-                assert terms == _unit_by_terms(V, i, I, k, orient), (name, i, I, k, orient)
+                assert terms == _unit_by_terms(V, i, I, k), (name, i, I, k)
         if H.lie.name == "k|x k^2":
             assert any(type(x) is Fraction for units in V._expanded.values()
                        for terms in units.values() for _M, _N, _r, x in terms), name
     # the two modules of each algebra read carry entries in common
     assert all(len(keys) == 2 and keys[0] & keys[1] for keys in carried.values())
+    assert checked >= 400
 
 
 # ---------------------------------------------------------------------------

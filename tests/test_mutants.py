@@ -15,6 +15,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +28,7 @@ from liepseudo.pseudoaction import ModuleSpec, ModuleVector
 
 import test_annih
 import test_derham
+import test_golden
 import test_hopf
 import test_liecore
 import test_linalg
@@ -220,6 +222,22 @@ def _w_star_right_reading_the_first_actor(real):
     return w_star
 
 
+def _actor_rows_dropping_a_term(real):
+    # the rows are built as if the last h_a of the actor lacked its last term
+    def actor_rows(self, w):
+        entry = self._actors[w]
+        if entry[1] is None:
+            terms = entry[0]
+            a, h = terms[-1]
+            entry[0] = terms[:-1] + [(a, h[:-1])]
+            try:
+                real(self, w)
+            finally:
+                entry[0] = terms
+        return entry[1]
+    return actor_rows
+
+
 def _install_module_vector(monkeypatch):
     monkeypatch.setattr(ModuleVector, "__init__", _module_vector_keeping_coordinates)
 
@@ -292,6 +310,10 @@ def _install_w_star(monkeypatch):
     monkeypatch.setattr(ModuleSpec, "w_star", _w_star_right_reading_the_first_actor(ModuleSpec.w_star))
 
 
+def _install_actor_rows(monkeypatch):
+    monkeypatch.setattr(ModuleSpec, "_actor_rows", _actor_rows_dropping_a_term(ModuleSpec._actor_rows))
+
+
 def _on_a_fresh_hopf(test, name):
     """`test` called on a Hopf of the preset `name` built when it runs, so
     that no memo of the Hopfs the tests share keeps a mutant's values."""
@@ -314,6 +336,24 @@ def _validation_killer():
 def _closure_killer():
     with pytest.MonkeyPatch.context() as monkeypatch:
         test_derham.test_classify_builds_each_closure_once(monkeypatch, "abelian3", 1, "S", 2)
+
+
+def _actor_rows_killer():
+    # every case of the parametrized equivalence test, as pytest would run them
+    for name, n, chi_name in itertools.product(["abelian3", "heis3", "sl2", "solv3"], range(4),
+                                               ["zero", "tr_ad"]):
+        test_modules.test_right_form_w_star_matches_the_per_vector_fold(name, n, chi_name)
+
+
+def _golden_killer(name):
+    def killer():
+        with tempfile.TemporaryDirectory() as tmp:
+            test_golden.test_report_bytes_match_golden(name, Path(tmp), _NO_CAPTURE)
+    return killer
+
+
+# the capsys stand-in for a golden run: with --out the CLI prints nothing
+_NO_CAPTURE = SimpleNamespace(readouterr=lambda: None)
 
 
 # name -> (install, the test expected to kill the mutant)
@@ -355,6 +395,10 @@ MUTANTS = {
         (_install_from_tensor, test_twosided.test_from_tensor_folds_a_sum_as_the_term_by_term_build),
     "right-form w_star reads only its first actor term":
         (_install_w_star, test_modules.test_action_kernel_matches_the_mul_second_formula),
+    "an actor row drops one h_a term":
+        (_install_actor_rows, _actor_rows_killer),
+    "an actor row drops one h_a term (singular golden)":
+        (_install_actor_rows, _golden_killer("singular_heis3_S_omega1")),
 }
 
 
