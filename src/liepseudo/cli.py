@@ -5,8 +5,9 @@ representations load from presets or JSON files; all reports are JSON-able
 dictionaries rendered deterministically (sorted keys, fixed list orders), so
 identical configurations produce byte-identical reports.
 
-JSON algebra schema (rationals are "p/q" strings, indices 1-based, each
-"dim" a JSON integer >= 1; no "brackets" key means an abelian algebra):
+JSON algebra schema (rationals are "p/q" strings, indices 1-based JSON
+integers, each "dim" a JSON integer >= 1; no "brackets" key means an
+abelian algebra):
     {"dim": N,
      "brackets": [[i, j, k, "p/q"], ...],
      "chi": "zero" | "tr_ad" | ["p/q", ...],
@@ -14,8 +15,9 @@ JSON algebra schema (rationals are "p/q" strings, indices 1-based, each
      "u":   {"dim": m, "mats": [N*N matrices row-major by (i, j)],
              "id_scalar": "p/q"}}
 
-Before it builds a module or a dual table, a command estimates the size of
-its problem and refuses one above SIZE_LIMIT (`_check_size`).
+Before it builds the Hopf algebra, U, a module or a dual table, a command
+estimates the size of its problem and refuses one above SIZE_LIMIT
+(`_check_size`).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import math
 import os
 import re
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 
 from . import checks
@@ -75,11 +78,11 @@ def _spec_int(spec: str, least: int) -> int:
     return m
 
 
-def _json_dim(value, what: str) -> int:
-    """A dimension read from JSON: an integer, not a bool, a float or a
-    string."""
+def _json_int(value, what: str, role: str = "dimension") -> int:
+    """A dimension or an index read from JSON: an integer, not a bool, a
+    float or a string."""
     if type(value) is not int:
-        raise ConfigError(f"{what}: dimension must be a JSON integer, got {json.dumps(value)}")
+        raise ConfigError(f"{what}: {role} must be a JSON integer, got {json.dumps(value)}")
     return value
 
 
@@ -94,7 +97,8 @@ SIZE_LIMIT = 10 ** 5
 
 
 def _check_size(lie: LieData, p: int, rank: int) -> None:
-    """Refuse a problem above SIZE_LIMIT before any module or dual table is built."""
+    """Refuse a problem above SIZE_LIMIT before the Hopf algebra (its Jacobi
+    check is cubic in N), U, any module or any dual table is built."""
     n = lie.dim
     size = math.comb(n + p, n) * rank
     if size > SIZE_LIMIT:
@@ -122,14 +126,18 @@ def load_algebra(source: str) -> tuple[LieData, dict]:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     blob = _load_json(source)
+    what = f"bad algebra schema in {source}"
     try:
-        dim = _json_dim(blob["dim"], f"bad algebra schema in {source}")
+        dim = _json_int(blob["dim"], what)
         if dim < 1:
             raise ConfigError(f"algebra dimension must be >= 1 in {source}, got {dim}")
-        entries = [(i - 1, j - 1, k - 1, rat(c)) for i, j, k, c in blob.get("brackets", [])]
+        entries = []
+        for i, j, k, c in blob.get("brackets", []):
+            i, j, k = (_json_int(x, what, "bracket index") - 1 for x in (i, j, k))
+            entries.append((i, j, k, rat(c)))
         lie = LieData.from_entries(dim, entries, name=os.path.basename(source))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad algebra schema in {source}: {exc}")
+        raise ConfigError(f"{what}: {exc}")
     return lie, blob
 
 
@@ -154,7 +162,7 @@ def _mats_from_blob(blob: dict, count: int, what: str) -> list:
     if not isinstance(mats, list) or len(mats) != count:
         raise ConfigError(f"{what}: need {count} matrices")
     try:
-        dim = _json_dim(blob["dim"], f"{what}: bad matrix data")
+        dim = _json_int(blob["dim"], f"{what}: bad matrix data")
         if dim < 1:
             raise ConfigError(f"{what}: dimension must be >= 1, got {dim}")
         out = []
@@ -192,17 +200,24 @@ def load_pi(lie: LieData, spec: str | None, blob: dict) -> RepData:
     return rep
 
 
-def load_u(lie: LieData, spec: str | None, blob: dict) -> RepData:
+def load_u(lie: LieData, spec: str | None, blob: dict) -> tuple[int, Callable[[], RepData]]:
+    """The rank of U, read off its spec, and a function that builds U, so
+    that the size of a problem is checked before U is built: m for
+    trivial:m, C(N, n) for omega:n, N(N + 1)/2 for sym2.  A JSON U is built
+    here, since its file holds all its matrices."""
+    N = lie.dim
     if spec is None and "u" in blob:
         spec_blob = blob["u"]
     elif spec is None or spec in ("trivial", "trivial:1"):
-        return RepData.trivial(lie, 1, "gl")
+        return 1, lambda: RepData.trivial(lie, 1, "gl")
     elif spec.startswith("trivial:"):
-        return RepData.trivial(lie, _spec_int(spec, 1), "gl")
+        m = _spec_int(spec, 1)
+        return m, lambda: RepData.trivial(lie, m, "gl")
     elif spec.startswith("omega:"):
-        return omega_rep(lie, _spec_int(spec, 0))
+        n = _spec_int(spec, 0)
+        return math.comb(N, n), lambda: omega_rep(lie, n)
     elif spec == "sym2":
-        return sym2_dual_rep(lie)
+        return N * (N + 1) // 2, lambda: sym2_dual_rep(lie)
     else:
         spec_blob = _load_json(spec)
     mats = _mats_from_blob(spec_blob, lie.dim * lie.dim, "u")
@@ -216,7 +231,7 @@ def load_u(lie: LieData, spec: str | None, blob: dict) -> RepData:
         raise ConfigError(f"u: {exc}")
     if "id_scalar" in spec_blob:
         rep = rep.with_id_scalar(_spec_rats([spec_blob["id_scalar"]], "u id_scalar")[0])
-    return rep
+    return rep.dim, lambda: rep
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +309,8 @@ def cmd_verify(args) -> int:
 
 def cmd_singular(args) -> int:
     lie, blob = load_algebra(args.alg)
-    hopf = Hopf(lie)
-    chi = load_chi(lie, args.chi, blob)
     pi = load_pi(lie, args.pi, blob)
-    u = load_u(lie, args.u, blob)
+    u_rank, build_u = load_u(lie, args.u, blob)
     mode = args.mode.upper()
     fil = args.fil if args.fil is not None else PAPER_BOUND[mode] + 1
     if fil < 0:
@@ -309,7 +322,10 @@ def cmd_singular(args) -> int:
     if args.trunc < least:
         raise ConfigError(f"truncation --trunc {args.trunc} is below {least}, "
                           f"the degree of the oracle's largest x_K at --fil {fil}")
-    _check_size(lie, max(fil, args.trunc), pi.dim * u.dim)
+    _check_size(lie, max(fil, args.trunc), pi.dim * u_rank)
+    hopf = Hopf(lie)
+    chi = load_chi(lie, args.chi, blob)
+    u = build_u()
     suite = Suite("singular", {
         "alg": lie.name, "mode": mode, "fil": fil, "trunc": args.trunc,
         "pi_dim": pi.dim, "u_dim": u.dim,
@@ -338,7 +354,6 @@ def cmd_derham(args) -> int:
     lie, blob = load_algebra(args.alg)
     if lie.dim < 2:
         raise ConfigError(f"derham needs dim d >= 2, got {lie.dim}: d-squared-zero has no cases")
-    hopf = Hopf(lie)
     pi = load_pi(lie, args.pi, blob)
     trivial = all(mat_is_zero(pi.d_matrix(i)) for i in range(lie.dim))
     pi_arg = None if (pi.dim == 1 and trivial) else pi
@@ -350,6 +365,7 @@ def cmd_derham(args) -> int:
         )
     # the complex: every degree n of T(Pi, Omega^n), of rank dim Pi * C(N, n)
     _check_size(lie, p_max, pi.dim * 2 ** lie.dim)
+    hopf = Hopf(lie)
     suite = Suite("derham", {"alg": lie.name, "pi_dim": pi.dim, "p_max": p_max,
                              "trunc": args.trunc})
     h = hopf.one()
@@ -367,10 +383,8 @@ def cmd_derham(args) -> int:
 
 def cmd_classify(args) -> int:
     lie, blob = load_algebra(args.alg)
-    hopf = Hopf(lie)
-    chi = load_chi(lie, args.chi, blob)
     pi = load_pi(lie, args.pi, blob)
-    u = load_u(lie, args.u, blob)
+    u_rank, build_u = load_u(lie, args.u, blob)
     mode = args.mode.upper()
     if args.fil is not None and args.fil < PAPER_BOUND[mode]:
         raise ConfigError(
@@ -379,7 +393,10 @@ def cmd_classify(args) -> int:
         )
     # a closure works one degree above its bound
     fil = args.fil if args.fil is not None else PAPER_BOUND[mode] + 1
-    _check_size(lie, fil + 1, pi.dim * u.dim)
+    _check_size(lie, fil + 1, pi.dim * u_rank)
+    hopf = Hopf(lie)
+    chi = load_chi(lie, args.chi, blob)
+    u = build_u()
     report = drh.classify_report(hopf, pi, u, mode, chi, args.fil)
     report["command"] = "classify"
     report["config"] = {"alg": lie.name, "mode": mode, "pi_dim": pi.dim, "u_dim": u.dim}

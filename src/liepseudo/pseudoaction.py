@@ -8,24 +8,23 @@ vector of d, generator), extended H-bilinearly: the tensor modules of
 
 `ModuleSpec.action_pv(i, v, orient)` computes (1 (x) b_i) * v directly in
 the normal form its consumer reads, from the table stored once in that form,
-and keeps the at most n values of the last (vector, form) for all readers of
-that vector.  By H-bilinearity a term b^(I) (x) u_k of v contributes row k
-of the table with b^(I) in its second slot.  In right normal form that slot
-is the normal-form one, so the kernel (`ModuleSpec._kernel`) reads
-b^(I) b^(K) off `Hopf.mono_mul` for each table term b^(K) / b^(J) and keeps
-no unit expansions.  In left normal form b^(I) crosses (x)_H: each unit
-(i, I, k) is expanded once, when a vector with a nonzero b^(I) (x) u_k first
-meets it, into flat terms (M, N, r, x) with x canonical (an int when
-integral, else a Fraction), reading each table term from the carry table of
-the Hopf algebra (`_carry`), which every (i, k) and every module over the
-algebra share.  A kernel run only accumulates c * x, and the ModuleVector
-constructor makes each output coordinate canonical once.  The kernel keeps
-every (M, N) it meets, also one whose coordinates cancel, in order of first
-appearance: `submodule_closure` queues the components of a value in key
-order, so its truncated basis depends on it.  A closure started from an inner
-closure's rows queues none of them, so it meets vectors in another order than
-a build from scratch; tests check that the nested S closures of `classify`
-still equal the from-scratch ones.
+and keeps the at most n kernel stores of the last (vector, form) for all
+readers of that vector.  By H-bilinearity a term b^(I) (x) u_k of v
+contributes row k of the table with b^(I) in its second slot.  The kernel
+(`ModuleSpec._kernel`) is one loop for both normal forms: for each table
+term b^(K) / b^(J) it reads the placements (M, N, x) of b^(I) off the carry
+table of the Hopf algebra (`_carry`), which every (i, k), every actor and
+every module over the algebra share.  In right normal form the slot of b^(I)
+is the normal-form one, and b^(I) b^(K) lands there beside b^(J); in left
+normal form b^(I) crosses (x)_H.  Each x is canonical (an int when integral,
+else a Fraction), a kernel run only accumulates c * x times the coordinates,
+and the ModuleVector constructor makes each output coordinate canonical
+once.  The kernel keeps every (M, N) it meets, also one whose coordinates
+cancel, in order of first appearance: `submodule_closure` queues the
+components of a value in key order, so its truncated basis depends on it.
+A closure started from an inner closure's rows queues none of them, so it
+meets vectors in another order than a build from scratch; tests check that
+the nested S closures of `classify` still equal the from-scratch ones.
 
 `w_star` applies a W(d) element w = sum_a h_a (x) b_a, a width-n vector,
 as sum_a (h_a (x) 1)((1 (x) b_a) * v); it reads each h_a off the terms of w,
@@ -165,8 +164,7 @@ class ModuleSpec:
     rep_d: RepData | None = None
     rep_gl: RepData | None = None
     _flat: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _last: tuple = field(default=(None, None, None, None), init=False, repr=False, compare=False)
-    _expanded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _last: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
     _actors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -195,66 +193,47 @@ class ModuleSpec:
         that is (1 (x) b^(I) b^(K)) (x)_H w; on a left-normal one
         (b^(K) (x) 1) (x)_H w it is sum_{A+B=I} (b^(K) S(b^(A)) (x) 1) (x)_H b^(B) w.
         """
-        # The values of the last (vector, form) are kept, at most n, next to
-        # their kernel coordinates (`_kernel`).  Module vectors are never
-        # mutated after construction (nothing assigns to .terms), so they
-        # stay right while `v` is that object; holding it keeps its id from
-        # being reused.
-        last, last_orient, acted, _ = self._last
-        if last is v and last_orient == orient and i in acted:
-            return acted[i]
-        value = _pseudo_value(self.hopf, orient, self._kernel(i, v, orient), ModuleVector,
-                              self.dim)
-        self._last[2][i] = value
-        return value
+        return _pseudo_value(self.hopf, orient, self._kernel(i, v, orient), ModuleVector,
+                             self.dim)
 
     def _kernel(self, key, v: ModuleVector, orient: str) -> dict:
         """(1 (x) b_i) * v for a basis index `key` = i, in normal form
         `orient`, or w * v for an actor `key` = w in right normal form, as
         M -> N -> coordinates, summed as they come (in int wherever the terms
-        are), kept with the values of the last (vector, form); a reader makes
-        them canonical (the ModuleVector constructor, `RowReducer.reduce`).
-        An (M, N) whose coordinates cancel stays, with zero coordinates.
+        are), kept for the last (vector, form); a reader makes them canonical
+        (the ModuleVector constructor, `RowReducer.reduce`).  An (M, N) whose
+        coordinates cancel stays, with zero coordinates.
 
-        The right form reads each table term b^(K) / b^(J) of row k,
-        of the flat table or of the actor's rows (`_actor_rows`), as
-        b^(I) b^(K) / b^(J) for a term b^(I) (x) u_k of v: it keeps no unit
-        expansions.  The left form expands each unit once (`_expand_unit`)."""
-        last, last_orient, _acted, kept = self._last
+        Each term c b^(I) (x) u_k of v meets each table term b^(K) / b^(J) of
+        row k, of the flat table or of the actor's rows (`_actor_rows`), and
+        adds c x times its coordinates at each placement (M, N, x) of the
+        carry table (`_carry`).  Module vectors are never mutated after
+        construction (nothing assigns to .terms), so the kept stores stay
+        right while `v` is that object; holding it keeps its id from being
+        reused."""
+        last, last_orient, kept = self._last
         if last is not v or last_orient != orient:
             self._check_vector(v)
             kept = {}
-            self._last = (v, orient, {}, kept)
+            self._last = (v, orient, kept)
         if key in kept:
             return kept[key]
-        dim = self.dim
+        table = self._flat_table(orient)[key] if isinstance(key, int) else self._actor_rows(key)
+        hopf, dim = self.hopf, self.dim
+        memo = hopf._carry_memo
         acc: dict[MultiIndex, dict[MultiIndex, list]] = {}  # M -> N -> coordinates
-        if orient == RIGHT:
-            table = self._flat_table(RIGHT)[key] if isinstance(key, int) else self._actor_rows(key)
-            mono_mul = self.hopf.mono_mul
-            for I, row in v.terms.items():
-                for k, c in enumerate(row):
-                    for K, J, coords in table[k] if c else ():
-                        for M, x in mono_mul(I, K).items():
-                            at_m = acc.get(M) or acc.setdefault(M, {})
-                            cur = at_m.get(J) or at_m.setdefault(J, [0] * dim)
-                            cx = c * x
-                            for r, y in coords:
-                                cur[r] += cx * y
-        else:
-            table = self._flat_table(LEFT)[key]
-            units = self._expanded.setdefault(key, {})
-            for I, row in v.terms.items():
-                for k, c in enumerate(row):
-                    if not c:
-                        continue
-                    terms = units.get((I, k))
-                    if terms is None:
-                        terms = units[I, k] = self._expand_unit(I, table[k])
-                    for M, N, r, x in terms:
+        for I, row in v.terms.items():
+            for k, c in enumerate(row):
+                for K, J, coords in table[k] if c else ():
+                    placed = memo.get((orient, I, K, J))
+                    if placed is None:
+                        placed = _carry(hopf, orient, I, K, J)
+                    for M, N, x in placed:
                         at_m = acc.get(M) or acc.setdefault(M, {})
                         cur = at_m.get(N) or at_m.setdefault(N, [0] * dim)
-                        cur[r] += c * x
+                        cx = c * x
+                        for r, y in coords:
+                            cur[r] += cx * y
         kept[key] = acc
         return acc
 
@@ -262,27 +241,6 @@ class ModuleSpec:
         width = v.width if isinstance(v, ModuleVector) else type(v).__name__
         if width != self.dim:
             raise DimensionMismatch(f"need a vector of width {self.dim}, not {width}")
-
-    def _expand_unit(self, I: MultiIndex, table_k: list) -> tuple:
-        """(1 (x) b_i) * (b^(I) (x) u_k) in left normal form, from the flat
-        terms table_k of (1 (x) b_i) * u_k, as flat terms (M, N, r, x):
-        b^(M) in the normal-form slot and b^(N) (x) x u_r beside it.  Each
-        table term b^(K) / b^(J) moves b^(I) across (x)_H by the carry table
-        of the Hopf algebra (`_carry`).  The arithmetic runs in int wherever
-        it is integral, and each x is canonical.  An (M, N) whose coordinates
-        cancel stays as (M, N, 0, 0), to keep its place in the key order (see
-        the module docstring)."""
-        out: dict[tuple[MultiIndex, MultiIndex], dict] = {}
-        for K, J, coords in table_k:
-            for M, N, x in _carry(self.hopf, I, K, J):
-                at = out.setdefault((M, N), {})
-                for r, y in coords:
-                    at[r] = at.get(r, 0) + x * y
-        flat = []
-        for (M, N), at in out.items():
-            nonzero = [(M, N, r, _exact(x)) for r, x in at.items() if x]
-            flat.extend(nonzero or [(M, N, 0, 0)])
-        return tuple(flat)
 
     def _flat_table(self, orient: str) -> list:
         """table[i][k] in normal form `orient` as flat terms (K, J, [(r, c)])
@@ -405,18 +363,20 @@ def _flat_terms(value: PseudoValue) -> list:
             for K, w in value.terms.items() for J, coords in w.terms.items()]
 
 
-def _carry(hopf: Hopf, I: MultiIndex, K: MultiIndex, J: MultiIndex) -> tuple:
-    """b^(I) carried across (x)_H for a left-normal table term b^(K) / b^(J),
-    as triples (M, N, x): sum_{A+B=I} (b^(K) S(b^(A)) (x) 1) with
-    x b^(M) in the normal-form slot and b^(N) from b^(B) b^(J) beside it.
-    Each x is canonical; an (M, N) whose x cancels stays, with x 0, in its
-    place of first appearance.  Kept once per Hopf algebra, for every (i, k)
-    and every module over it; flat triples take about half the memory of
-    ((M, N), x) pairs.  The right form needs no carry: there b^(I) lands
-    next to b^(K), as b^(I) b^(K) (`ModuleSpec._kernel`)."""
-    key = (I, K, J)
-    got = hopf._carry_memo.get(key)
-    if got is None:
+def _carry(hopf: Hopf, orient: str, I: MultiIndex, K: MultiIndex, J: MultiIndex) -> tuple:
+    """The placements (M, N, x) of b^(I) on a table term b^(K) / b^(J) in
+    normal form `orient`: x b^(M) in the normal-form slot and b^(N) beside
+    it.  In right normal form b^(I) lands next to b^(K): (M, J, x) over
+    b^(I) b^(K).  In left normal form b^(I) is carried across (x)_H:
+    sum_{A+B=I} (b^(K) S(b^(A)) (x) 1) with b^(N) from b^(B) b^(J); an
+    (M, N) whose x cancels stays, with x 0, in its place of first
+    appearance.  Each x is canonical.  Stored under (orient, I, K, J) in the
+    carry table of the Hopf algebra, which the kernel reads first, for every
+    (i, k), actor and module over it; flat triples take about half the
+    memory of ((M, N), x) pairs."""
+    if orient == RIGHT:
+        got = tuple((M, J, x) for M, x in hopf.mono_mul(I, K).items())
+    else:
         out: dict[tuple[MultiIndex, MultiIndex], int | Fraction] = {}
         for A, B in mi_splits(I):
             right = hopf.mono_mul(B, J).items()
@@ -425,5 +385,6 @@ def _carry(hopf: Hopf, I: MultiIndex, K: MultiIndex, J: MultiIndex) -> tuple:
                     sx = s * x
                     for N, y in right:
                         out[M, N] = out.get((M, N), 0) + sx * y
-        got = hopf._carry_memo[key] = tuple((M, N, _exact(x)) for (M, N), x in out.items())
+        got = tuple((M, N, _exact(x)) for (M, N), x in out.items())
+    hopf._carry_memo[orient, I, K, J] = got
     return got

@@ -294,6 +294,19 @@ def test_an_algebra_dimension_must_be_a_json_integer(tmp_path, capsys, dim, show
                             f"dimension must be a JSON integer, got {shown}\n")
 
 
+@pytest.mark.parametrize("entry, shown", [
+    ([True, 2, 1, "1"], "true"), ([1.0, 2, 1, "1"], "1.0"), ([1, 2, "1", "1"], '"1"'),
+])
+def test_a_bracket_index_must_be_a_json_integer(tmp_path, capsys, entry, shown):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"dim": 2, "brackets": [entry]}))
+    assert main(["verify", "--alg", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: bad algebra schema in {path}: "
+                            f"bracket index must be a JSON integer, got {shown}\n")
+
+
 def test_an_algebra_without_brackets_is_abelian(tmp_path, capsys):
     path = tmp_path / "alg.json"
     path.write_text(json.dumps({"dim": 3}))
@@ -310,15 +323,24 @@ def test_an_algebra_without_brackets_is_abelian(tmp_path, capsys):
     (["singular", "--alg", "abelian3", "--fil", "100000000000000000000"],
      "C(3 + 100000000000000000000, 3) x 1 ~ 1.66e59"),
     (["verify", "--alg", "sl2", "--trunc", "100000000000"], "C(3 + 100000000000, 3) x 1 ~ 1.66e32"),
+    # refused before the Hopf algebra (a cubic Jacobi check) and U are built
+    pytest.param(["singular", "--alg", "abelian400"], "C(400 + 6, 400) x 1 ~ 5.99e12",
+                 id="singular-abelian400"),
+    pytest.param(["singular", "--alg", "abelian30", "--u", "omega:15"],
+                 "C(30 + 6, 30) x 155117520 ~ 3.02e14", id="singular-abelian30-omega15"),
+    pytest.param(["classify", "--alg", "abelian30", "--u", "omega:15"],
+                 "C(30 + 3, 30) x 155117520 ~ 8.46e11", id="classify-abelian30-omega15"),
+    pytest.param(["derham", "--alg", "abelian400"], f"C(400 + 4, 400) x {2 ** 400} ~ 2.82e129",
+                 id="derham-abelian400"),
 ])
 def test_a_problem_above_the_size_limit_exits_2_at_once(argv, size):
-    # in a child capped at 1.5 GB and 60 s, so that a missing refusal fails
+    # in a child capped at 1.5 GB and 20 s, so that a missing refusal fails
     # with a MemoryError or a timeout instead of filling the machine
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
 
     proc = subprocess.run([sys.executable, "-m", "liepseudo.cli"] + argv, capture_output=True,
-                          text=True, timeout=60, preexec_fn=cap)
+                          text=True, timeout=20, preexec_fn=cap)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == (f"config error: problem size C(N + p, N) x rank = {size} "
                            f"exceeds the limit {cli.SIZE_LIMIT}\n")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from liepseudo import checks, cli, liecore, modules, pseudoaction
+from liepseudo import checks, cli, liecore, modules
 from liepseudo.annih import AnnElement, ann_action
 from liepseudo.dualx import XElement
 from liepseudo.errors import DimensionMismatch, RepInvalid, TruncationExceeded
@@ -853,22 +853,29 @@ def test_right_form_w_star_matches_the_per_vector_fold(name, n, chi_name, data):
 
 def test_s_mode_singular_folds_once_per_actor_row(monkeypatch, capsys):
     # singular heis3 S omega:1: three actors s_ab, each with one row per
-    # generator of Omega^1, and the right-form solve expands no unit
+    # generator of Omega^1, and the right-form solve adds right-form
+    # placements to the carry table and no left-form one
     counts = {"convert": 0, "from_tensor": 0}
     _count_calls(monkeypatch, counts)
-    expanded_after_solve = []
+    added = []  # per solve, the (LEFT, RIGHT) entries it added
     real_solve = cli.sing_solve
 
     def sing_solve(T, *args):
+        memo = T.hopf._carry_memo
+
+        def per_form():
+            return [sum(key[0] == orient for key in memo) for orient in (LEFT, RIGHT)]
+
+        before = per_form()
         res = real_solve(T, *args)
-        expanded_after_solve.append(dict(T._expanded))
+        added.append([after - was for after, was in zip(per_form(), before)])
         return res
 
     monkeypatch.setattr(cli, "sing_solve", sing_solve)
     assert cli.main(["singular", "--alg", "heis3", "--mode", "S", "--u", "omega:1"]) == 0
     capsys.readouterr()
     assert counts["from_tensor"] == 3 * 3
-    assert expanded_after_solve == [{}]
+    assert len(added) == 1 and added[0][0] == 0 and added[0][1] > 0
 
 
 def test_a_vector_or_actor_of_the_wrong_width_is_refused():
@@ -1042,35 +1049,37 @@ def _unmemoized_kernel(V, table, v, orient):
         for M, at_m in acc.items()})
 
 
-def _unit_by_terms(V, i, I, k):
-    """(1 (x) b_i) * (b^(I) (x) u_k) in left normal form as the flat terms
-    (M, N, r, x) of `ModuleSpec._expand_unit`, from every product of the
-    expansion in Fraction arithmetic, one at a time: the oracle for the unit
-    memo and the carry table, a cancelled (M, N) kept as (M, N, 0, 0) in its
-    place."""
-    hopf = V.hopf
+def _carry_by_terms(hopf, orient, I, K, J):
+    """The placements (M, N, x) of b^(I) on a table term b^(K) / b^(J) in
+    normal form `orient` (`pseudoaction._carry`), from every product of the
+    expansion in Fraction arithmetic, one at a time: the oracle for the carry
+    table, a cancelled (M, N) kept as (M, N, 0) in its place."""
+    if orient == RIGHT:
+        return tuple((M, J, Fraction(x)) for M, x in hopf.mono_mul(I, K).items())
     out = {}
-    for K, J, coords in V._flat_table(LEFT)[i][k]:
-        terms = [(M, N, s * x * y) for A, B in mi_splits(I)
-                 for A2, s in hopf.antipode_mono(A).items()
-                 for M, x in hopf.mono_mul(K, A2).items()
-                 for N, y in hopf.mono_mul(B, J).items()]
-        for M, N, x in terms:
-            at = out.setdefault((M, N), {})
-            for r, y in coords:
-                at[r] = at.get(r, Fraction(0)) + x * y
-    flat = []
-    for (M, N), at in out.items():
-        flat.extend([(M, N, r, x) for r, x in at.items() if x] or [(M, N, 0, 0)])
-    return tuple(flat)
+    for A, B in mi_splits(I):
+        for A2, s in hopf.antipode_mono(A).items():
+            for M, x in hopf.mono_mul(K, A2).items():
+                for N, y in hopf.mono_mul(B, J).items():
+                    out[M, N] = out.get((M, N), Fraction(0)) + Fraction(s) * x * y
+    return tuple((M, N, x) for (M, N), x in out.items())
+
+
+def _carry_keys(table, v, orient):
+    """The carry-table keys (orient, I, K, J) the kernel reads for v on the
+    flat rows `table` of one basis vector or actor."""
+    return {(orient, I, K, J) for I, row in v.terms.items() for k, c in enumerate(row) if c
+            for K, J, _coords in table[k]}
 
 
 def _memo_modules():
     """A tensor and a shifted module on each preset, on the filiform n4
     ([b1, b2] = b3, [b1, b3] = b4), and on k b1 (semidirect) k^2 with
-    non-integral brackets, whose expanded units hold Fractions.  The two
-    modules of an algebra share its carry table (`pseudoaction._carry`)."""
-    algebras = [hopf_for(name) for name in ("abelian2", "solv2", "abelian3", "heis3", "sl2", "solv3")]
+    non-integral brackets, whose placements hold Fractions.  Each algebra is
+    built here, so its carry table (`pseudoaction._carry`) holds only what
+    its two modules read."""
+    algebras = [Hopf(liecore.preset(name))
+                for name in ("abelian2", "solv2", "abelian3", "heis3", "sl2", "solv3")]
     algebras.append(Hopf(LieData.from_entries(4, [(0, 1, 2, 1), (0, 2, 3, 1)], name="n4")))
     brackets = [(0, 1, 1, Fraction(1, 2)), (0, 1, 2, Fraction(-2, 3)), (0, 2, 2, Fraction(3))]
     algebras.append(Hopf(LieData.from_entries(3, brackets, name="k|x k^2")))
@@ -1083,20 +1092,14 @@ def _all_canonical(pv):
     return all(canonical(x) for mv in pv.terms.values() for row in mv.terms.values() for x in row)
 
 
-def test_action_pv_matches_the_unmemoized_loop(monkeypatch):
+def test_action_pv_matches_the_unmemoized_loop():
     rng = random.Random(10)
     coeffs = [Fraction(c) for c in ("1", "-1", "2", "-3", "1/2", "-2/3")]
-    carried: dict = {}  # algebra -> per module, the carry keys its unit expansions read
-    real_carry = pseudoaction._carry
-
-    def carry(hopf, *key):
-        carried[hopf.lie.name][-1].add(key)
-        return real_carry(hopf, *key)
-
-    monkeypatch.setattr(pseudoaction, "_carry", carry)
+    read: dict = {}  # algebra -> per module, the carry keys its kernel runs read
     checked = 0  # nonzero right-form actor values
+    cancelled = 0  # left-form placements kept with x 0
     for name, V in _memo_modules():
-        carried.setdefault(name, []).append(set())
+        read.setdefault(name, []).append(set())
         H = V.hopf
         slots = V.basis_upto(2)
         actors = [w for _ab, w in WAlgebra(H).s_generators(H.lie.zero_trace_form())] \
@@ -1106,7 +1109,7 @@ def test_action_pv_matches_the_unmemoized_loop(monkeypatch):
             v = V.zero_vector()
             for I, k in picked:
                 v = v.add(V.unit(k, I).scale(rng.choice(coeffs)))
-            # the second copy is a new object, so every unit comes from the memo
+            # the second copy is a new object, so every placement comes from the table
             for vec in (v, v.add(V.zero_vector())):
                 for orient in (LEFT, RIGHT):
                     for i in range(H.n):
@@ -1117,6 +1120,7 @@ def test_action_pv_matches_the_unmemoized_loop(monkeypatch):
                                    and got.terms[M].terms == want.terms[M].terms
                                    for M in want.terms), (name, i, orient)
                         assert _all_canonical(got), (name, i, orient)
+                        read[name][-1] |= _carry_keys(V._flat_table(orient)[i], vec, orient)
                     for w in actors:
                         got = V.w_star(w, vec, orient)
                         assert _all_canonical(got), (name, orient)
@@ -1127,16 +1131,22 @@ def test_action_pv_matches_the_unmemoized_loop(monkeypatch):
                                        == list(want.terms[M].terms.items())
                                        for M in want.terms), name
                             checked += not want.is_zero()
-        # the right form expands no unit: it reads b^(I) b^(K) off mono_mul
-        for i, units in V._expanded.items():
-            for (I, k), terms in units.items():
-                assert terms == _unit_by_terms(V, i, I, k), (name, i, I, k)
-        if H.lie.name == "k|x k^2":
-            assert any(type(x) is Fraction for units in V._expanded.values()
-                       for terms in units.values() for _M, _N, _r, x in terms), name
-    # the two modules of each algebra read carry entries in common
-    assert all(len(keys) == 2 and keys[0] & keys[1] for keys in carried.values())
-    assert checked >= 400
+                            read[name][-1] |= _carry_keys(V._actor_rows(w), vec, RIGHT)
+        memo = H._carry_memo
+        if len(read[name]) < 2:
+            continue
+        # both modules read one table, which holds exactly what they read,
+        # and they read entries in common
+        first, second = read[name]
+        assert set(memo) == first | second and first & second, name
+        for (orient, I, K, J), placed in memo.items():
+            assert placed == _carry_by_terms(H, orient, I, K, J), (name, orient, I, K, J)
+            assert all(canonical(x) for _M, _N, x in placed), (name, orient, I, K, J)
+        assert {orient for orient, *_key in memo} == {LEFT, RIGHT}, name
+        cancelled += sum(x == 0 for placed in memo.values() for _M, _N, x in placed)
+        if name == "k|x k^2":
+            assert any(type(x) is Fraction for placed in memo.values() for _M, _N, x in placed)
+    assert checked >= 400 and cancelled > 0
 
 
 # ---------------------------------------------------------------------------

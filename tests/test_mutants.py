@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import pytest
 
 import liepseudo
-from liepseudo import _linalg, annih, derham, modules, twosided
+from liepseudo import _linalg, annih, derham, modules, pseudoaction, twosided
 from liepseudo.dualx import XElement
 from liepseudo.hopf import HElement, Hopf, mi_deg
 from liepseudo.liecore import RepData, insert_sign, mat_apply, preset, wedge_basis
@@ -258,6 +258,26 @@ def _install_reducer_add(monkeypatch):
     monkeypatch.setattr(_linalg.RowReducer, "add", _reducer_add_without_exact)
 
 
+def _carry_right_reading_k_first(real):
+    # b^(K) b^(I) placed in right normal form instead of b^(I) b^(K)
+    def carry(hopf, orient, I, K, J):
+        if orient != twosided.RIGHT:
+            return real(hopf, orient, I, K, J)
+        got = tuple((M, J, x) for M, x in hopf.mono_mul(K, I).items())
+        hopf._carry_memo[orient, I, K, J] = got
+        return got
+    return carry
+
+
+def _carry_dropping_cancelled_placements(real):
+    # an (M, N) whose x cancels leaves the carry table instead of keeping its place
+    def carry(hopf, orient, I, K, J):
+        got = tuple(placed for placed in real(hopf, orient, I, K, J) if placed[2])
+        hopf._carry_memo[orient, I, K, J] = got
+        return got
+    return carry
+
+
 def _install_fold(monkeypatch):
     _patch_everywhere(monkeypatch, twosided._fold, _fold_keeping_cancelled_keys)
 
@@ -312,6 +332,16 @@ def _install_w_star(monkeypatch):
 
 def _install_actor_rows(monkeypatch):
     monkeypatch.setattr(ModuleSpec, "_actor_rows", _actor_rows_dropping_a_term(ModuleSpec._actor_rows))
+
+
+def _install_carry_right(monkeypatch):
+    _patch_everywhere(monkeypatch, pseudoaction._carry,
+                      _carry_right_reading_k_first(pseudoaction._carry))
+
+
+def _install_carry_cancelled(monkeypatch):
+    _patch_everywhere(monkeypatch, pseudoaction._carry,
+                      _carry_dropping_cancelled_placements(pseudoaction._carry))
 
 
 def _on_a_fresh_hopf(test, name):
@@ -397,6 +427,11 @@ MUTANTS = {
         (_install_w_star, test_modules.test_action_kernel_matches_the_mul_second_formula),
     "an actor row drops one h_a term":
         (_install_actor_rows, _actor_rows_killer),
+    # the killer builds its own algebras, so no shared carry table keeps a mutant's entries
+    "right-form placement reads b^(K) b^(I)":
+        (_install_carry_right, test_modules.test_action_pv_matches_the_unmemoized_loop),
+    "_carry drops a cancelled (M, N, 0) placement":
+        (_install_carry_cancelled, test_modules.test_action_pv_matches_the_unmemoized_loop),
     "an actor row drops one h_a term (singular golden)":
         (_install_actor_rows, _golden_killer("singular_heis3_S_omega1")),
 }
