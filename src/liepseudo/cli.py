@@ -1,9 +1,9 @@
 """Command-line verification front end.
 
-Subcommands: verify, singular, derham, classify, report-merge.  Algebras and
-representations load from presets or JSON files; all reports are JSON-able
-dictionaries rendered deterministically (sorted keys, fixed list orders), so
-identical configurations produce byte-identical reports.
+Subcommands: verify, singular, derham, classify.  Algebras and representations
+load from presets or JSON files; all reports are JSON-able dictionaries
+rendered deterministically (sorted keys, fixed list orders), so identical
+configurations produce byte-identical reports.
 
 JSON algebra schema (rationals are "p/q" strings, indices 1-based JSON
 integers, each "dim" a JSON integer >= 1; no "brackets" key means an
@@ -15,7 +15,7 @@ abelian algebra):
      "u":   {"dim": m, "mats": [N*N matrices row-major by (i, j)],
              "id_scalar": "p/q"}}
 
-Before it builds the Hopf algebra, U, a module or a dual table, a command
+Before it builds the Hopf algebra, Pi, U, a module or a dual table, a command
 estimates the size of its problem and refuses one above SIZE_LIMIT
 (`_check_size`).
 """
@@ -96,17 +96,25 @@ def _json_int(value, what: str, role: str = "dimension") -> int:
 SIZE_LIMIT = 10 ** 5
 
 
+def _sci(x: int) -> str:
+    """An integer x >= 100 as d.dde+k, its first three digits truncated; x
+    may have more digits than str() allows."""
+    k = math.floor(math.log10(x))
+    k += (10 ** (k + 1) <= x) - (10 ** k > x)  # the float logarithm may be one off
+    lead = x // 10 ** (k - 2)
+    return f"{lead // 100}.{lead % 100:02d}e{k}"
+
+
 def _check_size(lie: LieData, p: int, rank: int) -> None:
     """Refuse a problem above SIZE_LIMIT before the Hopf algebra (its Jacobi
-    check is cubic in N), U, any module or any dual table is built."""
+    check is cubic in N), Pi, U, any module or any dual table is built.  A
+    rank of more than 15 digits is shown as d.dde+k, as the size is."""
     n = lie.dim
     size = math.comb(n + p, n) * rank
     if size > SIZE_LIMIT:
-        # the first three digits of size, which may have more than str() allows
-        k = math.floor(math.log10(size))
-        lead = size // 10 ** (k - 2)
-        raise ConfigError(f"problem size C(N + p, N) x rank = C({n} + {p}, {n}) x {rank} "
-                          f"~ {lead // 100}.{lead % 100:02d}e{k} exceeds the limit {SIZE_LIMIT}")
+        shown = rank if rank < 10 ** 15 else _sci(rank)
+        raise ConfigError(f"problem size C(N + p, N) x rank = C({n} + {p}, {n}) x {shown} "
+                          f"~ {_sci(size)} exceeds the limit {SIZE_LIMIT}")
 
 
 def _spec_rats(values, what: str) -> tuple[Fraction, ...]:
@@ -175,21 +183,24 @@ def _mats_from_blob(blob: dict, count: int, what: str) -> list:
     return out
 
 
-def load_pi(lie: LieData, spec: str | None, blob: dict) -> RepData:
+def load_pi(lie: LieData, spec: str | None, blob: dict) -> tuple[int, Callable[[], RepData]]:
+    """The rank of Pi, read off its spec, and a function that builds Pi, as
+    `load_u` gives them for U: m for trivial:m and 1 for line:.  A line and
+    a JSON Pi are built and checked here."""
     if spec is None and "pi" in blob:
         sub = blob["pi"]
-    elif spec is None or spec in ("trivial", "trivial:1"):
-        return RepData.trivial(lie, 1, "d")
-    elif spec.startswith("trivial:"):
-        return RepData.trivial(lie, _spec_int(spec, 1), "d")
+    elif spec in (None, "trivial") or spec.startswith("trivial:"):
+        m = 1 if spec in (None, "trivial") else _spec_int(spec, 1)
+        return m, lambda: RepData.trivial(lie, m, "d")
     elif spec.startswith("line:"):
         values = _spec_rats(spec.split(":", 1)[1].split(","), "pi")
         if len(values) != lie.dim:
             raise ConfigError(f"pi line needs {lie.dim} entries")
         try:
-            return RepData.line(TraceForm(lie, values))
+            line = RepData.line(TraceForm(lie, values))
         except LiePseudoError as exc:
             raise ConfigError(str(exc))
+        return 1, lambda: line
     else:
         sub = _load_json(spec)
     rep = RepData.d_rep(lie, _mats_from_blob(sub, lie.dim, "pi"))
@@ -197,7 +208,7 @@ def load_pi(lie: LieData, spec: str | None, blob: dict) -> RepData:
         rep.validate()
     except LiePseudoError as exc:
         raise ConfigError(f"pi: {exc}")
-    return rep
+    return rep.dim, lambda: rep
 
 
 def load_u(lie: LieData, spec: str | None, blob: dict) -> tuple[int, Callable[[], RepData]]:
@@ -208,10 +219,8 @@ def load_u(lie: LieData, spec: str | None, blob: dict) -> tuple[int, Callable[[]
     N = lie.dim
     if spec is None and "u" in blob:
         spec_blob = blob["u"]
-    elif spec is None or spec in ("trivial", "trivial:1"):
-        return 1, lambda: RepData.trivial(lie, 1, "gl")
-    elif spec.startswith("trivial:"):
-        m = _spec_int(spec, 1)
+    elif spec in (None, "trivial") or spec.startswith("trivial:"):
+        m = 1 if spec in (None, "trivial") else _spec_int(spec, 1)
         return m, lambda: RepData.trivial(lie, m, "gl")
     elif spec.startswith("omega:"):
         n = _spec_int(spec, 0)
@@ -309,7 +318,7 @@ def cmd_verify(args) -> int:
 
 def cmd_singular(args) -> int:
     lie, blob = load_algebra(args.alg)
-    pi = load_pi(lie, args.pi, blob)
+    pi_rank, build_pi = load_pi(lie, args.pi, blob)
     u_rank, build_u = load_u(lie, args.u, blob)
     mode = args.mode.upper()
     fil = args.fil if args.fil is not None else PAPER_BOUND[mode] + 1
@@ -322,10 +331,10 @@ def cmd_singular(args) -> int:
     if args.trunc < least:
         raise ConfigError(f"truncation --trunc {args.trunc} is below {least}, "
                           f"the degree of the oracle's largest x_K at --fil {fil}")
-    _check_size(lie, max(fil, args.trunc), pi.dim * u_rank)
+    _check_size(lie, max(fil, args.trunc), pi_rank * u_rank)
     hopf = Hopf(lie)
     chi = load_chi(lie, args.chi, blob)
-    u = build_u()
+    pi, u = build_pi(), build_u()
     suite = Suite("singular", {
         "alg": lie.name, "mode": mode, "fil": fil, "trunc": args.trunc,
         "pi_dim": pi.dim, "u_dim": u.dim,
@@ -354,9 +363,7 @@ def cmd_derham(args) -> int:
     lie, blob = load_algebra(args.alg)
     if lie.dim < 2:
         raise ConfigError(f"derham needs dim d >= 2, got {lie.dim}: d-squared-zero has no cases")
-    pi = load_pi(lie, args.pi, blob)
-    trivial = all(mat_is_zero(pi.d_matrix(i)) for i in range(lie.dim))
-    pi_arg = None if (pi.dim == 1 and trivial) else pi
+    pi_rank, build_pi = load_pi(lie, args.pi, blob)
     p_max = args.fil if args.fil is not None else min(4, args.trunc - 2)
     if p_max < 0:
         raise ConfigError(
@@ -364,7 +371,10 @@ def cmd_derham(args) -> int:
             "cases; pass --fil >= 0 or --trunc >= 2"
         )
     # the complex: every degree n of T(Pi, Omega^n), of rank dim Pi * C(N, n)
-    _check_size(lie, p_max, pi.dim * 2 ** lie.dim)
+    _check_size(lie, p_max, pi_rank * 2 ** lie.dim)
+    pi = build_pi()
+    trivial = all(mat_is_zero(pi.d_matrix(i)) for i in range(lie.dim))
+    pi_arg = None if (pi.dim == 1 and trivial) else pi
     hopf = Hopf(lie)
     suite = Suite("derham", {"alg": lie.name, "pi_dim": pi.dim, "p_max": p_max,
                              "trunc": args.trunc})
@@ -383,7 +393,7 @@ def cmd_derham(args) -> int:
 
 def cmd_classify(args) -> int:
     lie, blob = load_algebra(args.alg)
-    pi = load_pi(lie, args.pi, blob)
+    pi_rank, build_pi = load_pi(lie, args.pi, blob)
     u_rank, build_u = load_u(lie, args.u, blob)
     mode = args.mode.upper()
     if args.fil is not None and args.fil < PAPER_BOUND[mode]:
@@ -393,23 +403,14 @@ def cmd_classify(args) -> int:
         )
     # a closure works one degree above its bound
     fil = args.fil if args.fil is not None else PAPER_BOUND[mode] + 1
-    _check_size(lie, fil + 1, pi.dim * u_rank)
+    _check_size(lie, fil + 1, pi_rank * u_rank)
     hopf = Hopf(lie)
     chi = load_chi(lie, args.chi, blob)
-    u = build_u()
+    pi, u = build_pi(), build_u()
     report = drh.classify_report(hopf, pi, u, mode, chi, args.fil)
     report["command"] = "classify"
     report["config"] = {"alg": lie.name, "mode": mode, "pi_dim": pi.dim, "u_dim": u.dim}
     return _emit(report, args)
-
-
-def cmd_report_merge(args) -> int:
-    merged = {"command": "report-merge", "reports": [], "ok": True}
-    for path in args.inputs:
-        blob = _load_json(path)
-        merged["reports"].append({"source": os.path.basename(path), "report": blob})
-        merged["ok"] = merged["ok"] and bool(blob.get("ok"))
-    return _emit(merged, args)
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +453,15 @@ def main(argv=None) -> int:
         return 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one stderr line and exit 2, as configuration errors."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liepseudo",
         description="exact verification suites for Lie pseudoalgebras of type W and S",
     )
@@ -470,11 +478,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="irreducibility verdict for a tensor module")
     _add_common(p, "fil", "chi", "pi", "u", "mode")
     p.set_defaults(func=cmd_classify)
-    p = sub.add_parser("report-merge", help="merge JSON reports")
-    p.add_argument("inputs", nargs="+")
-    p.add_argument("--out", help="write the merged report to this path")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_report_merge)
     return parser
 
 

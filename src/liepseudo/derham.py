@@ -72,15 +72,14 @@ def _contraction(i: int, S: tuple[int, ...]):
     return (insert_sign(i, T)[0], T) if i in S else None
 
 
-def omega_module(hopf: Hopf, n: int, pi: RepData | None = None) -> ModuleSpec:
-    """The tensor module carrying pseudoforms of degree n (twisted by pi),
-    built once per (hopf, n, pi) and memoized on the Hopf (`_omega_memo`)."""
-    key = (n, pi)
-    module = hopf._omega_memo.get(key)
+def omega_module(hopf: Hopf, n: int) -> ModuleSpec:
+    """The tensor module Omega^n carrying pseudoforms of degree n, built once
+    per (hopf, n) and memoized on the Hopf (`_omega_memo`)."""
+    module = hopf._omega_memo.get(n)
     if module is None:
-        module = hopf._omega_memo[key] = tensor_module(
-            hopf, RepData.trivial(hopf.lie, 1, "d") if pi is None else pi,
-            omega_rep(hopf.lie, n), name=f"T(Pi,Omega^{n})")
+        module = hopf._omega_memo[n] = tensor_module(
+            hopf, RepData.trivial(hopf.lie, 1, "d"), omega_rep(hopf.lie, n),
+            name=f"T(Pi,Omega^{n})")
     return module
 
 

@@ -109,9 +109,9 @@ class Hopf:
         self._word_memo: dict[tuple[int, ...], dict[tuple[int, ...], int | Fraction]] = {}
         self._mul_memo: dict[tuple[MultiIndex, MultiIndex], dict[MultiIndex, int | Fraction]] = {}
         self._antipode_memo: dict[MultiIndex, dict[MultiIndex, int | Fraction]] = {}
-        # de Rham generator images and Omega modules per (degree, twist), filled by
-        # derham.d_images and omega_module; RepData hashes by identity, so a key
-        # keeps its twist alive
+        # de Rham generator images per (degree, twist), filled by derham.d_images
+        # (RepData hashes by identity, so a key keeps its twist alive), and the
+        # Omega modules per degree, filled by derham.omega_module
         self._d_images_memo: dict = {}
         self._omega_memo: dict = {}
         # sparse tables of the dual H-actions, filled by dualx._action_table

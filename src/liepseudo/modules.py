@@ -39,7 +39,7 @@ from .liecore import (Matrix, RepData, TraceForm, box_tensor, identity_matrix, m
                       mat_mul, mat_scale, rat, zero_matrix)
 from .pseudoaction import ModuleSpec, ModuleVector
 from .pseudoalg import WAlgebra
-from .twosided import LEFT, RIGHT, PseudoValue, _fold, _mono_times
+from .twosided import LEFT, RIGHT, PseudoValue, _fold, _times
 
 
 # ---------------------------------------------------------------------------
@@ -87,23 +87,22 @@ def shifted_module(hopf: Hopf, pi: RepData, u: RepData, name: str = "") -> Modul
                          name=name or "V(R)")
 
 
-def unshift_module(hopf: Hopf, pi: RepData, u: RepData, name: str = "") -> ModuleSpec:
+def unshift_module(hopf: Hopf, pi: RepData, u: RepData) -> ModuleSpec:
     """Inverse shift: tensor module T(R) realized as a shifted module of
     (Pi (x) k_{-tr ad}) (x) (U (x) k_{tr})."""
     minus = TraceForm(hopf.lie, tuple(-v for v in hopf.lie.tr_ad().values))
-    return shifted_module(hopf, pi.twist_by(minus), u.gl_shift_id(1), name=name)
+    return shifted_module(hopf, pi.twist_by(minus), u.gl_shift_id(1))
 
 
-def s_tensor_module(hopf: Hopf, pi: RepData, u: RepData, chi: TraceForm,
-                    name: str = "") -> ModuleSpec:
+def s_tensor_module(hopf: Hopf, pi: RepData, u: RepData, chi: TraceForm) -> ModuleSpec:
     """Tensor module for S(d, chi) at the canonical lift (identity scalar 0):
     the restriction of the shifted module of (Pi (x) k_chi) (x) U."""
     if hopf.n <= 2:
         raise DimensionTooSmall("S(d, chi) requires dim d >= 3")
-    return shifted_module(hopf, pi.twist_by(chi), u.with_id_scalar(0), name=name or "V_S(R)")
+    return shifted_module(hopf, pi.twist_by(chi), u.with_id_scalar(0), name="V_S(R)")
 
 
-def dual_module(V: ModuleSpec, name: str = "") -> ModuleSpec:
+def dual_module(V: ModuleSpec) -> ModuleSpec:
     """D(V) on H (x) V0* from the action table of V."""
     hopf = V.hopf
     n, m = hopf.n, V.dim
@@ -117,7 +116,7 @@ def dual_module(V: ModuleSpec, name: str = "") -> ModuleSpec:
                 for j in range(m) for (F, G, tgt, c) in expanded[j] if tgt == k
                 for G1, G2 in mi_splits(G)])
             for k in range(m)))
-    return ModuleSpec(hopf, m, tuple(table), name=name or f"D({V.name})")
+    return ModuleSpec(hopf, m, tuple(table), name=f"D({V.name})")
 
 
 def _rep_h_matrix(rep: RepData, coeffs: dict[MultiIndex, int | Fraction], dim: int) -> Matrix:
@@ -150,7 +149,7 @@ def twist_vector(pi: RepData, v: ModuleVector, p: int) -> ModuleVector:
     return ModuleVector(hopf, mp * m, out)
 
 
-def twist_module(pi: RepData, V: ModuleSpec, name: str = "") -> ModuleSpec:
+def twist_module(pi: RepData, V: ModuleSpec) -> ModuleSpec:
     """T_Pi(V) on H (x) (Pi (x) V0): each pure tensor
     (b^(F) (x) b^(G)) (x)_H (1 (x) u_k) of the table of V goes to the sum of
     (b^(F) (x) b^(A)) (x)_H (1 (x) x) over the terms b^(A) (x) x of
@@ -173,7 +172,7 @@ def twist_module(pi: RepData, V: ModuleSpec, name: str = "") -> ModuleSpec:
                                 for G1, coords in image.terms.items()]
                 row.append(PseudoValue.from_tensor(hopf, tensors))
         table.append(tuple(row))
-    return ModuleSpec(hopf, mp * m, tuple(table), name=name or f"T_Pi({V.name})")
+    return ModuleSpec(hopf, mp * m, tuple(table), name=f"T_Pi({V.name})")
 
 
 def dual_map(V: ModuleSpec, W: ModuleSpec, images: list[ModuleVector]) -> list[ModuleVector]:
@@ -570,5 +569,5 @@ def apply_map(images: list[ModuleVector], v: ModuleVector) -> ModuleVector:
     for I, coords in v.terms.items():
         for k, c in enumerate(coords):
             if c:
-                _fold(store, (), _mono_times(hopf, I, images[k].terms.items(), width), c)
+                _fold(store, (), _times(hopf, ((I, 1),), images[k].terms.items(), width), c)
     return ModuleVector(hopf, width, store.get((), {}))

@@ -52,7 +52,7 @@ from ._linalg import _exact, add_entry
 from .errors import DimensionMismatch, RepInvalid
 from .hopf import HElement, Hopf, MultiIndex, _product, mi_below, mi_deg, mi_splits, mi_zero
 from .liecore import RepData, rat
-from .twosided import LEFT, RIGHT, PseudoValue, _fold, _pseudo_value
+from .twosided import LEFT, RIGHT, PseudoValue, _fold, _pseudo_value, _times
 
 
 class ModuleVector:
@@ -108,16 +108,9 @@ class ModuleVector:
                             {I: [c * v for v in row] for I, row in self.terms.items()})
 
     def hmul(self, h: HElement) -> "ModuleVector":
-        out: dict[MultiIndex, list] = {}
-        for I, row in self.terms.items():
-            for J, c in h.coeffs.items():
-                for K, c2 in self.hopf.mono_mul(J, I).items():
-                    cur = out.get(K) or out.setdefault(K, [0] * self.width)
-                    cc = c * c2
-                    for k, v in enumerate(row):
-                        if v:
-                            cur[k] += cc * v
-        return ModuleVector(self.hopf, self.width, out)
+        """h v, by the one loop of H times a vector (`twosided._times`)."""
+        rows = _times(self.hopf, h.coeffs.items(), self.terms.items(), self.width)
+        return ModuleVector(self.hopf, self.width, dict(rows))
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -17,7 +17,7 @@ from .errors import DimensionTooSmall
 from .hopf import HElement, Hopf, mi_below, mi_unit, mi_zero
 from .liecore import LieData, TraceForm
 from .pseudoaction import ModuleSpec, ModuleVector
-from .twosided import LEFT, PseudoValue, module_defect, skew_defect
+from .twosided import LEFT, PseudoValue, _fold, _pseudo_value, module_defect, skew_defect
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +100,11 @@ def w_modules(hopf: Hopf) -> tuple[ModuleSpec, ModuleSpec]:
         b = [mi_unit(n, i) for i in range(n)]
 
         def value(width: int, terms) -> PseudoValue:
-            """sum (b^(K) (x) 1) (x)_H (c b^(J) (x) u_r) over the terms (K, J, r, c)."""
-            out = PseudoValue.zero(hopf)
+            """sum (b^(K) (x) 1) (x)_H (c b^(J) (x) u_r) over the terms (K, J, r, c), folded."""
+            store: dict = {}  # K -> J -> coordinates
             for K, J, r, c in terms:
-                out = out.add(PseudoValue(hopf, LEFT, {K: ModuleVector.unit(hopf, width, r, J).scale(c)}))
-            return out
+                _fold(store, K, [(J, [1 if s == r else 0 for s in range(width)])], c)
+            return _pseudo_value(hopf, LEFT, store, ModuleVector, width)
 
         memo["W(d)"] = ModuleSpec(hopf, n, tuple(tuple(
             value(n, [(z, z, r, c) for r, c in hopf.lie.bracket(i, k).items()]
@@ -172,21 +172,21 @@ class CheckReport:
         }
 
 
-def check_skew(bracket, elems, name: str = "skew-symmetry") -> CheckReport:
+def check_skew(bracket, elems) -> CheckReport:
     """Zero defect of [b*a] = -(sigma (x)_H id)[a*b] on all ordered pairs; a
     failing pair records the sorted I of its normal-form defect, as
     `check_jacobi` records its sorted (I, J)."""
-    report = CheckReport(name)
+    report = CheckReport("skew-symmetry")
     for (i, a), (j, b) in itertools.product(enumerate(elems), repeat=2):
         d = skew_defect(a, b, bracket)
         report.case(f"pair ({i+1}, {j+1})", d.is_zero(), [[list(I)] for I in sorted(d.terms)])
     return report
 
 
-def check_jacobi(bracket, elems, name: str = "Jacobi") -> CheckReport:
+def check_jacobi(bracket, elems) -> CheckReport:
     """Zero defect of [[a*b]*c] - [a*[b*c]] + ((sigma (x) id) (x)_H id)[b*[a*c]],
     the module axiom of the adjoint action, on all ordered triples."""
-    report = CheckReport(name)
+    report = CheckReport("Jacobi")
     for (i, a), (j, b), (k, c) in itertools.product(enumerate(elems), repeat=3):
         d = module_defect(a, b, c, bracket, bracket)
         report.case(f"triple ({i+1}, {j+1}, {k+1})", not d,

@@ -15,9 +15,11 @@ PseudoValues one term at a time (`_fold`), and each output vector is built
 once (`_pseudo_value`); the ModuleVector constructor makes its coordinates
 canonical, an int when integral and else a Fraction.  The inputs are summed
 as they come: the layers below hand out canonical coefficients, so the folds
-run in int wherever the arithmetic is integral.  `modules.apply_map` builds
-its values that way, and `from_tensor` a whole sum of tensors
-(f (x) g) (x)_H v.  H's product of term lists `_product` comes from `hopf`.
+run in int wherever the arithmetic is integral.  Every sum of PseudoValues
+is such a fold: `add`, `convert`, `from_tensor` (a whole sum of tensors
+(f (x) g) (x)_H v), `modules.apply_map` and `pseudoalg.w_modules`.  `_times`
+is the one loop of H times a module vector, and H's product of term lists
+`_product` comes from `hopf`.
 
 `skew_defect` is a PseudoValue; `module_defect`, which lives in
 H^(x)3 (x)_H V, is a flat map of its nonzero coefficients.
@@ -67,7 +69,7 @@ class PseudoValue:
                 for A, B in mi_splits(J):
                     rows_b = moved.get(B)
                     if rows_b is None:
-                        rows_b = moved[B] = _mono_times(hopf, B, vec.terms.items(), vec.width)
+                        rows_b = moved[B] = _times(hopf, ((B, 1),), vec.terms.items(), vec.width)
                     if not rows_b:
                         continue
                     factor = factors.get(A)
@@ -82,12 +84,14 @@ class PseudoValue:
 
     # -- linear structure ----------------------------------------------------
     def add(self, other: "PseudoValue") -> "PseudoValue":
-        if other.orient != self.orient:
-            other = other.convert(self.orient)
-        out = dict(self.terms)
-        for I, v in other.terms.items():
-            _acc(out, I, v)
-        return PseudoValue(self.hopf, self.orient, out)
+        """The terms of self, then those of other in the same form, folded."""
+        store: dict[MultiIndex, dict[MultiIndex, list]] = {}  # I -> N -> coordinates
+        for value in (self, other.convert(self.orient)):
+            for I, v in value.terms.items():
+                _fold(store, I, v.terms.items(), 1)
+        if not store:
+            return PseudoValue(self.hopf, self.orient, {})
+        return _pseudo_value(self.hopf, self.orient, store, type(v), v.width)
 
     def scale(self, c) -> "PseudoValue":
         c = rat(c)
@@ -106,17 +110,19 @@ class PseudoValue:
         if orient == self.orient:
             return self
         hopf = self.hopf
-        out: dict[MultiIndex, object] = {}
+        store: dict[MultiIndex, dict[MultiIndex, list]] = {}  # K -> N -> coordinates
         # (b^(I) (x) 1) (x)_H v = sum_{A+B=I} (1 (x) S(b^(A))) (x)_H b^(B) v
         # and symmetrically for the opposite direction.
         for I, v in self.terms.items():
             for A, B in mi_splits(I):
-                moved = v.hmul(hopf.mono(B))
-                if moved.is_zero():
+                rows = v.hmul(hopf.mono(B)).terms.items()
+                if not rows:
                     continue
                 for K, c in hopf.antipode_mono(A).items():
-                    _acc(out, K, moved.scale(c))
-        return PseudoValue(hopf, orient, out)
+                    _fold(store, K, rows, c)
+        if not store:
+            return PseudoValue(hopf, orient, {})
+        return _pseudo_value(hopf, orient, store, type(v), v.width)
 
     def to_left(self) -> "PseudoValue":
         return self.convert(LEFT)
@@ -151,23 +157,11 @@ class PseudoValue:
         return f"[{side}-normal] " + "; ".join(bits)
 
 
-def _acc(store: dict, key, vec) -> None:
-    cur = store.get(key)
-    if cur is None:
-        store[key] = vec
-    else:
-        s = cur.add(vec)
-        if s.is_zero():
-            del store[key]
-        else:
-            store[key] = s
-
-
 def _fold(store: dict, M: MultiIndex, rows, x) -> None:
     """store[M] += x * rows, rows being (N, coordinates) pairs, with the key
-    order of `PseudoValue.add` over `ModuleVector.add`: a new key goes last,
-    and an N or an M whose coordinates cancel is dropped, so that it goes
-    last if it comes back."""
+    order of adding the vectors one at a time by `ModuleVector.add`: a new
+    key goes last, and an N or an M whose coordinates cancel is dropped, so
+    that it goes last if it comes back."""
     at = store.get(M)
     if at is None:
         store[M] = {N: [x * c for c in coords] for N, coords in rows}
@@ -186,16 +180,19 @@ def _fold(store: dict, M: MultiIndex, rows, x) -> None:
         del store[M]
 
 
-def _mono_times(hopf: Hopf, B: MultiIndex, rows, width: int) -> list:
-    """b^(B) sum_N b^(N) (x) coordinates as its nonzero (N, coordinates),
-    summed as they come, with the key order of `ModuleVector.hmul`."""
+def _times(hopf: Hopf, h_terms, rows, width: int) -> list:
+    """h sum_N b^(N) (x) coordinates for h = sum c b^(J) over `h_terms` (J, c),
+    as its nonzero (K, coordinates) summed as they come, the rows outermost:
+    `ModuleVector.hmul` and the folds of `from_tensor` and `modules.apply_map`."""
     out: dict[MultiIndex, list] = {}
     for N, coords in rows:
-        for K, c in hopf.mono_mul(B, N).items():
-            cur = out.get(K) or out.setdefault(K, [0] * width)
-            for r, x in enumerate(coords):
-                if x:
-                    cur[r] += c * x
+        for J, c in h_terms:
+            for K, c2 in hopf.mono_mul(J, N).items():
+                cur = out.get(K) or out.setdefault(K, [0] * width)
+                cc = c * c2
+                for r, x in enumerate(coords):
+                    if x:
+                        cur[r] += cc * x
     return [(K, cur) for K, cur in out.items() if any(cur)]
 
 

@@ -8,7 +8,7 @@ from liepseudo.liecore import LieData, preset
 from liepseudo._linalg import RowReducer
 from liepseudo.modules import (Closure, ModuleSpec, ModuleVector, _coords, _sing_actors, _units,
                                _vector_from_row)
-from liepseudo.twosided import LEFT, RIGHT, PseudoValue, _acc
+from liepseudo.twosided import LEFT, RIGHT, PseudoValue
 
 _CACHE: dict[str, Hopf] = {}
 
@@ -71,6 +71,21 @@ def count_kernel_runs(monkeypatch) -> list:
     return runs
 
 
+def _acc(store: dict, key, vec) -> None:
+    """store[key] += vec by `ModuleVector.add`, a key whose sum is zero
+    dropped: the term-by-term route that the folds of `twosided` reproduce,
+    key order included."""
+    cur = store.get(key)
+    if cur is None:
+        store[key] = vec
+    else:
+        s = cur.add(vec)
+        if s.is_zero():
+            del store[key]
+        else:
+            store[key] = s
+
+
 def mul_outer(p: PseudoValue, h) -> PseudoValue:
     """Left-multiply by h the slot of p that carries the normal-form
     monomials, one PseudoValue add per term: the reference for the left
@@ -121,6 +136,34 @@ def from_tensor_by_terms(hopf, tensors, orient: str = LEFT) -> PseudoValue:
                 for I, c2 in factor.coeffs.items():
                     _acc(terms, I, moved.scale(c2))
     return PseudoValue(hopf, orient, terms)
+
+
+def convert_by_terms(p: PseudoValue, orient: str) -> PseudoValue:
+    """p in normal form `orient`, one `hmul_by_terms`, scale and add per
+    term: the reference for `PseudoValue.convert`, key order at both levels
+    included."""
+    if orient == p.orient:
+        return p
+    hopf = p.hopf
+    out: dict = {}
+    for I, v in p.terms.items():
+        for A, B in mi_splits(I):
+            moved = hmul_by_terms(v, hopf.mono(B))
+            if moved.is_zero():
+                continue
+            for K, c in hopf.antipode_mono(A).items():
+                _acc(out, K, moved.scale(c))
+    return PseudoValue(hopf, orient, out)
+
+
+def add_by_terms(p: PseudoValue, q: PseudoValue) -> PseudoValue:
+    """p + q in the normal form of p, each term of q added to those of p by
+    `ModuleVector.add`: the reference for `PseudoValue.add`, key order at
+    both levels included."""
+    out = dict(p.terms)
+    for I, v in convert_by_terms(q, p.orient).terms.items():
+        _acc(out, I, v)
+    return PseudoValue(p.hopf, p.orient, out)
 
 
 def w_star_right_by_vector(V, w, v) -> PseudoValue:

@@ -1,8 +1,9 @@
 """Source hygiene: every name a module of the package or of its tests
 imports is used, every import sits at module level, every private helper is
 called and defined in one module only, every public name of the package is
-read by it or listed with a reason, every true division has a Fraction
-operand, every CLI option is read, and W(d) has one pseudoaction kernel."""
+read by it or listed with a reason, every defaulted parameter is set by
+some call, every true division has a Fraction operand, every CLI option is
+read, and W(d) has one pseudoaction kernel."""
 
 import argparse
 import ast
@@ -233,6 +234,8 @@ def unread_public_methods(trees: dict[str, ast.Module]) -> list[str]:
 METHODS_UNREAD_BY_SRC = {
     "_linalg.py: RowReducer.contains": "span membership beside add, read by test_linalg and "
                                        "test_derham",
+    "cli.py: _Parser.error": "the hook by which argparse reports a usage error, called by "
+                             "argparse",
     "modules.py: Closure.contains": "membership in a closure, read by test_acceptance and "
                                     "test_derham",
     "modules.py: Closure.coef_rank": "the rank of the closure's coefficient span, read by "
@@ -371,6 +374,89 @@ def test_the_scan_sees_every_fraction_call():
                      "        return fractions.Fraction(a), isinstance(a, Fraction), Fraction(a, 2)\n")
     assert fraction_calls(tree) == [("<module>", "Fraction(1)"), ("Box.f", "fractions.Fraction(a)"),
                                     ("Box.f", "Fraction(a, 2)")]
+
+
+def _calls_by_name(tree: ast.Module) -> list[tuple[str, ast.Call]]:
+    """Every call in `tree` as (the name it calls, the call): `f(...)` and
+    `x.f(...)` call f, and `cls(...)` in a method of class C calls C."""
+    owner = {id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for node in ast.walk(cls)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            found.append((owner.get(id(node), name) if name == "cls" else name, node))
+    return found
+
+
+def unset_defaults(defs: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
+    """The defaulted parameters of the functions and methods of `defs` that
+    no call in `callers` passes, as "file: function(parameter)".  A call
+    passes a parameter by its keyword or a `**` argument, or by a positional
+    argument at its place or a `*` argument before it; it is matched by the
+    name it calls (`_calls_by_name`), `__init__` by its class's name, and the
+    self or cls of a method takes no place."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in callers:
+        for name, call in _calls_by_name(tree):
+            calls.setdefault(name, []).append(call)
+
+    def passed(name, param, place):
+        for call in calls.get(name, ()):
+            if any(k.arg in (param, None) for k in call.keywords):
+                return True
+            if place is not None and any(isinstance(a, ast.Starred) or m == place
+                                         for m, a in enumerate(call.args)):
+                return True
+        return False
+
+    found = []
+
+    def visit(label, body, cls=None):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(label, node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                places = args.posonlyargs + args.args
+                static = any(ast.unparse(d) == "staticmethod" for d in node.decorator_list)
+                skip = 1 if cls and not static else 0
+                defaulted = [(a.arg, m - skip) for m, a in enumerate(places)
+                             if m >= len(places) - len(args.defaults)]
+                defaulted += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                              if d is not None]
+                name = cls if node.name == "__init__" else node.name
+                found.extend(f"{label}: {cls + '.' if cls else ''}{node.name}({param})"
+                             for param, place in defaulted if not passed(name, param, place))
+                visit(label, node.body)
+
+    for label, tree in defs.items():
+        visit(label, tree.body)
+    return found
+
+
+# The defaulted parameters of the package that no call in src/, tests/ or
+# demos/ sets, each with the reason it stays; a default nobody overrides is a
+# constant, so there are none.
+DEFAULTS_NO_CALL_SETS: dict[str, str] = {}
+
+
+def test_every_defaulted_parameter_of_the_package_is_set_by_some_call():
+    defs = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    demos = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+    callers = [ast.parse(path.read_text()) for path in SOURCES + demos]
+    assert demos and sorted(unset_defaults(defs, callers)) == sorted(DEFAULTS_NO_CALL_SETS)
+
+
+def test_the_scan_sees_a_defaulted_parameter_no_call_sets():
+    toy = ast.parse("def f(a, b=1, c=2, *, d=3, e=4): return a\n"
+                    "class Box:\n    def __init__(self, x=0, y=0): pass\n"
+                    "    def m(self, z=0): pass\n    @staticmethod\n    def s(z=0): pass\n"
+                    "    @classmethod\n    def make(cls): return cls(y=1)\n")
+    user = ast.parse("f(1, 2, e=5)\nBox().m(*[1])\nBox.s()\n")
+    assert unset_defaults({"toy.py": toy}, [toy, user]) == [
+        "toy.py: f(c)", "toy.py: f(d)", "toy.py: Box.__init__(x)", "toy.py: Box.s(z)"]
 
 
 def ignored_options(parser: argparse.ArgumentParser, shared=()) -> dict[str, list[str]]:

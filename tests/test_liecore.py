@@ -295,7 +295,9 @@ def test_liecore_values_are_canonical(name, tmp_path):
     # Pi parsed by the CLI: every entry reaches RepData as a Fraction
     mats = SL2_PI if name == "sl2" else [[[c]] for c in CHI[name]]
     (tmp_path / "pi.json").write_text(json.dumps({"dim": len(mats[0]), "mats": mats}))
-    pi = load_pi(lie, str(tmp_path / "pi.json"), {})
+    rank, build_pi = load_pi(lie, str(tmp_path / "pi.json"), {})
+    pi = build_pi()
+    assert rank == pi.dim
     pi_want = [[[Fraction(x) for x in row] for row in mat_] for mat_ in mats]
     for i in range(N):
         _same(pi.d_matrix(i), pi_want[i])

@@ -113,6 +113,25 @@ def _fold_keeping_cancelled_keys(store, M, rows, x):
                 cur[r] += x * c
 
 
+def _fold_keeping_cancelled_rows(store, M, rows, x):
+    # an N whose coordinates cancel stays in place instead of going last; an
+    # M all of whose coordinates cancel still goes
+    at = store.get(M)
+    if at is None:
+        store[M] = {N: [x * c for c in coords] for N, coords in rows}
+        return
+    for N, coords in rows:
+        cur = at.get(N)
+        if cur is None:
+            at[N] = [x * c for c in coords]
+            continue
+        for r, c in enumerate(coords):
+            if c:
+                cur[r] += x * c
+    if not any(any(cur) for cur in at.values()):
+        del store[M]
+
+
 def _hmul_with_j_outermost(self, h):
     out: dict = {}
     for J, c in h.coeffs.items():
@@ -282,6 +301,10 @@ def _install_fold(monkeypatch):
     _patch_everywhere(monkeypatch, twosided._fold, _fold_keeping_cancelled_keys)
 
 
+def _install_fold_rows(monkeypatch):
+    _patch_everywhere(monkeypatch, twosided._fold, _fold_keeping_cancelled_rows)
+
+
 def _install_hmul(monkeypatch):
     monkeypatch.setattr(ModuleVector, "hmul", _hmul_with_j_outermost)
 
@@ -400,6 +423,8 @@ MUTANTS = {
         (_install_reducer_add, test_linalg.test_row_reducer_matches_the_fraction_loop),
     "_fold keeps a cancelled key in place":
         (_install_fold, test_modules.test_apply_map_appends_a_key_that_cancels_and_returns),
+    "_fold keeps an N whose coordinates cancel":
+        (_install_fold_rows, test_twosided.test_convert_and_add_keep_the_term_by_term_layout),
     "hmul with J outermost":
         (_install_hmul, test_modules.test_hmul_keeps_the_order_of_its_loops),
     "_d0_columns without (-1)^(r+s)":

@@ -9,7 +9,8 @@ from liepseudo.pseudoaction import ModuleVector
 from liepseudo.pseudoalg import WAlgebra
 from liepseudo.twosided import LEFT, RIGHT, PseudoValue
 
-from conftest import canonical, from_tensor_by_terms, hopf_for, mul_first, mul_second
+from conftest import (add_by_terms, canonical, convert_by_terms, from_tensor_by_terms, hopf_for,
+                      mul_first, mul_second)
 
 
 def test_trivial_tensor_roundtrip():
@@ -182,4 +183,35 @@ def test_from_tensor_folds_a_sum_as_the_term_by_term_build(name, tensors, width,
     got, want = PseudoValue.from_tensor(H, tensors, orient), from_tensor_by_terms(H, tensors, orient)
     assert got.orient == orient
     assert layout(got) == layout(want)
+    assert all_canonical(got)
+
+
+_VALUES = st.dictionaries(_MONOS, _ROWS, max_size=3)  # I -> the rows of v_I
+
+
+def _value(H, orient, width, terms) -> PseudoValue:
+    return PseudoValue(H, orient, {I: ModuleVector(H, width, {N: tuple(row[:width])
+                                                              for N, row in rows.items()})
+                                   for I, rows in terms.items()})
+
+
+# on sl2 a row of the converted value cancels and comes back, so it goes
+# last; on heis3 the sum cancels the key b1 of p
+@example("sl2", {(1, 1, 0): {(1, 0, 1): [F(1)]}, (2, 0, 0): {(0, 1, 0): [F(1)], (0, 0, 1): [F(1)]}},
+         {}, 1, LEFT, LEFT)
+@example("heis3", {_B1: {_ONE: [F(1)]}}, {_B1: {_ONE: [F(-1)]}, _B2: {_ONE: [F(1, 2)]}}, 1, LEFT, LEFT)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(["abelian3", "heis3", "sl2", "solv3"]), _VALUES, _VALUES,
+       st.sampled_from([1, 3]), st.sampled_from([LEFT, RIGHT]), st.sampled_from([LEFT, RIGHT]))
+def test_convert_and_add_keep_the_term_by_term_layout(name, p, q, width, p_orient, q_orient):
+    H = hopf_for(name)
+    p, q = _value(H, p_orient, width, p), _value(H, q_orient, width, q)
+    other = RIGHT if p_orient == LEFT else LEFT
+    got = p.convert(other)
+    assert got.orient == other
+    assert layout(got) == layout(convert_by_terms(p, other))
+    assert all_canonical(got)
+    got = p.add(q)
+    assert got.orient == p_orient
+    assert layout(got) == layout(add_by_terms(p, q))
     assert all_canonical(got)
