@@ -141,8 +141,10 @@ def load_algebra(source: str) -> tuple[LieData, dict]:
             raise ConfigError(f"algebra dimension must be >= 1 in {source}, got {dim}")
         entries = []
         for i, j, k, c in blob.get("brackets", []):
-            i, j, k = (_json_int(x, what, "bracket index") - 1 for x in (i, j, k))
-            entries.append((i, j, k, rat(c)))
+            i, j, k = (_json_int(x, what, "bracket index") for x in (i, j, k))
+            entries.append((i - 1, j - 1, k - 1, rat(c)))
+            if bad := [x for x in (i, j, k) if not 1 <= x <= dim]:
+                raise ConfigError(f"{what}: bracket index {bad[0]} out of range 1..{dim}")
         lie = LieData.from_entries(dim, entries, name=os.path.basename(source))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{what}: {exc}")

@@ -32,7 +32,7 @@ from .modules import (
     PAPER_BOUND,
     ModuleSpec,
     ModuleVector,
-    _coords,
+    _columns,
     apply_map,
     sing_blocks_by_id_symbol,
     sing_in_subspace,
@@ -43,6 +43,7 @@ from .modules import (
     twist_map,
     r0_test,
 )
+from .twosided import _times
 
 
 # ---------------------------------------------------------------------------
@@ -209,19 +210,19 @@ def filtration_ranks(hopf: Hopf, n: int, pi: RepData | None, p_max: int) -> list
     """(dim fil^p, rank of d on fil^p) of degree n for p = 0..p_max.
 
     The domain basis b^(I) (x) e_k in `mi_below` order lists fil^p before
-    fil^{p+1}, so one RowReducer fed the image of each basis vector, read at
-    every degree boundary, ranks all filtration steps in one pass.
+    fil^{p+1}, so one RowReducer fed each image b^(I) d(e_k), read at every
+    degree boundary, ranks all filtration steps in one pass; a row comes
+    straight from `twosided._times`, over the columns of `modules._columns`.
     """
     imgs = d_images(hopf, n, pi)
+    index = _columns(hopf, imgs[0].width, p_max + 1)[1]
     red = RowReducer()
-    dom = 0
     out = []
-    for _p, level in itertools.groupby(mi_below(hopf.n, p_max), key=mi_deg):
-        for I in level:
-            for k in range(len(imgs)):
-                red.add(_coords(apply_map(imgs, ModuleVector.unit(hopf, len(imgs), k, I))))
-                dom += 1
-        out.append((dom, red.rank))
+    for p, level in itertools.groupby(mi_below(hopf.n, p_max), key=mi_deg):
+        for I, img in itertools.product(level, imgs):
+            rows = _times(hopf, ((I, 1),), img.terms.items(), img.width)
+            red.add({index[K, r]: x for K, cur in rows for r, x in enumerate(cur) if x})
+        out.append((comb(hopf.n + p, hopf.n) * len(imgs), red.rank))
     return out
 
 

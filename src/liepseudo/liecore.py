@@ -117,7 +117,7 @@ class LieData:
         for i, j, k, c in entries:
             c = rat(c)
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-                raise AntisymmetryViolation(f"index out of range in bracket entry {(i, j, k)}")
+                raise AntisymmetryViolation(f"[b_{i+1}, b_{j+1}] -> b_{k+1} out of range 1..{dim}")
             if i == j:
                 if c != 0:
                     raise AntisymmetryViolation(f"nonzero [b_{i+1}, b_{i+1}]")

@@ -252,6 +252,13 @@ def _sing_actors(V: ModuleSpec, mode: str, chi: TraceForm | None):
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _columns(hopf: Hopf, width: int, p: int) -> tuple[list, dict]:
+    """The slots (I, k), |I| <= p, by decreasing degree, then (I, k), and the column of each."""
+    cols = sorted(((I, k) for I in mi_below(hopf.n, p) for k in range(width)),
+                  key=lambda slot: (-mi_deg(slot[0]), slot))
+    return cols, {slot: c for c, slot in enumerate(cols)}
+
+
 def _coords(v: ModuleVector) -> Row:
     """The nonzero coordinates of v keyed by slot (I, k)."""
     return {(I, k): c for I, coords in v.terms.items() for k, c in enumerate(coords) if c}
@@ -414,9 +421,7 @@ def submodule_closure(V: ModuleSpec, gens: list[ModuleVector], fil_bound: int,
     """
     work = fil_bound + 1
     actors, _threshold = _sing_actors(V, mode, chi)
-    # columns by decreasing degree so echelon pivots isolate fil^p slices
-    cols = sorted(V.basis_upto(work), key=lambda slot: (-mi_deg(slot[0]), slot[0], slot[1]))
-    index = {slot: c for c, slot in enumerate(cols)}
+    cols, index = _columns(V.hopf, V.dim, work)
     red = RowReducer()
     if inner is not None:
         if inner.module is not V or inner.fil_bound != fil_bound:

@@ -122,7 +122,9 @@ class ModuleVector:
         return self.terms.get(tuple(I), (0,) * self.width)
 
     def eq(self, other: "ModuleVector") -> bool:
-        return (self - other).is_zero()
+        if other.width != self.width:
+            raise DimensionMismatch("module widths differ")
+        return self.terms == other.terms
 
     @property
     def comps(self) -> tuple[HElement, ...]:

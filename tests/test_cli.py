@@ -299,6 +299,17 @@ def test_a_bracket_index_must_be_a_json_integer(tmp_path, capsys, entry, shown):
                             f"bracket index must be a JSON integer, got {shown}\n")
 
 
+@pytest.mark.parametrize("entry, shown", [([1, 3, 1, "1"], 3), ([1, 2, 0, "1"], 0), ([-1, 2, 1, "1"], -1)])
+def test_a_bracket_index_out_of_range_is_named_as_the_file_writes_it(tmp_path, capsys, entry, shown):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"dim": 2, "brackets": [entry]}))
+    assert main(["verify", "--alg", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: bad algebra schema in {path}: "
+                            f"bracket index {shown} out of range 1..2\n")
+
+
 def test_an_algebra_without_brackets_is_abelian(tmp_path, capsys):
     path = tmp_path / "alg.json"
     path.write_text(json.dumps({"dim": 3}))

@@ -391,22 +391,66 @@ def test_exactness_koszul_oracle_abelian():
             assert rk == oracle[(n, p)], (n, p)
 
 
-@pytest.mark.parametrize("name", ["heis3", "solv2"])
+def _line_100(H):
+    """Pi = line:1,0,0, which vanishes on [d, d] of each algebra it meets below."""
+    return RepData.line(TraceForm(H.lie, (Fraction(1), Fraction(0), Fraction(0))))
+
+
+def _golden_pi2(H):
+    """The dim-2 Pi of the heis3 golden and benchmark commands."""
+    return cli.load_pi(H.lie, str(GOLDEN / "pi_heis3_dim2.json"), {})[1]()
+
+
+def _untwisted(H):
+    return None
+
+
+# algebra -> (Pi, p_max) pairs: untwisted, line:1,0,0 and dim-2 twists;
+# abelian3 up to p = 6, as `derham abelian3 --trunc 8 --fil 6` reads
+_FILTRATION_CASES = {
+    "heis3": [(pi_for, 3), (_golden_pi2, 3), (_line_100, 2)],
+    "solv2": [(pi_for, 3)],
+    "abelian3": [(_untwisted, 6), (_line_100, 6), (pi_for, 3)],
+    "sl2": [(pi_for, 3)],
+    "solv3": [(_untwisted, 3), (_line_100, 3)],
+    "k|x k^2": [(_line_100, 3)],
+}
+
+
+@pytest.mark.parametrize("name", list(_FILTRATION_CASES))
 def test_filtration_ranks_match_fresh_matrices(name):
     # the one-pass ranks read at each degree boundary equal the ranks of
-    # fil^p matrices built from scratch: fil^p rows are a prefix of fil^{p+1}
-    H = hopf_for(name)
-    pi = pi_for(H)
-    for n in range(H.n):
-        imgs = d_images(H, n, pi)
-        for p, pair in enumerate(filtration_ranks(H, n, pi, 3)):
-            rows = [{(J, r): c for J, coords in imgs[k].hmul(H.mono(I)).terms.items()
-                     for r, c in enumerate(coords) if c}
-                    for I in mi_below(H.n, p) for k in range(len(imgs))]
-            red = RowReducer()
-            for row in rows:
-                red.add(row)
-            assert pair == (len(rows), red.rank), (n, p)
+    # fil^p matrices built from scratch, keyed by the slots (J, r) of
+    # `hmul`: fil^p rows are a prefix of fil^{p+1}
+    H = _semidirect_k_k2() if name == "k|x k^2" else hopf_for(name)
+    for make_pi, p_max in _FILTRATION_CASES[name]:
+        pi = make_pi(H)
+        for n in range(H.n):
+            imgs = d_images(H, n, pi)
+            for p, pair in enumerate(filtration_ranks(H, n, pi, p_max)):
+                rows = [{(J, r): c for J, coords in imgs[k].hmul(H.mono(I)).terms.items()
+                         for r, c in enumerate(coords) if c}
+                        for I in mi_below(H.n, p) for k in range(len(imgs))]
+                red = RowReducer()
+                for row in rows:
+                    red.add(row)
+                assert pair == (len(rows), red.rank), (make_pi.__name__, n, p)
+
+
+def test_filtration_ranks_read_each_row_straight_from_the_products(monkeypatch):
+    # once d_images is memoized, a rank row is b^(I) times an image, built by
+    # `twosided._times` alone: no unit vector, no apply_map fold
+    H = hopf_for("heis3")
+    pi = _golden_pi2(H)
+    want = [filtration_ranks(H, n, pi, 3) for n in range(H.n)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("filtration_ranks left the direct route")
+
+    monkeypatch.setattr(derham, "apply_map", refuse)
+    monkeypatch.setattr(modules, "apply_map", refuse)
+    monkeypatch.setattr(ModuleVector, "unit", refuse)
+    assert [filtration_ranks(H, n, pi, 3) for n in range(H.n)] == want
 
 
 @pytest.mark.parametrize("name", ["abelian2", "abelian3", "solv2", "heis3"])

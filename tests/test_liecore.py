@@ -52,6 +52,12 @@ def test_antisymmetry_conflict_rejected():
         LieData.from_entries(2, [(0, 1, 0, 1), (1, 0, 0, 1)])
 
 
+def test_a_bracket_entry_out_of_range_is_named_1_based():
+    with pytest.raises(AntisymmetryViolation) as exc:
+        LieData.from_entries(2, [(0, 2, 0, 1)])
+    assert str(exc.value) == "[b_1, b_3] -> b_1 out of range 1..2"
+
+
 def test_jacobi_violation_names_triple():
     bad = LieData.from_entries(3, [(0, 1, 0, 1), (0, 2, 2, 1)])
     with pytest.raises(JacobiViolation) as exc:

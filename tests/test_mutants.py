@@ -22,6 +22,7 @@ import pytest
 import liepseudo
 from liepseudo import _linalg, annih, derham, modules, pseudoaction, twosided
 from liepseudo.dualx import XElement
+from liepseudo.errors import DimensionMismatch
 from liepseudo.hopf import HElement, Hopf, mi_deg
 from liepseudo.liecore import RepData, insert_sign, mat_apply, preset, wedge_basis
 from liepseudo.pseudoaction import ModuleSpec, ModuleVector
@@ -257,6 +258,23 @@ def _actor_rows_dropping_a_term(real):
     return actor_rows
 
 
+def _eq_dropping_the_last_row(self, other):
+    # the last row of each term map is left out of the comparison
+    if other.width != self.width:
+        raise DimensionMismatch("module widths differ")
+    return dict(list(self.terms.items())[:-1]) == dict(list(other.terms.items())[:-1])
+
+
+def _filtration_ranks_reading_the_first_image(real):
+    # the rank row of every generator e_k is built from imgs[0]
+    def filtration_ranks(hopf, n, pi, p_max):
+        imgs = derham.d_images(hopf, n, pi)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(derham, "d_images", lambda *args: [imgs[0]] * len(imgs))
+            return real(hopf, n, pi, p_max)
+    return filtration_ranks
+
+
 def _install_module_vector(monkeypatch):
     monkeypatch.setattr(ModuleVector, "__init__", _module_vector_keeping_coordinates)
 
@@ -357,6 +375,15 @@ def _install_actor_rows(monkeypatch):
     monkeypatch.setattr(ModuleSpec, "_actor_rows", _actor_rows_dropping_a_term(ModuleSpec._actor_rows))
 
 
+def _install_eq(monkeypatch):
+    monkeypatch.setattr(ModuleVector, "eq", _eq_dropping_the_last_row)
+
+
+def _install_filtration_ranks(monkeypatch):
+    _patch_everywhere(monkeypatch, derham.filtration_ranks,
+                      _filtration_ranks_reading_the_first_image(derham.filtration_ranks))
+
+
 def _install_carry_right(monkeypatch):
     _patch_everywhere(monkeypatch, pseudoaction._carry,
                       _carry_right_reading_k_first(pseudoaction._carry))
@@ -396,6 +423,12 @@ def _actor_rows_killer():
     for name, n, chi_name in itertools.product(["abelian3", "heis3", "sl2", "solv3"], range(4),
                                                ["zero", "tr_ad"]):
         test_modules.test_right_form_w_star_matches_the_per_vector_fold(name, n, chi_name)
+
+
+def _filtration_killer():
+    # every case of the parametrized test, as pytest would run them
+    for name in test_derham._FILTRATION_CASES:
+        test_derham.test_filtration_ranks_match_fresh_matrices(name)
 
 
 def _golden_killer(name):
@@ -457,6 +490,10 @@ MUTANTS = {
         (_install_carry_right, test_modules.test_action_pv_matches_the_unmemoized_loop),
     "_carry drops a cancelled (M, N, 0) placement":
         (_install_carry_cancelled, test_modules.test_action_pv_matches_the_unmemoized_loop),
+    "ModuleVector.eq drops the last row":
+        (_install_eq, test_twosided.test_eq_compares_as_the_difference_does),
+    "a rank row reads imgs[0] for every generator":
+        (_install_filtration_ranks, _filtration_killer),
     "an actor row drops one h_a term (singular golden)":
         (_install_actor_rows, _golden_killer("singular_heis3_S_omega1")),
 }

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from liepseudo.errors import DimensionMismatch
 from liepseudo.hopf import HElement, mi_below
 from liepseudo.pseudoaction import ModuleVector
 from liepseudo.pseudoalg import WAlgebra
@@ -160,6 +162,23 @@ def test_from_tensor_matches_the_term_by_term_build(name, f, g, width, rows, ori
     assert got.orient == orient
     assert layout(got) == layout(want)
     assert all_canonical(got)
+
+
+# b is a with rows replaced, added or (a zero row) dropped, its keys in
+# either order; the example differs from a in its last row alone
+@example("heis3", 3, {(0, 0, 0): [F(1), F(0), F(0)], (1, 0, 0): [F(0), F(1), F(0)]},
+         {(1, 0, 0): [F(0), F(2), F(0)]}, False)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(["abelian3", "heis3", "sl2", "solv3"]), st.sampled_from([1, 3]),
+       _ROWS, _ROWS, st.booleans())
+def test_eq_compares_as_the_difference_does(name, width, rows, edits, reverse):
+    H = hopf_for(name)
+    b_rows = {**rows, **edits}
+    a = ModuleVector(H, width, {I: tuple(row[:width]) for I, row in rows.items()})
+    b = ModuleVector(H, width, {I: tuple(b_rows[I][:width]) for I in sorted(b_rows, reverse=reverse)})
+    assert a.eq(b) == b.eq(a) == (a - b).is_zero()
+    with pytest.raises(DimensionMismatch):
+        a.eq(ModuleVector.zero(H, width + 1))
 
 
 _TENSORS = st.lists(st.tuples(_H_TERMS, _H_TERMS, _ROWS), max_size=3)
