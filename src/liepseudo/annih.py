@@ -14,7 +14,6 @@ which for left-normal values reduces to sum_I <x, S(b^(I))> v_I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import add_entry, span_coords
@@ -186,12 +185,12 @@ def gr_iso_gl(A: AnnElement) -> Matrix:
     return mat(rows)
 
 
-@dataclass
 class ExtAnnElement:
     """Formal pair in the extended algebra d |x W."""
 
-    d_part: tuple[int | Fraction, ...]
-    w_part: AnnElement
+    def __init__(self, d_part: tuple[int | Fraction, ...], w_part: AnnElement):
+        self.d_part = d_part
+        self.w_part = w_part
 
     @classmethod
     def from_d(cls, hopf: Hopf, i: int, validity: int) -> "ExtAnnElement":

@@ -139,8 +139,15 @@ def load_algebra(source: str) -> tuple[LieData, dict]:
         dim = _json_int(blob["dim"], what)
         if dim < 1:
             raise ConfigError(f"algebra dimension must be >= 1 in {source}, got {dim}")
+        brackets = blob.get("brackets", [])
+        if not isinstance(brackets, list):
+            raise ConfigError(f"{what}: brackets must be a JSON list, got {json.dumps(brackets)}")
         entries = []
-        for i, j, k, c in blob.get("brackets", []):
+        for e, entry in enumerate(brackets, 1):
+            if not isinstance(entry, list) or len(entry) != 4:
+                raise ConfigError(f'{what}: bracket entry {e} must be [i, j, k, "p/q"], '
+                                  f'got {json.dumps(entry)}')
+            i, j, k, c = entry
             i, j, k = (_json_int(x, what, "bracket index") for x in (i, j, k))
             entries.append((i - 1, j - 1, k - 1, rat(c)))
             if bad := [x for x in (i, j, k) if not 1 <= x <= dim]:

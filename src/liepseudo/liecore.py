@@ -14,7 +14,6 @@ matrix helpers keep it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -92,21 +91,17 @@ def mat_is_zero(a: Matrix) -> bool:
     return all(v == 0 for row in a for v in row)
 
 
-@dataclass(frozen=True)
 class LieData:
-    """Structure constants of an N-dimensional Lie algebra, stored for i < j."""
+    """Structure constants of an N-dimensional Lie algebra, stored for i < j;
+    set once, the table and its index are never reassigned."""
 
-    dim: int
-    table: tuple[tuple[int, int, tuple[tuple[int, int | Fraction], ...]], ...]
-    name: str = ""
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
-    _omega_reps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        table = tuple((i, j, tuple((k, _exact(rat(c))) for k, c in terms))
-                      for i, j, terms in self.table)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "_index", {(i, j): dict(terms) for i, j, terms in table})
+    def __init__(self, dim: int, table: Iterable, name: str = ""):
+        self.dim = dim
+        self.table: tuple[tuple[int, int, tuple[tuple[int, int | Fraction], ...]], ...] = tuple(
+            (i, j, tuple((k, _exact(rat(c))) for k, c in terms)) for i, j, terms in table)
+        self.name = name
+        self._index = {(i, j): dict(terms) for i, j, terms in self.table}
+        self._omega_reps = {}
 
     @classmethod
     def from_entries(cls, dim: int, entries: Iterable[tuple[int, int, int, object]], name: str = "") -> "LieData":
@@ -189,20 +184,18 @@ class LieData:
         return TraceForm(self, (0,) * self.dim)
 
 
-@dataclass(frozen=True)
 class TraceForm:
-    """A linear functional chi on d vanishing on [d, d]."""
+    """A linear functional chi on d vanishing on [d, d]; the values are
+    never reassigned."""
 
-    lie: LieData
-    values: tuple[int | Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.values) != self.lie.dim:
+    def __init__(self, lie: LieData, values: Sequence):
+        if len(values) != lie.dim:
             raise InvalidTraceForm("wrong length")
-        object.__setattr__(self, "values", tuple(_exact(rat(v)) for v in self.values))
-        for i in range(self.lie.dim):
-            for j in range(i + 1, self.lie.dim):
-                s = sum(c * self.values[k] for k, c in self.lie.bracket(i, j).items())
+        self.lie = lie
+        self.values: tuple[int | Fraction, ...] = tuple(_exact(rat(v)) for v in values)
+        for i in range(lie.dim):
+            for j in range(i + 1, lie.dim):
+                s = sum(c * self.values[k] for k, c in lie.bracket(i, j).items())
                 if s != 0:
                     raise InvalidTraceForm(f"chi([b_{i+1}, b_{j+1}]) = {s} != 0")
 

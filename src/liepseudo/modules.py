@@ -26,7 +26,6 @@ The oracle and `symbol_matrix` apply all their annihilation elements in one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import Row, RowReducer, add_entry, kernel, span_coords
@@ -209,13 +208,13 @@ def twist_map(pi: RepData, V: ModuleSpec, images: list[ModuleVector]) -> list[Mo
 PAPER_BOUND = {"W": 1, "S": 2}
 
 
-@dataclass
 class SingResult:
-    module: ModuleSpec
-    basis: list[ModuleVector]
-    fil_bound: int
-    paper_bound: int
-    mode: str
+    """The singular vectors of a solve in fil^fil_bound and the paper's degree bound."""
+
+    def __init__(self, basis: list[ModuleVector], fil_bound: int, paper_bound: int):
+        self.basis = basis
+        self.fil_bound = fil_bound
+        self.paper_bound = paper_bound
 
     @property
     def dim(self) -> int:
@@ -293,7 +292,7 @@ def sing_solve(V: ModuleSpec, fil_bound: int, mode: str = "W",
     one for the unknown order (|I|, I, k).
     """
     basis = sing_in_subspace(V, _units(V, V.basis_upto(fil_bound)), mode, chi)
-    return SingResult(V, basis, fil_bound, PAPER_BOUND[mode], mode)
+    return SingResult(basis, fil_bound, PAPER_BOUND[mode])
 
 
 def sing_solve_oracle(V: ModuleSpec, fil_bound: int, mode: str = "W",
@@ -327,7 +326,7 @@ def sing_solve_oracle(V: ModuleSpec, fil_bound: int, mode: str = "W",
             if out is not None:
                 _add_image(images[-1], (label,), out)
     basis = [_vector_from_row(V, units, vec) for vec in kernel(images)]
-    return SingResult(V, basis, fil_bound, PAPER_BOUND[mode], mode)
+    return SingResult(basis, fil_bound, PAPER_BOUND[mode])
 
 
 def s_of(V: ModuleSpec, l: int, coords) -> ModuleVector:
@@ -368,13 +367,16 @@ def r0_test(u: RepData) -> bool:
 # Submodules and intertwiners
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Closure:
-    module: ModuleSpec
-    fil_bound: int
-    basis: list[ModuleVector]
-    # the reduced rows of the whole span in fil^{bound+1}, by pivot column
-    window: dict[int, Row]
+    """A submodule closure of `module` in fil^fil_bound: its basis and the
+    reduced rows of the whole span in fil^{bound+1}, by pivot column."""
+
+    def __init__(self, module: ModuleSpec, fil_bound: int, basis: list[ModuleVector],
+                 window: dict[int, Row]):
+        self.module = module
+        self.fil_bound = fil_bound
+        self.basis = basis
+        self.window = window
 
     @property
     def dim(self) -> int:
@@ -410,7 +412,9 @@ def submodule_closure(V: ModuleSpec, gens: list[ModuleVector], fil_bound: int,
     degrees <= bound - 1.  Each coefficient of a * v goes from the left-form
     kernel store (`ModuleSpec.w_star_store`) straight into the reducer; only
     a row that enlarges the span becomes a vector, the one `w_star` would
-    give, so queue and key order, on which a truncated basis depends, stay.
+    give.  The basis and window of the closures of `classify` do not depend
+    on the order of the seeds or of the stores
+    (`test_modules.test_closures_do_not_depend_on_seed_or_store_order`).
 
     With `inner`, a closure of V at the same bound, mode and chi whose
     generators lie in the span of `gens`, the span starts from a copy of
@@ -445,7 +449,7 @@ def submodule_closure(V: ModuleSpec, gens: list[ModuleVector], fil_bound: int,
             if v.degree() + 1 <= work:
                 push(v.hmul(hopf.gen(i)))
         for _label, w in actors:
-            for at_m in V.w_star_store(w, v).values():
+            for at_m in V.w_star_store(w, v, LEFT).values():
                 rows = [(N, cur) for N, cur in at_m.items() if any(cur)]
                 if not rows or max(mi_deg(N) for N, _cur in rows) > work:
                     continue

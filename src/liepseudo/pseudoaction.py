@@ -20,32 +20,31 @@ normal form b^(I) crosses (x)_H.  Each x is canonical (an int when integral,
 else a Fraction), a kernel run only accumulates c * x times the coordinates,
 and the ModuleVector constructor makes each output coordinate canonical
 once.  The kernel keeps every (M, N) it meets, also one whose coordinates
-cancel, in order of first appearance: `submodule_closure` queues the
-components of a value in key order, so its truncated basis depends on it.
-A closure started from an inner closure's rows queues none of them, so it
-meets vectors in another order than a build from scratch; tests check that
-the nested S closures of `classify` still equal the from-scratch ones.
+cancel, in order of first appearance, so that each fold matches its
+term-by-term reference; the closures of `classify` do not depend on that
+order or on the order of their seeds
+(`test_modules.test_closures_do_not_depend_on_seed_or_store_order`).
 
 `w_star` applies a W(d) element w = sum_a h_a (x) b_a, a width-n vector,
-as sum_a (h_a (x) 1)((1 (x) b_a) * v); it reads each h_a off the terms of w,
-in the key order of w, once per actor.  In right normal form every actor is
-a row of the one kernel: its rows w * u_k are built once per actor, each by
-one `PseudoValue.from_tensor` fold over the tensors (h_a (x) b^(K)) (x)_H w_K
-of the right-form table, and by H-bilinearity the kernel applies them to v
-as it applies the table of a basis vector (`_actor_rows`).  In left normal
-form `w_star_store` folds the kept kernel coordinates of each
-(1 (x) b_a) * v, multiplied by h_a in the normal-form slot, into one store
-M -> N -> coordinates; the key order is that of adding the PseudoValues one
-term at a time.  The fold is the one `twosided` keeps for
-`PseudoValue.from_tensor` too.  `w_star` builds each output vector of a
-store once; `modules.submodule_closure` reads the left-form store itself and
-turns each M into a row of its reducer, building a vector only for a row
-that enlarges the span.
+as sum_a (h_a (x) 1)((1 (x) b_a) * v), through the one store of
+`w_star_store`; it reads each h_a off the terms of w, in the key order of w,
+once per actor.  A basis actor 1 (x) b_a is the kernel store of b_a.  In
+right normal form every other actor is a row of the one kernel: its rows
+w * u_k are built once per actor, each by one `PseudoValue.from_tensor` fold
+over the tensors (h_a (x) b^(K)) (x)_H w_K of the right-form table, and by
+H-bilinearity the kernel applies them to v as it applies the table of a
+basis vector (`_actor_rows`).  In left normal form `w_star_store` folds the
+kept kernel coordinates of each (1 (x) b_a) * v, multiplied by h_a in the
+normal-form slot, into one store M -> N -> coordinates; the key order is
+that of adding the PseudoValues one term at a time.  The fold is the one
+`twosided` keeps for `PseudoValue.from_tensor` too.  `w_star` builds each
+output vector of a store once; `modules.submodule_closure` reads the
+left-form store itself and turns each M into a row of its reducer, building
+a vector only for a row that enlarges the span.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ._linalg import _exact, add_entry
@@ -144,7 +143,6 @@ class ModuleVector:
         ]
 
 
-@dataclass
 class ModuleSpec:
     """A free H-module H (x) R with a pseudoaction table.
 
@@ -152,22 +150,21 @@ class ModuleSpec:
     Optional representation data records how R was constructed.
     """
 
-    hopf: Hopf
-    dim: int
-    table: tuple
-    name: str = ""
-    rep_d: RepData | None = None
-    rep_gl: RepData | None = None
-    _flat: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _last: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
-    _actors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.table) != self.hopf.n:
+    def __init__(self, hopf: Hopf, dim: int, table: tuple, name: str = "",
+                 rep_d: RepData | None = None, rep_gl: RepData | None = None):
+        if len(table) != hopf.n:
             raise RepInvalid("need one table row per basis vector of d")
-        for row in self.table:
-            if len(row) != self.dim:
-                raise RepInvalid("table width disagrees with the generator count")
+        if any(len(row) != dim for row in table):
+            raise RepInvalid("table width disagrees with the generator count")
+        self.hopf = hopf
+        self.dim = dim
+        self.table = table
+        self.name = name
+        self.rep_d = rep_d
+        self.rep_gl = rep_gl
+        self._flat = {}
+        self._last = (None, None, None)
+        self._actors = {}
 
     # -- vectors ---------------------------------------------------------
     def zero_vector(self) -> ModuleVector:
@@ -248,31 +245,28 @@ class ModuleSpec:
 
     def w_star(self, w: ModuleVector, v: ModuleVector, orient: str = LEFT) -> PseudoValue:
         """(sum_a h_a (x) b_a) * v = sum_a ((h_a (x) 1) (x)_H 1)((1 (x) b_a) * v),
-        each (1 (x) b_a) * v taken in normal form `orient`; for w = 1 (x) b_a
-        that is (1 (x) b_a) * v itself.  The actor w is a width-n vector;
-        each h_a is read off its terms once per actor (`_actor`).
+        each (1 (x) b_a) * v taken in normal form `orient`: the store of
+        `w_star_store` with each vector built once.  The actor w is a
+        width-n vector."""
+        return _pseudo_value(self.hopf, orient, self.w_star_store(w, v, orient), ModuleVector,
+                             self.dim)
 
-        The left form is the store of `w_star_store` with each vector built
-        once.  The right form is the kernel store of w (`_kernel`), which
+    def w_star_store(self, w: ModuleVector, v: ModuleVector, orient: str) -> dict:
+        """w * v in normal form `orient` as M -> N -> coordinates, summed as
+        they come (see `_kernel`); each h_a is read off the terms of w once
+        per actor (`_actor`).  For w = 1 (x) b_a it is the kept kernel store
+        of (1 (x) b_a) * v, cancelled (M, N) included, which the caller must
+        not change.  Otherwise the right form is the kernel store of w, which
         reads the actor's rows w * u_k (`_actor_rows`) the way it reads the
-        table of a basis vector."""
-        terms = self._actor(w, v)[0]
-        if len(terms) == 1 and terms[0][1] == [(mi_zero(self.hopf.n), 1)]:
-            return self.action_pv(terms[0][0], v, orient)
-        store = self._kernel(w, v, RIGHT) if orient == RIGHT else self.w_star_store(w, v)
-        return _pseudo_value(self.hopf, orient, store, ModuleVector, self.dim)
-
-    def w_star_store(self, w: ModuleVector, v: ModuleVector) -> dict:
-        """w * v in left normal form as M -> N -> coordinates, summed as they
-        come (see `_kernel`).  For w = 1 (x) b_a it is the kept kernel store of
-        (1 (x) b_a) * v (`_kernel`), cancelled (M, N) included, which the
-        caller must not change.  Otherwise each term b^(M) (x) w of each
-        (1 (x) b_a) * v adds (h_a b^(M)) (x) w to one store, with the key
-        order of adding the PseudoValues term by term (see `_fold`)."""
+        table of a basis vector; in the left form each term b^(M) (x) w of
+        each (1 (x) b_a) * v adds (h_a b^(M)) (x) w to one store, with the
+        key order of adding the PseudoValues term by term (see `_fold`)."""
         hopf = self.hopf
         terms = self._actor(w, v)[0]
         if len(terms) == 1 and terms[0][1] == [(mi_zero(hopf.n), 1)]:
-            return self._kernel(terms[0][0], v, LEFT)
+            return self._kernel(terms[0][0], v, orient)
+        if orient == RIGHT:
+            return self._kernel(w, v, RIGHT)
         acc: dict[MultiIndex, dict[MultiIndex, list]] = {}  # M -> N -> coordinates
         for a, h in terms:
             # (h_a (x) 1)((1 (x) b_a) * v) is summed on its own and then

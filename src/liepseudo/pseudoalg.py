@@ -11,7 +11,6 @@ and the carriers of values are module vectors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .errors import DimensionTooSmall
 from .hopf import HElement, Hopf, mi_below, mi_unit, mi_zero
@@ -133,11 +132,13 @@ def cur_algebra_bracket(hopf: Hopf, g: LieData):
 # Axiom check reports
 # ---------------------------------------------------------------------------
 
-@dataclass
 class CheckReport:
-    name: str
-    total: int = 0
-    failures: list = field(default_factory=list)
+    """The cases of one named check and its failing ones."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.total = 0
+        self.failures = []
 
     @classmethod
     def one_case(cls, label: str, ok: bool) -> "CheckReport":

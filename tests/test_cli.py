@@ -310,6 +310,34 @@ def test_a_bracket_index_out_of_range_is_named_as_the_file_writes_it(tmp_path, c
                             f"bracket index {shown} out of range 1..2\n")
 
 
+@pytest.mark.parametrize("brackets, shown", [
+    ([[1, 2, 1, "1", 5]], 'bracket entry 1 must be [i, j, k, "p/q"], got [1, 2, 1, "1", 5]'),
+    ([[1, 2]], 'bracket entry 1 must be [i, j, k, "p/q"], got [1, 2]'),
+    ([5], 'bracket entry 1 must be [i, j, k, "p/q"], got 5'),
+    (5, "brackets must be a JSON list, got 5"),
+    (["ab12"], 'bracket entry 1 must be [i, j, k, "p/q"], got "ab12"'),
+    ([[1, 2, 1, "1"], [2, 1]], 'bracket entry 2 must be [i, j, k, "p/q"], got [2, 1]'),
+], ids=["five-items", "two-items", "an-int", "not-a-list", "a-string", "the-second-entry"])
+def test_a_bracket_entry_of_the_wrong_shape_is_named_as_the_file_writes_it(tmp_path, capsys,
+                                                                           brackets, shown):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"dim": 2, "brackets": brackets}))
+    assert main(["verify", "--alg", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: bad algebra schema in {path}: {shown}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["singular", "--alg", "heis3", "--mode", "S", "--u", "omega:1", "--chi", "0,0,1"],
+    ["derham", "--alg", "heis3", "--pi", "line:0,0,1"],
+])
+def test_a_trace_form_not_vanishing_on_d_d_is_a_config_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "config error: chi([b_1, b_2]) = 1 != 0\n")
+
+
 def test_an_algebra_without_brackets_is_abelian(tmp_path, capsys):
     path = tmp_path / "alg.json"
     path.write_text(json.dumps({"dim": 3}))

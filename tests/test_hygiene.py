@@ -1,14 +1,17 @@
 """Source hygiene: every name a module of the package or of its tests
-imports is used, every import sits at module level, every private helper is
-called and defined in one module only, every public name of the package is
-read by it or listed with a reason, every defaulted parameter is set by
-some call, every true division has a Fraction operand, every CLI option is
-read, and W(d) has one pseudoaction kernel."""
+imports is used, every import sits at module level, the package imports only
+the listed standard-library modules, every private helper is called and
+defined in one module only, every public name of the package is read by it
+or listed with a reason, every defaulted parameter is set by some call,
+every true division has a Fraction operand, every CLI option is read, and
+W(d) has one pseudoaction kernel."""
 
 import argparse
 import ast
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import liepseudo
@@ -71,6 +74,45 @@ def test_no_imports_inside_functions_in_the_package():
 def test_the_scan_sees_an_import_inside_a_function():
     tree = ast.parse("import os\n\ndef f():\n    def g():\n        import sys\n    return os\n")
     assert imports_in_functions(tree) == ["g (line 5)"]
+
+
+def outside_imports(tree: ast.Module) -> set[str]:
+    """The modules `tree` imports from outside its package: every `import m`
+    and every absolute `from m import ...`, wherever it sits."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+    return found
+
+
+# Every module from outside the package that it imports: the standard library
+# only, and none that loads `inspect` (as `dataclasses` does) on every start.
+SRC_IMPORTS = {"__future__", "argparse", "collections.abc", "fractions", "itertools", "json",
+               "math", "os", "random", "re", "sys", "typing"}
+
+
+def test_the_package_imports_only_the_listed_standard_modules():
+    found = set().union(*(outside_imports(ast.parse(path.read_text()))
+                          for path in SRC.glob("*.py")))
+    assert found == SRC_IMPORTS
+
+
+def test_the_scan_sees_every_outside_import():
+    tree = ast.parse("import os.path, json as j\nfrom . import hopf\nfrom .twosided import LEFT\n"
+                     "from collections.abc import Callable\ndef f():\n    import dataclasses\n")
+    assert outside_imports(tree) == {"os.path", "json", "collections.abc", "dataclasses"}
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S: no site-packages, so only the package and the standard library load
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import liepseudo.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(SRC.parent)],
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
 def unreferenced_private_helpers(trees: dict[str, ast.Module]) -> list[str]:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from liepseudo.cli import load_algebra, load_pi
-from liepseudo.errors import AntisymmetryViolation, JacobiViolation, RepInvalid
+from liepseudo.errors import AntisymmetryViolation, InvalidTraceForm, JacobiViolation, RepInvalid
 from liepseudo.liecore import (
     PRESET_NAMES,
     LieData,
@@ -128,6 +128,19 @@ def test_with_id_scalar_shifts_only_trace():
     assert shifted.id_scalar() == 0
     # off-diagonal generators untouched
     assert shifted.gl_matrix(0, 1) == rep.gl_matrix(0, 1)
+
+
+@pytest.mark.parametrize("values, message", [
+    ((0, 0), "wrong length"),
+    ((0, 0, 0, 0), "wrong length"),
+    ((0, 0, 1), "chi([b_1, b_2]) = 1 != 0"),
+    (("2", 0, "-1/2"), "chi([b_1, b_2]) = -1/2 != 0"),
+])
+def test_a_trace_form_off_its_length_or_not_vanishing_on_d_d_is_refused(values, message):
+    # on heis3, [b_1, b_2] = b_3 spans [d, d]
+    with pytest.raises(InvalidTraceForm) as err:
+        TraceForm(preset("heis3"), values)
+    assert str(err.value) == message
 
 
 def test_rep_validation_catches_errors():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from liepseudo import checks, cli, liecore, modules
+from liepseudo import checks, cli, derham, liecore, modules
 from liepseudo.annih import AnnElement, ann_action
 from liepseudo.dualx import XElement
 from liepseudo.errors import DimensionMismatch, RepInvalid, TruncationExceeded
@@ -98,6 +98,24 @@ def test_a_passed_validation_is_remembered_and_a_failure_never(monkeypatch):
         assert len(calls) > before  # a failed check runs again on every build
         messages.append(str(err.value))
     assert messages == ["[rho(b_1), rho(b_2)] != rho([b_1, b_2])"] * 3
+
+
+@pytest.mark.parametrize("shape, message", [
+    ("a row short", "need one table row per basis vector of d"),
+    ("a row too many", "need one table row per basis vector of d"),
+    ("the last row narrow", "table width disagrees with the generator count"),
+    ("the last row wide", "table width disagrees with the generator count"),
+])
+def test_a_module_table_of_the_wrong_shape_is_refused(shape, message):
+    H = hopf_for("heis3")
+    T = tensor_module(H, trivial_pi(H), omega_rep(H.lie, 1))
+    *rows, last = T.table
+    table = {"a row short": tuple(rows), "a row too many": T.table + (last,),
+             "the last row narrow": (*rows, last[:-1]),
+             "the last row wide": (*rows, last + last[:1])}[shape]
+    with pytest.raises(RepInvalid) as err:
+        ModuleSpec(H, T.dim, table)
+    assert str(err.value) == message
 
 
 def _h_matrix_by_fractions(rep, coeffs, dim):
@@ -932,20 +950,15 @@ def test_closure_converts_at_most_once_per_action(monkeypatch, name, mode):
     gens = [v for v in sing_solve(T, 2, mode, chi).basis if v.degree() > 0]
     counts = {"convert": 0, "from_tensor": 0}
     _count_calls(monkeypatch, counts)
-    # the closure reads the left-form store of each action; a call of
-    # w_star, in either form, counts as an action too
+    # the closure reads the left-form store of each action; w_star, in
+    # either form, reads its store there too
     acts = []
-    real_w_star, real_store = ModuleSpec.w_star, ModuleSpec.w_star_store
+    real_store = ModuleSpec.w_star_store
 
-    def w_star(self, w, v, orient=LEFT):
+    def w_star_store(self, w, v, orient):
         acts.append(orient)
-        return real_w_star(self, w, v, orient)
+        return real_store(self, w, v, orient)
 
-    def w_star_store(self, w, v):
-        acts.append(LEFT)
-        return real_store(self, w, v)
-
-    monkeypatch.setattr(ModuleSpec, "w_star", w_star)
     monkeypatch.setattr(ModuleSpec, "w_star_store", w_star_store)
     clo = submodule_closure(T, gens, 2, mode, chi)
     assert gens and clo.dim > 0
@@ -965,14 +978,59 @@ def test_closure_ignores_cancelled_entries_of_the_store(monkeypatch, name, mode)
     above = tuple(4 * x for x in mi_unit(H.n, 0))  # degree 4 > fil_bound + 1
     real_store = ModuleSpec.w_star_store
 
-    def w_star_store(self, w, v):
-        return {M: {above: [0] * self.dim, **at_m} for M, at_m in real_store(self, w, v).items()}
+    def w_star_store(self, w, v, orient):
+        return {M: {above: [0] * self.dim, **at_m}
+                for M, at_m in real_store(self, w, v, orient).items()}
 
     monkeypatch.setattr(ModuleSpec, "w_star_store", w_star_store)
     got = submodule_closure(T, gens, 2, mode, chi)
     assert got.dim == want.dim > 0
     assert [list(v.terms.items()) for v in got.basis] == \
         [list(v.terms.items()) for v in want.basis]
+
+
+# the closures of five classify goldens: nested S closures, tr_ad, W blocks, Omega^2, dim 4
+ORDER_FREE_CLASSIFY = [
+    ["--alg", "abelian3", "--mode", "S", "--u", "omega:1"],
+    ["--alg", "solv3", "--mode", "S", "--u", "omega:1", "--chi", "tr_ad"],
+    ["--alg", "heis3", "--mode", "W", "--u", "omega:1"],
+    ["--alg", "abelian3", "--mode", "W", "--u", "omega:2"],
+    ["--alg", "abelian4", "--mode", "S", "--u", "omega:1"],
+]
+
+
+@pytest.mark.parametrize("argv", ORDER_FREE_CLASSIFY, ids=lambda argv: "-".join(argv[1::2]))
+def test_closures_do_not_depend_on_seed_or_store_order(monkeypatch, capsys, argv):
+    # each closure of the command is rebuilt from the same inputs with its
+    # seeds reversed, and again with every action store read in reversed key
+    # order under M and under each M; the spans, so the echelon bases and
+    # window rows, stay
+    built = []
+
+    def record(V, gens, *rest):
+        clo = submodule_closure(V, gens, *rest)
+        built.append((V, gens, rest, clo))
+        return clo
+
+    monkeypatch.setattr(derham, "submodule_closure", record)
+    assert cli.main(["classify", *argv]) == 0
+    capsys.readouterr()
+    assert built
+
+    def rows(clo):
+        return [v.terms for v in clo.basis], clo.window
+
+    for V, gens, rest, clo in built:
+        assert rows(submodule_closure(V, gens[::-1], *rest)) == rows(clo)
+    real_store = ModuleSpec.w_star_store
+
+    def reversed_store(self, w, v, orient):
+        return {M: dict(reversed(at_m.items()))
+                for M, at_m in reversed(real_store(self, w, v, orient).items())}
+
+    monkeypatch.setattr(ModuleSpec, "w_star_store", reversed_store)
+    for V, gens, rest, clo in built:
+        assert rows(submodule_closure(V, gens, *rest)) == rows(clo)
 
 
 def test_closure_acts_once_per_queued_vector_and_generator(monkeypatch):

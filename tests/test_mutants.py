@@ -22,9 +22,10 @@ import pytest
 import liepseudo
 from liepseudo import _linalg, annih, derham, modules, pseudoaction, twosided
 from liepseudo.dualx import XElement
-from liepseudo.errors import DimensionMismatch
+from liepseudo.errors import DimensionMismatch, InvalidTraceForm
 from liepseudo.hopf import HElement, Hopf, mi_deg
-from liepseudo.liecore import RepData, insert_sign, mat_apply, preset, wedge_basis
+from liepseudo.liecore import (RepData, TraceForm, insert_sign, mat_apply, preset, rat,
+                               wedge_basis)
 from liepseudo.pseudoaction import ModuleSpec, ModuleVector
 
 import test_annih
@@ -215,6 +216,21 @@ def _validate_never_raising(self):
     self._valid = True
 
 
+def _module_spec_skipping_its_shape_check(self, hopf, dim, table, name="", rep_d=None,
+                                          rep_gl=None):
+    # every attribute set, the table taken whatever its shape
+    self.hopf, self.dim, self.table, self.name = hopf, dim, table, name
+    self.rep_d, self.rep_gl = rep_d, rep_gl
+    self._flat, self._last, self._actors = {}, (None, None, None), {}
+
+
+def _trace_form_skipping_the_bracket_check(self, lie, values):
+    # the length checked, chi([b_i, b_j]) never
+    if len(values) != lie.dim:
+        raise InvalidTraceForm("wrong length")
+    self.lie, self.values = lie, tuple(_linalg._exact(rat(v)) for v in values)
+
+
 def _ann_action_none_on_cancellation(real):
     # an element whose terms cancel on a vector reads as one that met none
     def ann_action(els, vectors, action_pv):
@@ -352,6 +368,14 @@ def _install_validate(monkeypatch):
     monkeypatch.setattr(RepData, "validate", _validate_never_raising)
 
 
+def _install_module_spec(monkeypatch):
+    monkeypatch.setattr(ModuleSpec, "__init__", _module_spec_skipping_its_shape_check)
+
+
+def _install_trace_form(monkeypatch):
+    monkeypatch.setattr(TraceForm, "__init__", _trace_form_skipping_the_bracket_check)
+
+
 def _install_ann_action(monkeypatch):
     _patch_everywhere(monkeypatch, annih.ann_action,
                       _ann_action_none_on_cancellation(annih.ann_action))
@@ -405,12 +429,16 @@ def _canonical_killer():
         test_liecore.test_liecore_values_are_canonical("heis3", Path(tmp))
 
 
-def _validation_killer():
-    # pytest.raises reports a missing exception as its Failed outcome
-    try:
-        test_liecore.test_rep_validation_catches_errors()
-    except pytest.fail.Exception as exc:
-        raise AssertionError(str(exc)) from None
+def _raises_killer(test, *cases):
+    """`test` run on each of `cases`, with the Failed outcome by which
+    pytest.raises reports a missing exception raised as an AssertionError."""
+    def killer():
+        try:
+            for case in cases:
+                test(*case)
+        except pytest.fail.Exception as exc:
+            raise AssertionError(str(exc)) from None
+    return killer
 
 
 def _closure_killer():
@@ -475,7 +503,7 @@ MUTANTS = {
     "RepData keeps its matrices as given":
         (_install_rep_data, _canonical_killer),
     "RepData.validate never raises":
-        (_install_validate, _validation_killer),
+        (_install_validate, _raises_killer(test_liecore.test_rep_validation_catches_errors, ())),
     "ann_action returns None on a cancelled value":
         (_install_ann_action,
          test_annih.test_ann_action_matches_the_element_by_element_loop_with_cancellations),
@@ -496,6 +524,15 @@ MUTANTS = {
         (_install_filtration_ranks, _filtration_killer),
     "an actor row drops one h_a term (singular golden)":
         (_install_actor_rows, _golden_killer("singular_heis3_S_omega1")),
+    "ModuleSpec skips its table-shape check":
+        (_install_module_spec, _raises_killer(
+            test_modules.test_a_module_table_of_the_wrong_shape_is_refused,
+            ("a row short", "need one table row per basis vector of d"),
+            ("the last row wide", "table width disagrees with the generator count"))),
+    "TraceForm skips the [d, d] check":
+        (_install_trace_form, _raises_killer(
+            test_liecore.test_a_trace_form_off_its_length_or_not_vanishing_on_d_d_is_refused,
+            ((0, 0, 1), "chi([b_1, b_2]) = 1 != 0"))),
 }
 
 
